@@ -4,7 +4,9 @@ Races the two certificate streams for the free abelian plane, presented
 as two commuting generators, against a batch of input words.  The table
 records which stream won and how many comparisons the race took, which
 makes the asymmetry visible: membership certificates tend to be cheap,
-non-membership certificates pay for the pairing enumeration.
+non-membership certificates pay for the pairing enumeration.  The last
+default word is the exception: its first membership certificate sits at
+closure index 2927, about 8.6 million comparisons in.
 
 Usage:
     python3 scripts/wp_race.py
@@ -34,20 +36,21 @@ DEFAULT_WORDS = (
     "a b",
     "a b a^-1",
     "a a b b",
+    "a a b a^-1 a^-1 b^-1",
 )
 
 
 @dataclass
 class Config:
     words: tuple = DEFAULT_WORDS
-    budget: int = 10**6
+    budget: int = 10**7
 
 
 def parse_args(argv=None) -> Config:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--word", action="append", default=[],
                         help="space-separated letters, eps for the empty word; repeatable")
-    parser.add_argument("--budget", type=int, default=10**6)
+    parser.add_argument("--budget", type=int, default=Config.budget)
     args = parser.parse_args(argv)
     return Config(tuple(args.word) or DEFAULT_WORDS, args.budget)
 

@@ -9,6 +9,7 @@ one machine-readable record per line.  The environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -403,7 +404,9 @@ def _add_common(p: argparse.ArgumentParser):
                    help="one machine-readable record per line")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="epicdemo",
         description="Verify and construct demonstrations of non-identity "
@@ -530,8 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         ws = load(args.files) if args.files else Workspace()
         return args.handler(ws, args)

@@ -10,6 +10,7 @@ serializable frontier so interrupted runs resume where they left off.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -372,13 +373,27 @@ def decide_word(
 ) -> WpVerdict:
     """Dovetail a demonstration stream against a word-problem stream.
 
-    Iteration i performs, in order: one comparison of the i-th closure
-    word against the reduced input, then one comparison per new index
-    pair (j, k) with max(j, k) = i, scanned in lexicographic (j, k)
-    order, where j indexes the language stream and k the closure stream.
-    A hit does not cut the iteration short; if both directions hit within
-    one iteration the inputs contradict each other and the run raises
-    InputContradictionError instead of picking a side.
+    Iteration i scans 2i + 2 positions in three segments, where j indexes
+    the language stream and k the closure stream:
+
+    1. position 0 compares the i-th closure word with the reduced input;
+    2. positions 1..i compare the pairs (j, i) for j < i;
+    3. positions i+1..2i+1 compare the pairs (i, k) for k <= i.
+
+    A pair (j, k) hits when language_j . word^-1 and closure_k reduce to
+    the same word.  Positions whose stream word does not exist are skipped
+    without a comparison.  A hit does not cut the iteration short; if both
+    directions hit within one iteration the inputs contradict each other
+    and the run raises InputContradictionError instead of picking a side.
+
+    Each stream word is freely reduced once per call and filed in a map
+    from reduced word to its ascending indices: closure_k under itself,
+    language_j under language_j . word^-1.  Within a segment one side is
+    fixed, so its hits are the indices filed under the fixed side's key,
+    and, because finite streams end after a prefix, the number of
+    comparisons is arithmetic.  An iteration thus costs O(1) lookups and
+    a bisect per segment, plus one certificate per hit, however many
+    comparisons it counts.
 
     The budget counts comparisons.  When it runs out the verdict carries
     a frontier; passing that frontier back in resumes mid-iteration.
@@ -401,46 +416,78 @@ def decide_word(
     cursor = frontier.cursor
     pending = [dict(c) for c in frontier.pending]
     total = frontier.comparisons
+    performed = False
 
     def checkpoint() -> Frontier:
         return Frontier(word=target_text, iteration=i, cursor=cursor,
                         pending=[dict(c) for c in pending], comparisons=total)
 
+    # reduced word -> ascending stream indices; a stream's words sit at
+    # 0..n-1, so the two counts also say which indices exist
+    closure_at: dict[Word, list[int]] = {}
+    language_at: dict[Word, list[int]] = {}
+
+    def filed(stream: Enumerator, at: dict, n: int, tail: Word) -> Optional[Word]:
+        """Key of stream word n, reduced and indexed; None past the end."""
+        w = stream.get(n)
+        if w is None:
+            return None
+        key = free_reduce(w + tail)
+        at.setdefault(key, []).append(n)
+        return key
+
+    closure_count = language_count = 0
+    while closure_count < i and filed(closure, closure_at, closure_count, EPSILON) is not None:
+        closure_count += 1
+    while language_count < i and filed(
+            language, language_at, language_count, inverse_target) is not None:
+        language_count += 1
+
+    def scan(first: int, existing: int, hits: list, certify) -> bool:
+        """Compare positions first .. first+existing-1 from the cursor on,
+        pending a certificate for each hit; True when the budget cuts."""
+        nonlocal spent, total, performed, cursor
+        lo = max(cursor - first, 0)
+        todo = existing - lo
+        if todo <= 0:
+            return False
+        done = min(todo, budget - spent)
+        for at in hits[bisect_left(hits, lo):bisect_left(hits, lo + done)]:
+            pending.append(certify(at))
+        spent += done
+        total += done
+        if todo > done:
+            cursor = first + lo + done
+            return True
+        performed = True
+        return False
+
     while True:
-        positions = 2 * i + 2
         performed = False
-        while cursor < positions:
-            if cursor == 0:
-                gw = closure.get(i)
-                if gw is None:
-                    cursor += 1
-                    continue
-                left = free_reduce(gw)
-                right = target
-                certificate = {"kind": IN_WP, "index": i,
-                               "closure_word": format_word(gw)}
-            else:
-                t = cursor - 1
-                j, k = (t, i) if t < i else (i, t - i)
-                fw = language.get(j)
-                gw = closure.get(k)
-                if fw is None or gw is None:
-                    cursor += 1
-                    continue
-                left = free_reduce(fw + inverse_target)
-                right = free_reduce(gw)
-                certificate = {"kind": NOT_IN_WP,
-                               "language_index": j, "closure_index": k,
-                               "language_word": format_word(fw),
-                               "closure_word": format_word(gw)}
-            if spent >= budget:
+        key = filed(closure, closure_at, i, EPSILON)
+        if key is not None:
+            closure_count = i + 1
+            gw = closure.get(i)
+            cut = scan(0, 1, [0] if key == target else [],
+                       lambda _: {"kind": IN_WP, "index": i,
+                                  "closure_word": format_word(gw)})
+            cut = cut or scan(1, language_count, language_at.get(key, []),
+                              lambda j: {"kind": NOT_IN_WP,
+                                         "language_index": j, "closure_index": i,
+                                         "language_word": format_word(language.get(j)),
+                                         "closure_word": format_word(gw)})
+            if cut:
                 return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total)
-            spent += 1
-            total += 1
-            performed = True
-            if left == right:
-                pending.append(certificate)
-            cursor += 1
+        key = filed(language, language_at, i, inverse_target)
+        if key is not None:
+            language_count = i + 1
+            fw = language.get(i)
+            if scan(i + 1, closure_count, closure_at.get(key, []),
+                    lambda k: {"kind": NOT_IN_WP,
+                               "language_index": i, "closure_index": k,
+                               "language_word": format_word(fw),
+                               "closure_word": format_word(closure.get(k))}):
+                return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total)
         if pending:
             hits_in = [c for c in pending if c["kind"] == IN_WP]
             hits_out = [c for c in pending if c["kind"] == NOT_IN_WP]

@@ -178,11 +178,15 @@ def _parse_cycles(text: str, lineno: int, block: _Block):
 
 
 def _gen_lines(block: _Block):
+    seen = set()
     for lineno, tokens in block.body:
         if tokens[0] != "gen":
             block.fail(f"unknown group line {tokens[0]!r}", lineno)
         if len(tokens) < 4 or tokens[2] != "=":
             block.fail("gen takes: gen NAME = VALUE", lineno)
+        if tokens[1] in seen:
+            block.fail(f"generator {tokens[1]!r} defined twice", lineno)
+        seen.add(tokens[1])
         yield lineno, tokens[1], tokens[3:]
 
 
@@ -206,7 +210,7 @@ def _parse_group(block: _Block):
             dim = int(block.header[3])
             gens = {}
             for lineno, gen_name, rhs in _gen_lines(block):
-                rows = _parse_json_value("".join(rhs), lineno, block)
+                rows = _parse_int_array("".join(rhs), 2, lineno, block)
                 gens[Letter(gen_name)] = tuple(tuple(r) for r in rows)
             return name, IntegerMatrixOracle(dim, gens)
         if flavor == "zk":
@@ -215,7 +219,7 @@ def _parse_group(block: _Block):
             rank = int(block.header[3])
             gens = {}
             for lineno, gen_name, rhs in _gen_lines(block):
-                vec = _parse_json_value("".join(rhs), lineno, block)
+                vec = _parse_int_array("".join(rhs), 1, lineno, block)
                 gens[Letter(gen_name)] = tuple(vec)
             return name, FreeAbelianOracle(rank, gens)
         if flavor == "free":
@@ -252,11 +256,22 @@ def _parse_group(block: _Block):
                "expected perm, matrix, zk, free or graphproduct")
 
 
-def _parse_json_value(text: str, lineno: int, block: _Block):
+def _parse_int_array(text: str, depth: int, lineno: int, block: _Block):
+    """A JSON vector (depth 1) or matrix (depth 2) with integer entries."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError:
         block.fail(f"cannot parse {text!r} as a vector or matrix", lineno)
+
+    def shaped(v, d):
+        if d == 0:
+            return type(v) is int
+        return isinstance(v, list) and all(shaped(e, d - 1) for e in v)
+
+    if not shaped(value, depth):
+        what = "vector" if depth == 1 else "matrix"
+        block.fail(f"{text!r} is not a {what} of integers", lineno)
+    return value
 
 
 @dataclass(frozen=True)

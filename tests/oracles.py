@@ -75,3 +75,104 @@ def bf_pruned_types(vertices, adjacent, max_len):
                 continue
             out.add(min(cls, key=lambda s: [rank[v] for v in s]))
     return out
+
+
+# -- word problem ------------------------------------------------------------
+
+
+def _inverse_name(name):
+    return name[:-3] if name.endswith("^-1") else name + "^-1"
+
+
+def _reduce_names(names):
+    """Free reduction of a tuple of letter names, one stack pass."""
+    stack = []
+    for n in names:
+        if stack and stack[-1] == _inverse_name(n):
+            stack.pop()
+        else:
+            stack.append(n)
+    return tuple(stack)
+
+
+def _spell(word):
+    return " ".join(x.name for x in word) if word else "eps"
+
+
+class PairwiseContradiction(Exception):
+    """Both kinds of certificate turned up in one iteration; the arguments
+    are the first certificate of each kind."""
+
+
+def pairwise_decide_word(word, language, closure, budget, frontier=None):
+    """The dovetailing decider, one fresh free reduction per comparison.
+
+    Iteration i walks positions 0..2i+1: position 0 compares closure word
+    i with the reduced target, position 1 + t compares the pair (t, i) for
+    t < i and the pair (i, t - i) otherwise, as (language index, closure
+    index).  Positions whose stream word does not exist are skipped without
+    a comparison.  ``frontier`` and the returned frontier are plain dicts
+    with the keys word, iteration, cursor, pending and comparisons.
+    Returns (kind, certificate, frontier, comparisons, stalled).
+    """
+    target = _reduce_names(x.name for x in word)
+    target_text = " ".join(target) if target else "eps"
+    inverse_target = tuple(_inverse_name(n) for n in reversed(target))
+    if frontier is None:
+        frontier = {"word": target_text, "iteration": 0, "cursor": 0,
+                    "pending": [], "comparisons": 0}
+    elif frontier["word"] != target_text:
+        raise ValueError(f"frontier was recorded for {frontier['word']!r}")
+    i, cursor = frontier["iteration"], frontier["cursor"]
+    pending = [dict(c) for c in frontier["pending"]]
+    total = frontier["comparisons"]
+    spent = 0
+
+    def checkpoint():
+        return {"word": target_text, "iteration": i, "cursor": cursor,
+                "pending": [dict(c) for c in pending], "comparisons": total}
+
+    while True:
+        performed = False
+        while cursor < 2 * i + 2:
+            if cursor == 0:
+                gw = closure.get(i)
+                if gw is None:
+                    cursor += 1
+                    continue
+                left = _reduce_names(x.name for x in gw)
+                right = target
+                certificate = {"kind": "in_wp", "index": i, "closure_word": _spell(gw)}
+            else:
+                t = cursor - 1
+                j, k = (t, i) if t < i else (i, t - i)
+                fw = language.get(j)
+                gw = closure.get(k)
+                if fw is None or gw is None:
+                    cursor += 1
+                    continue
+                left = _reduce_names(tuple(x.name for x in fw) + inverse_target)
+                right = _reduce_names(x.name for x in gw)
+                certificate = {"kind": "not_in_wp",
+                               "language_index": j, "closure_index": k,
+                               "language_word": _spell(fw),
+                               "closure_word": _spell(gw)}
+            if spent >= budget:
+                return ("budget_exceeded", None, checkpoint(), total, False)
+            spent += 1
+            total += 1
+            performed = True
+            if left == right:
+                pending.append(certificate)
+            cursor += 1
+        if pending:
+            hits_in = [c for c in pending if c["kind"] == "in_wp"]
+            hits_out = [c for c in pending if c["kind"] == "not_in_wp"]
+            if hits_in and hits_out:
+                raise PairwiseContradiction(hits_in[0], hits_out[0])
+            return (pending[0]["kind"], pending[0], None, total, False)
+        stalled = not performed and closure.get(i) is None and language.get(i) is None
+        i += 1
+        cursor = 0
+        if stalled:
+            return ("budget_exceeded", None, checkpoint(), total, True)

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from epicdemo.cli import main, parse_key_predicate, UsageError
+from epicdemo.cli import build_parser, main, parse_key_predicate, UsageError
 from epicdemo.demonstrations import z_demo, zk_demo
 from epicdemo.groups import PermutationOracle
 from epicdemo.automata import Letter, make_word
@@ -83,6 +83,22 @@ class TestEnumerateAndBall:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+    def test_second_call_starts_clean(self, capsys, tmp_path):
+        # both files define group g, so a carried-over -f would fail the load
+        first = tmp_path / "first.epic"
+        first.write_text("group g zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n")
+        second = tmp_path / "second.epic"
+        second.write_text("group g perm degree 2\n  gen t = (1 2)\nend\n"
+                          "automaton w\n  alphabet t\n  states q0 q1\n  initial q0\n"
+                          "  accept q1\n  trans q0 t q1\nend\n")
+        code, out, _ = run(capsys, "-f", str(first), "ball", "--group", "g", "--radius", "1")
+        assert code == 0
+        assert "zk1[-1] a^-1" in out
+        assert run(capsys, "-f", str(second), "enumerate", "--automaton", "w",
+                   "--max-len", "1") == (0, "t\n", "")
+        args = build_parser().parse_args(["enumerate", "--automaton", "w", "--max-len", "1"])
+        assert args.files == []
 
 
 class TestUsageErrors:

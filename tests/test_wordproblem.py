@@ -1,8 +1,10 @@
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word
-from epicdemo.demonstrations import z_demo, zk_demo
+from epicdemo.demonstrations import builtin_demo, z_demo, zk_demo
 from epicdemo.errors import InputContradictionError
 from epicdemo.groups import FreeAbelianOracle, PermutationOracle
 from epicdemo.wordproblem import (
@@ -22,6 +24,7 @@ from epicdemo.wordproblem import (
     replay,
 )
 
+from oracles import PairwiseContradiction, pairwise_decide_word
 from test_groups import s3_oracle
 
 
@@ -330,6 +333,79 @@ class TestDecideWord:
         bad["language_index"] = bad["language_index"] + 1
         fresh_language, fresh_closure = zk2_streams()
         assert not replay(make_word("a", "b"), fresh_language, fresh_closure, bad)
+
+
+LETTER_NAMES = ("a", "a^-1", "b", "b^-1")
+DEMOS = {"ZK2": zk_demo(2), "FREE2": builtin_demo("free(2)")}
+
+
+def words(min_size, max_size):
+    return st.lists(st.sampled_from(LETTER_NAMES), min_size=min_size,
+                    max_size=max_size).map(lambda names: make_word(*names))
+
+
+@st.composite
+def decide_cases(draw):
+    """A presentation over a b, a language and a word, plus a budget."""
+    relators = draw(st.lists(words(1, 4), max_size=2))
+    source = draw(st.sampled_from(["ZK2", "FREE2", "list"]))
+    listed = None
+    if source == "list":
+        listed = draw(st.lists(words(0, 3), max_size=4))
+        if relators and draw(st.booleans()):
+            listed.insert(draw(st.integers(0, len(listed))), draw(st.sampled_from(relators)))
+    pool = words(0, 4) | st.sampled_from(relators) if relators else words(0, 4)
+    return relators, source, listed, draw(pool), draw(st.integers(1, 20))
+
+
+class TestIndexedScanMatchesPairwise:
+    @settings(deadline=None, max_examples=150)
+    @given(decide_cases())
+    def test_every_budget_cut_agrees(self, case):
+        relators, source, listed, word, budget = case
+        presentation = Presentation(("a", "b"), tuple(relators))
+
+        def streams():
+            if listed is None:
+                language = demonstration_enumerator(DEMOS[source])
+            else:
+                language = Enumerator(lambda: iter(listed), finite=True)
+            return language, normal_closure_enumerator(presentation)
+
+        # the reference keeps its streams; every resumed run starts fresh ones
+        reference_streams = streams()
+        frontier = reference_frontier = None
+        for _ in range(1000):
+            if frontier is not None and frontier.iteration >= 25:
+                return
+            try:
+                got = decide_word(word, *streams(), budget, frontier)
+            except InputContradictionError as e:
+                with pytest.raises(PairwiseContradiction) as expected:
+                    pairwise_decide_word(word, *reference_streams, budget, reference_frontier)
+                first_in, first_out = expected.value.args
+                assert f"{first_in} versus {first_out}" in str(e)
+                return
+            kind, certificate, reference_frontier, comparisons, stalled = \
+                pairwise_decide_word(word, *reference_streams, budget, reference_frontier)
+            text = got.frontier and got.frontier.to_json()
+            expected_text = reference_frontier and json.dumps(reference_frontier, sort_keys=True)
+            assert (got.kind, got.certificate, got.comparisons, got.stalled, text) == (
+                kind, certificate, comparisons, stalled, expected_text)
+            if got.kind != BUDGET_EXCEEDED or got.stalled:
+                return
+            frontier, reference_frontier = Frontier.from_json(text), json.loads(text)
+        pytest.fail("resumed runs made no progress")
+
+
+class TestDeepCertificate:
+    def test_index_2927_membership(self):
+        # pinned from the pairwise scan, which needed minutes to get here
+        word = make_word("a", "a", "b", "a^-1", "a^-1", "b^-1")
+        verdict = decide_word(word, *zk2_streams(), 10**7)
+        assert verdict.kind == IN_WP
+        assert verdict.certificate["index"] == 2927
+        assert verdict.comparisons == 8_576_112
 
 
 class TestDemonstrationEnumerator:

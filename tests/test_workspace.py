@@ -157,9 +157,18 @@ class TestGroupBlocks:
         with pytest.raises(LoadError, match="flavor"):
             load_str("group g nilpotent\nend\n")
 
-    def test_matrix_determinant_error_carries_line(self):
-        with pytest.raises(LoadError, match="determinant"):
-            load_str("group g matrix dim 2\n  gen x = [[2,0],[0,1]]\nend\n")
+    @pytest.mark.parametrize("text, match, line", [
+        ("group g matrix dim 2\n  gen x = [[2,0],[0,1]]\nend\n", "determinant", 1),
+        ("group g zk rank 1\n  gen a = 5\nend\n", "not a vector of integers", 2),
+        ("group g matrix dim 1\n  gen a = 5\nend\n", "not a matrix of integers", 2),
+        ("group g zk rank 1\n  gen a = [[1]]\nend\n", "not a vector of integers", 2),
+        ("group g zk rank 1\n  gen a = [1.5]\nend\n", "not a vector of integers", 2),
+        ("group g zk rank 1\n  gen a = [1]\n  gen a = [2]\nend\n", "'a' defined twice", 3),
+    ], ids=["determinant", "zk-scalar", "matrix-scalar", "zk-nested", "zk-float", "duplicate"])
+    def test_bad_generator_error_carries_line(self, text, match, line):
+        with pytest.raises(LoadError, match=match) as caught:
+            load_str(text)
+        assert caught.value.line == line
 
 
 GP_TEXT = (
