@@ -11,14 +11,11 @@ Usage:
 """
 
 import argparse
-import re
 import sys
 import time
 from dataclasses import dataclass, field
 
 from epicdemo import Workspace, builtin_demo, load
-
-ALIAS = re.compile(r"^(?:z|free(\d+)|zk(\d+))$", re.IGNORECASE)
 
 
 @dataclass
@@ -46,11 +43,6 @@ def resolve(cfg: Config):
     ws = load(cfg.files) if cfg.files else Workspace()
     if cfg.demo in ws.demonstrations:
         return ws.demonstrations[cfg.demo]
-    m = ALIAS.match(cfg.demo.strip())
-    if m and m.group(1):
-        return builtin_demo(f"free({m.group(1)})")
-    if m and m.group(2):
-        return builtin_demo(f"zk({m.group(2)})")
     return builtin_demo(cfg.demo)
 
 

@@ -7,7 +7,7 @@ transitions are stored explicitly (label ``None``) and never eliminated
 eagerly; decision procedures work on epsilon-closed state subsets instead.
 
 Alphabets are ordered: declaration order fixes the lexicographic order
-used by :meth:`Nfa.enumerate_words`, and every operation that merges two
+used by :meth:`Nfa.words`, and every operation that merges two
 alphabets keeps the left operand's order and appends unseen letters.
 """
 
@@ -17,7 +17,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
 from .errors import AutomatonSizeError
 
@@ -247,23 +247,26 @@ class Nfa:
                     stack.append(q)
         return True
 
-    def enumerate_words(self, max_len: int) -> list[Word]:
-        """Accepted words of length at most ``max_len`` in length-lex order.
+    def words(self, max_len: Optional[int] = None) -> Iterator[Word]:
+        """Accepted words in length-lex order, lazily; all of them when
+        ``max_len`` is None.
 
-        Lexicographic order is alphabet declaration order.  The search
+        Lexicographic order is alphabet declaration order.  The walk
         extends only prefixes that can still reach acceptance within the
-        remaining length budget, so sparse languages enumerate quickly.
+        remaining length budget, so sparse languages enumerate quickly and
+        the unbounded walk of a finite language ends.
         """
-        if max_len < 0:
-            return []
+        if max_len is not None and max_len < 0:
+            return
         dist = self._letters_to_accept
-        out: list[Word] = []
         start = self.start_subset()
         if start & self.accepting:
-            out.append(EPSILON)
+            yield EPSILON
         frontier: list[tuple[Word, frozenset]] = [(EPSILON, start)]
-        for n in range(max_len):
-            remaining = max_len - n - 1
+        n = 0
+        while frontier and (max_len is None or n < max_len):
+            # a productive state accepts within fewer letters than there are states
+            remaining = len(self.states) if max_len is None else max_len - n - 1
             nxt: list[tuple[Word, frozenset]] = []
             for word, subset in frontier:
                 for x in self.alphabet:
@@ -275,10 +278,14 @@ class Nfa:
                         continue
                     word2 = word + (x,)
                     if subset2 & self.accepting:
-                        out.append(word2)
+                        yield word2
                     nxt.append((word2, subset2))
             frontier = nxt
-        return out
+            n += 1
+
+    def enumerate_words(self, max_len: int) -> list[Word]:
+        """Accepted words of length at most ``max_len`` in length-lex order."""
+        return list(self.words(max_len))
 
 
 # -- constructions ------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
 from typing import Optional
 
@@ -44,9 +43,6 @@ class UsageError(Exception):
     """Bad names or flag values; maps to exit code 2."""
 
 
-_BUILTIN_ALIAS = re.compile(r"^(?:z|free(\d+)|zk(\d+))$", re.IGNORECASE)
-
-
 def _resolve_demo(ws: Workspace, name: str):
     """A workspace demonstration, or a builtin for names like Z, FREE2, ZK3.
 
@@ -56,13 +52,6 @@ def _resolve_demo(ws: Workspace, name: str):
     if name in ws.demonstrations:
         group_name, automaton_name = ws.demo_refs[name]
         return ws.demonstrations[name], group_name, automaton_name
-    m = _BUILTIN_ALIAS.match(name.strip())
-    if m:
-        if m.group(1):
-            return builtin_demo(f"free({m.group(1)})"), None, None
-        if m.group(2):
-            return builtin_demo(f"zk({m.group(2)})"), None, None
-        return builtin_demo("z"), None, None
     try:
         return builtin_demo(name), None, None
     except ValueError:
@@ -212,8 +201,8 @@ def _write_automaton_bundle(nfa, name: str, path: str):
 def cmd_verify(ws: Workspace, args) -> int:
     demo, _, _ = _resolve_demo(ws, args.demo)
     search_len = args.search_len if args.search_len is not None else args.max_len
-    violations = demo.verify_no_identity(args.max_len)
-    report = demo.verify_coverage(args.ball, search_len)
+    report = demo.verify_coverage(args.ball, search_len, args.max_len)
+    violations = report.identity_violations
     missing = report.sorted_missing()
     if args.porcelain:
         for w in violations:
@@ -272,10 +261,16 @@ def cmd_wp_decide(ws: Workspace, args) -> int:
     for x in word:
         if x.name not in allowed:
             raise UsageError(f"word letter {x.name!r} is outside the presentation alphabet")
+    if args.budget < 1:
+        raise UsageError(f"--budget must be positive, got {args.budget}")
     frontier = None
     if args.resume and os.path.exists(args.resume):
         with open(args.resume, "r", encoding="utf-8") as fh:
-            frontier = Frontier.from_json(fh.read())
+            text = fh.read()
+        try:
+            frontier = Frontier.from_json(text)
+        except ValueError as e:  # includes json.JSONDecodeError
+            raise UsageError(f"bad frontier file {args.resume}: {e}") from None
     language = demonstration_enumerator(demo)
     closure = normal_closure_enumerator(presentation)
     verdict = decide_word(word, language, closure, args.budget, frontier)
@@ -396,10 +391,10 @@ def cmd_cross_section(ws: Workspace, args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    # accepted after the verb too; SUPPRESS keeps the top-level values alive
-    p.add_argument("-f", "--file", dest="files", action="append",
-                   default=argparse.SUPPRESS, metavar="PATH",
-                   help="workspace file; repeatable")
+    # accepted after the verb too; a verb parser fills its own namespace, so
+    # its files get their own dest and main appends them to the top-level ones
+    p.add_argument("-f", "--file", dest="verb_files", action="append", default=[],
+                   metavar="PATH", help="workspace file; repeatable")
     p.add_argument("--porcelain", action="store_true", default=argparse.SUPPRESS,
                    help="one machine-readable record per line")
 
@@ -534,8 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    files = args.files + args.verb_files
     try:
-        ws = load(args.files) if args.files else Workspace()
+        ws = load(files) if files else Workspace()
         return args.handler(ws, args)
     except (UsageError, LoadError) as e:
         print(f"error: {e}", file=sys.stderr)

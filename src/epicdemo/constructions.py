@@ -31,7 +31,7 @@ from .automata import (
     subtract_word,
     union,
 )
-from .demonstrations import Demonstration, identity_eval_map
+from .demonstrations import Demonstration, identity_eval_map, spell
 from .graphproduct import GraphProductOracle, VertexGraph
 from .groups import ElementKey, GroupOracle
 
@@ -52,21 +52,12 @@ def change_generators(demo: Demonstration,
     a letter could silently drop elements from the image.
     """
     target_alphabet = check_alphabet(target_eval_map.keys())
-
-    def target_eval(word: Word) -> ElementKey:
-        out: Word = EPSILON
-        for y in word:
-            if y not in target_eval_map:
-                raise ValueError(f"image uses {y.name!r} which has no target evaluation")
-            out = out + target_eval_map[y]
-        return demo.oracle.evaluate(out)
-
     for x in demo.language.alphabet:
         if x not in phi:
             raise ValueError(f"no image for letter {x.name!r}")
         if not phi[x]:
             raise ValueError(f"image of {x.name!r} is the empty word")
-        if target_eval(phi[x]) != demo.evaluate((x,)):
+        if demo.oracle.evaluate(spell(target_eval_map, phi[x])) != demo.evaluate((x,)):
             raise ValueError(f"image of {x.name!r} evaluates to a different element")
     language = image_hom(demo.language, phi, allow_erasing=False,
                          target_alphabet=target_alphabet)
@@ -507,8 +498,7 @@ def autostackable_projection(t: SyncTripleAutomaton) -> Nfa:
     """
     violations = _padding_violations(t)
     if not violations.is_empty():
-        example = violations.enumerate_words(len(violations.states))
-        shown = " ".join(x.name for x in example[0]) if example else "?"
+        shown = " ".join(x.name for x in next(violations.words()))
         raise ValueError(f"padding does not persist to the end of words, e.g.: {shown}")
     padded_base = t.base + (PAD,)
     first = image_hom(

@@ -26,6 +26,17 @@ def identity_eval_map(alphabet: Iterable[Letter]) -> dict[Letter, Word]:
     return {x: (x,) for x in alphabet}
 
 
+def spell(eval_map: Mapping[Letter, Word], word: Word) -> Word:
+    """The word's letters replaced by their images under ``eval_map``."""
+    out: Word = EPSILON
+    for x in word:
+        try:
+            out += eval_map[x]
+        except KeyError:
+            raise ValueError(f"letter {x.name!r} has no evaluation") from None
+    return out
+
+
 @dataclass
 class Demonstration:
     """A language over letters that evaluate into a group oracle."""
@@ -50,40 +61,39 @@ class Demonstration:
                         f"which the oracle does not know")
 
     def oracle_word(self, word: Word) -> Word:
-        out: Word = EPSILON
-        for x in word:
-            try:
-                out = out + self.eval_map[x]
-            except KeyError:
-                raise ValueError(f"letter {x.name!r} has no evaluation") from None
-        return out
+        return spell(self.eval_map, word)
 
     def evaluate(self, word: Word) -> ElementKey:
         return self.oracle.evaluate(self.oracle_word(word))
 
     def verify_no_identity(self, max_len: int) -> list[Word]:
         """Accepted words up to ``max_len`` that evaluate to the identity."""
-        return [w for w in self.language.enumerate_words(max_len)
-                if self.oracle.is_identity(self.oracle_word(w))]
+        return list(self.verify_coverage(0, 0, max_len).identity_violations)
 
-    def verify_coverage(self, radius: int, search_len: int) -> "CoverageReport":
+    def verify_coverage(self, radius: int, search_len: int,
+                        max_len: Optional[int] = None) -> "CoverageReport":
         """Compare accepted words against a ball of group elements.
 
         Every non-identity element within ``radius`` must be the value of
         some accepted word of length at most ``search_len`` to count as
         covered.  The first witness in enumeration order (length-lex) is
-        recorded per element.
+        recorded per element.  Accepted words up to ``max_len`` letters
+        (default ``search_len``) that evaluate to the identity are
+        reported as violations; one walk serves both bounds.
         """
+        if max_len is None:
+            max_len = search_len
         ball = self.oracle.ball(radius)
         identity = self.oracle.identity_key
         targets = set(ball) - {identity}
         covered: dict[ElementKey, Word] = {}
         violations: list[Word] = []
-        for w in self.language.enumerate_words(search_len):
+        for w in self.language.enumerate_words(max(search_len, max_len)):
             key = self.evaluate(w)
             if key == identity:
-                violations.append(w)
-            elif key in targets and key not in covered:
+                if len(w) <= max_len:
+                    violations.append(w)
+            elif key in targets and key not in covered and len(w) <= search_len:
                 covered[key] = w
         return CoverageReport(
             radius=radius,
@@ -197,25 +207,24 @@ def zk_demo(rank: int, names: Optional[Iterable[str]] = None) -> Demonstration:
     return Demonstration(oracle, identity_eval_map(oracle.alphabet), language)
 
 
-_BUILTIN_RE = re.compile(r"^(z|finite|free\((\d+)\)|zk\((\d+)\))$")
+_BUILTIN_RE = re.compile(r"(z|finite)|(free|zk)(?:\((\d+)\)|(\d+))")
 
 
 def builtin_demo(kind: str, oracle: Optional[GroupOracle] = None) -> Demonstration:
     """Dispatch on a textual description: z, finite, free(k) or zk(k).
 
+    Case is ignored and the parentheses may be dropped (FREE2, ZK3).
     ``finite`` needs an oracle whose letters enumerate the non-identity
     elements; the other kinds build their own oracle.
     """
-    m = _BUILTIN_RE.match(kind.strip().lower())
+    m = _BUILTIN_RE.fullmatch(kind.strip().lower())
     if not m:
         raise ValueError(f"unknown builtin demonstration {kind!r}")
-    spec = m.group(1)
-    if spec == "z":
+    if m.group(1) == "z":
         return z_demo()
-    if spec == "finite":
+    if m.group(1) == "finite":
         if oracle is None:
             raise ValueError("builtin 'finite' needs a group oracle")
         return finite_demo(oracle)
-    if spec.startswith("free"):
-        return free_demo(int(m.group(2)))
-    return zk_demo(int(m.group(3)))
+    rank = int(m.group(3) or m.group(4))
+    return free_demo(rank) if m.group(2) == "free" else zk_demo(rank)

@@ -216,15 +216,56 @@ class FreeAbelianOracle(GroupOracle):
 # -- free groups ---------------------------------------------------------
 
 _GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
+_INVERSE_SUFFIX = "^-1"
 
 
 def paired_letters(names: Iterable[str]) -> tuple[Letter, ...]:
-    """Interleave each name with its formal inverse ``name^-1``."""
+    """Interleave each name with its formal inverse ``name^-1``.
+
+    Names must not end in the inverse marker themselves, so that pairing
+    letters by name (``inverse_name``) pairs each letter with its inverse.
+    """
     out = []
     for n in names:
+        if n.endswith(_INVERSE_SUFFIX):
+            raise ValueError(f"generator name {n!r} must not carry an inverse marker")
         out.append(Letter(n))
-        out.append(Letter(n + "^-1"))
+        out.append(Letter(n + _INVERSE_SUFFIX))
     return check_alphabet(out)
+
+
+def inverse_name(name: str) -> str:
+    if name.endswith(_INVERSE_SUFFIX):
+        return name[: -len(_INVERSE_SUFFIX)]
+    return name + _INVERSE_SUFFIX
+
+
+def formal_inverse(word: Word) -> Word:
+    """Reversed word with every letter replaced by its paired inverse."""
+    return tuple(Letter(inverse_name(x.name)) for x in reversed(word))
+
+
+def free_reduce(word: Word, alphabet: Optional[tuple[Letter, ...]] = None) -> Word:
+    """Cancel adjacent inverse pairs until none remain.
+
+    The result is the unique reduced form and does not depend on the
+    cancellation order.  When ``alphabet`` is given, every letter and its
+    formal inverse must belong to it.
+    """
+    if alphabet is not None:
+        names = {x.name for x in alphabet}
+        for x in word:
+            if x.name not in names:
+                raise ValueError(f"letter {x.name!r} is outside the alphabet")
+            if inverse_name(x.name) not in names:
+                raise ValueError(f"letter {x.name!r} has no paired inverse in the alphabet")
+    stack: list[Letter] = []
+    for x in word:
+        if stack and stack[-1].name == inverse_name(x.name):
+            stack.pop()
+        else:
+            stack.append(x)
+    return tuple(stack)
 
 
 @dataclass(eq=True)
@@ -248,8 +289,6 @@ class FreeGroupOracle(GroupOracle):
         if len(self.names) != self.rank:
             raise ValueError("need exactly one name per generator")
         self.alphabet = paired_letters(self.names)
-        # letter index pairing: 2i <-> 2i+1
-        self._index = {x: i for i, x in enumerate(self.alphabet)}
 
     @property
     def backend(self) -> str:
@@ -261,13 +300,7 @@ class FreeGroupOracle(GroupOracle):
 
     def reduced(self, word: Word) -> Word:
         self._check_word(word)
-        stack: list[Letter] = []
-        for x in word:
-            if stack and self._index[stack[-1]] ^ 1 == self._index[x]:
-                stack.pop()
-            else:
-                stack.append(x)
-        return tuple(stack)
+        return free_reduce(word)
 
     def evaluate(self, word: Word) -> ElementKey:
         return self._key(" ".join(x.name for x in self.reduced(word)))

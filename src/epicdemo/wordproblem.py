@@ -16,52 +16,13 @@ from functools import cached_property
 from itertools import count
 from typing import Callable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Letter, Nfa, Word, format_word
+from .automata import EPSILON, Letter, Nfa, Word, _all_words_except, format_word
 from .errors import InputContradictionError
-from .groups import GroupOracle, paired_letters
+from .groups import GroupOracle, formal_inverse, free_reduce, inverse_name, paired_letters
 
 IN_WP = "in_wp"
 NOT_IN_WP = "not_in_wp"
 BUDGET_EXCEEDED = "budget_exceeded"
-
-_INVERSE_SUFFIX = "^-1"
-
-
-# -- free group arithmetic ----------------------------------------------
-
-
-def inverse_name(name: str) -> str:
-    if name.endswith(_INVERSE_SUFFIX):
-        return name[: -len(_INVERSE_SUFFIX)]
-    return name + _INVERSE_SUFFIX
-
-
-def formal_inverse(word: Word) -> Word:
-    """Reversed word with every letter replaced by its paired inverse."""
-    return tuple(Letter(inverse_name(x.name)) for x in reversed(word))
-
-
-def free_reduce(word: Word, alphabet: Optional[tuple[Letter, ...]] = None) -> Word:
-    """Cancel adjacent inverse pairs until none remain.
-
-    The result is the unique reduced form and does not depend on the
-    cancellation order.  When ``alphabet`` is given, every letter and its
-    formal inverse must belong to it.
-    """
-    if alphabet is not None:
-        names = {x.name for x in alphabet}
-        for x in word:
-            if x.name not in names:
-                raise ValueError(f"letter {x.name!r} is outside the alphabet")
-            if inverse_name(x.name) not in names:
-                raise ValueError(f"letter {x.name!r} has no paired inverse in the alphabet")
-    stack: list[Letter] = []
-    for x in word:
-        if stack and stack[-1].name == inverse_name(x.name):
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
 
 
 @dataclass(frozen=True)
@@ -81,9 +42,6 @@ class Presentation:
             raise ValueError("presentation needs at least one generator")
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator name")
-        for n in names:
-            if n.endswith(_INVERSE_SUFFIX):
-                raise ValueError(f"generator name {n!r} must not carry an inverse marker")
         object.__setattr__(self, "names", names)
         allowed = paired_letters(names)
         reduced = []
@@ -240,33 +198,9 @@ def language_enumerator(a: Nfa) -> Enumerator:
     """Accepted words in length-lex order, with finiteness detected.
 
     The language is infinite exactly when a useful state lies on a cycle
-    through a letter edge; otherwise every word is shorter than the state
-    count and the stream is declared finite.
+    through a letter edge; otherwise the stream is declared finite.
     """
-    if not _has_pumpable_cycle(a):
-        words = a.enumerate_words(len(a.states))
-        return Enumerator(lambda: iter(words), finite=True)
-
-    def stream() -> Iterator[Word]:
-        productive = a._letters_to_accept
-        start = a.start_subset()
-        if start & a.accepting:
-            yield EPSILON
-        frontier: list[tuple[Word, frozenset]] = [(EPSILON, start)]
-        while frontier:
-            nxt: list[tuple[Word, frozenset]] = []
-            for word, subset in frontier:
-                for x in a.alphabet:
-                    subset2 = a.step(subset, x)
-                    if not subset2 or not any(s in productive for s in subset2):
-                        continue
-                    word2 = word + (x,)
-                    if subset2 & a.accepting:
-                        yield word2
-                    nxt.append((word2, subset2))
-            frontier = nxt
-
-    return Enumerator(stream)
+    return Enumerator(a.words, finite=not _has_pumpable_cycle(a))
 
 
 def demonstration_enumerator(demo) -> Enumerator:
@@ -276,16 +210,9 @@ def demonstration_enumerator(demo) -> Enumerator:
     through the demonstration's evaluation map before comparison in the
     free group.
     """
-    inner = language_enumerator(demo.language)
-
-    def stream() -> Iterator[Word]:
-        for i in count():
-            w = inner.get(i)
-            if w is None:
-                return
-            yield demo.oracle_word(w)
-
-    return Enumerator(stream, finite=inner.finite)
+    language = demo.language
+    return Enumerator(lambda: map(demo.oracle_word, language.words()),
+                      finite=not _has_pumpable_cycle(language))
 
 
 def coword_demo_from_wp(oracle: GroupOracle) -> Enumerator:
@@ -295,21 +222,8 @@ def coword_demo_from_wp(oracle: GroupOracle) -> Enumerator:
     generated and the identity words are dropped, leaving a stream whose
     evaluation image is exactly the non-identity elements.
     """
-    alphabet = oracle.alphabet
-
-    def stream() -> Iterator[Word]:
-        level: list[Word] = [EPSILON]
-        while True:
-            nxt: list[Word] = []
-            for w in level:
-                for x in alphabet:
-                    w2 = w + (x,)
-                    nxt.append(w2)
-                    if not oracle.is_identity(w2):
-                        yield w2
-            level = nxt
-
-    return Enumerator(stream)
+    nonempty = _all_words_except(EPSILON, oracle.alphabet)
+    return Enumerator(lambda: (w for w in nonempty.words() if not oracle.is_identity(w)))
 
 
 # -- the decision loop ---------------------------------------------------
@@ -339,14 +253,26 @@ class Frontier:
 
     @staticmethod
     def from_json(text: str) -> "Frontier":
+        """Parse a checkpoint; ValueError unless it is one to_json could write."""
         raw = json.loads(text)
-        return Frontier(
-            word=raw["word"],
-            iteration=int(raw["iteration"]),
-            cursor=int(raw["cursor"]),
-            pending=list(raw["pending"]),
-            comparisons=int(raw["comparisons"]),
-        )
+        keys = ("word", "iteration", "cursor", "pending", "comparisons")
+        if not isinstance(raw, dict):
+            raise ValueError("frontier must be a JSON object")
+        missing = [k for k in keys if k not in raw]
+        if missing:
+            raise ValueError(f"frontier is missing {', '.join(missing)}")
+        word, i, cursor, pending, comparisons = (raw[k] for k in keys)
+        if not isinstance(word, str):
+            raise ValueError("frontier word must be a string")
+        if not all(type(v) is int for v in (i, cursor, comparisons)):
+            raise ValueError("frontier iteration, cursor and comparisons must be integers")
+        if i < 0 or not 0 <= cursor <= 2 * i + 1 or comparisons < 0:
+            raise ValueError(f"frontier out of range: iteration {i}, cursor {cursor}, "
+                             f"comparisons {comparisons}")
+        if not isinstance(pending, list) or not all(
+                isinstance(c, dict) and c.get("kind") in (IN_WP, NOT_IN_WP) for c in pending):
+            raise ValueError("frontier pending must be a list of certificates")
+        return Frontier(word, i, cursor, pending, comparisons)
 
 
 @dataclass(frozen=True)

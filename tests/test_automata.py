@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from epicdemo.automata import (
     union,
 )
 from epicdemo.errors import AutomatonSizeError
+from epicdemo.wordproblem import language_enumerator
 
 from oracles import bf_accepts, bf_language, words_upto
 
@@ -112,7 +115,11 @@ class TestEnumerate:
     @settings(deadline=None)
     @given(nfas())
     def test_agrees_with_exhaustive_sweep(self, a):
-        assert a.enumerate_words(4) == bf_language(a, 4)
+        expected = bf_language(a, 4)
+        assert a.enumerate_words(4) == expected
+        assert list(islice(a.words(), len(expected))) == expected
+        if language_enumerator(a).finite:
+            assert list(a.words()) == bf_language(a, len(a.states))
 
     @settings(deadline=None)
     @given(nfas())

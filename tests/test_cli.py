@@ -47,6 +47,34 @@ class TestVerify:
         code, _, _ = run(capsys, *args, "--strict")
         assert code == 1
 
+    # reports of the two-walk verify (identity pass to --max-len, then a
+    # coverage pass to --search-len) on every word over a, a^-1 in Z
+    LOOSE = ("group g zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
+             "automaton l\n  alphabet a a^-1\n  states q\n  initial q\n"
+             "  accept q\n  trans q a q\n  trans q a^-1 q\nend\n"
+             "demonstration loose\n  group g\n  automaton l\nend\n")
+    MISSING = {"1": "-2 -3 -4 -5 2 3 4 5", "2": "-3 -4 -5 3 4 5", "4": "-5 5"}
+
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["report", "porcelain"])
+    @pytest.mark.parametrize("search_len", ["1", "2", "4"])
+    def test_one_walk_matches_two_pass_report(self, capsys, tmp_path, search_len, porcelain):
+        path = tmp_path / "loose.epic"
+        path.write_text(self.LOOSE)
+        code, out, _ = run(capsys, "-f", str(path), "verify", "--demo", "loose",
+                           "--max-len", "2", "--ball", "5", "--search-len", search_len,
+                           *(["--porcelain"] if porcelain else []))
+        words = ["eps", "a a^-1", "a^-1 a"]
+        missing = [f"zk1[{k}]" for k in self.MISSING[search_len].split()]
+        if porcelain:
+            lines = ([f"violation {w}" for w in words] + [f"missing {k}" for k in missing]
+                     + ["result fail"])
+        else:
+            lines = ([f"identity word accepted: {w}" for w in words]
+                     + [f"uncovered element: {k}" for k in missing]
+                     + [f"identity violations: 3, missing: {len(missing)}"])
+        assert code == 1
+        assert out == "".join(line + "\n" for line in lines)
+
     def test_porcelain_after_verb(self, capsys):
         code, out, _ = run(capsys, "verify", "--demo", "Z", "--porcelain",
                            "--max-len", "4", "--ball", "4")
@@ -100,6 +128,23 @@ class TestEnumerateAndBall:
         args = build_parser().parse_args(["enumerate", "--automaton", "w", "--max-len", "1"])
         assert args.files == []
 
+    def test_files_before_and_after_verb_are_one_list(self, capsys, tmp_path):
+        first = tmp_path / "A.epic"
+        first.write_text("group gA zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n")
+        second = tmp_path / "B.epic"
+        second.write_text("group gB perm degree 2\n  gen t = (1 2)\nend\n")
+        code, out, err = run(capsys, "-f", str(first), "ball", "--group", "gA",
+                             "--radius", "1", "-f", str(second))
+        assert code == 0, err
+        assert "zk1[-1] a^-1" in out
+        # files load in command-line order, so the clash is reported in the later file
+        clash = tmp_path / "C.epic"
+        clash.write_text("group gA perm degree 2\n  gen t = (1 2)\nend\n")
+        code, _, err = run(capsys, "-f", str(first), "ball", "--group", "gA",
+                           "--radius", "1", "-f", str(clash))
+        assert code == 2
+        assert f"{clash}:1:" in err and "duplicate group name 'gA'" in err
+
 
 class TestUsageErrors:
     def test_unknown_demo(self, capsys):
@@ -152,6 +197,34 @@ class TestWpDecide:
         code, out, _ = run(capsys, *base, "--budget", "1000000")
         assert code == 0
         assert "verdict: not_in_wp" in out
+        assert "comparisons: 42" in out
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"word": "a b"}', "missing iteration"),
+        ('{"word": "a b", "iteration": 0, "cursor": 99, "pending": [], "comparisons": 0}',
+         "out of range"),
+        ('{"word": "a b", "iteration": "1", "cursor": 0, "pending": [], "comparisons": 0}',
+         "integers"),
+        ('{"word": "a b", "iteration": 1, "cursor": 0, "pending": [1], "comparisons": 0}',
+         "certificates"),
+        ('{"word": "a b", "iteration"', "bad frontier file"),
+        ('[]', "JSON object"),
+    ], ids=["missing-key", "cursor-past-iteration", "string-field", "bad-pending",
+            "invalid-json", "not-an-object"])
+    def test_bad_resume_file_is_usage_error(self, capsys, tmp_path, text, match):
+        state = tmp_path / "frontier.json"
+        state.write_text(text)
+        code, out, err = run(capsys, "-f", DATA, "wp", "decide", "--presentation", "plane",
+                             "--demo", "ZK2", "--word", "a b", "--resume", str(state))
+        assert code == 2
+        assert match in err and "Traceback" not in err
+        assert out == ""
+
+    def test_nonpositive_budget_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "-f", DATA, "wp", "decide", "--presentation", "plane",
+                           "--demo", "ZK2", "--word", "a b", "--budget", "0")
+        assert code == 2
+        assert "--budget must be positive" in err and "Traceback" not in err
 
     def test_word_outside_alphabet(self, capsys):
         code, _, err = run(capsys, "-f", DATA, "wp", "decide",

@@ -71,6 +71,14 @@ class TestChangeGenerators:
         with pytest.raises(ValueError):
             change_generators(d, target, phi)
 
+    def test_image_letter_without_evaluation_rejected(self):
+        d = z_demo()
+        b, binv = Letter("b"), Letter("b^-1")
+        target = {b: make_word("a"), binv: make_word("a^-1")}
+        phi = {Letter("a"): (b, Letter("c")), Letter("a^-1"): (binv,)}
+        with pytest.raises(ValueError, match="'c' has no evaluation"):
+            change_generators(d, target, phi)
+
 
 # -- extensions ----------------------------------------------------------
 

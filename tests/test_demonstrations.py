@@ -132,7 +132,8 @@ class TestCoverageReport:
 
 class TestBuiltinDispatch:
     @pytest.mark.parametrize("spec,alphabet_size", [
-        ("z", 2), ("free(2)", 4), ("zk(2)", 4), ("ZK(3)", 6)])
+        ("z", 2), ("free(2)", 4), ("zk(2)", 4), ("ZK(3)", 6),
+        ("Z", 2), ("FREE2", 4), ("Free2", 4), ("ZK3", 6), (" zk3 ", 6)])
     def test_parses_kinds(self, spec, alphabet_size):
         d = builtin_demo(spec)
         assert len(d.language.alphabet) == alphabet_size
@@ -146,3 +147,8 @@ class TestBuiltinDispatch:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             builtin_demo("zq(2)")
+
+    @pytest.mark.parametrize("spec", ["free(2", "zk3)", "free", "zz", "finite2"])
+    def test_malformed_names_rejected(self, spec):
+        with pytest.raises(ValueError, match="unknown builtin"):
+            builtin_demo(spec)

@@ -164,7 +164,9 @@ class TestGroupBlocks:
         ("group g zk rank 1\n  gen a = [[1]]\nend\n", "not a vector of integers", 2),
         ("group g zk rank 1\n  gen a = [1.5]\nend\n", "not a vector of integers", 2),
         ("group g zk rank 1\n  gen a = [1]\n  gen a = [2]\nend\n", "'a' defined twice", 3),
-    ], ids=["determinant", "zk-scalar", "matrix-scalar", "zk-nested", "zk-float", "duplicate"])
+        ("group g free rank 2\n  names a b^-1\nend\n", "inverse marker", 1),
+    ], ids=["determinant", "zk-scalar", "matrix-scalar", "zk-nested", "zk-float", "duplicate",
+            "free-inverse-name"])
     def test_bad_generator_error_carries_line(self, text, match, line):
         with pytest.raises(LoadError, match=match) as caught:
             load_str(text)
