@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from epicdemo import Workspace, builtin_demo, load
+from epicdemo import LoadError, Workspace, builtin_demo, load
 
 
 @dataclass
@@ -40,10 +40,16 @@ def parse_args(argv=None) -> Config:
 
 
 def resolve(cfg: Config):
-    ws = load(cfg.files) if cfg.files else Workspace()
-    if cfg.demo in ws.demonstrations:
-        return ws.demonstrations[cfg.demo]
-    return builtin_demo(cfg.demo)
+    """The named demonstration; a bad file or an unknown name prints one
+    error line and exits 2, as a bad option does."""
+    try:
+        ws = load(cfg.files) if cfg.files else Workspace()
+        if cfg.demo in ws.demonstrations:
+            return ws.demonstrations[cfg.demo]
+        return builtin_demo(cfg.demo)
+    except (LoadError, OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def main(argv=None) -> int:

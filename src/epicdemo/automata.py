@@ -328,6 +328,10 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
 
 def _epsilon_free(a: Nfa) -> Nfa:
     """Equivalent automaton without epsilon transitions."""
+    out_edges: dict = {}
+    for (p, label, q) in a.transitions:
+        if label is not None:
+            out_edges.setdefault(p, []).append((label, q))
     transitions = set()
     accepting = set()
     for p in a.states:
@@ -335,9 +339,8 @@ def _epsilon_free(a: Nfa) -> Nfa:
         if closure & a.accepting:
             accepting.add(p)
         for c in closure:
-            for (src, label, q) in a.transitions:
-                if src == c and label is not None:
-                    transitions.add((p, label, q))
+            for (label, q) in out_edges.get(c, ()):
+                transitions.add((p, label, q))
     return Nfa(a.alphabet, a.states, frozenset(transitions), a.initials, frozenset(accepting))
 
 

@@ -33,6 +33,7 @@ from .wordproblem import (
     Frontier,
     decide_word,
     demonstration_enumerator,
+    free_reduce,
     normal_closure_enumerator,
     replay,
 )
@@ -271,6 +272,10 @@ def cmd_wp_decide(ws: Workspace, args) -> int:
             frontier = Frontier.from_json(text)
         except ValueError as e:  # includes json.JSONDecodeError
             raise UsageError(f"bad frontier file {args.resume}: {e}") from None
+        target = format_word(free_reduce(word))
+        if frontier.word != target:
+            raise UsageError(f"frontier file {args.resume} was recorded for "
+                             f"{frontier.word!r}, not {target!r}")
     language = demonstration_enumerator(demo)
     closure = normal_closure_enumerator(presentation)
     verdict = decide_word(word, language, closure, args.budget, frontier)

@@ -319,16 +319,30 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_det(m: Matrix) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        total += sign * m[0][j] * mat_det(minor)
-        sign = -sign
-    return total
+    """Exact integer determinant by Bareiss's fraction-free elimination.
+
+    Every entry left after an elimination step is a minor of the input
+    (rows swapped on a zero pivot, which flips the sign), so dividing by
+    the previous pivot is exact and no entry outgrows a minor: O(n^3)
+    integer operations where cofactor expansion takes O(n!).
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - factor * row_k[j]) // previous
+        previous = pivot
+    return sign * a[-1][-1]
 
 
 def identity_matrix(dim: int) -> Matrix:
@@ -355,8 +369,9 @@ class IntegerMatrixOracle(GroupOracle):
                 raise ValueError(f"generator {x.name!r} is not {self.dim}x{self.dim}")
             if not all(isinstance(e, int) for row in m for e in row):
                 raise ValueError(f"generator {x.name!r} has non-integer entries")
-            if mat_det(m) not in (1, -1):
-                raise ValueError(f"generator {x.name!r} has determinant {mat_det(m)}, need +-1")
+            det = mat_det(m)
+            if det not in (1, -1):
+                raise ValueError(f"generator {x.name!r} has determinant {det}, need +-1")
 
     @property
     def backend(self) -> str:

@@ -269,10 +269,28 @@ class Frontier:
         if i < 0 or not 0 <= cursor <= 2 * i + 1 or comparisons < 0:
             raise ValueError(f"frontier out of range: iteration {i}, cursor {cursor}, "
                              f"comparisons {comparisons}")
-        if not isinstance(pending, list) or not all(
-                isinstance(c, dict) and c.get("kind") in (IN_WP, NOT_IN_WP) for c in pending):
+        if not isinstance(pending, list) or not all(_is_certificate(c, i) for c in pending):
             raise ValueError("frontier pending must be a list of certificates")
         return Frontier(word, i, cursor, pending, comparisons)
+
+
+# the fields of each certificate kind, with their JSON types
+_CERTIFICATE_FIELDS = {
+    IN_WP: {"index": int, "closure_word": str},
+    NOT_IN_WP: {"language_index": int, "closure_index": int,
+                "language_word": str, "closure_word": str},
+}
+
+
+def _is_certificate(c, iteration: int) -> bool:
+    """True for a certificate decide_word can pend in the given iteration:
+    a known kind, exactly its fields with their JSON types, and stream
+    indices no later than the iteration."""
+    if not isinstance(c, dict) or c.get("kind") not in (IN_WP, NOT_IN_WP):
+        return False
+    fields = _CERTIFICATE_FIELDS[c["kind"]]
+    return c.keys() == {"kind", *fields} and all(
+        type(c[k]) is t and (t is str or 0 <= c[k] <= iteration) for k, t in fields.items())
 
 
 @dataclass(frozen=True)

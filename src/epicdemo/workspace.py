@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .automata import (
@@ -486,25 +487,25 @@ def canonical_states(nfa: Nfa) -> dict:
     sorted.  The numbering is a function of the automaton's structure,
     so rendering twice gives identical text.
     """
+    keys = {s: _state_key(s) for s in nfa.states}
     letter_rank = {x: i for i, x in enumerate(nfa.alphabet)}
+    letter_rank[None] = len(letter_rank)
     outgoing: dict = {}
     for (p, label, q) in nfa.transitions:
-        rank = (letter_rank[label], 0) if label is not None else (len(letter_rank), 0)
-        outgoing.setdefault(p, []).append((rank, q))
+        outgoing.setdefault(p, []).append(((letter_rank[label], keys[q]), q))
     names: dict = {}
-    queue = sorted(nfa.initials, key=_state_key)
+    queue = sorted(nfa.initials, key=keys.__getitem__)
     for s in queue:
         names[s] = f"s{len(names)}"
     cursor = 0
     while cursor < len(queue):
         p = queue[cursor]
         cursor += 1
-        for _, q in sorted(outgoing.get(p, ()),
-                           key=lambda e: (e[0], _state_key(e[1]))):
+        for _, q in sorted(outgoing.get(p, ()), key=itemgetter(0)):
             if q not in names:
                 names[q] = f"s{len(names)}"
                 queue.append(q)
-    for s in sorted(nfa.states - set(names), key=_state_key):
+    for s in sorted(nfa.states - set(names), key=keys.__getitem__):
         names[s] = f"s{len(names)}"
     return names
 
@@ -512,7 +513,9 @@ def canonical_states(nfa: Nfa) -> dict:
 def render_automaton(name: str, nfa: Nfa) -> str:
     names = canonical_states(nfa)
     letter_rank = {x: i for i, x in enumerate(nfa.alphabet)}
-    by_index = sorted(names, key=lambda s: int(names[s][1:]))
+    letter_rank[None] = len(letter_rank)
+    by_index = list(names)  # canonical_states inserts s0, s1, ... in order
+    index = {s: i for i, s in enumerate(by_index)}
     lines = [f"automaton {name}"]
     lines.append("  alphabet " + " ".join(x.name for x in nfa.alphabet))
     lines.append("  states " + " ".join(names[s] for s in by_index))
@@ -522,8 +525,7 @@ def render_automaton(name: str, nfa: Nfa) -> str:
         names[s] for s in by_index if s in nfa.accepting))
     def edge_key(edge):
         p, label, q = edge
-        rank = letter_rank[label] if label is not None else len(letter_rank)
-        return (int(names[p][1:]), rank, int(names[q][1:]))
+        return (index[p], letter_rank[label], index[q])
     for (p, label, q) in sorted(nfa.transitions, key=edge_key):
         text = label.name if label is not None else "eps"
         lines.append(f"  trans {names[p]} {text} {names[q]}")

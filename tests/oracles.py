@@ -4,6 +4,7 @@ transition scans, exhaustive word sweeps, breadth-first closures) and
 deliberately shares no machinery with the package under test."""
 
 import itertools
+import re
 from collections import deque
 
 
@@ -75,6 +76,109 @@ def bf_pruned_types(vertices, adjacent, max_len):
                 continue
             out.add(min(cls, key=lambda s: [rank[v] for v in s]))
     return out
+
+
+# -- construction kernels ----------------------------------------------------
+
+
+def cofactor_det(m):
+    """Determinant by cofactor expansion along the first row (factorial time)."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = 0
+    sign = 1
+    for j in range(n):
+        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
+        total += sign * m[0][j] * cofactor_det(minor)
+        sign = -sign
+    return total
+
+
+def scan_epsilon_free(nfa):
+    """(transitions, accepting) of the epsilon-free automaton: state p gets
+    every letter edge leaving its epsilon closure, found by a full scan of
+    the transitions per closure state."""
+    transitions = set()
+    accepting = set()
+    for p in nfa.states:
+        closure = {p}
+        stack = [p]
+        while stack:
+            c = stack.pop()
+            for (src, label, q) in nfa.transitions:
+                if src == c and label is None and q not in closure:
+                    closure.add(q)
+                    stack.append(q)
+        if closure & nfa.accepting:
+            accepting.add(p)
+        for c in closure:
+            for (src, label, q) in nfa.transitions:
+                if src == c and label is not None:
+                    transitions.add((p, label, q))
+    return frozenset(transitions), frozenset(accepting)
+
+
+def _natural_key(text):
+    return tuple(int(part) if part.isdigit() else part
+                 for part in re.split(r"(\d+)", text))
+
+
+def _state_key(state):
+    if isinstance(state, str):
+        return (0, _natural_key(state))
+    return (1, _natural_key(repr(state)))
+
+
+def keyed_canonical_states(nfa):
+    """State renaming s0, s1, ... in breadth-first order, recomputing the
+    sort key of a state at every comparison that needs it."""
+    letter_rank = {x: i for i, x in enumerate(nfa.alphabet)}
+    outgoing = {}
+    for (p, label, q) in nfa.transitions:
+        rank = (letter_rank[label], 0) if label is not None else (len(letter_rank), 0)
+        outgoing.setdefault(p, []).append((rank, q))
+    names = {}
+    queue = sorted(nfa.initials, key=_state_key)
+    for s in queue:
+        names[s] = f"s{len(names)}"
+    cursor = 0
+    while cursor < len(queue):
+        p = queue[cursor]
+        cursor += 1
+        for _, q in sorted(outgoing.get(p, ()),
+                           key=lambda e: (e[0], _state_key(e[1]))):
+            if q not in names:
+                names[q] = f"s{len(names)}"
+                queue.append(q)
+    for s in sorted(nfa.states - set(names), key=_state_key):
+        names[s] = f"s{len(names)}"
+    return names
+
+
+def keyed_render_automaton(name, nfa):
+    """An automaton block in the workspace format, states named by
+    ``keyed_canonical_states``."""
+    names = keyed_canonical_states(nfa)
+    letter_rank = {x: i for i, x in enumerate(nfa.alphabet)}
+    by_index = sorted(names, key=lambda s: int(names[s][1:]))
+    lines = [f"automaton {name}"]
+    lines.append("  alphabet " + " ".join(x.name for x in nfa.alphabet))
+    lines.append("  states " + " ".join(names[s] for s in by_index))
+    lines.append("  initial " + " ".join(
+        names[s] for s in by_index if s in nfa.initials))
+    lines.append("  accept " + " ".join(
+        names[s] for s in by_index if s in nfa.accepting))
+
+    def edge_key(edge):
+        p, label, q = edge
+        rank = letter_rank[label] if label is not None else len(letter_rank)
+        return (int(names[p][1:]), rank, int(names[q][1:]))
+    for (p, label, q) in sorted(nfa.transitions, key=edge_key):
+        text = label.name if label is not None else "eps"
+        lines.append(f"  trans {names[p]} {text} {names[q]}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 # -- word problem ------------------------------------------------------------

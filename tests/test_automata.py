@@ -7,6 +7,7 @@ from epicdemo.automata import (
     EPSILON,
     Letter,
     Nfa,
+    _epsilon_free,
     concat,
     finite_language,
     image_hom,
@@ -22,7 +23,7 @@ from epicdemo.automata import (
 from epicdemo.errors import AutomatonSizeError
 from epicdemo.wordproblem import language_enumerator
 
-from oracles import bf_accepts, bf_language, words_upto
+from oracles import bf_accepts, bf_language, scan_epsilon_free, words_upto
 
 A, B, C = Letter("a"), Letter("b"), Letter("c")
 
@@ -56,6 +57,24 @@ def nfas(draw):
         initials=frozenset(initials),
         accepting=frozenset(accepting),
     )
+
+
+@st.composite
+def epsilon_cycle_nfas(draw):
+    """Up to six states with random edges plus one closed cycle of epsilon
+    edges, so closures overlap and loop."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    states = list(range(n))
+    transitions = set(draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from([A, B, None]),
+                  st.sampled_from(states)),
+        max_size=16)))
+    cycle = draw(st.lists(st.sampled_from(states), min_size=1, max_size=n, unique=True))
+    transitions.update((p, None, q) for p, q in zip(cycle, cycle[1:] + cycle[:1]))
+    initials = draw(st.lists(st.sampled_from(states), min_size=1, max_size=n))
+    accepting = draw(st.lists(st.sampled_from(states), max_size=n))
+    return Nfa((A, B), frozenset(states), frozenset(transitions),
+               frozenset(initials), frozenset(accepting))
 
 
 class TestLetters:
@@ -176,6 +195,13 @@ class TestBooleanOps:
         a = plus_language(A)
         u = concat(a, eps_only)
         assert u.enumerate_words(4) == a.enumerate_words(4)
+
+    @settings(deadline=None, max_examples=200)
+    @given(epsilon_cycle_nfas())
+    def test_epsilon_free_matches_transition_scan(self, a):
+        free = _epsilon_free(a)
+        assert (free.transitions, free.accepting) == scan_epsilon_free(a)
+        assert (free.states, free.initials, free.alphabet) == (a.states, a.initials, a.alphabet)
 
     def test_intersect_disjoint_languages_empty(self):
         assert intersect(plus_language(A, [B]), plus_language(B, [A])).is_empty()

@@ -207,10 +207,18 @@ class TestWpDecide:
          "integers"),
         ('{"word": "a b", "iteration": 1, "cursor": 0, "pending": [1], "comparisons": 0}',
          "certificates"),
+        ('{"word": "a b", "iteration": 1, "cursor": 0, "pending": [{"kind": "in_wp"}], '
+         '"comparisons": 0}', "certificates"),
+        ('{"word": "a b", "iteration": 1, "cursor": 0, "pending": [{"kind": "not_in_wp", '
+         '"language_index": "0", "closure_index": 1, "language_word": "a", '
+         '"closure_word": "b"}], "comparisons": 0}', "certificates"),
+        ('{"word": "a b", "iteration": 1, "cursor": 0, "pending": [{"kind": "in_wp", '
+         '"index": 7, "closure_word": "a"}], "comparisons": 0}', "certificates"),
         ('{"word": "a b", "iteration"', "bad frontier file"),
         ('[]', "JSON object"),
     ], ids=["missing-key", "cursor-past-iteration", "string-field", "bad-pending",
-            "invalid-json", "not-an-object"])
+            "certificate-without-fields", "certificate-string-index",
+            "certificate-index-past-iteration", "invalid-json", "not-an-object"])
     def test_bad_resume_file_is_usage_error(self, capsys, tmp_path, text, match):
         state = tmp_path / "frontier.json"
         state.write_text(text)
@@ -219,6 +227,16 @@ class TestWpDecide:
         assert code == 2
         assert match in err and "Traceback" not in err
         assert out == ""
+
+    def test_frontier_for_another_word_is_usage_error(self, capsys, tmp_path):
+        state = tmp_path / "frontier.json"
+        state.write_text('{"word": "a", "iteration": 0, "cursor": 0, "pending": [], '
+                         '"comparisons": 0}')
+        code, out, err = run(capsys, "-f", DATA, "wp", "decide", "--presentation", "plane",
+                             "--demo", "ZK2", "--word", "a b", "--resume", str(state))
+        assert code == 2
+        assert "recorded for 'a', not 'a b'" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and out == ""
 
     def test_nonpositive_budget_is_usage_error(self, capsys):
         code, _, err = run(capsys, "-f", DATA, "wp", "decide", "--presentation", "plane",

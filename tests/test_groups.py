@@ -17,7 +17,7 @@ from epicdemo.groups import (
     perm_from_cycles,
 )
 
-from oracles import shuffle_class
+from oracles import cofactor_det, shuffle_class
 
 
 def z_oracle(name="a"):
@@ -144,7 +144,39 @@ class TestFreeGroup:
         assert o.reduced(o.reduced(w)) == o.reduced(w)
 
 
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of dimension 1-6; some have a zero leading
+    entry, some a repeated row or a zero column, so elimination meets zero
+    pivots and singular input."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = [draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n))
+         for _ in range(n)]
+    if draw(st.booleans()):
+        m[0][0] = 0
+    shape = draw(st.sampled_from(["any", "repeated-row", "zero-column"]))
+    if shape == "repeated-row" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        m[j] = list(m[i])
+    elif shape == "zero-column":
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        for row in m:
+            row[j] = 0
+    return tuple(tuple(row) for row in m)
+
+
 class TestIntegerMatrices:
+    @settings(deadline=None, max_examples=300)
+    @given(integer_matrices())
+    def test_determinant_matches_cofactor_expansion(self, m):
+        assert mat_det(m) == cofactor_det(m)
+
+    def test_determinant_swaps_rows_on_zero_pivot(self):
+        assert mat_det(((0, 1), (1, 0))) == -1
+        assert mat_det(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == -1
+        assert mat_det(((0, 2, 1), (0, 1, 5), (0, 3, 7))) == 0
+        assert mat_det(((1, 2, 3), (2, 4, 6), (1, 0, 1))) == 0
+
     def test_exact_product(self):
         a = ((1, 1), (0, 1))
         assert mat_mul(a, a) == ((1, 2), (0, 1))

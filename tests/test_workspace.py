@@ -1,8 +1,10 @@
 import pathlib
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epicdemo.automata import Letter, make_word
+from epicdemo.automata import Letter, Nfa, make_word
 from epicdemo.constructions import CosetTable, fi_subgroup, graph_product
 from epicdemo.demonstrations import z_demo
 from epicdemo.errors import LoadError
@@ -17,6 +19,7 @@ from epicdemo.workspace import (
     render_automaton,
 )
 
+from oracles import keyed_canonical_states, keyed_render_automaton
 from test_groups import heisenberg_oracle
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "demo_workspace.epic"
@@ -172,6 +175,15 @@ class TestGroupBlocks:
             load_str(text)
         assert caught.value.line == line
 
+    def test_large_unimodular_matrix_loads_fast(self):
+        # dense, determinant 1: the product of the all-ones lower and upper
+        # unitriangular 12x12 matrices; cofactor expansion would make 12! calls
+        rows = [[min(i, j) + 1 for j in range(12)] for i in range(12)]
+        start = time.perf_counter()
+        ws = load_str(f"group g matrix dim 12\n  gen x = {rows}\nend\n")
+        assert time.perf_counter() - start < 1.0
+        assert ws.groups["g"].gens[Letter("x")][11][11] == 12
+
 
 GP_TEXT = (
     "group prod graphproduct\n"
@@ -302,3 +314,32 @@ class TestCanonicalStates:
         names = canonical_states(z_demo().language)
         assert sorted(names.values()) == ["s0", "s1", "s2"]
         assert names["s"] == "s0"  # the lone initial state
+
+
+# state names of every kind the constructions produce, with natural-key ties
+# ("q1"/"q01", "1"/"01") that only the input order separates
+STATE_POOL = ["q", "q1", "q01", "q10", "q2", "1", "01", "s", 0, 1, 2, 10, 11,
+              (0, "p"), (1, 2), ((0, 1), 2), ("a", (1,)), (10, "q")]
+
+
+@st.composite
+def mixed_state_nfas(draw):
+    states = draw(st.lists(st.sampled_from(STATE_POOL), min_size=1, max_size=8,
+                           unique_by=repr))
+    a, b = Letter("a"), Letter("b")
+    transitions = draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from([a, b, None]),
+                  st.sampled_from(states)),
+        max_size=16))
+    initials = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3))
+    accepting = draw(st.lists(st.sampled_from(states), max_size=3))
+    return Nfa((a, b), frozenset(states), frozenset(transitions),
+               frozenset(initials), frozenset(accepting))
+
+
+class TestRenderDifferential:
+    @settings(deadline=None, max_examples=300)
+    @given(mixed_state_nfas())
+    def test_render_matches_keyed_reference(self, nfa):
+        assert canonical_states(nfa) == keyed_canonical_states(nfa)
+        assert render_automaton("m", nfa) == keyed_render_automaton("m", nfa)
