@@ -44,8 +44,7 @@ def heisenberg_oracle() -> IntegerMatrixOracle:
 
 
 def in_center(key) -> bool:
-    rows = [r.split(",") for r in key.data.decode().split(";")]
-    return rows[0][1] == "0" and rows[1][2] == "0"
+    return key.data[0][1] == 0 and key.data[1][2] == 0
 
 
 def build() -> Demonstration:

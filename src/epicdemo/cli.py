@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import os
 import sys
 from typing import Optional
@@ -28,6 +29,7 @@ from .constructions import (
 from .demonstrations import Demonstration, builtin_demo
 from .errors import EpicError, InputContradictionError, LoadError
 from .graphproduct import GraphProductOracle, VertexGraph
+from .groups import cycles_from_perm
 from .wordproblem import (
     BUDGET_EXCEEDED,
     Frontier,
@@ -44,37 +46,20 @@ class UsageError(Exception):
     """Bad names or flag values; maps to exit code 2."""
 
 
-def _resolve_demo(ws: Workspace, name: str):
-    """A workspace demonstration, or a builtin for names like Z, FREE2, ZK3.
-
-    Returns (demo, group_name, automaton_name); the names are None for
-    builtins.
-    """
+def _resolve_demo(ws: Workspace, name: str) -> Demonstration:
+    """A workspace demonstration, or a builtin for names like Z, FREE2, ZK3."""
     if name in ws.demonstrations:
-        group_name, automaton_name = ws.demo_refs[name]
-        return ws.demonstrations[name], group_name, automaton_name
+        return ws.demonstrations[name]
     try:
-        return builtin_demo(name), None, None
+        return builtin_demo(name)
     except ValueError:
         raise UsageError(f"unknown demonstration {name!r}") from None
 
 
-def _resolve_group(ws: Workspace, name: str):
-    if name not in ws.groups:
-        raise UsageError(f"unknown group {name!r}")
-    return ws.groups[name]
-
-
-def _resolve_automaton(ws: Workspace, name: str):
-    if name not in ws.automata:
-        raise UsageError(f"unknown automaton {name!r}")
-    return ws.automata[name]
-
-
-def _resolve_table(ws: Workspace, name: str):
-    if name not in ws.cosettables:
-        raise UsageError(f"unknown cosettable {name!r}")
-    return ws.cosettables[name]
+def _resolve(table: dict, what: str, name: str):
+    if name not in table:
+        raise UsageError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 # -- key predicates ------------------------------------------------------
@@ -85,55 +70,48 @@ def parse_key_predicate(spec: str):
 
     Forms: ``perm-even``; ``matrix-zero:R,C[;R,C...]``;
     ``matrix-entry:R,C=V``; ``zk-divisible:I,M``.  Row, column and
-    coordinate indices are 0-based against the key's printed data.
+    coordinate indices are 0-based into the key's tuple; a key without
+    the entry is a usage error.
     """
     kind, _, rest = spec.partition(":")
+
+    def numbers(text, form, *least):
+        try:
+            values = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != len(least) or any(v < lo for v, lo in zip(values, least)):
+            raise UsageError(f"bad key predicate {spec!r}: expected {form}")
+        return values
+
+    def entry(key, *index):
+        try:
+            value = functools.reduce(operator.getitem, index, key.data)
+        except (IndexError, TypeError):
+            value = None
+        if not isinstance(value, int):
+            raise UsageError(f"key predicate {spec!r} reads outside key {key.render()}")
+        return value
+
     if kind == "perm-even":
 
         def even(key):
-            images = [int(p) for p in key.data.decode().split(",")]
-            swaps = 0
-            seen = set()
-            for start in range(len(images)):
-                if start in seen:
-                    continue
-                length = 0
-                p = start
-                while p not in seen:
-                    seen.add(p)
-                    p = images[p] - 1
-                    length += 1
-                swaps += length - 1
-            return swaps % 2 == 0
+            if not key.backend.startswith("perm"):
+                raise UsageError(f"key predicate {spec!r} needs a permutation key")
+            cycles = cycles_from_perm(tuple(i - 1 for i in key.data))
+            return sum(len(c) - 1 for c in cycles) % 2 == 0
 
         return even
     if kind == "matrix-zero":
-        positions = []
-        for part in rest.split(";"):
-            r, c = part.split(",")
-            positions.append((int(r), int(c)))
-
-        def zero(key):
-            rows = [row.split(",") for row in key.data.decode().split(";")]
-            return all(rows[r][c] == "0" for r, c in positions)
-
-        return zero
+        positions = [numbers(part, "R,C with R, C >= 0", 0, 0) for part in rest.split(";")]
+        return lambda key: all(entry(key, r, c) == 0 for r, c in positions)
     if kind == "matrix-entry":
         coords, _, value = rest.partition("=")
-        r, c = (int(p) for p in coords.split(","))
-
-        def entry(key):
-            rows = [row.split(",") for row in key.data.decode().split(";")]
-            return rows[r][c] == value
-
-        return entry
+        r, c, v = numbers(f"{coords},{value}", "R,C=V with R, C >= 0", 0, 0, float("-inf"))
+        return lambda key: entry(key, r, c) == v
     if kind == "zk-divisible":
-        coord, modulus = (int(p) for p in rest.split(","))
-
-        def divisible(key):
-            return int(key.data.decode().split(",")[coord]) % modulus == 0
-
-        return divisible
+        coord, modulus = numbers(rest, "I,M with I >= 0 and M >= 1", 0, 1)
+        return lambda key: entry(key, coord) % modulus == 0
     raise UsageError(f"unknown key predicate {spec!r}")
 
 
@@ -200,7 +178,7 @@ def _write_automaton_bundle(nfa, name: str, path: str):
 
 
 def cmd_verify(ws: Workspace, args) -> int:
-    demo, _, _ = _resolve_demo(ws, args.demo)
+    demo = _resolve_demo(ws, args.demo)
     search_len = args.search_len if args.search_len is not None else args.max_len
     report = demo.verify_coverage(args.ball, search_len, args.max_len)
     violations = report.identity_violations
@@ -226,9 +204,9 @@ def cmd_enumerate(ws: Workspace, args) -> int:
     if (args.automaton is None) == (args.demo is None):
         raise UsageError("enumerate needs exactly one of --automaton or --demo")
     if args.automaton is not None:
-        nfa = _resolve_automaton(ws, args.automaton)
+        nfa = _resolve(ws.automata, "automaton", args.automaton)
     else:
-        nfa = _resolve_demo(ws, args.demo)[0].language
+        nfa = _resolve_demo(ws, args.demo).language
     for w in nfa.enumerate_words(args.max_len):
         print(format_word(w))
     return 0
@@ -238,19 +216,17 @@ def cmd_ball(ws: Workspace, args) -> int:
     if (args.group is None) == (args.demo is None):
         raise UsageError("ball needs exactly one of --group or --demo")
     if args.group is not None:
-        oracle = _resolve_group(ws, args.group)
+        oracle = _resolve(ws.groups, "group", args.group)
     else:
-        oracle = _resolve_demo(ws, args.demo)[0].oracle
+        oracle = _resolve_demo(ws, args.demo).oracle
     for key, witness in oracle.ball(args.radius).items():
         print(f"{key.render()} {format_word(witness)}")
     return 0
 
 
 def cmd_wp_decide(ws: Workspace, args) -> int:
-    if args.presentation not in ws.presentations:
-        raise UsageError(f"unknown presentation {args.presentation!r}")
-    presentation = ws.presentations[args.presentation]
-    demo, _, _ = _resolve_demo(ws, args.demo)
+    presentation = _resolve(ws.presentations, "presentation", args.presentation)
+    demo = _resolve_demo(ws, args.demo)
     allowed = {x.name for x in presentation.alphabet}
     for letter, image in demo.eval_map.items():
         for y in image:
@@ -310,7 +286,7 @@ def cmd_wp_decide(ws: Workspace, args) -> int:
 
 
 def cmd_change_gens(ws: Workspace, args) -> int:
-    demo, _, _ = _resolve_demo(ws, args.demo)
+    demo = _resolve_demo(ws, args.demo)
     target = dict(_named_pairs(args.letter, "--letter"))
     phi = dict(_named_pairs(args.image, "--image"))
     out = change_generators(demo, target, phi)
@@ -320,9 +296,9 @@ def cmd_change_gens(ws: Workspace, args) -> int:
 
 
 def cmd_extension(ws: Workspace, args) -> int:
-    demo_n, _, _ = _resolve_demo(ws, args.normal)
-    demo_q, _, _ = _resolve_demo(ws, args.quotient)
-    oracle = _resolve_group(ws, args.group)
+    demo_n = _resolve_demo(ws, args.normal)
+    demo_q = _resolve_demo(ws, args.quotient)
+    oracle = _resolve(ws.groups, "group", args.group)
     in_normal = parse_key_predicate(args.in_normal)
     out = extension(demo_n, demo_q, oracle, in_normal, check_len=args.check_len)
     _write_demo_bundle(ws, out, args.name, args.out)
@@ -331,8 +307,8 @@ def cmd_extension(ws: Workspace, args) -> int:
 
 
 def cmd_fi_overgroup(ws: Workspace, args) -> int:
-    demo, _, _ = _resolve_demo(ws, args.demo)
-    oracle = _resolve_group(ws, args.group)
+    demo = _resolve_demo(ws, args.demo)
+    oracle = _resolve(ws.groups, "group", args.group)
     transversal = dict(_named_pairs(args.coset_rep, "--coset-rep"))
     in_subgroup = parse_key_predicate(args.in_subgroup) if args.in_subgroup else None
     out = fi_overgroup(demo, oracle, transversal, in_subgroup=in_subgroup)
@@ -342,8 +318,8 @@ def cmd_fi_overgroup(ws: Workspace, args) -> int:
 
 
 def cmd_fi_subgroup(ws: Workspace, args) -> int:
-    demo, _, _ = _resolve_demo(ws, args.demo)
-    table = _resolve_table(ws, args.table)
+    demo = _resolve_demo(ws, args.demo)
+    table = _resolve(ws.cosettables, "cosettable", args.table)
     in_subgroup = parse_key_predicate(args.in_subgroup) if args.in_subgroup else None
     out = fi_subgroup(demo, table, in_subgroup=in_subgroup)
     _write_demo_bundle(ws, out, args.name, args.out)
@@ -364,7 +340,7 @@ def cmd_graph_product(ws: Workspace, args) -> int:
         v, eq, demo_name = item.partition("=")
         if not eq:
             raise UsageError(f"--vertex takes VERTEX=DEMO, got {item!r}")
-        local[v] = _resolve_demo(ws, demo_name)[0]
+        local[v] = _resolve_demo(ws, demo_name)
     graph = VertexGraph.make(vertices, edges)
     out = graph_product(graph, local)
     _write_demo_bundle(ws, out, args.name, args.out)
@@ -373,7 +349,7 @@ def cmd_graph_product(ws: Workspace, args) -> int:
 
 
 def cmd_autostackable_project(ws: Workspace, args) -> int:
-    nfa = _resolve_automaton(ws, args.automaton)
+    nfa = _resolve(ws.automata, "automaton", args.automaton)
     base = parse_word(args.base)
     triple = SyncTripleAutomaton(nfa, base)
     projected = autostackable_projection(triple)
@@ -383,8 +359,8 @@ def cmd_autostackable_project(ws: Workspace, args) -> int:
 
 
 def cmd_cross_section(ws: Workspace, args) -> int:
-    nfa = _resolve_automaton(ws, args.automaton)
-    oracle = _resolve_group(ws, args.group)
+    nfa = _resolve(ws.automata, "automaton", args.automaton)
+    oracle = _resolve(ws.groups, "group", args.group)
     rep = parse_word(args.rep)
     out = cross_section_to_demo(nfa, oracle, rep)
     _write_demo_bundle(ws, out, args.name, args.out)
@@ -538,7 +514,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         ws = load(files) if files else Workspace()
         return args.handler(ws, args)
-    except (UsageError, LoadError) as e:
+    except (UsageError, LoadError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InputContradictionError as e:

@@ -212,15 +212,15 @@ class GraphProductOracle(GroupOracle):
                     available.append(j)
         return out
 
-    def evaluate(self, word: Word) -> ElementKey:
-        pruned, type_string = self.prune(word)
-        decomp = self.decompose(pruned)
-        chunks = []
-        for (v, sub) in decomp.parts:
-            local = self.vertex_oracles[v].evaluate(sub)
-            chunks.append(f"{v}={local.backend}:{local.data.decode('ascii')}")
-        return self._key("|".join(chunks))
+    # the state is the word read so far; its key is read off the pruned word
 
-    @property
-    def identity_key(self) -> ElementKey:
-        return self._key("")
+    def start(self) -> Word:
+        return EPSILON
+
+    def act(self, state: Word, letter: Letter) -> Word:
+        return state + (letter,)
+
+    def key(self, state: Word) -> ElementKey:
+        pruned, _ = self.prune(state)
+        return ElementKey(self.backend, tuple((v, self.vertex_oracles[v].evaluate(sub))
+                                              for v, sub in self.decompose(pruned).parts))

@@ -1,27 +1,49 @@
 """Group oracles: finite descriptions of groups that can evaluate words.
 
-An oracle owns an ordered monoid generating alphabet and maps words over
-it to canonical element keys.  Keys embed a backend tag (including degree
-or rank) so keys from different oracles never collide.  Equality of keys
-is equality of group elements; nothing else about the group is assumed.
+An oracle owns an ordered monoid generating alphabet and reads words over
+it one letter at a time: ``start()`` is the state of the empty word,
+``act(state, letter)`` reads a letter and ``key(state)`` is the canonical
+key of the element reached; ``evaluate``, ``identity_key`` and ``ball``
+are built on these three.  A key is a backend tag (including degree or
+rank, so keys from different oracles never collide) and a tuple, spelled
+as text only by ``ElementKey.render``.  Equality of keys is equality of
+group elements; nothing else about the group is assumed.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable, Optional
 
 from .automata import EPSILON, Letter, Word, check_alphabet
 
 
-@dataclass(frozen=True, order=True)
+def _text(data: tuple) -> str:
+    """Integers joined by commas, names by spaces, matrix rows by
+    semicolons, and (vertex, key) pairs by bars."""
+    head = data[0] if data else ""
+    if isinstance(head, (int, str)):
+        return ("," if isinstance(head, int) else " ").join(map(str, data))
+    if isinstance(head[0], str):
+        return "|".join(f"{v}={k.backend}:{_text(k.data)}" for v, k in data)
+    return ";".join(map(_text, data))
+
+
+@functools.total_ordering
+@dataclass(frozen=True)
 class ElementKey:
     backend: str
-    data: bytes
+    data: tuple
 
     def render(self) -> str:
-        return f"{self.backend}[{self.data.decode('ascii')}]"
+        return f"{self.backend}[{_text(self.data)}]"
+
+    def __lt__(self, other: "ElementKey") -> bool:
+        # by backend, then by the text of the data, as reports list keys
+        return (self.backend, _text(self.data)) < (other.backend, _text(other.data))
 
     def __repr__(self):
         return f"ElementKey({self.render()})"
@@ -38,16 +60,32 @@ class GroupOracle(ABC):
         """Tag embedded in every key, unique per group description."""
 
     @abstractmethod
+    def start(self) -> Any:
+        """State of the empty word."""
+
+    @abstractmethod
+    def act(self, state: Any, letter: Letter) -> Any:
+        """State after reading one more letter."""
+
+    @abstractmethod
+    def key(self, state: Any) -> ElementKey:
+        """Canonical key of the element a state stands for."""
+
+    def fold(self, word: Word) -> Any:
+        """State reached by reading the word from ``start()``."""
+        self._check_word(word)
+        state = self.start()
+        for x in word:
+            state = self.act(state, x)
+        return state
+
     def evaluate(self, word: Word) -> ElementKey:
         """Canonical key of the element the word multiplies out to."""
+        return self.key(self.fold(word))
 
     @property
-    @abstractmethod
     def identity_key(self) -> ElementKey:
-        ...
-
-    def _key(self, data: str) -> ElementKey:
-        return ElementKey(self.backend, data.encode("ascii"))
+        return self.key(self.start())
 
     def is_identity(self, word: Word) -> bool:
         return self.evaluate(word) == self.identity_key
@@ -56,19 +94,20 @@ class GroupOracle(ABC):
         """Shortest witness per element within ``radius`` letters.
 
         Breadth-first over elements; among witnesses of minimal length the
-        length-lex least (alphabet declaration order) is kept.
+        length-lex least (alphabet declaration order) is kept.  Each edge
+        costs one ``act``: the frontier keeps the state of every word.
         """
         out: dict[ElementKey, Word] = {self.identity_key: EPSILON}
-        frontier: list[Word] = [EPSILON]
+        frontier: list = [(EPSILON, self.start())]
         for _ in range(radius):
-            nxt: list[Word] = []
-            for w in frontier:
+            nxt: list = []
+            for w, state in frontier:
                 for x in self.alphabet:
-                    w2 = w + (x,)
-                    key = self.evaluate(w2)
+                    s2 = self.act(state, x)
+                    key = self.key(s2)
                     if key not in out:
-                        out[key] = w2
-                        nxt.append(w2)
+                        out[key] = w + (x,)
+                        nxt.append((out[key], s2))
             frontier = nxt
         return out
 
@@ -158,20 +197,17 @@ class PermutationOracle(GroupOracle):
     def backend(self) -> str:
         return f"perm{self.degree}"
 
-    @property
-    def identity_key(self) -> ElementKey:
-        return self._key(",".join(str(i + 1) for i in range(self.degree)))
+    def start(self) -> tuple[int, ...]:
+        return tuple(range(self.degree))
 
-    def permutation(self, word: Word) -> tuple[int, ...]:
-        self._check_word(word)
-        images = list(range(self.degree))
-        for x in word:
-            g = self.gens[x]
-            images = [g[i] for i in images]
-        return tuple(images)
+    def act(self, state: tuple[int, ...], letter: Letter) -> tuple[int, ...]:
+        return tuple(map(self.gens[letter].__getitem__, state))
 
-    def evaluate(self, word: Word) -> ElementKey:
-        return self._key(",".join(str(i + 1) for i in self.permutation(word)))
+    def key(self, state: tuple[int, ...]) -> ElementKey:
+        # 1-based images, as cycles are written
+        return ElementKey(self.backend, tuple(i + 1 for i in state))
+
+    permutation = GroupOracle.fold
 
 
 # -- free abelian --------------------------------------------------------
@@ -196,21 +232,16 @@ class FreeAbelianOracle(GroupOracle):
     def backend(self) -> str:
         return f"zk{self.rank}"
 
-    @property
-    def identity_key(self) -> ElementKey:
-        return self._key(",".join(["0"] * self.rank))
+    def start(self) -> tuple[int, ...]:
+        return (0,) * self.rank
 
-    def vector(self, word: Word) -> tuple[int, ...]:
-        self._check_word(word)
-        total = [0] * self.rank
-        for x in word:
-            vec = self.gens[x]
-            for i in range(self.rank):
-                total[i] += vec[i]
-        return tuple(total)
+    def act(self, state: tuple[int, ...], letter: Letter) -> tuple[int, ...]:
+        return tuple(map(operator.add, state, self.gens[letter]))
 
-    def evaluate(self, word: Word) -> ElementKey:
-        return self._key(",".join(str(c) for c in self.vector(word)))
+    def key(self, state: tuple[int, ...]) -> ElementKey:
+        return ElementKey(self.backend, state)
+
+    vector = GroupOracle.fold
 
 
 # -- free groups ---------------------------------------------------------
@@ -289,21 +320,24 @@ class FreeGroupOracle(GroupOracle):
         if len(self.names) != self.rank:
             raise ValueError("need exactly one name per generator")
         self.alphabet = paired_letters(self.names)
+        self._inverse = {x.name: inverse_name(x.name) for x in self.alphabet}
 
     @property
     def backend(self) -> str:
         return f"free{self.rank}"
 
-    @property
-    def identity_key(self) -> ElementKey:
-        return self._key("")
+    def start(self) -> Word:
+        return EPSILON
 
-    def reduced(self, word: Word) -> Word:
-        self._check_word(word)
-        return free_reduce(word)
+    def act(self, state: Word, letter: Letter) -> Word:
+        if state and state[-1].name == self._inverse[letter.name]:
+            return state[:-1]
+        return state + (letter,)
 
-    def evaluate(self, word: Word) -> ElementKey:
-        return self._key(" ".join(x.name for x in self.reduced(word)))
+    def key(self, state: Word) -> ElementKey:
+        return ElementKey(self.backend, tuple(x.name for x in state))
+
+    reduced = GroupOracle.fold
 
 
 # -- integer matrices ----------------------------------------------------
@@ -377,19 +411,13 @@ class IntegerMatrixOracle(GroupOracle):
     def backend(self) -> str:
         return f"mat{self.dim}"
 
-    def _render(self, m: Matrix) -> str:
-        return ";".join(",".join(str(e) for e in row) for row in m)
+    def start(self) -> Matrix:
+        return identity_matrix(self.dim)
 
-    @property
-    def identity_key(self) -> ElementKey:
-        return self._key(self._render(identity_matrix(self.dim)))
+    def act(self, state: Matrix, letter: Letter) -> Matrix:
+        return mat_mul(state, self.gens[letter])
 
-    def matrix(self, word: Word) -> Matrix:
-        self._check_word(word)
-        m = identity_matrix(self.dim)
-        for x in word:
-            m = mat_mul(m, self.gens[x])
-        return m
+    def key(self, state: Matrix) -> ElementKey:
+        return ElementKey(self.backend, state)
 
-    def evaluate(self, word: Word) -> ElementKey:
-        return self._key(self._render(self.matrix(word)))
+    matrix = GroupOracle.fold

@@ -137,23 +137,23 @@ def _parse_automaton(block: _Block) -> Nfa:
             if len(rest) != 3:
                 block.fail("trans takes: source label target", lineno)
             src, label, tgt = rest
-            transitions.append((lineno, src, None if label == "eps" else Letter(label), tgt))
+            transitions.append((lineno, src, label, tgt))
         else:
             block.fail(f"unknown automaton line {key!r}", lineno)
     known = set(states)
-    letters = set(alphabet)
+    letters = dict({x.name: x for x in alphabet}, eps=None)
     for lineno, src, label, tgt in transitions:
         for s in (src, tgt):
             if s not in known:
                 block.fail(f"transition uses undeclared state {s!r}", lineno)
-        if label is not None and label not in letters:
-            block.fail(f"transition label {label.name!r} is not in the alphabet", lineno)
+        if label not in letters:
+            block.fail(f"transition label {label!r} is not in the alphabet", lineno)
     for s in initials + accepting:
         if s not in known:
             block.fail(f"undeclared state {s!r}")
     try:
         return Nfa(tuple(alphabet), frozenset(states),
-                   frozenset((src, label, tgt) for _, src, label, tgt in transitions),
+                   frozenset((src, letters[label], tgt) for _, src, label, tgt in transitions),
                    frozenset(initials), frozenset(accepting))
     except ValueError as e:
         block.fail(str(e))

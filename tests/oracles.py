@@ -78,6 +78,73 @@ def bf_pruned_types(vertices, adjacent, max_len):
     return out
 
 
+# -- group oracles -----------------------------------------------------------
+
+
+def ascii_evaluate(oracle, word):
+    """Element key text of the word, each backend multiplied out on its own
+    generator data and spelled as ASCII.  A graph product reads its local
+    strings off the oracle's own ``prune``, which is not under test here."""
+    names = {x.name for x in oracle.alphabet}
+    for x in word:
+        if x.name not in names:
+            raise ValueError(f"letter {x.name!r} is not in the oracle alphabet")
+    kind = type(oracle).__name__
+    if kind == "PermutationOracle":
+        images = list(range(oracle.degree))
+        for x in word:
+            images = [oracle.gens[x][i] for i in images]
+        data = ",".join(str(i + 1) for i in images)
+    elif kind == "FreeAbelianOracle":
+        total = [0] * oracle.rank
+        for x in word:
+            total = [t + g for t, g in zip(total, oracle.gens[x])]
+        data = ",".join(str(c) for c in total)
+    elif kind == "FreeGroupOracle":
+        data = " ".join(_reduce_names(x.name for x in word))
+    elif kind == "IntegerMatrixOracle":
+        m = [[int(i == j) for j in range(oracle.dim)] for i in range(oracle.dim)]
+        for x in word:
+            g = oracle.gens[x]
+            m = [[sum(row[k] * g[k][j] for k in range(oracle.dim))
+                  for j in range(oracle.dim)] for row in m]
+        data = ";".join(",".join(str(e) for e in row) for row in m)
+    else:
+        pruned, _ = oracle.prune(word)
+        runs = []
+        for x in pruned:
+            v = oracle.vertex_of(x)
+            if runs and runs[-1][0] == v:
+                runs[-1][1].append(x)
+            else:
+                runs.append((v, [x]))
+        chunks = []
+        for v, sub in runs:
+            local = oracle.vertex_oracles[v]
+            text = ascii_evaluate(local, tuple(sub))
+            chunks.append(f"{v}={local.backend}:{text[len(local.backend) + 1:-1]}")
+        data = "|".join(chunks)
+    return f"{oracle.backend}[{data}]"
+
+
+def wordwise_ball(oracle, radius):
+    """Key text -> shortest length-lex least witness, breadth first, every
+    word evaluated from scratch."""
+    out = {ascii_evaluate(oracle, ()): ()}
+    frontier = [()]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for x in oracle.alphabet:
+                w2 = w + (x,)
+                key = ascii_evaluate(oracle, w2)
+                if key not in out:
+                    out[key] = w2
+                    nxt.append(w2)
+        frontier = nxt
+    return out
+
+
 # -- construction kernels ----------------------------------------------------
 
 

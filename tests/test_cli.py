@@ -75,6 +75,16 @@ class TestVerify:
         assert code == 1
         assert out == "".join(line + "\n" for line in lines)
 
+    def test_missing_keys_listed_in_text_order(self, capsys, tmp_path):
+        path = tmp_path / "far.epic"
+        path.write_text(self.LOOSE.replace("trans q a q\n  trans q a^-1 q", "trans q a q"))
+        code, out, _ = run(capsys, "-f", str(path), "--porcelain", "verify",
+                           "--demo", "loose", "--max-len", "0", "--ball", "10")
+        missing = [line.split()[1] for line in out.splitlines() if line.startswith("missing")]
+        assert missing == [f"zk1[{n}]" for n in sorted(str(n) for n in range(-10, 11) if n)]
+        assert missing[:3] == ["zk1[-1]", "zk1[-10]", "zk1[-2]"]
+        assert missing[10:13] == ["zk1[1]", "zk1[10]", "zk1[2]"]
+
     def test_porcelain_after_verb(self, capsys):
         code, out, _ = run(capsys, "verify", "--demo", "Z", "--porcelain",
                            "--max-len", "4", "--ball", "4")
@@ -165,6 +175,33 @@ class TestUsageErrors:
                            "--automaton", "a", "--max-len", "1")
         assert code == 2
         assert ":3:" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "unwritable-out"])
+    def test_unreadable_file_is_usage_error(self, capsys, tmp_path, kind):
+        if kind == "unwritable-out":
+            code, out, err = run(capsys, "construct", "change-gens", "--demo", "Z",
+                                 "--letter", "b=a", "--letter", "b^-1=a^-1",
+                                 "--image", "a=b", "--image", "a^-1=b^-1",
+                                 "--out", str(tmp_path / "nodir" / "out.epic"))
+        else:
+            path = tmp_path / "nonexist.epic" if kind == "missing" else tmp_path
+            code, out, err = run(capsys, "-f", str(path), "ball", "--demo", "Z", "--radius", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", [
+        "zk-divisible:0,0", "zk-divisible:3,2", "zk-divisible:x", "zk-divisible:-1,2",
+        "zk-divisible:0", "matrix-zero:0", "matrix-zero:0,0", "matrix-zero:0,-1",
+        "matrix-entry:0,0", "matrix-entry:0,0=x", "perm-even"])
+    def test_malformed_key_predicate_is_usage_error(self, capsys, tmp_path, spec):
+        code, out, err = run(capsys, "-f", DATA, "construct", "fi-subgroup",
+                             "--demo", "Zdemo", "--table", "evens", "--in-subgroup", spec,
+                             "--name", "evens2", "--out", str(tmp_path / "evens.epic"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "key predicate" in err
 
 
 class TestWpDecide:
@@ -311,7 +348,7 @@ class TestConstructVerbs:
         ws = load([str(out_path)])
         words = ws.demonstrations["evens2"].language.enumerate_words(4)
         keys = {ws.demonstrations["evens2"].evaluate(w) for w in words}
-        assert {int(k.data.decode()) for k in keys} == {-4, -2, 2, 4}
+        assert {k.data[0] for k in keys} == {-4, -2, 2, 4}
 
     def test_fi_subgroup_rejects_bad_predicate_table(self, capsys, tmp_path):
         bad = tmp_path / "bad.epic"

@@ -17,7 +17,7 @@ from epicdemo.groups import (
     perm_from_cycles,
 )
 
-from oracles import cofactor_det, shuffle_class
+from oracles import ascii_evaluate, cofactor_det, shuffle_class, wordwise_ball
 
 
 def z_oracle(name="a"):
@@ -96,7 +96,7 @@ class TestFreeAbelian:
         o = z_oracle()
         ball = o.ball(12)
         assert len(ball) == 25
-        values = {int(k.data.decode().split(",")[0]): w for k, w in ball.items()}
+        values = {k.data[0]: w for k, w in ball.items()}
         assert set(values) == set(range(-12, 13))
         for n, witness in values.items():
             assert len(witness) == abs(n)
@@ -214,6 +214,12 @@ class TestKeys:
         o = z_oracle()
         keys = sorted(o.ball(2))
         assert keys == sorted(keys)
+
+    def test_keys_sort_as_rendered_text(self):
+        o = z_oracle()
+        keys = [o.evaluate(make_word(*names)) for names in (["a"] * 2, ["a^-1"], ["a"] * 10)]
+        assert [k.data for k in keys] == [(2,), (-1,), (10,)]
+        assert [k.render() for k in sorted(keys)] == ["zk1[-1]", "zk1[10]", "zk1[2]"]
 
 
 def square_graph_oracle():
@@ -351,3 +357,69 @@ class TestGraphProduct:
         assert types == min(cls, key=lambda t: [rank[v] for v in t])
         # no member of the class has two equal neighbouring vertices
         assert not any(any(s[i] == s[i + 1] for i in range(len(s) - 1)) for s in cls)
+
+
+@st.composite
+def oracles(draw):
+    """An oracle of one of the five backends on drawn generators; graph
+    products are Z, C2 and Z on a path in drawn vertex order."""
+    kind = draw(st.sampled_from(["perm", "zk", "free", "mat", "gp"]))
+    letters = [Letter(n) for n in "abc"[:draw(st.integers(min_value=1, max_value=3))]]
+    if kind == "perm":
+        degree = draw(st.integers(min_value=1, max_value=4))
+        return PermutationOracle(degree, {
+            x: tuple(draw(st.permutations(range(degree)))) for x in letters})
+    if kind == "zk":
+        rank = draw(st.integers(min_value=1, max_value=3))
+        entries = st.lists(st.integers(min_value=-3, max_value=3), min_size=rank, max_size=rank)
+        return FreeAbelianOracle(rank, {x: tuple(draw(entries)) for x in letters})
+    if kind == "free":
+        return FreeGroupOracle(len(letters))
+    if kind == "mat":
+        dim = draw(st.integers(min_value=1, max_value=3))
+        gens = {}
+        for x in letters:
+            m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            i, j = (draw(st.integers(min_value=0, max_value=dim - 1)) for _ in range(2))
+            m[i][j] = -1 if i == j else draw(st.integers(min_value=-2, max_value=2))
+            gens[x] = tuple(map(tuple, m))
+        return IntegerMatrixOracle(dim, gens)
+    order = draw(st.permutations(["u", "v", "w"]))
+    graph = VertexGraph.make(order, [(order[0], order[1]), (order[1], order[2])])
+    return GraphProductOracle(graph, {"u": z_oracle("x"), "v": c2_oracle("c"),
+                                      "w": z_oracle("y")})
+
+
+class TestOracleProtocol:
+    """start/act/key against the ASCII evaluation and the word-by-word ball
+    in tests/oracles.py."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_keys_match_ascii_reference(self, data):
+        o = data.draw(oracles())
+        words = data.draw(st.lists(st.lists(st.sampled_from(o.alphabet), max_size=8).map(tuple),
+                                   min_size=1, max_size=6))
+        words.append(EPSILON)
+        keys = [o.evaluate(w) for w in words]
+        texts = [ascii_evaluate(o, w) for w in words]
+        assert [k.render() for k in keys] == texts
+        assert o.identity_key == keys[-1]
+        # keys order by the text between the brackets
+        inner = [t[len(o.backend) + 1:-1] for t in texts]
+        for k1, t1 in zip(keys, inner):
+            for k2, t2 in zip(keys, inner):
+                assert (k1 == k2) == (t1 == t2)
+                assert (k1 < k2) == (t1 < t2)
+
+    @settings(deadline=None, max_examples=150)
+    @given(oracles(), st.integers(min_value=0, max_value=3))
+    def test_ball_matches_wordwise_reference(self, o, radius):
+        got = [(k.render(), w) for k, w in o.ball(radius).items()]
+        assert got == list(wordwise_ball(o, radius).items())
+
+    def test_backends_implement_only_the_protocol(self):
+        for cls in (PermutationOracle, FreeAbelianOracle, FreeGroupOracle,
+                    IntegerMatrixOracle, GraphProductOracle):
+            assert {"start", "act", "key"} <= set(vars(cls))
+            assert not {"evaluate", "identity_key", "ball"} & set(vars(cls))

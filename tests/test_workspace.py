@@ -50,7 +50,7 @@ class TestSampleFile:
         ws = load([DATA])
         out = fi_subgroup(ws.demonstrations["Zdemo"], ws.cosettables["evens"])
         report = out.verify_coverage(4, 4)
-        assert {int(k.data.decode()) for k in report.covered} == {-4, -2, 2, 4}
+        assert {k.data[0] for k in report.covered} == {-4, -2, 2, 4}
 
     def test_round_trip_is_stable(self):
         ws = load([DATA])
@@ -62,6 +62,45 @@ class TestSampleFile:
         assert again.presentations["plane"] == ws.presentations["plane"]
         assert set(again.demonstrations["Zdemo"].language.enumerate_words(5)) == \
             set(ws.demonstrations["Zdemo"].language.enumerate_words(5))
+
+
+SAMPLE_LINES = DATA.read_text().splitlines()
+SAMPLE_TOKENS = sorted({t for line in SAMPLE_LINES for t in line.split()})
+
+
+@st.composite
+def mutated_samples(draw):
+    """The sample file after one to three token swaps, token replacements,
+    deleted lines or a truncation."""
+    lines = [line.split() for line in SAMPLE_LINES]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["swap", "replace", "delete", "truncate"]))
+        spots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+        if kind == "delete" and lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif kind == "truncate":
+            text = "\n".join(" ".join(line) for line in lines)
+            cut = draw(st.integers(0, len(text)))
+            lines = [line.split() for line in text[:cut].split("\n")]
+        elif kind == "swap" and spots:
+            (i, j), (k, m) = draw(st.sampled_from(spots)), draw(st.sampled_from(spots))
+            lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+        elif spots:
+            i, j = draw(st.sampled_from(spots))
+            lines[i][j] = draw(st.sampled_from(SAMPLE_TOKENS + ["0", "-1", "7", "eps", "zz"]))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestMutatedSample:
+    @settings(deadline=None, max_examples=300)
+    @given(mutated_samples())
+    def test_load_error_or_render_fixpoint(self, text):
+        try:
+            ws = load_str(text)
+        except LoadError:
+            return
+        rendered = render(ws)
+        assert render(load_str(rendered)) == rendered
 
 
 class TestComments:
@@ -113,9 +152,15 @@ class TestAutomatonBlocks:
                      "  accept q0\n  trans q0 x q9\nend\n")
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(LoadError, match="not in the alphabet"):
+        with pytest.raises(LoadError, match="transition label 'y' is not in the alphabet"):
             load_str("automaton a\n  alphabet x\n  states q0\n  initial q0\n"
                      "  accept q0\n  trans q0 y q0\nend\n")
+
+    def test_labels_resolve_against_the_whole_alphabet(self):
+        ws = load_str("automaton a\n  states q0\n  initial q0\n  accept q0\n"
+                      "  trans q0 y q0\n  trans q0 eps q0\n  alphabet x y\nend\n")
+        assert ws.automata["a"].accepts(make_word("y", "y"))
+        assert not ws.automata["a"].accepts(make_word("x"))
 
     def test_unterminated_block(self):
         with pytest.raises(LoadError, match="unterminated"):
