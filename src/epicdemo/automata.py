@@ -108,6 +108,19 @@ def merge_alphabets(*alphabets: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def reachable(starts: Iterable[State],
+              successors: Callable[[State], Iterable[State]]) -> set:
+    """Every node reachable from ``starts`` (included) along ``successors``."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for q in successors(stack.pop()):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
 @dataclass(frozen=True)
 class Nfa:
     """A finite automaton with epsilon transitions.
@@ -161,6 +174,17 @@ class Nfa:
         return out
 
     @cached_property
+    def _forward(self) -> dict:
+        """Successor states of each state, over every label."""
+        out: dict = {}
+        for (p, _label, q) in self.transitions:
+            out.setdefault(p, []).append(q)
+        return out
+
+    def _successors(self, state: State):
+        return self._forward.get(state, ())
+
+    @cached_property
     def _closure_memo(self) -> dict:
         return {}
 
@@ -170,15 +194,7 @@ class Nfa:
         for s in states:
             memo = self._closure_memo.get(s)
             if memo is None:
-                seen = {s}
-                stack = [s]
-                while stack:
-                    p = stack.pop()
-                    for q in self._eps_edges.get(p, ()):
-                        if q not in seen:
-                            seen.add(q)
-                            stack.append(q)
-                memo = frozenset(seen)
+                memo = frozenset(reachable((s,), lambda p: self._eps_edges.get(p, ())))
                 self._closure_memo[s] = memo
             result |= memo
         return frozenset(result)
@@ -232,20 +248,7 @@ class Nfa:
 
     def is_empty(self) -> bool:
         """True when no word at all is accepted."""
-        seen = set(self.initials)
-        stack = list(self.initials)
-        forward: dict = {}
-        for (p, _label, q) in self.transitions:
-            forward.setdefault(p, []).append(q)
-        while stack:
-            p = stack.pop()
-            if p in self.accepting:
-                return False
-            for q in forward.get(p, ()):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return True
+        return not reachable(self.initials, self._successors) & self.accepting
 
     def words(self, max_len: Optional[int] = None) -> Iterator[Word]:
         """Accepted words in length-lex order, lazily; all of them when

@@ -27,6 +27,7 @@ from .automata import (
     inverse_letter_hom,
     merge_alphabets,
     normalize_no_accepting_initial,
+    reachable,
     single_word,
     subtract_word,
     union,
@@ -183,15 +184,7 @@ class CosetTable:
                 if back != c:
                     raise ValueError(
                         f"action is inconsistent: {c!r}.{x.name} then its inverse gives {back!r}")
-        reached = {home}
-        queue = deque([home])
-        while queue:
-            c = queue.popleft()
-            for x in oracle.alphabet:
-                t = self.act(c, x)
-                if t not in reached:
-                    reached.add(t)
-                    queue.append(t)
+        reached = reachable([home], lambda c: (self.act(c, x) for x in oracle.alphabet))
         if reached != set(self.cosets):
             raise ValueError(f"cosets unreachable from {home!r}: {sorted(set(self.cosets) - reached)}")
         if in_subgroup is not None:

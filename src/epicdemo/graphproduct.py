@@ -1,25 +1,31 @@
-"""Graph products of groups and their pruned normal forms.
+"""Graph products of groups and their normal forms.
 
 A graph product is built from a finite simple graph whose vertices carry
 groups: elements of groups at adjacent vertices commute, nothing else is
-imposed.  A word over the disjoint union of the vertex alphabets splits
-into maximal single-vertex runs (local strings).  Two rewriting moves
-preserve the element: swapping neighbouring local strings whose vertices
-are adjacent in the graph (a shuffle), and merging two same-vertex local
-strings once shuffles make them neighbours (an amalgamation, deleting the
-merged string when it is locally trivial).  A word is pruned when no move
-applies; among the shuffle-equivalent orderings of a pruned word the one
-whose vertex type string is ShortLex-least (vertex declaration order) is
-the canonical representative, and that representative determines the
-group element.
+imposed.  A word is reduced when it is a sequence of syllables, each a
+locally non-trivial word over one vertex alphabet, and no two syllables
+of the same vertex can be brought together by swapping neighbouring
+syllables of adjacent vertices (shuffles).  By Green's normal form
+theorem (E. R. Green, *Graph products of groups*, PhD thesis, Leeds 1990;
+Hermiller and Meier, J. Algebra 171, 1995) reduced words of one element
+differ only by shuffles, so the ordering whose vertex type string is
+ShortLex-least (vertex declaration order) determines the element.
+
+The oracle state is that normal form, extended one letter at a time: a
+letter of vertex v merges into the last v syllable when every syllable
+after it is adjacent to v (and the syllable is dropped when it becomes
+trivial), and otherwise starts a new syllable at its ShortLex place among
+the trailing syllables adjacent to v.  The result is again reduced, so
+no rewriting cascades.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
-from .automata import EPSILON, Letter, Word
+from .automata import Letter, Word
 from .groups import ElementKey, GroupOracle
 
 
@@ -48,30 +54,6 @@ class VertexGraph:
     def adjacent(self, u: str, v: str) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 
-    def rank(self, v: str) -> int:
-        return self.vertices.index(v)
-
-
-@dataclass(frozen=True)
-class LocalDecomposition:
-    """A word split into maximal single-vertex runs."""
-
-    parts: tuple  # ((vertex, word), ...)
-
-    @property
-    def type_string(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.parts)
-
-    @property
-    def global_length(self) -> int:
-        return len(self.parts)
-
-    def word(self) -> Word:
-        out: Word = EPSILON
-        for _, sub in self.parts:
-            out = out + sub
-        return out
-
 
 class GraphProductOracle(GroupOracle):
     """Oracle for a graph product of oracle-backed vertex groups.
@@ -98,13 +80,17 @@ class GraphProductOracle(GroupOracle):
                 self._letter_vertex[x.name] = v
                 alphabet.append(x)
         self.alphabet = tuple(alphabet)
+        self._rank = {v: i for i, v in enumerate(graph.vertices)}
+        self._neighbours = {v: {u for u in graph.vertices if graph.adjacent(u, v)}
+                            for v in graph.vertices}
+        self._identity_keys = {v: o.identity_key for v, o in self.vertex_oracles.items()}
 
     def __eq__(self, other):
         return (isinstance(other, GraphProductOracle)
                 and self.graph == other.graph
                 and self.vertex_oracles == other.vertex_oracles)
 
-    @property
+    @cached_property
     def backend(self) -> str:
         edges = sorted(self.graph.edges)
         parts = [f"{v}:{self.vertex_oracles[v].backend}" for v in self.graph.vertices]
@@ -116,111 +102,38 @@ class GraphProductOracle(GroupOracle):
         except KeyError:
             raise ValueError(f"letter {letter.name!r} is not in any vertex alphabet") from None
 
-    def decompose(self, word: Word) -> LocalDecomposition:
-        """Split into maximal runs of same-vertex letters."""
-        parts: list[tuple[str, Word]] = []
-        for x in word:
-            v = self.vertex_of(x)
-            if parts and parts[-1][0] == v:
-                parts[-1] = (v, parts[-1][1] + (x,))
-            else:
-                parts.append((v, (x,)))
-        return LocalDecomposition(tuple(parts))
+    # the state is the normal form: (vertex, local word, local state)
+    # syllables in ShortLex-least vertex order
 
-    def _locally_trivial(self, vertex: str, sub: Word) -> bool:
-        return self.vertex_oracles[vertex].is_identity(sub)
+    def start(self) -> tuple:
+        return ()
 
-    def _normalize(self, parts: list) -> list:
-        # merge neighbouring same-vertex runs, drop locally trivial ones,
-        # repeat until stable
-        changed = True
-        while changed:
-            changed = False
-            merged: list = []
-            for (v, sub) in parts:
-                if merged and merged[-1][0] == v:
-                    merged[-1] = (v, merged[-1][1] + sub)
-                    changed = True
-                else:
-                    merged.append((v, sub))
-            parts = [(v, sub) for (v, sub) in merged if not self._locally_trivial(v, sub)]
-            if len(parts) != len(merged):
-                changed = True
-        return parts
+    def act(self, state: tuple, letter: Letter) -> tuple:
+        v = self.vertex_of(letter)
+        local = self.vertex_oracles[v]
+        i = len(state)
+        while i and state[i - 1][0] in self._neighbours[v]:
+            i -= 1
+        if i and state[i - 1][0] == v:
+            i -= 1
+            _, sub, s = state[i]
+            rest = state[i + 1:]
+        else:
+            sub, s = (), local.start()
+            while i < len(state) and self._rank[state[i][0]] < self._rank[v]:
+                i += 1
+            rest = state[i:]
+        s = local.act(s, letter)
+        if local.key(s) == self._identity_keys[v]:
+            return state[:i] + rest
+        return state[:i] + ((v, sub + (letter,), s),) + rest
 
-    def _find_amalgamation(self, parts: list):
-        # least (i, j) with equal vertices and every run strictly between
-        # adjacent to that vertex, so shuffles can bring them together
-        for i in range(len(parts)):
-            v = parts[i][0]
-            for j in range(i + 1, len(parts)):
-                if parts[j][0] == v:
-                    return (i, j)
-                if not self.graph.adjacent(parts[j][0], v):
-                    break
-        return None
+    def key(self, state: tuple) -> ElementKey:
+        return ElementKey(self.backend, tuple((v, self.vertex_oracles[v].key(s))
+                                              for v, _, s in state))
 
     def prune(self, word: Word) -> tuple[Word, tuple[str, ...]]:
-        """Fully rewritten word and its type string.
-
-        Amalgamates until no shuffle sequence can merge two local strings,
-        then orders the surviving runs so the type string is ShortLex-least
-        among shuffle-equivalent orderings.  The result evaluates to the
-        same group element as the input.
-        """
-        parts = self._normalize(list(self.decompose(word).parts))
-        while True:
-            hit = self._find_amalgamation(parts)
-            if hit is None:
-                break
-            i, j = hit
-            v = parts[i][0]
-            merged = (v, parts[i][1] + parts[j][1])
-            parts = parts[:i] + parts[i + 1:j] + [merged] + parts[j + 1:]
-            parts = self._normalize(parts)
-        parts = self._shortlex_order(parts)
-        decomp = LocalDecomposition(tuple(parts))
-        return decomp.word(), decomp.type_string
-
-    def _shortlex_order(self, parts: list) -> list:
-        """Least type string over all orderings reachable by shuffles.
-
-        Positions i < j are order-constrained when their vertices are equal
-        or non-adjacent; any linear extension of that partial order is
-        shuffle-reachable.  Greedily emitting the least available vertex
-        yields the lexicographically least type string.
-        """
-        n = len(parts)
-        rank = self.graph.rank
-        succs: list[list[int]] = [[] for _ in range(n)]
-        pred_count = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                vi, vj = parts[i][0], parts[j][0]
-                if vi == vj or not self.graph.adjacent(vi, vj):
-                    succs[i].append(j)
-                    pred_count[j] += 1
-        available = [i for i in range(n) if pred_count[i] == 0]
-        out: list = []
-        while available:
-            best = min(available, key=lambda i: (rank(parts[i][0]), i))
-            available.remove(best)
-            out.append(parts[best])
-            for j in succs[best]:
-                pred_count[j] -= 1
-                if pred_count[j] == 0:
-                    available.append(j)
-        return out
-
-    # the state is the word read so far; its key is read off the pruned word
-
-    def start(self) -> Word:
-        return EPSILON
-
-    def act(self, state: Word, letter: Letter) -> Word:
-        return state + (letter,)
-
-    def key(self, state: Word) -> ElementKey:
-        pruned, _ = self.prune(state)
-        return ElementKey(self.backend, tuple((v, self.vertex_oracles[v].evaluate(sub))
-                                              for v, sub in self.decompose(pruned).parts))
+        """Normal form of the word, spelled as its syllables' local words
+        in order, and its type string."""
+        state = self.fold(word)
+        return tuple(x for _, sub, _ in state for x in sub), tuple(v for v, _, _ in state)

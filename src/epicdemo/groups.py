@@ -132,8 +132,12 @@ class GroupOracle(ABC):
     def inverse_word(self, word: Word) -> Word:
         return tuple(self.inverse_letter(x) for x in reversed(word))
 
+    @functools.cached_property
+    def _alphabet_names(self) -> frozenset:
+        return frozenset(x.name for x in self.alphabet)
+
     def _check_word(self, word: Word):
-        names = {x.name for x in self.alphabet}
+        names = self._alphabet_names
         for x in word:
             if x.name not in names:
                 raise ValueError(f"letter {x.name!r} is not in the oracle alphabet")
@@ -207,8 +211,6 @@ class PermutationOracle(GroupOracle):
         # 1-based images, as cycles are written
         return ElementKey(self.backend, tuple(i + 1 for i in state))
 
-    permutation = GroupOracle.fold
-
 
 # -- free abelian --------------------------------------------------------
 
@@ -240,8 +242,6 @@ class FreeAbelianOracle(GroupOracle):
 
     def key(self, state: tuple[int, ...]) -> ElementKey:
         return ElementKey(self.backend, state)
-
-    vector = GroupOracle.fold
 
 
 # -- free groups ---------------------------------------------------------
@@ -337,8 +337,6 @@ class FreeGroupOracle(GroupOracle):
     def key(self, state: Word) -> ElementKey:
         return ElementKey(self.backend, tuple(x.name for x in state))
 
-    reduced = GroupOracle.fold
-
 
 # -- integer matrices ----------------------------------------------------
 
@@ -419,5 +417,3 @@ class IntegerMatrixOracle(GroupOracle):
 
     def key(self, state: Matrix) -> ElementKey:
         return ElementKey(self.backend, state)
-
-    matrix = GroupOracle.fold

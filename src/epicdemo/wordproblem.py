@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import count
 from typing import Callable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Letter, Nfa, Word, _all_words_except, format_word
+from .automata import EPSILON, Letter, Nfa, Word, _all_words_except, format_word, reachable
 from .errors import InputContradictionError
 from .groups import GroupOracle, formal_inverse, free_reduce, inverse_name, paired_letters
 
@@ -97,9 +97,6 @@ class Enumerator:
         self._cursor += 1
         return pair
 
-    def restart(self) -> None:
-        self._cursor = 0
-
 
 def normal_closure_enumerator(p: Presentation) -> Enumerator:
     """Reduced spellings of normal-closure elements, dovetailed by size.
@@ -168,28 +165,11 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
 
 def _has_pumpable_cycle(a: Nfa) -> bool:
     """True when some accepting run revisits a state with a letter between."""
-    forward: dict = {}
-    for (pp, _label, qq) in a.transitions:
-        forward.setdefault(pp, []).append(qq)
-
-    def reach(starts):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            s = stack.pop()
-            for t in forward.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    reachable = reach(a.initials)
-    productive = set(a._letters_to_accept)
-    useful = reachable & productive
+    useful = reachable(a.initials, a._successors) & set(a._letters_to_accept)
     for (pp, label, qq) in a.transitions:
         if label is None or pp not in useful or qq not in useful:
             continue
-        if pp in reach([qq]):
+        if pp in reachable([qq], a._successors):
             return True
     return False
 

@@ -83,8 +83,8 @@ def bf_pruned_types(vertices, adjacent, max_len):
 
 def ascii_evaluate(oracle, word):
     """Element key text of the word, each backend multiplied out on its own
-    generator data and spelled as ASCII.  A graph product reads its local
-    strings off the oracle's own ``prune``, which is not under test here."""
+    generator data and spelled as ASCII.  A graph product spells the local
+    strings of its rewriting normal form (``rewriting_prune``)."""
     names = {x.name for x in oracle.alphabet}
     for x in word:
         if x.name not in names:
@@ -110,21 +110,87 @@ def ascii_evaluate(oracle, word):
                   for j in range(oracle.dim)] for row in m]
         data = ";".join(",".join(str(e) for e in row) for row in m)
     else:
-        pruned, _ = oracle.prune(word)
-        runs = []
-        for x in pruned:
-            v = oracle.vertex_of(x)
-            if runs and runs[-1][0] == v:
-                runs[-1][1].append(x)
-            else:
-                runs.append((v, [x]))
         chunks = []
-        for v, sub in runs:
+        for v, sub in rewriting_prune(oracle, word):
             local = oracle.vertex_oracles[v]
-            text = ascii_evaluate(local, tuple(sub))
+            text = ascii_evaluate(local, sub)
             chunks.append(f"{v}={local.backend}:{text[len(local.backend) + 1:-1]}")
         data = "|".join(chunks)
     return f"{oracle.backend}[{data}]"
+
+
+def rewriting_prune(oracle, word):
+    """Graph-product normal form by whole-word rewriting, as (vertex, local
+    word) runs: split the word into single-letter runs, merge neighbouring
+    same-vertex runs and drop locally trivial ones until stable, amalgamate
+    the least pair of same-vertex runs that shuffles can bring together
+    and repeat, then order the runs by greedily emitting the least
+    available vertex, which gives the ShortLex-least type string among
+    shuffle-equivalent orderings."""
+    vertices = oracle.graph.vertices
+    vertex_of = {x.name: v for v in vertices for x in oracle.vertex_oracles[v].alphabet}
+    edges = {frozenset(e) for e in oracle.graph.edges}
+
+    def adjacent(u, v):
+        return frozenset((u, v)) in edges
+
+    def trivial(v, sub):
+        local = oracle.vertex_oracles[v]
+        return ascii_evaluate(local, sub) == ascii_evaluate(local, ())
+
+    def normalize(parts):
+        changed = True
+        while changed:
+            changed = False
+            merged = []
+            for v, sub in parts:
+                if merged and merged[-1][0] == v:
+                    merged[-1] = (v, merged[-1][1] + sub)
+                    changed = True
+                else:
+                    merged.append((v, sub))
+            parts = [(v, sub) for v, sub in merged if not trivial(v, sub)]
+            if len(parts) != len(merged):
+                changed = True
+        return parts
+
+    def find_amalgamation(parts):
+        for i in range(len(parts)):
+            v = parts[i][0]
+            for j in range(i + 1, len(parts)):
+                if parts[j][0] == v:
+                    return i, j
+                if not adjacent(parts[j][0], v):
+                    break
+        return None
+
+    parts = normalize([(vertex_of[x.name], (x,)) for x in word])
+    while (hit := find_amalgamation(parts)) is not None:
+        i, j = hit
+        merged = (parts[i][0], parts[i][1] + parts[j][1])
+        parts = normalize(parts[:i] + parts[i + 1:j] + [merged] + parts[j + 1:])
+    n = len(parts)
+    # i < j are order-constrained when their vertices are equal or
+    # non-adjacent; any linear extension is reachable by shuffles
+    succs = [[] for _ in range(n)]
+    pred_count = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            vi, vj = parts[i][0], parts[j][0]
+            if vi == vj or not adjacent(vi, vj):
+                succs[i].append(j)
+                pred_count[j] += 1
+    available = [i for i in range(n) if pred_count[i] == 0]
+    out = []
+    while available:
+        best = min(available, key=lambda i: (vertices.index(parts[i][0]), i))
+        available.remove(best)
+        out.append(parts[best])
+        for j in succs[best]:
+            pred_count[j] -= 1
+            if pred_count[j] == 0:
+                available.append(j)
+    return out
 
 
 def wordwise_ball(oracle, radius):

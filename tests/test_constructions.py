@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word, single_word
@@ -379,9 +381,8 @@ class TestGraphProduct:
         for word in out.language.enumerate_words(5):
             pruned, types = out.oracle.prune(out.oracle_word(word))
             assert adm.accepts(tuple(Letter(t) for t in types))
-            decomp = out.oracle.decompose(out.oracle_word(word))
-            for (vertex, sub) in decomp.parts:
-                assert not out.oracle.vertex_oracles[vertex].is_identity(sub)
+            for vertex, sub in itertools.groupby(out.oracle_word(word), out.oracle.vertex_of):
+                assert not out.oracle.vertex_oracles[vertex].is_identity(tuple(sub))
 
     def test_local_accepting_epsilon_rejected(self):
         g = VertexGraph.make(("u",), [])

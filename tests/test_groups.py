@@ -66,7 +66,7 @@ class TestPermutations:
     def test_composition_is_left_to_right(self):
         o = s3_oracle()
         # (12) then (123): 1 -> 2 -> 3
-        img = o.permutation(make_word("(12)", "(123)"))
+        img = o.fold(make_word("(12)", "(123)"))
         assert img[0] == 2
 
     def test_s3_has_six_elements(self):
@@ -89,7 +89,7 @@ class TestFreeAbelian:
     def test_sums_vectors(self):
         o = FreeAbelianOracle(2, {Letter("a"): (1, 0), Letter("b"): (0, 1),
                                   Letter("a^-1"): (-1, 0), Letter("b^-1"): (0, -1)})
-        assert o.vector(make_word("a", "b", "a", "b^-1")) == (2, 0)
+        assert o.fold(make_word("a", "b", "a", "b^-1")) == (2, 0)
         assert o.is_identity(make_word("a", "a^-1"))
 
     def test_ball_of_z_is_interval(self):
@@ -112,8 +112,8 @@ class TestFreeAbelian:
 class TestFreeGroup:
     def test_reduction_cancels_adjacent_inverses(self):
         o = FreeGroupOracle(2)
-        assert o.reduced(make_word("a", "a^-1")) == EPSILON
-        assert o.reduced(make_word("a", "b", "b^-1", "a")) == make_word("a", "a")
+        assert o.fold(make_word("a", "a^-1")) == EPSILON
+        assert o.fold(make_word("a", "b", "b^-1", "a")) == make_word("a", "a")
 
     def test_alphabet_interleaves_inverses(self):
         o = FreeGroupOracle(2)
@@ -136,12 +136,12 @@ class TestFreeGroup:
                 else:
                     return tuple(w)
 
-        assert o.reduced(word) == single_pass_fixpoint(word)
+        assert o.fold(word) == single_pass_fixpoint(word)
 
     def test_reduced_word_is_fixed_point(self):
         o = FreeGroupOracle(2)
         w = make_word("a", "b", "a^-1")
-        assert o.reduced(o.reduced(w)) == o.reduced(w)
+        assert o.fold(o.fold(w)) == o.fold(w)
 
 
 @st.composite
@@ -189,7 +189,7 @@ class TestIntegerMatrices:
     def test_heisenberg_commutator_is_central_generator(self):
         o = heisenberg_oracle()
         w = make_word("x", "y", "x^-1", "y^-1")
-        got = o.matrix(w)
+        got = o.fold(w)
         # brute check with raw matmul, no oracle involved
         raw = identity_matrix(3)
         for letter in w:
@@ -200,7 +200,7 @@ class TestIntegerMatrices:
     def test_large_entries_stay_exact(self):
         o = heisenberg_oracle()
         word = make_word(*(["x"] * 40 + ["y"] * 40))
-        assert o.matrix(word)[0][2] == 1600
+        assert o.fold(word)[0][2] == 1600
 
 
 class TestKeys:
@@ -249,10 +249,12 @@ class TestGraphProduct:
 
     def test_decompose_maximal_runs(self):
         o = square_graph_oracle()
-        d = o.decompose(make_word("a", "a", "b", "a"))
-        assert d.type_string == ("u", "v", "u")
-        assert d.global_length == 3
-        assert d.parts[0] == ("u", make_word("a", "a"))
+        word = make_word("a", "a", "b", "a")
+        runs = [(v, tuple(sub)) for v, sub in itertools.groupby(word, o.vertex_of)]
+        assert [v for v, _ in runs] == ["u", "v", "u"]
+        assert runs[0] == ("u", make_word("a", "a"))
+        # a a cancels in C2, and b shuffles past the last a
+        assert o.prune(word) == (make_word("a", "b"), ("u", "v"))
 
     def test_prune_commuting_square(self):
         o = square_graph_oracle()
@@ -360,9 +362,25 @@ class TestGraphProduct:
 
 
 @st.composite
+def vertex_oracles(draw, v):
+    """A zk (with a zero generator among the drawn vectors), perm or free
+    vertex group whose letter names start with the vertex name."""
+    kind = draw(st.sampled_from(["zk", "perm", "free"]))
+    if kind == "free":
+        return FreeGroupOracle(1, (v + "f",))
+    letters = [Letter(v + n) for n in "pq"[:draw(st.integers(min_value=1, max_value=2))]]
+    if kind == "zk":
+        return FreeAbelianOracle(1, {x: (draw(st.integers(min_value=-1, max_value=1)),)
+                                     for x in letters})
+    degree = draw(st.integers(min_value=1, max_value=3))
+    return PermutationOracle(degree, {
+        x: tuple(draw(st.permutations(range(degree)))) for x in letters})
+
+
+@st.composite
 def oracles(draw):
     """An oracle of one of the five backends on drawn generators; graph
-    products are Z, C2 and Z on a path in drawn vertex order."""
+    products have 1-4 vertices, drawn edges and drawn vertex groups."""
     kind = draw(st.sampled_from(["perm", "zk", "free", "mat", "gp"]))
     letters = [Letter(n) for n in "abc"[:draw(st.integers(min_value=1, max_value=3))]]
     if kind == "perm":
@@ -384,10 +402,12 @@ def oracles(draw):
             m[i][j] = -1 if i == j else draw(st.integers(min_value=-2, max_value=2))
             gens[x] = tuple(map(tuple, m))
         return IntegerMatrixOracle(dim, gens)
-    order = draw(st.permutations(["u", "v", "w"]))
-    graph = VertexGraph.make(order, [(order[0], order[1]), (order[1], order[2])])
-    return GraphProductOracle(graph, {"u": z_oracle("x"), "v": c2_oracle("c"),
-                                      "w": z_oracle("y")})
+    order = draw(st.permutations("uvwx"))[:draw(st.integers(min_value=1, max_value=4))]
+    pairs = list(itertools.combinations(order, 2))
+    edges = [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                        max_size=len(pairs)))) if keep]
+    return GraphProductOracle(VertexGraph.make(order, edges),
+                              {v: draw(vertex_oracles(v)) for v in order})
 
 
 class TestOracleProtocol:

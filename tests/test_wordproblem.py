@@ -111,8 +111,6 @@ class TestEnumerator:
         assert e.next() == (0, make_word("a"))
         assert e.next() == (1, make_word("b"))
         assert e.next() is None
-        e.restart()
-        assert e.next() == (0, make_word("a"))
 
     def test_finite_exhaustion_returns_none(self):
         e = Enumerator(lambda: iter([]), finite=True)

@@ -32,7 +32,7 @@ def load_str(text):
 class TestSampleFile:
     def test_counts(self):
         ws = load([DATA])
-        assert set(ws.groups) == {"Z", "S3"}
+        assert set(ws.groups) == {"Z", "S3", "H3", "F2", "ZxS3"}
         assert set(ws.automata) == {"powers"}
         assert set(ws.demonstrations) == {"Zdemo"}
         assert set(ws.cosettables) == {"evens"}
