@@ -7,7 +7,8 @@ transitions are stored explicitly (label ``None``) and never eliminated
 eagerly; decision procedures work on epsilon-closed state subsets instead.
 
 Alphabets are ordered: declaration order fixes the lexicographic order
-used by :meth:`Nfa.words`, and every operation that merges two
+of :func:`walk`, the one length-lex word walk (``Nfa.words``, group
+balls and coverage all call it), and every operation that merges two
 alphabets keeps the left operand's order and appends unseen letters.
 """
 
@@ -119,6 +120,35 @@ def reachable(starts: Iterable[State],
                 seen.add(q)
                 stack.append(q)
     return seen
+
+
+def walk(alphabet: tuple[Letter, ...], root, step: Callable,
+         max_len: Optional[int] = None) -> Iterator[tuple[Word, object]]:
+    """``(word, node)`` pairs in length-lex order from ``(EPSILON, root)``,
+    lazily, up to ``max_len`` letters (without end when None).
+
+    ``step(node, letter, n)`` is the node of the prefix extended by the
+    letter to length ``n``, or None to drop it and all its extensions;
+    steps run in length-lex order, each just before its pair is yielded.
+    """
+    if max_len is not None and max_len < 0:
+        return
+    yield EPSILON, root
+    frontier = [(EPSILON, root)]
+    n = 0
+    while frontier and n != max_len:
+        n += 1
+        last = n == max_len  # words of the last length are not extended
+        nxt = []
+        for word, node in frontier:
+            for x in alphabet:
+                child = step(node, x, n)
+                if child is not None:
+                    pair = (word + (x,), child)
+                    if not last:
+                        nxt.append(pair)
+                    yield pair
+        frontier = nxt
 
 
 @dataclass(frozen=True)
@@ -250,41 +280,26 @@ class Nfa:
         """True when no word at all is accepted."""
         return not reachable(self.initials, self._successors) & self.accepting
 
-    def words(self, max_len: Optional[int] = None) -> Iterator[Word]:
-        """Accepted words in length-lex order, lazily; all of them when
-        ``max_len`` is None.
-
-        Lexicographic order is alphabet declaration order.  The walk
-        extends only prefixes that can still reach acceptance within the
-        remaining length budget, so sparse languages enumerate quickly and
-        the unbounded walk of a finite language ends.
-        """
-        if max_len is not None and max_len < 0:
-            return
+    def pruned_step(self, max_len: Optional[int] = None) -> Callable:
+        """A ``walk`` step over state subsets that drops a subset unable to
+        accept within the remaining length (within as many letters as there
+        are states when ``max_len`` is None)."""
         dist = self._letters_to_accept
-        start = self.start_subset()
-        if start & self.accepting:
-            yield EPSILON
-        frontier: list[tuple[Word, frozenset]] = [(EPSILON, start)]
-        n = 0
-        while frontier and (max_len is None or n < max_len):
-            # a productive state accepts within fewer letters than there are states
-            remaining = len(self.states) if max_len is None else max_len - n - 1
-            nxt: list[tuple[Word, frozenset]] = []
-            for word, subset in frontier:
-                for x in self.alphabet:
-                    subset2 = self.step(subset, x)
-                    if not subset2:
-                        continue
-                    best = min((dist.get(s, _INF) for s in subset2), default=_INF)
-                    if best > remaining:
-                        continue
-                    word2 = word + (x,)
-                    if subset2 & self.accepting:
-                        yield word2
-                    nxt.append((word2, subset2))
-            frontier = nxt
-            n += 1
+
+        def step(subset: frozenset, letter: Letter, n: int) -> Optional[frozenset]:
+            subset = self.step(subset, letter)
+            remaining = len(self.states) if max_len is None else max_len - n
+            if subset and min(dist.get(s, _INF) for s in subset) <= remaining:
+                return subset
+
+        return step
+
+    def words(self, max_len: Optional[int] = None) -> Iterator[Word]:
+        """Accepted words in length-lex order (alphabet declaration order),
+        lazily, all of them when ``max_len`` is None; only prefixes that can
+        still accept are extended, so a finite language's walk ends."""
+        nodes = walk(self.alphabet, self.start_subset(), self.pruned_step(max_len), max_len)
+        return (w for w, subset in nodes if subset & self.accepting)
 
     def enumerate_words(self, max_len: int) -> list[Word]:
         """Accepted words of length at most ``max_len`` in length-lex order."""

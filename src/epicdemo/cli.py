@@ -512,6 +512,9 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     files = args.files + args.verb_files
     try:
+        for dest in ("max_len", "search_len", "ball", "radius", "check_len"):
+            if (value := getattr(args, dest, None)) is not None and value < 0:
+                raise UsageError(f"--{dest.replace('_', '-')} must not be negative, got {value}")
         ws = load(files) if files else Workspace()
         return args.handler(ws, args)
     except (UsageError, LoadError, OSError) as e:

@@ -10,7 +10,6 @@ are checked at caller-supplied bounds and trusted beyond them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -92,8 +91,8 @@ def extension(demo_n: Demonstration, demo_q: Demonstration,
     for x in demo_n.language.alphabet:
         if not in_normal(demo_n.evaluate((x,))):
             raise ValueError(f"letter {x.name!r} of the subgroup demo is outside the subgroup")
-    for w in demo_q.language.enumerate_words(check_len):
-        if in_normal(demo_q.evaluate(w)):
+    for w, key in demo_q.keyed_words(check_len):
+        if in_normal(key):
             raise ValueError(
                 f"quotient demo word evaluates into the subgroup: "
                 f"{' '.join(x.name for x in w)}")
@@ -316,19 +315,16 @@ def admissible_automaton(graph: VertexGraph) -> Nfa:
                 tg[i] = True
         return (tuple(lb), tuple(tg))
 
-    states = {initial}
     transitions = set()
-    queue = deque([initial])
-    while queue:
-        state = queue.popleft()
+
+    def successors(state):
         for v, letter in zip(verts, letters):
-            if not legal(state, v):
-                continue
-            nxt = step(state, v)
-            transitions.add((state, letter, nxt))
-            if nxt not in states:
-                states.add(nxt)
-                queue.append(nxt)
+            if legal(state, v):
+                nxt = step(state, v)
+                transitions.add((state, letter, nxt))
+                yield nxt
+
+    states = reachable([initial], successors)
     accepting = frozenset(states - {initial})
     return Nfa(letters, frozenset(states), frozenset(transitions),
                frozenset({initial}), accepting)

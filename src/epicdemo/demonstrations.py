@@ -12,12 +12,13 @@ infinite ones cannot).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import EPSILON, Letter, Nfa, Word, check_alphabet, finite_language, \
-    concat, subtract_word, union
+    concat, subtract_word, union, walk
 from .groups import ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, \
     PermutationOracle, _GEN_NAMES
 
@@ -66,6 +67,22 @@ class Demonstration:
     def evaluate(self, word: Word) -> ElementKey:
         return self.oracle.evaluate(self.oracle_word(word))
 
+    def keyed_words(self, max_len: Optional[int] = None) -> Iterator[tuple[Word, ElementKey]]:
+        """Accepted words in length-lex order with their keys, from one walk
+        over (NFA subset, oracle state) pairs: an edge costs one NFA step
+        and, if the subset survives, one ``act`` per letter of its image."""
+        oracle, images, live = self.oracle, self.eval_map, self.language.pruned_step(max_len)
+
+        def step(node, letter, n):
+            subset = live(node[0], letter, n)
+            if subset is not None:
+                return subset, functools.reduce(oracle.act, images[letter], node[1])
+
+        root = (self.language.start_subset(), oracle.start())
+        for w, (subset, state) in walk(self.language.alphabet, root, step, max_len):
+            if subset & self.language.accepting:
+                yield w, oracle.key(state)
+
     def verify_no_identity(self, max_len: int) -> list[Word]:
         """Accepted words up to ``max_len`` that evaluate to the identity."""
         return list(self.verify_coverage(0, 0, max_len).identity_violations)
@@ -83,13 +100,11 @@ class Demonstration:
         """
         if max_len is None:
             max_len = search_len
-        ball = self.oracle.ball(radius)
         identity = self.oracle.identity_key
-        targets = set(ball) - {identity}
+        targets = set(self.oracle.ball(radius)) - {identity}
         covered: dict[ElementKey, Word] = {}
         violations: list[Word] = []
-        for w in self.language.enumerate_words(max(search_len, max_len)):
-            key = self.evaluate(w)
+        for w, key in self.keyed_words(max(search_len, max_len)):
             if key == identity:
                 if len(w) <= max_len:
                     violations.append(w)

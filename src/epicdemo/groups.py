@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .automata import EPSILON, Letter, Word, check_alphabet
+from .automata import EPSILON, Letter, Word, check_alphabet, walk
 
 
 def _text(data: tuple) -> str:
@@ -74,10 +74,7 @@ class GroupOracle(ABC):
     def fold(self, word: Word) -> Any:
         """State reached by reading the word from ``start()``."""
         self._check_word(word)
-        state = self.start()
-        for x in word:
-            state = self.act(state, x)
-        return state
+        return functools.reduce(self.act, word, self.start())
 
     def evaluate(self, word: Word) -> ElementKey:
         """Canonical key of the element the word multiplies out to."""
@@ -95,21 +92,20 @@ class GroupOracle(ABC):
 
         Breadth-first over elements; among witnesses of minimal length the
         length-lex least (alphabet declaration order) is kept.  Each edge
-        costs one ``act``: the frontier keeps the state of every word.
+        costs one ``act``: the walk carries the state of every word, and
+        prunes words whose key was seen before.
         """
-        out: dict[ElementKey, Word] = {self.identity_key: EPSILON}
-        frontier: list = [(EPSILON, self.start())]
-        for _ in range(radius):
-            nxt: list = []
-            for w, state in frontier:
-                for x in self.alphabet:
-                    s2 = self.act(state, x)
-                    key = self.key(s2)
-                    if key not in out:
-                        out[key] = w + (x,)
-                        nxt.append((out[key], s2))
-            frontier = nxt
-        return out
+        seen = {self.identity_key}
+
+        def step(node, letter, n):
+            state = self.act(node[0], letter)
+            key = self.key(state)
+            if key not in seen:
+                seen.add(key)
+                return state, key
+
+        root = (self.start(), self.identity_key)
+        return {key: w for w, (_, key) in walk(self.alphabet, root, step, radius)}
 
     def inverse_letter(self, letter: Letter) -> Letter:
         """First letter in declaration order inverting ``letter``.
@@ -197,7 +193,7 @@ class PermutationOracle(GroupOracle):
             if sorted(images) != list(range(self.degree)):
                 raise ValueError(f"generator {x.name!r} is not a permutation of degree {self.degree}")
 
-    @property
+    @functools.cached_property
     def backend(self) -> str:
         return f"perm{self.degree}"
 
@@ -230,7 +226,7 @@ class FreeAbelianOracle(GroupOracle):
             if len(vec) != self.rank:
                 raise ValueError(f"generator {x.name!r} has length {len(vec)}, rank is {self.rank}")
 
-    @property
+    @functools.cached_property
     def backend(self) -> str:
         return f"zk{self.rank}"
 
@@ -322,7 +318,7 @@ class FreeGroupOracle(GroupOracle):
         self.alphabet = paired_letters(self.names)
         self._inverse = {x.name: inverse_name(x.name) for x in self.alphabet}
 
-    @property
+    @functools.cached_property
     def backend(self) -> str:
         return f"free{self.rank}"
 
@@ -405,7 +401,7 @@ class IntegerMatrixOracle(GroupOracle):
             if det not in (1, -1):
                 raise ValueError(f"generator {x.name!r} has determinant {det}, need +-1")
 
-    @property
+    @functools.cached_property
     def backend(self) -> str:
         return f"mat{self.dim}"
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import count
 from typing import Callable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Letter, Nfa, Word, _all_words_except, format_word, reachable
+from .automata import EPSILON, Letter, Nfa, Word, format_word, reachable, walk
 from .errors import InputContradictionError
 from .groups import GroupOracle, formal_inverse, free_reduce, inverse_name, paired_letters
 
@@ -202,8 +202,13 @@ def coword_demo_from_wp(oracle: GroupOracle) -> Enumerator:
     generated and the identity words are dropped, leaving a stream whose
     evaluation image is exactly the non-identity elements.
     """
-    nonempty = _all_words_except(EPSILON, oracle.alphabet)
-    return Enumerator(lambda: (w for w in nonempty.words() if not oracle.is_identity(w)))
+    identity = oracle.identity_key
+
+    def stream() -> Iterator[Word]:
+        nodes = walk(oracle.alphabet, oracle.start(), lambda state, x, n: oracle.act(state, x))
+        return (w for w, state in nodes if oracle.key(state) != identity)
+
+    return Enumerator(stream)
 
 
 # -- the decision loop ---------------------------------------------------

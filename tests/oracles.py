@@ -211,6 +211,28 @@ def wordwise_ball(oracle, radius):
     return out
 
 
+def wordwise_coverage(demo, radius, search_len, max_len=None):
+    """Coverage by key text, as verify_coverage computed it word by word:
+    every accepted word up to the larger bound is spelled through the
+    evaluation map and evaluated from scratch.  Returns the (key text,
+    first witness) pairs in the order found, the missing key texts and the
+    identity violations."""
+    if max_len is None:
+        max_len = search_len
+    oracle = demo.oracle
+    identity = ascii_evaluate(oracle, ())
+    targets = set(wordwise_ball(oracle, radius)) - {identity}
+    covered, violations = {}, []
+    for w in bf_language(demo.language, max(search_len, max_len)):
+        key = ascii_evaluate(oracle, tuple(y for x in w for y in demo.eval_map[x]))
+        if key == identity:
+            if len(w) <= max_len:
+                violations.append(w)
+        elif key in targets and key not in covered and len(w) <= search_len:
+            covered[key] = w
+    return list(covered.items()), targets - covered.keys(), violations
+
+
 # -- construction kernels ----------------------------------------------------
 
 

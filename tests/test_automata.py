@@ -19,6 +19,7 @@ from epicdemo.automata import (
     single_word,
     subtract_word,
     union,
+    walk,
 )
 from epicdemo.errors import AutomatonSizeError
 from epicdemo.wordproblem import language_enumerator
@@ -139,6 +140,21 @@ class TestEnumerate:
         assert list(islice(a.words(), len(expected))) == expected
         if language_enumerator(a).finite:
             assert list(a.words()) == bf_language(a, len(a.states))
+
+    def test_walk_prunes_extensions_and_respects_bounds(self):
+        # each node is its word; prefixes ending in "b b" are dropped
+        def step(node, x, n):
+            assert len(node) + 1 == n
+            word = node + (x,)
+            return None if word[-2:] == (B, B) else word
+
+        expected = [w for w in words_upto((A, B), 4) if (B, B) not in zip(w, w[1:])]
+        pairs = list(walk((A, B), EPSILON, step, 4))
+        assert [w for w, _ in pairs] == expected
+        assert all(w == node for w, node in pairs)
+        assert list(islice(walk((A, B), EPSILON, step), len(expected))) == pairs
+        assert list(walk((A, B), "root", step, 0)) == [(EPSILON, "root")]
+        assert list(walk((A, B), "root", step, -1)) == []
 
     @settings(deadline=None)
     @given(nfas())

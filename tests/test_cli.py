@@ -281,6 +281,24 @@ class TestWpDecide:
         assert code == 2
         assert "--budget must be positive" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--max-len", ["verify", "--demo", "Z", "--max-len", "-1", "--ball", "2"]),
+        ("--ball", ["verify", "--demo", "Z", "--max-len", "2", "--ball", "-1"]),
+        ("--search-len", ["verify", "--demo", "Z", "--max-len", "2", "--ball", "2",
+                          "--search-len", "-1"]),
+        ("--radius", ["ball", "--demo", "Z", "--radius", "-1"]),
+        ("--max-len", ["enumerate", "--demo", "Z", "--max-len", "-3"]),
+        ("--check-len", ["construct", "extension", "--normal", "N", "--quotient", "Q",
+                         "--group", "G", "--in-normal", "identity", "--check-len", "-1",
+                         "--out", "unused.epic"]),
+    ], ids=["verify-max-len", "verify-ball", "verify-search-len", "ball-radius",
+            "enumerate-max-len", "extension-check-len"])
+    def test_negative_length_is_usage_error(self, capsys, flag, argv):
+        code, out, err = run(capsys, "-f", DATA, *argv)
+        assert code == 2
+        assert err == f"error: {flag} must not be negative, got {argv[argv.index(flag) + 1]}\n"
+        assert out == ""
+
     def test_word_outside_alphabet(self, capsys):
         code, _, err = run(capsys, "-f", DATA, "wp", "decide",
                            "--presentation", "plane", "--demo", "ZK2",

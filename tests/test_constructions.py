@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word, single_word
+from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word, single_word, \
+    subtract_word
 from epicdemo.constructions import (
     CosetTable,
     EdgeLetter,
@@ -23,7 +25,8 @@ from epicdemo.demonstrations import Demonstration, finite_demo, z_demo, zk_demo
 from epicdemo.graphproduct import VertexGraph
 from epicdemo.groups import FreeAbelianOracle, IntegerMatrixOracle, PermutationOracle
 
-from oracles import bf_pruned_types
+from oracles import ascii_evaluate, bf_language, bf_pruned_types
+from test_demonstrations import demos
 from test_groups import heisenberg_oracle, s3_oracle, c2_oracle
 
 
@@ -118,6 +121,30 @@ class TestExtension:
             single_word(commutator, tuple(dict.fromkeys(commutator))))
         with pytest.raises(ValueError, match="into the subgroup"):
             extension(central_demo(oracle), bad_q, oracle, in_center, check_len=4)
+
+    @settings(deadline=None, max_examples=150)
+    @given(demos(), st.sampled_from(range(5)), st.data())
+    def test_quotient_check_matches_wordwise_reference(self, demo, check_len, data):
+        # the empty word always fails the check, so the quotient demo drops
+        # it; the subgroup test accepts the identity and drawn words' values
+        o = demo.oracle
+        demo_q = Demonstration(o, demo.eval_map, subtract_word(demo.language, EPSILON))
+        words = st.lists(st.sampled_from(o.alphabet), max_size=3).map(tuple)
+        normal = {ascii_evaluate(o, w) for w in data.draw(st.lists(words, max_size=3)) + [()]}
+        demo_n = Demonstration(o, {Letter("n"): EPSILON}, single_word(make_word("n")))
+        bad = [w for w in bf_language(demo_q.language, check_len)
+               if ascii_evaluate(o, sum((demo_q.eval_map[x] for x in w), ())) in normal]
+
+        def in_normal(key):
+            return key.render() in normal
+
+        if not bad:
+            extension(demo_n, demo_q, o, in_normal, check_len)
+            return
+        with pytest.raises(ValueError) as caught:
+            extension(demo_n, demo_q, o, in_normal, check_len)
+        assert str(caught.value) == ("quotient demo word evaluates into the subgroup: "
+                                     + " ".join(x.name for x in bad[0]))
 
     def test_letter_clash_rejected(self):
         oracle = heisenberg_oracle()

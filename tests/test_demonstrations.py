@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word
 from epicdemo.demonstrations import (
@@ -13,7 +14,28 @@ from epicdemo.demonstrations import (
 )
 from epicdemo.groups import FreeAbelianOracle, PermutationOracle, perm_from_cycles
 
-from test_groups import s3_oracle
+from oracles import wordwise_coverage
+from test_groups import oracles, s3_oracle
+
+
+@st.composite
+def demos(draw):
+    """A drawn oracle of any backend, an NFA of one to four states with
+    epsilon edges over one to three letters, and an evaluation map whose
+    images have zero to two letters."""
+    oracle = draw(oracles())
+    letters = [Letter(n) for n in "pqr"[:draw(st.integers(min_value=1, max_value=3))]]
+    states = list(range(draw(st.integers(min_value=1, max_value=4))))
+    transitions = draw(st.lists(st.tuples(st.sampled_from(states),
+                                          st.sampled_from(letters + [None]),
+                                          st.sampled_from(states)),
+                                min_size=len(states), max_size=16))
+    initials = draw(st.lists(st.sampled_from(states), min_size=1, max_size=len(states)))
+    accepting = draw(st.lists(st.sampled_from(states), min_size=1, max_size=len(states)))
+    language = Nfa(tuple(letters), frozenset(states), frozenset(transitions),
+                   frozenset(initials), frozenset(accepting))
+    images = st.lists(st.sampled_from(oracle.alphabet), max_size=2).map(tuple)
+    return Demonstration(oracle, {x: draw(images) for x in letters}, language)
 
 
 class TestZDemo:
@@ -123,6 +145,16 @@ class TestCoverageReport:
         ball = set(d.oracle.ball(3)) - {d.oracle.identity_key}
         assert set(report.covered) | set(report.missing) == ball
         assert not set(report.covered) & set(report.missing)
+
+    @settings(deadline=None, max_examples=200)
+    @given(demos(), st.sampled_from(range(4)), st.sampled_from(range(5)),
+           st.sampled_from([None, 0, 1, 2, 3, 4]))
+    def test_matches_wordwise_reference(self, demo, radius, search_len, max_len):
+        report = demo.verify_coverage(radius, search_len, max_len)
+        covered, missing, violations = wordwise_coverage(demo, radius, search_len, max_len)
+        assert [(k.render(), w) for k, w in report.covered.items()] == covered
+        assert {k.render() for k in report.missing} == missing
+        assert list(report.identity_violations) == violations
 
     def test_sorted_views_are_deterministic(self):
         report = z_demo().verify_coverage(3, 3)

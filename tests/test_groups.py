@@ -443,3 +443,10 @@ class TestOracleProtocol:
                     IntegerMatrixOracle, GraphProductOracle):
             assert {"start", "act", "key"} <= set(vars(cls))
             assert not {"evaluate", "identity_key", "ball"} & set(vars(cls))
+
+    @settings(deadline=None, max_examples=50)
+    @given(oracles())
+    def test_backend_tag_is_computed_once(self, o):
+        # keys are built per word, so the tag must not be formatted per key
+        assert o.backend is o.backend
+        assert o.evaluate(EPSILON).backend is o.identity_key.backend

@@ -24,8 +24,8 @@ from epicdemo.wordproblem import (
     replay,
 )
 
-from oracles import PairwiseContradiction, pairwise_decide_word
-from test_groups import s3_oracle
+from oracles import PairwiseContradiction, ascii_evaluate, pairwise_decide_word, words_upto
+from test_groups import oracles, s3_oracle
 
 
 PAIRED = st.sampled_from([Letter(n) for n in ("a", "a^-1", "b", "b^-1")])
@@ -229,6 +229,16 @@ class TestCowordStream:
         seen = {oracle.evaluate(e.get(i)) for i in range(500)}
         wanted = set(oracle.ball(3)) - {oracle.identity_key}
         assert wanted <= seen
+
+    @settings(deadline=None, max_examples=100)
+    @given(oracles())
+    def test_matches_wordwise_reference(self, o):
+        # every word up to a length at which the sweep stays small
+        length = max(n for n in range(5) if len(o.alphabet) ** n <= 300)
+        identity = ascii_evaluate(o, ())
+        expected = [w for w in words_upto(o.alphabet, length) if ascii_evaluate(o, w) != identity]
+        e = coword_demo_from_wp(o)
+        assert [e.get(i) for i in range(len(expected))] == expected
 
     def test_first_ten_thousand_avoid_identity(self):
         oracle = FreeAbelianOracle(1, {Letter("a"): (1,), Letter("a^-1"): (-1,)})
