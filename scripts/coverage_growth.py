@@ -55,7 +55,7 @@ def resolve(cfg: Config):
 def main(argv=None) -> int:
     cfg = parse_args(argv)
     demo = resolve(cfg)
-    print(f"demo {cfg.demo}: alphabet {' '.join(x.name for x in demo.language.alphabet)}")
+    print(f"demo {cfg.demo}: alphabet {' '.join(demo.language.alphabet)}")
     print(f"{'radius':>6} {'ball':>6} {'covered':>8} {'missing':>8} {'seconds':>8}")
     clean = True
     for radius in range(1, cfg.max_radius + 1):

@@ -1,7 +1,8 @@
-"""Nondeterministic finite automata over interned letter alphabets.
+"""Nondeterministic finite automata over letter alphabets.
 
-Letters are value objects identified by their display string, so two
-automata agree on a letter exactly when they spell it the same way.  Words
+Letters are strings: a ``Letter`` equals, hashes and sorts as its display
+string, so two automata agree on a letter exactly when they spell it the
+same way, and sets and maps of letters work on the names directly.  Words
 are tuples of letters and the empty tuple is the empty word.  Epsilon
 transitions are stored explicitly (label ``None``) and never eliminated
 eagerly; decision procedures work on epsilon-closed state subsets instead.
@@ -43,21 +44,22 @@ def state_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    """A single symbol, identified by its display string."""
+class Letter(str):
+    """A single symbol: a non-empty string without whitespace."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name or any(c.isspace() for c in self.name):
-            raise ValueError(f"letter name must be non-empty without whitespace: {self.name!r}")
+    def __new__(cls, name: str):
+        if name.split() != [name]:
+            raise ValueError(f"letter name must be non-empty without whitespace: {name!r}")
+        return super().__new__(cls, name)
+
+    @property
+    def name(self) -> str:
+        return str(self)
 
     def __repr__(self):
-        return f"Letter({self.name!r})"
-
-    def __str__(self):
-        return self.name
+        return f"Letter({str(self)!r})"
 
 
 Word = tuple[Letter, ...]
@@ -72,7 +74,7 @@ def format_word(word: Word) -> str:
     """Render a word as space-separated letter names, ``eps`` for the empty word."""
     if not word:
         return "eps"
-    return " ".join(x.name for x in word)
+    return " ".join(word)
 
 
 def parse_word(text: str) -> Word:
@@ -91,22 +93,15 @@ def check_alphabet(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     for x in out:
         if not isinstance(x, Letter):
             raise TypeError(f"alphabet entries must be Letter, got {x!r}")
-        if x.name in seen:
+        if x in seen:
             raise ValueError(f"duplicate letter {x.name!r} in alphabet")
-        seen.add(x.name)
+        seen.add(x)
     return out
 
 
 def merge_alphabets(*alphabets: Iterable[Letter]) -> tuple[Letter, ...]:
     """Order-preserving union: left operand first, then unseen letters."""
-    out: list[Letter] = []
-    seen: set[str] = set()
-    for alphabet in alphabets:
-        for x in alphabet:
-            if x.name not in seen:
-                seen.add(x.name)
-                out.append(x)
-    return tuple(out)
+    return tuple(dict.fromkeys(x for alphabet in alphabets for x in alphabet))
 
 
 def reachable(starts: Iterable[State],
@@ -182,7 +177,7 @@ class Nfa:
         for (p, label, q) in self.transitions:
             if p not in self.states or q not in self.states:
                 raise ValueError(f"transition endpoint not a state: {(p, label, q)!r}")
-            if label is not None and label not in letters:
+            if label is not None and (not isinstance(label, Letter) or label not in letters):
                 raise ValueError(f"transition label {label!r} not in the alphabet")
 
     # -- cached structure ------------------------------------------------
@@ -367,8 +362,7 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
     fa = _epsilon_free(a)
     fb = _epsilon_free(b)
-    in_b = {x.name for x in fb.alphabet}
-    shared = [x for x in fa.alphabet if x.name in in_b]
+    shared = [x for x in fa.alphabet if x in fb.alphabet]
     initials = frozenset((p, q) for p in fa.initials for q in fb.initials)
     states = set(initials)
     transitions = set()
@@ -402,10 +396,9 @@ def image_hom(a: Nfa, phi: Mapping[Letter, Word], allow_erasing: bool = False,
             raise ValueError(f"substitution erases {x.name!r} but allow_erasing is False")
     if target_alphabet is not None:
         alphabet = check_alphabet(target_alphabet)
-        target_names = {y.name for y in alphabet}
         for x in a.alphabet:
             for y in phi[x]:
-                if y.name not in target_names:
+                if y not in alphabet:
                     raise ValueError(f"image of {x.name!r} uses {y.name!r} outside the target alphabet")
     else:
         alphabet = merge_alphabets(*(phi[x] for x in a.alphabet))
@@ -447,13 +440,12 @@ def inverse_letter_hom(a: Nfa, hom: Mapping[Letter, Letter],
     place; epsilon edges are kept.
     """
     alphabet = check_alphabet(domain)
-    targets = {x.name for x in a.alphabet}
     preimages: dict = {}
     for d in alphabet:
         if d not in hom:
             raise ValueError(f"letter map is missing domain letter {d.name!r}")
         x = hom[d]
-        if x.name not in targets:
+        if x not in a.alphabet:
             raise ValueError(f"letter map sends {d.name!r} to {x.name!r} outside the automaton alphabet")
         preimages.setdefault(x, []).append(d)
     transitions = set()

@@ -125,7 +125,10 @@ def _named_pairs(values, what):
         name, eq, rhs = item.partition("=")
         if not eq:
             raise UsageError(f"{what} takes NAME=WORD, got {item!r}")
-        out.append((Letter(name.strip()), parse_word(rhs)))
+        try:
+            out.append((Letter(name.strip()), parse_word(rhs)))
+        except ValueError as e:
+            raise UsageError(f"{what} takes NAME=WORD, got {item!r}: {e}") from None
     return out
 
 
@@ -227,16 +230,15 @@ def cmd_ball(ws: Workspace, args) -> int:
 def cmd_wp_decide(ws: Workspace, args) -> int:
     presentation = _resolve(ws.presentations, "presentation", args.presentation)
     demo = _resolve_demo(ws, args.demo)
-    allowed = {x.name for x in presentation.alphabet}
     for letter, image in demo.eval_map.items():
         for y in image:
-            if y.name not in allowed:
+            if y not in presentation.alphabet:
                 raise UsageError(
                     f"demonstration letter {letter.name!r} evaluates through "
                     f"{y.name!r}, which the presentation does not generate")
     word = parse_word(args.word)
     for x in word:
-        if x.name not in allowed:
+        if x not in presentation.alphabet:
             raise UsageError(f"word letter {x.name!r} is outside the presentation alphabet")
     if args.budget < 1:
         raise UsageError(f"--budget must be positive, got {args.budget}")
@@ -341,7 +343,10 @@ def cmd_graph_product(ws: Workspace, args) -> int:
         if not eq:
             raise UsageError(f"--vertex takes VERTEX=DEMO, got {item!r}")
         local[v] = _resolve_demo(ws, demo_name)
-    graph = VertexGraph.make(vertices, edges)
+    try:
+        graph = VertexGraph.make(vertices, edges)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     out = graph_product(graph, local)
     _write_demo_bundle(ws, out, args.name, args.out)
     print(f"wrote {args.out}")

@@ -21,6 +21,7 @@ from .automata import (
     check_alphabet,
     concat,
     finite_language,
+    format_word,
     image_hom,
     intersect,
     inverse_letter_hom,
@@ -83,19 +84,15 @@ def extension(demo_n: Demonstration, demo_q: Demonstration,
         raise ValueError("both demonstrations must evaluate in the supplied oracle")
     if not in_normal(oracle.identity_key):
         raise ValueError("in_normal rejects the identity, predicate looks inverted")
-    n_names = {x.name for x in demo_n.language.alphabet}
-    q_names = {x.name for x in demo_q.language.alphabet}
-    clash = n_names & q_names
+    clash = set(demo_n.language.alphabet) & set(demo_q.language.alphabet)
     if clash:
-        raise ValueError(f"letter sets must be disjoint, both use {sorted(clash)}")
+        raise ValueError(f"letter sets must be disjoint, both use {sorted(map(str, clash))}")
     for x in demo_n.language.alphabet:
         if not in_normal(demo_n.evaluate((x,))):
             raise ValueError(f"letter {x.name!r} of the subgroup demo is outside the subgroup")
     for w, key in demo_q.keyed_words(check_len):
         if in_normal(key):
-            raise ValueError(
-                f"quotient demo word evaluates into the subgroup: "
-                f"{' '.join(x.name for x in w)}")
+            raise ValueError(f"quotient demo word evaluates into the subgroup: {' '.join(w)}")
     language = union(demo_n.language,
                      union(demo_q.language, concat(demo_n.language, demo_q.language)))
     eval_map = {**demo_n.eval_map, **demo_q.eval_map}
@@ -119,9 +116,10 @@ def fi_overgroup(demo: Demonstration, oracle: GroupOracle,
     if demo.oracle != oracle:
         raise ValueError("demonstration must evaluate in the supplied oracle")
     t_alphabet = check_alphabet(transversal.keys())
-    clash = {x.name for x in demo.language.alphabet} & {t.name for t in t_alphabet}
+    clash = set(demo.language.alphabet) & set(t_alphabet)
     if clash:
-        raise ValueError(f"transversal letters clash with the subgroup demo: {sorted(clash)}")
+        raise ValueError(
+            f"transversal letters clash with the subgroup demo: {sorted(map(str, clash))}")
     for t in t_alphabet:
         word = transversal[t]
         if oracle.is_identity(word):
@@ -213,7 +211,7 @@ class EdgeLetter:
 
     @property
     def letter(self) -> Letter:
-        return Letter(f"({self.source}|{self.generator.name}|{self.target})")
+        return Letter(f"({self.source}|{self.generator}|{self.target})")
 
 
 def fi_subgroup(demo: Demonstration, table: CosetTable,
@@ -231,9 +229,7 @@ def fi_subgroup(demo: Demonstration, table: CosetTable,
     closed.
     """
     oracle = demo.oracle
-    lang_names = {x.name for x in demo.language.alphabet}
-    oracle_names = {x.name for x in oracle.alphabet}
-    if lang_names != oracle_names:
+    if set(demo.language.alphabet) != set(oracle.alphabet):
         raise ValueError("language alphabet must equal the oracle alphabet")
     for x in demo.language.alphabet:
         if demo.eval_map[x] != (x,):
@@ -345,13 +341,13 @@ def graph_product(graph: VertexGraph,
     if missing:
         raise ValueError(f"no local demonstration for vertices: {missing}")
     oracle = GraphProductOracle(graph, {v: local[v].oracle for v in graph.vertices})
-    seen: dict[str, str] = {}
+    seen: dict[Letter, str] = {}
     for v in graph.vertices:
         for x in local[v].language.alphabet:
-            if x.name in seen:
+            if x in seen:
                 raise ValueError(
-                    f"language letter {x.name!r} used by vertices {seen[x.name]!r} and {v!r}")
-            seen[x.name] = v
+                    f"language letter {x.name!r} used by vertices {seen[x]!r} and {v!r}")
+            seen[x] = v
     normalized = {}
     for v in graph.vertices:
         try:
@@ -363,9 +359,8 @@ def graph_product(graph: VertexGraph,
     (adm_initial,) = adm.initials
     label: dict = {}
     for (p, letter, q) in adm.transitions:
-        if q in label and label[q] != letter.name:
+        if label.setdefault(q, letter) != letter:
             raise AssertionError("admissible state entered by two different vertices")
-        label[q] = letter.name
 
     alphabet = merge_alphabets(*(local[v].language.alphabet for v in graph.vertices))
     states: set = {("glue-init",)}
@@ -434,9 +429,9 @@ def pad_triple_word(u: Word, v: Word, w: Word) -> Word:
     out = []
     for i in range(k):
         out.append(make_triple(
-            u[i].name if i < len(u) else PAD_NAME,
-            v[i].name if i < len(v) else PAD_NAME,
-            w[i].name if i < len(w) else PAD_NAME))
+            u[i] if i < len(u) else PAD_NAME,
+            v[i] if i < len(v) else PAD_NAME,
+            w[i] if i < len(w) else PAD_NAME))
     return tuple(out)
 
 
@@ -449,7 +444,7 @@ class SyncTripleAutomaton:
 
     def __post_init__(self):
         self.base = check_alphabet(self.base)
-        allowed = {x.name for x in self.base} | {PAD_NAME}
+        allowed = {*self.base, PAD_NAME}
         for letter in self.nfa.alphabet:
             comps = split_triple(letter)
             for c in comps:
@@ -487,7 +482,7 @@ def autostackable_projection(t: SyncTripleAutomaton) -> Nfa:
     """
     violations = _padding_violations(t)
     if not violations.is_empty():
-        shown = " ".join(x.name for x in next(violations.words()))
+        shown = format_word(next(violations.words()))
         raise ValueError(f"padding does not persist to the end of words, e.g.: {shown}")
     padded_base = t.base + (PAD,)
     first = image_hom(
@@ -512,9 +507,8 @@ def cross_section_to_demo(nfa: Nfa, oracle: GroupOracle,
     """
     if not nfa.accepts(identity_rep):
         raise ValueError("claimed identity representative is not in the language")
-    oracle_names = {x.name for x in oracle.alphabet}
     for x in nfa.alphabet:
-        if x.name not in oracle_names:
+        if x not in oracle.alphabet:
             raise ValueError(f"letter {x.name!r} is not an oracle generator")
     if not oracle.is_identity(identity_rep):
         raise ValueError("claimed identity representative evaluates elsewhere")

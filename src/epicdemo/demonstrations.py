@@ -47,16 +47,13 @@ class Demonstration:
     language: Nfa
 
     def __post_init__(self):
-        lang_names = {x.name for x in self.language.alphabet}
-        map_names = {x.name for x in self.eval_map}
-        if lang_names != map_names:
+        if set(self.language.alphabet) != self.eval_map.keys():
             raise ValueError(
-                f"evaluation map covers {sorted(map_names)} but the language "
-                f"alphabet is {sorted(lang_names)}")
-        oracle_names = {x.name for x in self.oracle.alphabet}
+                f"evaluation map covers {sorted(map(str, self.eval_map))} but the "
+                f"language alphabet is {sorted(map(str, self.language.alphabet))}")
         for x, image in self.eval_map.items():
             for y in image:
-                if y.name not in oracle_names:
+                if y not in self.oracle.alphabet:
                     raise ValueError(
                         f"letter {x.name!r} evaluates through {y.name!r} "
                         f"which the oracle does not know")

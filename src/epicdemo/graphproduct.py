@@ -71,15 +71,13 @@ class GraphProductOracle(GroupOracle):
         extra = [v for v in self.vertex_oracles if v not in graph.vertices]
         if extra:
             raise ValueError(f"oracles for unknown vertices: {extra}")
-        self._letter_vertex: dict[str, str] = {}
-        alphabet: list[Letter] = []
+        self._letter_vertex: dict[Letter, str] = {}
         for v in graph.vertices:
             for x in self.vertex_oracles[v].alphabet:
-                if x.name in self._letter_vertex:
+                if x in self._letter_vertex:
                     raise ValueError(f"letter {x.name!r} appears in two vertex alphabets")
-                self._letter_vertex[x.name] = v
-                alphabet.append(x)
-        self.alphabet = tuple(alphabet)
+                self._letter_vertex[x] = v
+        self.alphabet = tuple(self._letter_vertex)
         self._rank = {v: i for i, v in enumerate(graph.vertices)}
         self._neighbours = {v: {u for u in graph.vertices if graph.adjacent(u, v)}
                             for v in graph.vertices}
@@ -98,12 +96,12 @@ class GraphProductOracle(GroupOracle):
 
     def vertex_of(self, letter: Letter) -> str:
         try:
-            return self._letter_vertex[letter.name]
+            return self._letter_vertex[letter]
         except KeyError:
             raise ValueError(f"letter {letter.name!r} is not in any vertex alphabet") from None
 
-    # the state is the normal form: (vertex, local word, local state)
-    # syllables in ShortLex-least vertex order
+    # the state is the normal form: (vertex, local word, local state, local
+    # key) syllables in ShortLex-least vertex order
 
     def start(self) -> tuple:
         return ()
@@ -116,7 +114,7 @@ class GraphProductOracle(GroupOracle):
             i -= 1
         if i and state[i - 1][0] == v:
             i -= 1
-            _, sub, s = state[i]
+            _, sub, s, _ = state[i]
             rest = state[i + 1:]
         else:
             sub, s = (), local.start()
@@ -124,16 +122,16 @@ class GraphProductOracle(GroupOracle):
                 i += 1
             rest = state[i:]
         s = local.act(s, letter)
-        if local.key(s) == self._identity_keys[v]:
+        k = local.key(s)
+        if k == self._identity_keys[v]:
             return state[:i] + rest
-        return state[:i] + ((v, sub + (letter,), s),) + rest
+        return state[:i] + ((v, sub + (letter,), s, k),) + rest
 
     def key(self, state: tuple) -> ElementKey:
-        return ElementKey(self.backend, tuple((v, self.vertex_oracles[v].key(s))
-                                              for v, _, s in state))
+        return ElementKey(self.backend, tuple((v, k) for v, _, _, k in state))
 
     def prune(self, word: Word) -> tuple[Word, tuple[str, ...]]:
         """Normal form of the word, spelled as its syllables' local words
         in order, and its type string."""
         state = self.fold(word)
-        return tuple(x for _, sub, _ in state for x in sub), tuple(v for v, _, _ in state)
+        return tuple(x for _, sub, *_ in state for x in sub), tuple(v for v, *_ in state)

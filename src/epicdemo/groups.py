@@ -107,16 +107,17 @@ class GroupOracle(ABC):
         root = (self.start(), self.identity_key)
         return {key: w for w, (_, key) in walk(self.alphabet, root, step, radius)}
 
+    @functools.cached_property
+    def _inverse_letters(self) -> dict:
+        return {}
+
     def inverse_letter(self, letter: Letter) -> Letter:
         """First letter in declaration order inverting ``letter``.
 
         Raises ValueError when the alphabet is not inverse-closed at this
         letter.
         """
-        cache = getattr(self, "_inverse_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_inverse_cache", cache)
+        cache = self._inverse_letters
         if letter in cache:
             return cache[letter]
         for y in self.alphabet:
@@ -129,13 +130,12 @@ class GroupOracle(ABC):
         return tuple(self.inverse_letter(x) for x in reversed(word))
 
     @functools.cached_property
-    def _alphabet_names(self) -> frozenset:
-        return frozenset(x.name for x in self.alphabet)
+    def _letters(self) -> frozenset:
+        return frozenset(self.alphabet)
 
     def _check_word(self, word: Word):
-        names = self._alphabet_names
         for x in word:
-            if x.name not in names:
+            if x not in self._letters:
                 raise ValueError(f"letter {x.name!r} is not in the oracle alphabet")
 
 
@@ -269,7 +269,7 @@ def inverse_name(name: str) -> str:
 
 def formal_inverse(word: Word) -> Word:
     """Reversed word with every letter replaced by its paired inverse."""
-    return tuple(Letter(inverse_name(x.name)) for x in reversed(word))
+    return tuple(Letter(inverse_name(x)) for x in reversed(word))
 
 
 def free_reduce(word: Word, alphabet: Optional[tuple[Letter, ...]] = None) -> Word:
@@ -280,15 +280,14 @@ def free_reduce(word: Word, alphabet: Optional[tuple[Letter, ...]] = None) -> Wo
     formal inverse must belong to it.
     """
     if alphabet is not None:
-        names = {x.name for x in alphabet}
         for x in word:
-            if x.name not in names:
+            if x not in alphabet:
                 raise ValueError(f"letter {x.name!r} is outside the alphabet")
-            if inverse_name(x.name) not in names:
+            if inverse_name(x) not in alphabet:
                 raise ValueError(f"letter {x.name!r} has no paired inverse in the alphabet")
     stack: list[Letter] = []
     for x in word:
-        if stack and stack[-1].name == inverse_name(x.name):
+        if stack and stack[-1] == inverse_name(x):
             stack.pop()
         else:
             stack.append(x)
@@ -316,7 +315,7 @@ class FreeGroupOracle(GroupOracle):
         if len(self.names) != self.rank:
             raise ValueError("need exactly one name per generator")
         self.alphabet = paired_letters(self.names)
-        self._inverse = {x.name: inverse_name(x.name) for x in self.alphabet}
+        self._inverse = {x: inverse_name(x) for x in self.alphabet}
 
     @functools.cached_property
     def backend(self) -> str:
@@ -326,12 +325,12 @@ class FreeGroupOracle(GroupOracle):
         return EPSILON
 
     def act(self, state: Word, letter: Letter) -> Word:
-        if state and state[-1].name == self._inverse[letter.name]:
+        if state and state[-1] == self._inverse[letter]:
             return state[:-1]
         return state + (letter,)
 
     def key(self, state: Word) -> ElementKey:
-        return ElementKey(self.backend, tuple(x.name for x in state))
+        return ElementKey(self.backend, state)
 
 
 # -- integer matrices ----------------------------------------------------

@@ -68,7 +68,6 @@ class Enumerator:
     """
 
     def __init__(self, factory: Callable[[], Iterator[Word]], finite: bool = False):
-        self._factory = factory
         self._iter = factory()
         self._cache: list[Word] = []
         self._dry = False
@@ -123,7 +122,7 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
                 yield tuple(prefix)
                 return
             for x in alphabet:
-                if prefix and prefix[-1].name == inverse_name(x.name):
+                if prefix and prefix[-1] == inverse_name(x):
                     continue
                 prefix.append(x)
                 yield from extend(k - 1)

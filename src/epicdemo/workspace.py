@@ -141,7 +141,7 @@ def _parse_automaton(block: _Block) -> Nfa:
         else:
             block.fail(f"unknown automaton line {key!r}", lineno)
     known = set(states)
-    letters = dict({x.name: x for x in alphabet}, eps=None)
+    letters = dict(zip(alphabet, alphabet), eps=None)
     for lineno, src, label, tgt in transitions:
         for s in (src, tgt):
             if s not in known:
@@ -206,7 +206,7 @@ def _parse_group(block: _Block):
                 gens[Letter(gen_name)] = perm_from_cycles(cycles, degree)
             return name, PermutationOracle(degree, gens)
         if flavor == "matrix":
-            if block.header[2] != "dim" or len(block.header) != 4:
+            if len(block.header) != 4 or block.header[2] != "dim":
                 block.fail("matrix header: group NAME matrix dim N")
             dim = int(block.header[3])
             gens = {}
@@ -215,7 +215,7 @@ def _parse_group(block: _Block):
                 gens[Letter(gen_name)] = tuple(tuple(r) for r in rows)
             return name, IntegerMatrixOracle(dim, gens)
         if flavor == "zk":
-            if block.header[2] != "rank" or len(block.header) != 4:
+            if len(block.header) != 4 or block.header[2] != "rank":
                 block.fail("zk header: group NAME zk rank K")
             rank = int(block.header[3])
             gens = {}
@@ -224,7 +224,7 @@ def _parse_group(block: _Block):
                 gens[Letter(gen_name)] = tuple(vec)
             return name, FreeAbelianOracle(rank, gens)
         if flavor == "free":
-            if block.header[2] != "rank" or len(block.header) != 4:
+            if len(block.header) != 4 or block.header[2] != "rank":
                 block.fail("free header: group NAME free rank K")
             rank = int(block.header[3])
             names = None
@@ -517,7 +517,7 @@ def render_automaton(name: str, nfa: Nfa) -> str:
     by_index = list(names)  # canonical_states inserts s0, s1, ... in order
     index = {s: i for i, s in enumerate(by_index)}
     lines = [f"automaton {name}"]
-    lines.append("  alphabet " + " ".join(x.name for x in nfa.alphabet))
+    lines.append("  alphabet " + " ".join(nfa.alphabet))
     lines.append("  states " + " ".join(names[s] for s in by_index))
     lines.append("  initial " + " ".join(
         names[s] for s in by_index if s in nfa.initials))
@@ -527,8 +527,7 @@ def render_automaton(name: str, nfa: Nfa) -> str:
         p, label, q = edge
         return (index[p], letter_rank[label], index[q])
     for (p, label, q) in sorted(nfa.transitions, key=edge_key):
-        text = label.name if label is not None else "eps"
-        lines.append(f"  trans {names[p]} {text} {names[q]}")
+        lines.append(f"  trans {names[p]} {label or 'eps'} {names[q]}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -540,17 +539,17 @@ def render_group(ws: Workspace, name: str) -> str:
         for x in oracle.alphabet:
             cycles = cycles_from_perm(oracle.gens[x])
             text = "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
-            lines.append(f"  gen {x.name} = {text or '()'}")
+            lines.append(f"  gen {x} = {text or '()'}")
     elif isinstance(oracle, IntegerMatrixOracle):
         lines = [f"group {name} matrix dim {oracle.dim}"]
         for x in oracle.alphabet:
             rows = json.dumps([list(r) for r in oracle.gens[x]], separators=(",", ":"))
-            lines.append(f"  gen {x.name} = {rows}")
+            lines.append(f"  gen {x} = {rows}")
     elif isinstance(oracle, FreeAbelianOracle):
         lines = [f"group {name} zk rank {oracle.rank}"]
         for x in oracle.alphabet:
             vec = json.dumps(list(oracle.gens[x]), separators=(",", ":"))
-            lines.append(f"  gen {x.name} = {vec}")
+            lines.append(f"  gen {x} = {vec}")
     elif isinstance(oracle, FreeGroupOracle):
         lines = [f"group {name} free rank {oracle.rank}"]
         lines.append("  names " + " ".join(oracle.names))
@@ -575,7 +574,7 @@ def render_demonstration(ws: Workspace, name: str) -> str:
     lines = [f"demonstration {name}"]
     lines.append(f"  group {group_name}")
     for x in demo.language.alphabet:
-        lines.append(f"  letter {x.name} = {format_word(demo.eval_map[x])}")
+        lines.append(f"  letter {x} = {format_word(demo.eval_map[x])}")
     lines.append(f"  automaton {automaton_name}")
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -594,7 +593,7 @@ def render_cosettable(ws: Workspace, name: str) -> str:
         (source, letter), _target = item
         return (coset_rank[source], letter_rank.get(letter, len(letter_rank)))
     for (source, letter), target in sorted(table.action.items(), key=action_key):
-        lines.append(f"  action {source} {letter.name} {target}")
+        lines.append(f"  action {source} {letter} {target}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -8,6 +8,7 @@ from epicdemo.automata import (
     Letter,
     Nfa,
     _epsilon_free,
+    check_alphabet,
     concat,
     finite_language,
     image_hom,
@@ -92,6 +93,25 @@ class TestLetters:
     def test_duplicate_letter_in_alphabet_rejected(self):
         with pytest.raises(ValueError):
             finite_language([], alphabet=(A, Letter("a")))
+
+    def test_letter_is_its_name(self):
+        x = Letter("a^-1")
+        assert isinstance(x, str) and x == "a^-1" and hash(x) == hash("a^-1")
+        assert {"a^-1": 1}[x] == 1 and x in {"a^-1"}
+        assert type(x.name) is str and x.name == "a^-1"
+        assert repr(x) == "Letter('a^-1')" and str(x) == f"{x}" == "a^-1"
+        assert not hasattr(x, "__dict__")
+
+    def test_sorts_as_its_name(self):
+        names = ["b", "a^-1", "#pad", "(u|a|v)", "a", "B", "a1"]
+        assert [x.name for x in sorted(map(Letter, names))] == sorted(names)
+
+    def test_plain_strings_are_not_letters(self):
+        with pytest.raises(TypeError):
+            check_alphabet(["a"])
+        with pytest.raises(ValueError, match="not in the alphabet"):
+            Nfa((A,), frozenset({0, 1}), frozenset({(0, "a", 1)}),
+                frozenset({0}), frozenset({1}))
 
 
 class TestMembership:

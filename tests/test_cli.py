@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -203,6 +206,23 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "key predicate" in err
 
+    CHANGE_GENS = ("construct", "change-gens", "--demo", "Z", "--image", "a=b",
+                   "--image", "a^-1=b^-1")
+    GRAPH_PRODUCT = ("construct", "graph-product", "--vertex", "u=Z", "--vertex", "v=FREE2")
+
+    @pytest.mark.parametrize("argv, match", [
+        (CHANGE_GENS + ("--letter", "=a", "--letter", "b^-1=a^-1"), "--letter takes NAME=WORD"),
+        (CHANGE_GENS + ("--letter", "b=a eps", "--letter", "b^-1=a^-1"), "'eps' is reserved"),
+        (GRAPH_PRODUCT + ("--vertices", "u v", "--edge", "u-"), "edge endpoint not a vertex"),
+        (GRAPH_PRODUCT + ("--vertices", "u u"), "vertex names must be distinct"),
+    ], ids=["letter-without-name", "letter-with-eps", "edge-without-end", "repeated-vertex"])
+    def test_malformed_flag_value_is_usage_error(self, capsys, tmp_path, argv, match):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.epic"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and match in err
+        assert not (tmp_path / "out.epic").exists()
+
 
 class TestWpDecide:
     def test_in_wp(self, capsys):
@@ -400,6 +420,43 @@ class TestConstructVerbs:
         code, out, _ = run(capsys, "-f", str(out_path), "verify", "--demo", "plane",
                            "--max-len", "6", "--ball", "3", "--strict")
         assert code == 0
+
+    def test_output_does_not_depend_on_hash_seed(self, tmp_path):
+        """Sets and maps of letters hash like strings, so their iteration
+        order varies with PYTHONHASHSEED; no output may follow it."""
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        fixture = tmp_path / "locals.epic"
+        fixture.write_text(
+            "group C perm degree 3\n  gen r = (1 2 3)\n  gen r2 = (1 3 2)\nend\n"
+            "automaton cl\n  alphabet r r2\n  states s0 s1\n  initial s0\n  accept s1\n"
+            "  trans s0 r s1\n  trans s0 r2 s1\nend\n"
+            "demonstration Cdemo\n  group C\n  automaton cl\nend\n"
+            "group B zk rank 1\n  gen c = [1]\n  gen c^-1 = [-1]\nend\n"
+            "automaton bl\n  alphabet c c^-1\n  states s0 s1 s2\n  initial s0\n"
+            "  accept s1 s2\n  trans s0 c s1\n  trans s1 c s1\n"
+            "  trans s0 c^-1 s2\n  trans s2 c^-1 s2\nend\n"
+            "demonstration Bdemo\n  group B\n  automaton bl\nend\n")
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            bundle = tmp_path / f"product{seed}.epic"
+            steps = [
+                ["-f", str(fixture), "construct", "graph-product", "--vertices", "u v w",
+                 "--edge", "u-v", "--vertex", "u=Cdemo", "--vertex", "v=FREE2",
+                 "--vertex", "w=Bdemo", "--name", "prod", "--out", str(bundle)],
+                ["-f", str(bundle), "verify", "--demo", "prod", "--max-len", "4",
+                 "--ball", "3"],
+                ["-f", str(bundle), "ball", "--demo", "prod", "--radius", "3"],
+            ]
+            outputs = []
+            for argv in steps:
+                done = subprocess.run([sys.executable, "-m", "epicdemo.cli", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+                outputs.append(done.stdout.replace(str(bundle), "BUNDLE"))
+            runs.append((outputs, bundle.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_project_then_cross_section(self, capsys, tmp_path):
         fixture = tmp_path / "triples.epic"

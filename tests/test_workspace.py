@@ -220,6 +220,17 @@ class TestGroupBlocks:
             load_str(text)
         assert caught.value.line == line
 
+    @pytest.mark.parametrize("flavor, form", [
+        ("matrix", "group NAME matrix dim N"),
+        ("zk", "group NAME zk rank K"),
+        ("free", "group NAME free rank K"),
+    ], ids=["matrix", "zk", "free"])
+    def test_short_header_names_expected_form(self, flavor, form):
+        with pytest.raises(LoadError) as caught:
+            load_str(f"group g {flavor}\nend\n")
+        assert str(caught.value).endswith(f"{flavor} header: {form}")
+        assert caught.value.line == 1
+
     def test_large_unimodular_matrix_loads_fast(self):
         # dense, determinant 1: the product of the all-ones lower and upper
         # unitriangular 12x12 matrices; cofactor expansion would make 12! calls
