@@ -16,7 +16,7 @@ alphabets keeps the left operand's order and appends unseen letters.
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
@@ -339,45 +339,47 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
-def _epsilon_free(a: Nfa) -> Nfa:
-    """Equivalent automaton without epsilon transitions."""
-    out_edges: dict = {}
+def _closed_edges(a: Nfa) -> tuple[dict, frozenset]:
+    """Epsilon removal: ``{state: {letter: targets}}`` giving each state
+    every letter edge that leaves its epsilon closure, and the states
+    whose closure accepts."""
+    edges: dict = defaultdict(lambda: defaultdict(set))
     for (p, label, q) in a.transitions:
         if label is not None:
-            out_edges.setdefault(p, []).append((label, q))
-    transitions = set()
-    accepting = set()
-    for p in a.states:
+            edges[p][label].add(q)
+    accepting = set(a.accepting)
+    for p in a._eps_edges:  # every other state is its own closure
         closure = a.eps_closure([p])
         if closure & a.accepting:
             accepting.add(p)
-        for c in closure:
-            for (label, q) in out_edges.get(c, ()):
-                transitions.add((p, label, q))
-    return Nfa(a.alphabet, a.states, frozenset(transitions), a.initials, frozenset(accepting))
+        for c in closure - {p}:
+            for label, targets in edges.get(c, {}).items():
+                edges[p][label] |= targets
+    return edges, frozenset(accepting)
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product automaton for the intersection, restricted to reachable pairs."""
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
-    fa = _epsilon_free(a)
-    fb = _epsilon_free(b)
-    shared = [x for x in fa.alphabet if x in fb.alphabet]
-    initials = frozenset((p, q) for p in fa.initials for q in fb.initials)
+    left, left_accepting = _closed_edges(a)
+    right, right_accepting = _closed_edges(b)
+    initials = frozenset((p, q) for p in a.initials for q in b.initials)
     states = set(initials)
     transitions = set()
     queue = deque(initials)
     while queue:
-        (p, q) = queue.popleft()
-        for x in shared:
-            for p2 in fa._letter_edges.get((p, x), ()):
-                for q2 in fb._letter_edges.get((q, x), ()):
+        p, q = source = queue.popleft()
+        edges = right.get(q, {})
+        for x, targets in left.get(p, {}).items():
+            for q2 in edges.get(x, ()):
+                for p2 in targets:
                     pair = (p2, q2)
-                    transitions.add(((p, q), x, pair))
+                    transitions.add((source, x, pair))
                     if pair not in states:
                         states.add(pair)
                         queue.append(pair)
-    accepting = frozenset(s for s in states if s[0] in fa.accepting and s[1] in fb.accepting)
+    accepting = frozenset(s for s in states if s[0] in left_accepting
+                          and s[1] in right_accepting)
     return Nfa(alphabet, frozenset(states), frozenset(transitions), initials, accepting)
 
 

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from .automata import Letter, format_word, parse_word
+from .automata import Letter, Word, format_word, parse_word
 from .constructions import (
     SyncTripleAutomaton,
     autostackable_projection,
@@ -132,6 +132,13 @@ def _named_pairs(values, what):
     return out
 
 
+def _flag_word(flag: str, text: str) -> Word:
+    try:
+        return parse_word(text)
+    except ValueError as e:
+        raise UsageError(f"{flag} takes a word, got {text!r}: {e}") from None
+
+
 def _bundle_group_name(bundle: Workspace, ws: Workspace, oracle, fallback: str) -> str:
     """Register an oracle in the bundle, preferring its workspace name."""
     for name, g in ws.groups.items():
@@ -236,7 +243,7 @@ def cmd_wp_decide(ws: Workspace, args) -> int:
                 raise UsageError(
                     f"demonstration letter {letter.name!r} evaluates through "
                     f"{y.name!r}, which the presentation does not generate")
-    word = parse_word(args.word)
+    word = _flag_word("--word", args.word)
     for x in word:
         if x not in presentation.alphabet:
             raise UsageError(f"word letter {x.name!r} is outside the presentation alphabet")
@@ -355,7 +362,7 @@ def cmd_graph_product(ws: Workspace, args) -> int:
 
 def cmd_autostackable_project(ws: Workspace, args) -> int:
     nfa = _resolve(ws.automata, "automaton", args.automaton)
-    base = parse_word(args.base)
+    base = _flag_word("--base", args.base)
     triple = SyncTripleAutomaton(nfa, base)
     projected = autostackable_projection(triple)
     _write_automaton_bundle(projected, args.name, args.out)
@@ -366,7 +373,7 @@ def cmd_autostackable_project(ws: Workspace, args) -> int:
 def cmd_cross_section(ws: Workspace, args) -> int:
     nfa = _resolve(ws.automata, "automaton", args.automaton)
     oracle = _resolve(ws.groups, "group", args.group)
-    rep = parse_word(args.rep)
+    rep = _flag_word("--rep", args.rep)
     out = cross_section_to_demo(nfa, oracle, rep)
     _write_demo_bundle(ws, out, args.name, args.out)
     print(f"wrote {args.out}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .automata import (
@@ -26,7 +25,7 @@ from .automata import (
 )
 from .constructions import CosetTable
 from .demonstrations import Demonstration
-from .errors import LoadError
+from .errors import AutomatonSizeError, LoadError
 from .graphproduct import GraphProductOracle, VertexGraph
 from .groups import (
     FreeAbelianOracle,
@@ -58,24 +57,7 @@ class Workspace:
     graph_refs: dict = field(default_factory=dict)       # gp group -> {vertex: group}
 
 
-# -- tokenising ----------------------------------------------------------
-
-
-def _tokenize(text: str):
-    """Yield (lineno, tokens); comment lines and inline '#' tails dropped.
-
-    A line whose first token starts with '#' is a comment.  Within a
-    line, a bare '#' token starts a trailing comment; longer tokens such
-    as '#pad' or padded triples pass through untouched.
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if "#" in tokens:
-            tokens = tokens[: tokens.index("#")]
-        if tokens:
-            yield (lineno, tokens)
+# -- splitting into blocks ------------------------------------------------
 
 
 @dataclass
@@ -91,9 +73,20 @@ class _Block:
 
 
 def _split_blocks(path: Optional[str], text: str) -> list[_Block]:
+    """The blocks of one file, each body a list of (lineno, tokens).
+
+    A line whose first token starts with '#' is a comment.  Within a
+    line, a bare '#' token starts a trailing comment; longer tokens such
+    as '#pad' or padded triples pass through untouched.
+    """
     blocks: list[_Block] = []
     current: Optional[_Block] = None
-    for lineno, tokens in _tokenize(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if "#" in tokens:
+            tokens = tokens[: tokens.index("#")]
         if current is None:
             if tokens[0] not in BLOCK_KINDS:
                 raise LoadError(f"expected a block keyword, got {tokens[0]!r}",
@@ -120,42 +113,46 @@ def _parse_automaton(block: _Block) -> Nfa:
     states: list[str] = []
     initials: list[str] = []
     accepting: list[str] = []
-    transitions = []
+    transitions = []  # token lists: trans source label target
     for lineno, tokens in block.body:
-        key, rest = tokens[0], tokens[1:]
-        if key == "alphabet":
-            if "eps" in rest:
-                block.fail("'eps' is reserved and cannot be an alphabet letter", lineno)
-            alphabet.extend(Letter(n) for n in rest)
-        elif key == "states":
-            states.extend(rest)
-        elif key == "initial":
-            initials.extend(rest)
-        elif key == "accept":
-            accepting.extend(rest)
-        elif key == "trans":
-            if len(rest) != 3:
+        key = tokens[0]
+        if key == "trans":
+            if len(tokens) != 4:
                 block.fail("trans takes: source label target", lineno)
-            src, label, tgt = rest
-            transitions.append((lineno, src, label, tgt))
+            transitions.append(tokens)
+        elif key == "alphabet":
+            if "eps" in tokens:
+                block.fail("'eps' is reserved and cannot be an alphabet letter", lineno)
+            alphabet.extend(Letter(n) for n in tokens[1:])
+        elif key == "states":
+            states.extend(tokens[1:])
+        elif key == "initial":
+            initials.extend(tokens[1:])
+        elif key == "accept":
+            accepting.extend(tokens[1:])
         else:
             block.fail(f"unknown automaton line {key!r}", lineno)
-    known = set(states)
     letters = dict(zip(alphabet, alphabet), eps=None)
-    for lineno, src, label, tgt in transitions:
-        for s in (src, tgt):
-            if s not in known:
-                block.fail(f"transition uses undeclared state {s!r}", lineno)
-        if label not in letters:
-            block.fail(f"transition label {label!r} is not in the alphabet", lineno)
-    for s in initials + accepting:
-        if s not in known:
-            block.fail(f"undeclared state {s!r}")
     try:
         return Nfa(tuple(alphabet), frozenset(states),
-                   frozenset((src, letters[label], tgt) for _, src, label, tgt in transitions),
+                   frozenset([(src, letters[label], tgt) for _, src, label, tgt in transitions]),
                    frozenset(initials), frozenset(accepting))
-    except ValueError as e:
+    except (KeyError, ValueError, AutomatonSizeError) as e:
+        # name the first bad line, checked in file order, before any other error
+        known = set(states)
+        for lineno, (key, *rest) in block.body:
+            if key == "trans":
+                src, label, tgt = rest
+                for s in (src, tgt):
+                    if s not in known:
+                        block.fail(f"transition uses undeclared state {s!r}", lineno)
+                if label not in letters:
+                    block.fail(f"transition label {label!r} is not in the alphabet", lineno)
+        for s in initials + accepting:
+            if s not in known:
+                block.fail(f"undeclared state {s!r}")
+        if isinstance(e, AutomatonSizeError):
+            raise
         block.fail(str(e))
 
 
@@ -469,14 +466,46 @@ _NATURAL_RE = re.compile(r"(\d+)")
 
 
 def _natural_key(text: str):
-    return tuple(int(part) if part.isdigit() else part
-                 for part in _NATURAL_RE.split(text))
+    parts = _NATURAL_RE.split(text)  # digit runs at the odd positions
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
 
 
 def _state_key(state):
     if isinstance(state, str):
         return (0, _natural_key(state))
     return (1, _natural_key(repr(state)))
+
+
+def _canonical(nfa: Nfa) -> tuple[list, list, dict, list]:
+    """``canonical_states`` on integers: ``(states, order, position,
+    edges)`` where ``order[k]`` indexes the state named ``s<k>`` in
+    ``states``, ``position`` inverts ``order``, and ``edges`` holds the
+    transitions as (source, label rank, target) index triples."""
+    states = list(nfa.states)
+    number = {s: i for i, s in enumerate(states)}
+    letter_rank = {x: i for i, x in enumerate((*nfa.alphabet, None))}
+    edges = [(number[p], letter_rank[label], number[q]) for (p, label, q) in nfa.transitions]
+    keys = [_state_key(s) for s in states]
+    dense = {k: i for i, k in enumerate(sorted(set(keys)))}
+    rank = [dense[k] for k in keys]  # equal keys, equal ranks
+    edge_rank = [label * len(dense) + rank[q] for _, label, q in edges]
+    outgoing: list = [[] for _ in states]
+    for i in sorted(range(len(edges)), key=edge_rank.__getitem__):  # ties keep input order
+        outgoing[edges[i][0]].append(edges[i][2])
+    order = sorted(map(number.__getitem__, nfa.initials), key=rank.__getitem__)
+    position = {i: k for k, i in enumerate(order)}
+    for p in order:  # grows while it is read: breadth first
+        for q in outgoing[p]:
+            if q not in position:
+                position[q] = len(order)
+                order.append(q)
+    if len(order) < len(states):
+        unreached = nfa.states - {states[i] for i in order}
+        for i in sorted(map(number.__getitem__, unreached), key=rank.__getitem__):
+            position[i] = len(order)
+            order.append(i)
+    return states, order, position, edges
 
 
 def canonical_states(nfa: Nfa) -> dict:
@@ -487,47 +516,26 @@ def canonical_states(nfa: Nfa) -> dict:
     sorted.  The numbering is a function of the automaton's structure,
     so rendering twice gives identical text.
     """
-    keys = {s: _state_key(s) for s in nfa.states}
-    letter_rank = {x: i for i, x in enumerate(nfa.alphabet)}
-    letter_rank[None] = len(letter_rank)
-    outgoing: dict = {}
-    for (p, label, q) in nfa.transitions:
-        outgoing.setdefault(p, []).append(((letter_rank[label], keys[q]), q))
-    names: dict = {}
-    queue = sorted(nfa.initials, key=keys.__getitem__)
-    for s in queue:
-        names[s] = f"s{len(names)}"
-    cursor = 0
-    while cursor < len(queue):
-        p = queue[cursor]
-        cursor += 1
-        for _, q in sorted(outgoing.get(p, ()), key=itemgetter(0)):
-            if q not in names:
-                names[q] = f"s{len(names)}"
-                queue.append(q)
-    for s in sorted(nfa.states - set(names), key=keys.__getitem__):
-        names[s] = f"s{len(names)}"
-    return names
+    states, order, _, _ = _canonical(nfa)
+    return {states[i]: f"s{k}" for k, i in enumerate(order)}
 
 
 def render_automaton(name: str, nfa: Nfa) -> str:
-    names = canonical_states(nfa)
-    letter_rank = {x: i for i, x in enumerate(nfa.alphabet)}
-    letter_rank[None] = len(letter_rank)
-    by_index = list(names)  # canonical_states inserts s0, s1, ... in order
-    index = {s: i for i, s in enumerate(by_index)}
+    states, order, position, edges = _canonical(nfa)
+    n, width = len(states), len(nfa.alphabet) + 1
+    labels = [*nfa.alphabet, "eps"]
     lines = [f"automaton {name}"]
     lines.append("  alphabet " + " ".join(nfa.alphabet))
-    lines.append("  states " + " ".join(names[s] for s in by_index))
+    lines.append("  states " + " ".join(f"s{k}" for k in range(n)))
     lines.append("  initial " + " ".join(
-        names[s] for s in by_index if s in nfa.initials))
+        f"s{k}" for k, i in enumerate(order) if states[i] in nfa.initials))
     lines.append("  accept " + " ".join(
-        names[s] for s in by_index if s in nfa.accepting))
-    def edge_key(edge):
-        p, label, q = edge
-        return (index[p], letter_rank[label], index[q])
-    for (p, label, q) in sorted(nfa.transitions, key=edge_key):
-        lines.append(f"  trans {names[p]} {label or 'eps'} {names[q]}")
+        f"s{k}" for k, i in enumerate(order) if states[i] in nfa.accepting))
+    # one integer per transition orders by source, label and target names
+    for key in sorted((position[p] * width + label) * n + position[q] for p, label, q in edges):
+        rest, q = divmod(key, n)
+        p, label = divmod(rest, width)
+        lines.append(f"  trans s{p} {labels[label]} s{q}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

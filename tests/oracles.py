@@ -274,6 +274,144 @@ def scan_epsilon_free(nfa):
     return frozenset(transitions), frozenset(accepting)
 
 
+def pairwise_intersect(a, b):
+    """(states, transitions, initials, accepting) of the reachable product
+    of the scanned epsilon-free automata, every shared letter tried against
+    every pair of transitions."""
+    ta, accept_a = scan_epsilon_free(a)
+    tb, accept_b = scan_epsilon_free(b)
+    shared = [x for x in a.alphabet if x in b.alphabet]
+    initials = {(p, q) for p in a.initials for q in b.initials}
+    states, transitions = set(initials), set()
+    queue = deque(initials)
+    while queue:
+        p, q = queue.popleft()
+        for x in shared:
+            for (p1, y, p2) in ta:
+                for (q1, z, q2) in tb:
+                    if p1 == p and q1 == q and y == x and z == x:
+                        transitions.add(((p, q), x, (p2, q2)))
+                        if (p2, q2) not in states:
+                            states.add((p2, q2))
+                            queue.append((p2, q2))
+    accepting = {(p, q) for (p, q) in states if p in accept_a and q in accept_b}
+    return states, transitions, initials, accepting
+
+
+def triplewise_nfa_check(alphabet, states, transitions, initials, accepting):
+    """The ValueError text an automaton with these parts must raise, or None:
+    the checks in order, transitions one triple at a time in iteration
+    order, each endpoint and label compared with the declared ones by
+    equality and its label's class by name."""
+    if not initials:
+        return "automaton needs at least one initial state"
+    if any(s not in states for s in list(initials) + list(accepting)):
+        return "initial and accepting states must be drawn from the state set"
+    for (p, label, q) in transitions:
+        if not any(p == s for s in states) or not any(q == s for s in states):
+            return f"transition endpoint not a state: {(p, label, q)!r}"
+        if label is not None and (not any(label == x for x in alphabet)
+                                  or type(label).__name__ != "Letter"):
+            return f"transition label {label!r} not in the alphabet"
+    return None
+
+
+# -- workspace loading -------------------------------------------------------
+
+
+def _tokenize(text):
+    """Yield (lineno, tokens); comment lines and inline '#' tails dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if "#" in tokens:
+            tokens = tokens[: tokens.index("#")]
+        if tokens:
+            yield (lineno, tokens)
+
+
+def tokenized_split_blocks(path, text):
+    """Blocks of one file from a separate line tokenizer."""
+    from epicdemo.errors import LoadError
+    from epicdemo.workspace import BLOCK_KINDS, _Block
+
+    blocks = []
+    current = None
+    for lineno, tokens in _tokenize(text):
+        if current is None:
+            if tokens[0] not in BLOCK_KINDS:
+                raise LoadError(f"expected a block keyword, got {tokens[0]!r}",
+                                path=path, line=lineno)
+            if len(tokens) < 2:
+                raise LoadError(f"{tokens[0]} block needs a name", path=path, line=lineno)
+            current = _Block(tokens[0], tokens[1:], [], path, lineno)
+        elif tokens == ["end"]:
+            blocks.append(current)
+            current = None
+        else:
+            current.body.append((lineno, tokens))
+    if current is not None:
+        raise LoadError(f"unterminated {current.kind} block {current.header[0]!r}",
+                        path=path, line=current.line)
+    return blocks
+
+
+def scanning_parse_automaton(block):
+    """An automaton block, every transition, initial and accepting state
+    checked line by line before the automaton is built."""
+    from epicdemo.automata import Letter, Nfa
+
+    alphabet, states, initials, accepting, transitions = [], [], [], [], []
+    for lineno, tokens in block.body:
+        key, rest = tokens[0], tokens[1:]
+        if key == "alphabet":
+            if "eps" in rest:
+                block.fail("'eps' is reserved and cannot be an alphabet letter", lineno)
+            alphabet.extend(Letter(n) for n in rest)
+        elif key == "states":
+            states.extend(rest)
+        elif key == "initial":
+            initials.extend(rest)
+        elif key == "accept":
+            accepting.extend(rest)
+        elif key == "trans":
+            if len(rest) != 3:
+                block.fail("trans takes: source label target", lineno)
+            transitions.append((lineno, *rest))
+        else:
+            block.fail(f"unknown automaton line {key!r}", lineno)
+    known = set(states)
+    letters = dict(zip(alphabet, alphabet), eps=None)
+    for lineno, src, label, tgt in transitions:
+        for s in (src, tgt):
+            if s not in known:
+                block.fail(f"transition uses undeclared state {s!r}", lineno)
+        if label not in letters:
+            block.fail(f"transition label {label!r} is not in the alphabet", lineno)
+    for s in initials + accepting:
+        if s not in known:
+            block.fail(f"undeclared state {s!r}")
+    try:
+        return Nfa(tuple(alphabet), frozenset(states),
+                   frozenset((src, letters[label], tgt) for _, src, label, tgt in transitions),
+                   frozenset(initials), frozenset(accepting))
+    except ValueError as e:
+        block.fail(str(e))
+
+
+def reference_load_text(sources):
+    """``workspace.load_text`` with the tokenizer and the automaton parser
+    above in place of the package's own."""
+    from unittest import mock
+
+    from epicdemo import workspace
+
+    with mock.patch.multiple(workspace, _split_blocks=tokenized_split_blocks,
+                             _parse_automaton=scanning_parse_automaton):
+        return workspace.load_text(sources)
+
+
 def _natural_key(text):
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", text))

@@ -7,7 +7,7 @@ from epicdemo.automata import (
     EPSILON,
     Letter,
     Nfa,
-    _epsilon_free,
+    _closed_edges,
     check_alphabet,
     concat,
     finite_language,
@@ -25,7 +25,14 @@ from epicdemo.automata import (
 from epicdemo.errors import AutomatonSizeError
 from epicdemo.wordproblem import language_enumerator
 
-from oracles import bf_accepts, bf_language, scan_epsilon_free, words_upto
+from oracles import (
+    bf_accepts,
+    bf_language,
+    pairwise_intersect,
+    scan_epsilon_free,
+    triplewise_nfa_check,
+    words_upto,
+)
 
 A, B, C = Letter("a"), Letter("b"), Letter("c")
 
@@ -79,6 +86,41 @@ def epsilon_cycle_nfas(draw):
                frozenset(initials), frozenset(accepting))
 
 
+@st.composite
+def mixed_alphabet_nfas(draw):
+    """Up to five states over one to three of a, b, c, with epsilon edges,
+    so two of them share some letters and not others."""
+    alphabet = tuple(draw(st.lists(st.sampled_from([A, B, C]), min_size=1, max_size=3,
+                                   unique=True)))
+    states = list(range(draw(st.integers(min_value=1, max_value=5))))
+    transitions = draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from(alphabet + (None,)),
+                  st.sampled_from(states)),
+        max_size=14))
+    initials = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3))
+    accepting = draw(st.lists(st.sampled_from(states), max_size=3))
+    return Nfa(alphabet, frozenset(states), frozenset(transitions),
+               frozenset(initials), frozenset(accepting))
+
+
+@st.composite
+def nfa_parts(draw):
+    """Automaton parts over the alphabet (a, b) that may break a rule: an
+    endpoint or accepting state 9 outside the states, the foreign letter c,
+    a plain string 'b' spelling a letter, or no initial state."""
+    states = list(range(draw(st.integers(min_value=1, max_value=4))))
+    ends = states + [9]
+    transitions = draw(st.lists(
+        st.tuples(st.sampled_from(ends), st.sampled_from([A, B, None, C, "b"]),
+                  st.sampled_from(ends)),
+        max_size=8))
+    initials = draw(st.lists(st.sampled_from(states), max_size=2,
+                             min_size=draw(st.sampled_from([0, 1, 1, 1]))))
+    accepting = draw(st.lists(st.sampled_from(ends), max_size=2))
+    return ((A, B), frozenset(states), frozenset(transitions),
+            frozenset(initials), frozenset(accepting))
+
+
 class TestLetters:
     def test_interned_by_display_string(self):
         assert Letter("a") == Letter("a")
@@ -115,6 +157,17 @@ class TestLetters:
 
 
 class TestMembership:
+    @settings(deadline=None, max_examples=300)
+    @given(nfa_parts())
+    def test_malformed_parts_match_triplewise_reference(self, parts):
+        expected = triplewise_nfa_check(*parts)
+        try:
+            Nfa(*parts)
+        except ValueError as e:
+            assert str(e) == expected
+        else:
+            assert expected is None
+
     def test_initials_required(self):
         with pytest.raises(ValueError):
             Nfa((A,), frozenset({0}), frozenset(), frozenset(), frozenset({0}))
@@ -235,9 +288,19 @@ class TestBooleanOps:
     @settings(deadline=None, max_examples=200)
     @given(epsilon_cycle_nfas())
     def test_epsilon_free_matches_transition_scan(self, a):
-        free = _epsilon_free(a)
-        assert (free.transitions, free.accepting) == scan_epsilon_free(a)
-        assert (free.states, free.initials, free.alphabet) == (a.states, a.initials, a.alphabet)
+        edges, accepting = _closed_edges(a)
+        transitions = frozenset((p, x, q) for p, out in edges.items()
+                                for x, targets in out.items() for q in targets)
+        assert (transitions, accepting) == scan_epsilon_free(a)
+        assert set(edges) <= a.states
+
+    @settings(deadline=None, max_examples=300)
+    @given(mixed_alphabet_nfas(), mixed_alphabet_nfas())
+    def test_intersect_matches_pairwise_reference(self, a, b):
+        product = intersect(a, b)
+        assert (product.states, product.transitions, product.initials,
+                product.accepting) == pairwise_intersect(a, b)
+        assert product.alphabet == merge_alphabets(a.alphabet, b.alphabet)
 
     def test_intersect_disjoint_languages_empty(self):
         assert intersect(plus_language(A, [B]), plus_language(B, [A])).is_empty()

@@ -223,6 +223,22 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and match in err
         assert not (tmp_path / "out.epic").exists()
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--word", ["wp", "decide", "--presentation", "plane", "--demo", "ZK2"]),
+        ("--rep", ["construct", "cross-section", "--automaton", "powers", "--group", "Z"]),
+        ("--base", ["construct", "autostackable-project", "--automaton", "powers"]),
+    ], ids=["word", "rep", "base"])
+    def test_malformed_word_flag_is_usage_error(self, capsys, tmp_path, flag, argv):
+        out_path = tmp_path / "out.epic"
+        if argv[0] == "construct":
+            argv = argv + ["--out", str(out_path)]
+        code, out, err = run(capsys, "-f", DATA, *argv, flag, "a eps")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {flag} takes a word, got 'a eps': 'eps' is reserved "
+                       "for the empty word and cannot mix with letters\n")
+        assert not out_path.exists()
+
 
 class TestWpDecide:
     def test_in_wp(self, capsys):

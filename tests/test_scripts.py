@@ -31,3 +31,23 @@ class TestCoverageGrowth:
     def test_builtin_demo_runs_clean(self, capsys):
         assert load_script("coverage_growth").main(["--demo", "zk2", "--max-radius", "2"]) == 0
         assert "identity violations up to length 4: 0" in capsys.readouterr().out
+
+
+class TestBenchRecord:
+    def test_next_file_follows_the_highest_number(self, tmp_path):
+        for name in ("BENCH_1.json", "BENCH_3.json", "BENCH_x.json", "BENCH_2.txt"):
+            (tmp_path / name).write_text("{}")
+        assert load_script("bench_record").next_path(str(tmp_path)) == \
+            str(tmp_path / "BENCH_4.json")
+        assert load_script("bench_record").next_path(str(tmp_path / "none")) == \
+            str(tmp_path / "none" / "BENCH_1.json")
+
+    def test_medians_per_metric(self):
+        runs = [{"metrics": {"wall_s": {"value": v, "unit": "s"}}} for v in (3.0, 1.0, 2.0)]
+        assert load_script("bench_record").medians(runs) == \
+            {"wall_s": {"median": 2.0, "unit": "s"}}
+
+    def test_no_seeds_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            load_script("bench_record").main(["--seeds", "0"])
+        assert caught.value.code == 2

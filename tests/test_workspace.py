@@ -1,3 +1,5 @@
+import contextlib
+import io
 import pathlib
 import time
 
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from epicdemo.automata import Letter, Nfa, make_word
 from epicdemo.constructions import CosetTable, fi_subgroup, graph_product
-from epicdemo.demonstrations import z_demo
+from epicdemo.cli import main as cli_main
+from epicdemo.demonstrations import z_demo, zk_demo
 from epicdemo.errors import LoadError
 from epicdemo.graphproduct import VertexGraph
 from epicdemo.groups import FreeGroupOracle, IntegerMatrixOracle, PermutationOracle
@@ -19,7 +22,7 @@ from epicdemo.workspace import (
     render_automaton,
 )
 
-from oracles import keyed_canonical_states, keyed_render_automaton
+from oracles import keyed_canonical_states, keyed_render_automaton, reference_load_text
 from test_groups import heisenberg_oracle
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "demo_workspace.epic"
@@ -64,15 +67,15 @@ class TestSampleFile:
             set(ws.demonstrations["Zdemo"].language.enumerate_words(5))
 
 
-SAMPLE_LINES = DATA.read_text().splitlines()
-SAMPLE_TOKENS = sorted({t for line in SAMPLE_LINES for t in line.split()})
+SAMPLE_TEXT = DATA.read_text()
 
 
 @st.composite
-def mutated_samples(draw):
-    """The sample file after one to three token swaps, token replacements,
+def mutated_texts(draw, text):
+    """The text after one to three token swaps, token replacements,
     deleted lines or a truncation."""
-    lines = [line.split() for line in SAMPLE_LINES]
+    lines = [line.split() for line in text.splitlines()]
+    pool = sorted({t for line in lines for t in line}) + ["0", "-1", "7", "eps", "zz"]
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["swap", "replace", "delete", "truncate"]))
         spots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
@@ -87,20 +90,96 @@ def mutated_samples(draw):
             lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
         elif spots:
             i, j = draw(st.sampled_from(spots))
-            lines[i][j] = draw(st.sampled_from(SAMPLE_TOKENS + ["0", "-1", "7", "eps", "zz"]))
+            lines[i][j] = draw(st.sampled_from(pool))
     return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def load_outcome(load_text_fn, text):
+    """The rendered workspace, or the LoadError's text, path and line."""
+    try:
+        return render(load_text_fn([("mutated.epic", text)]))
+    except LoadError as e:
+        return (str(e), e.path, e.line)
+
+
+def assert_loads_like_reference(text):
+    """A LoadError or a rendering that reloads to itself, either way the
+    same as from the reference loader."""
+    outcome = load_outcome(load_text, text)
+    assert outcome == load_outcome(reference_load_text, text)
+    if isinstance(outcome, str):
+        assert render(load_str(outcome)) == outcome
+
+
+@pytest.fixture(scope="module")
+def bundle_texts(tmp_path_factory):
+    """Bundles written by small construct runs, one per verb, over
+    permutation, free, zk and matrix groups and a graph product of three."""
+    from test_constructions import z_rewriting_fixture
+
+    tmp = tmp_path_factory.mktemp("bundles")
+    locals_path = tmp / "locals.epic"
+    locals_path.write_text(
+        "group C perm degree 3\n  gen r = (1 2 3)\n  gen r2 = (1 3 2)\nend\n"
+        "automaton cl\n  alphabet r r2\n  states s0 s1\n  initial s0\n  accept s1\n"
+        "  trans s0 r s1\n  trans s0 r2 s1\nend\n"
+        "demonstration Cdemo\n  group C\n  automaton cl\nend\n"
+        "group B zk rank 1\n  gen c = [1]\n  gen c^-1 = [-1]\nend\n"
+        "automaton bl\n  alphabet c c^-1\n  states s0 s1 s2\n  initial s0\n"
+        "  accept s1 s2\n  trans s0 c s1\n  trans s1 c s1\n"
+        "  trans s0 c^-1 s2\n  trans s2 c^-1 s2\nend\n"
+        "demonstration Bdemo\n  group B\n  automaton bl\nend\n")
+    center, quotient = z_demo("z"), zk_demo(2, names=("x", "y"))
+    heis_path = tmp / "heis.epic"
+    heis_path.write_text(
+        render(Workspace(groups={"heis": heisenberg_oracle()},
+                         automata={"centerlang": center.language,
+                                   "quotlang": quotient.language}))
+        + "demonstration center\n  group heis\n  automaton centerlang\nend\n"
+        + "demonstration quot\n  group heis\n  automaton quotlang\nend\n")
+    triples_path = tmp / "triples.epic"
+    triples_path.write_text(render_automaton("trip", z_rewriting_fixture().nfa))
+    runs = {
+        "prod": ["-f", str(locals_path), "construct", "graph-product", "--vertices", "u v w",
+                 "--edge", "u-v", "--vertex", "u=Cdemo", "--vertex", "v=FREE2",
+                 "--vertex", "w=Bdemo"],
+        "renamed": ["construct", "change-gens", "--demo", "Z", "--letter", "b=a",
+                    "--letter", "b^-1=a^-1", "--image", "a=b", "--image", "a^-1=b^-1"],
+        "evens": ["-f", str(DATA), "construct", "fi-subgroup", "--demo", "Zdemo",
+                  "--table", "evens", "--in-subgroup", "zk-divisible:0,2"],
+        "heisdemo": ["-f", str(heis_path), "construct", "extension", "--normal", "center",
+                     "--quotient", "quot", "--group", "heis",
+                     "--in-normal", "matrix-zero:0,1;1,2"],
+        "normalforms": ["-f", str(triples_path), "construct", "autostackable-project",
+                        "--automaton", "trip", "--base", "a a^-1"],
+        "section": ["-f", str(tmp / "normalforms.epic"), "-f", str(DATA), "construct",
+                    "cross-section", "--automaton", "normalforms", "--group", "Z"],
+    }
+    texts = []
+    for name, argv in runs.items():
+        out = tmp / f"{name}.epic"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(argv + ["--name", name, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    return texts
 
 
 class TestMutatedSample:
     @settings(deadline=None, max_examples=300)
-    @given(mutated_samples())
+    @given(mutated_texts(SAMPLE_TEXT))
     def test_load_error_or_render_fixpoint(self, text):
-        try:
-            ws = load_str(text)
-        except LoadError:
-            return
-        rendered = render(ws)
-        assert render(load_str(rendered)) == rendered
+        assert_loads_like_reference(text)
+
+    def test_bundles_cover_every_group_kind(self, bundle_texts):
+        flavors = {line.split()[2] for text in bundle_texts for line in text.splitlines()
+                   if line.startswith("group ")}
+        assert flavors == {"perm", "matrix", "zk", "free", "graphproduct"}
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_mutated_bundle_matches_reference_loader(self, bundle_texts, data):
+        assert_loads_like_reference(
+            data.draw(mutated_texts(data.draw(st.sampled_from(bundle_texts)))))
 
 
 class TestComments:
@@ -399,3 +478,18 @@ class TestRenderDifferential:
     def test_render_matches_keyed_reference(self, nfa):
         assert canonical_states(nfa) == keyed_canonical_states(nfa)
         assert render_automaton("m", nfa) == keyed_render_automaton("m", nfa)
+
+    def test_tied_keys_keep_transition_order(self):
+        # 'q1'/'q01' and '1'/'01' have equal keys: only the iteration order
+        # of the transitions and states separates them
+        a, b = Letter("a"), Letter("b")
+        reached = Nfa((a, b), frozenset(["s", "q1", "q01", "1", "01"]),
+                      frozenset([("s", a, "q1"), ("s", a, "q01"), ("s", b, "1"),
+                                 ("s", b, "01"), ("q1", a, "01")]),
+                      frozenset(["s"]), frozenset(["q01"]))
+        unreached = Nfa((a,), frozenset(["q1", "q01", "1", "01", "x"]),
+                        frozenset([("x", a, "x")]), frozenset(["q1", "q01"]),
+                        frozenset(["01"]))
+        for nfa in (reached, unreached):
+            assert canonical_states(nfa) == keyed_canonical_states(nfa)
+            assert render_automaton("m", nfa) == keyed_render_automaton("m", nfa)
