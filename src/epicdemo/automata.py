@@ -275,17 +275,26 @@ class Nfa:
         """True when no word at all is accepted."""
         return not reachable(self.initials, self._successors) & self.accepting
 
+    @cached_property
+    def _step_memo(self) -> dict:
+        return {}
+
     def pruned_step(self, max_len: Optional[int] = None) -> Callable:
         """A ``walk`` step over state subsets that drops a subset unable to
         accept within the remaining length (within as many letters as there
-        are states when ``max_len`` is None)."""
-        dist = self._letters_to_accept
+        are states when ``max_len`` is None).  Each (subset, letter) pair a
+        walk visits is stepped once per automaton: the memo keeps the next
+        subset and the fewest letters it needs to accept."""
+        memo, dist = self._step_memo, self._letters_to_accept
 
         def step(subset: frozenset, letter: Letter, n: int) -> Optional[frozenset]:
-            subset = self.step(subset, letter)
-            remaining = len(self.states) if max_len is None else max_len - n
-            if subset and min(dist.get(s, _INF) for s in subset) <= remaining:
-                return subset
+            hit = memo.get((subset, letter))
+            if hit is None:
+                moved = self.step(subset, letter)
+                hit = memo[subset, letter] = moved, min((dist.get(s, _INF) for s in moved),
+                                                         default=_INF)
+            if hit[1] <= (len(self.states) if max_len is None else max_len - n):
+                return hit[0]
 
         return step
 

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from .automata import Letter, Word, format_word, parse_word
+from .automata import Letter, Word, format_word, parse_word, state_cap
 from .constructions import (
     SyncTripleAutomaton,
     autostackable_projection,
@@ -26,7 +26,7 @@ from .constructions import (
     fi_subgroup,
     graph_product,
 )
-from .demonstrations import Demonstration, builtin_demo
+from .demonstrations import Demonstration, UnknownBuiltinError, builtin_demo
 from .errors import EpicError, InputContradictionError, LoadError
 from .graphproduct import GraphProductOracle, VertexGraph
 from .groups import cycles_from_perm
@@ -52,8 +52,10 @@ def _resolve_demo(ws: Workspace, name: str) -> Demonstration:
         return ws.demonstrations[name]
     try:
         return builtin_demo(name)
-    except ValueError:
+    except UnknownBuiltinError:
         raise UsageError(f"unknown demonstration {name!r}") from None
+    except ValueError as e:  # a builtin name it cannot build, such as zk(0)
+        raise UsageError(str(e)) from None
 
 
 def _resolve(table: dict, what: str, name: str):
@@ -527,6 +529,10 @@ def main(argv: Optional[list] = None) -> int:
         for dest in ("max_len", "search_len", "ball", "radius", "check_len"):
             if (value := getattr(args, dest, None)) is not None and value < 0:
                 raise UsageError(f"--{dest.replace('_', '-')} must not be negative, got {value}")
+        try:  # read on every automaton built, so a bad value would be blamed on a file or a name
+            state_cap()
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         ws = load(files) if files else Workspace()
         return args.handler(ws, args)
     except (UsageError, LoadError, OSError) as e:

@@ -66,8 +66,9 @@ class Demonstration:
 
     def keyed_words(self, max_len: Optional[int] = None) -> Iterator[tuple[Word, ElementKey]]:
         """Accepted words in length-lex order with their keys, from one walk
-        over (NFA subset, oracle state) pairs: an edge costs one NFA step
-        and, if the subset survives, one ``act`` per letter of its image."""
+        over (NFA subset, oracle state) pairs: an edge costs one memoized
+        NFA step and, if the subset survives, one ``act`` per letter of its
+        image."""
         oracle, images, live = self.oracle, self.eval_map, self.language.pruned_step(max_len)
 
         def step(node, letter, n):
@@ -222,6 +223,10 @@ def zk_demo(rank: int, names: Optional[Iterable[str]] = None) -> Demonstration:
 _BUILTIN_RE = re.compile(r"(z|finite)|(free|zk)(?:\((\d+)\)|(\d+))")
 
 
+class UnknownBuiltinError(ValueError):
+    """A name that ``builtin_demo`` does not read."""
+
+
 def builtin_demo(kind: str, oracle: Optional[GroupOracle] = None) -> Demonstration:
     """Dispatch on a textual description: z, finite, free(k) or zk(k).
 
@@ -231,7 +236,7 @@ def builtin_demo(kind: str, oracle: Optional[GroupOracle] = None) -> Demonstrati
     """
     m = _BUILTIN_RE.fullmatch(kind.strip().lower())
     if not m:
-        raise ValueError(f"unknown builtin demonstration {kind!r}")
+        raise UnknownBuiltinError(f"unknown builtin demonstration {kind!r}")
     if m.group(1) == "z":
         return z_demo()
     if m.group(1) == "finite":

@@ -16,7 +16,7 @@ import functools
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from .automata import EPSILON, Letter, Word, check_alphabet, walk
 
@@ -32,18 +32,31 @@ def _text(data: tuple) -> str:
     return ";".join(map(_text, data))
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class ElementKey:
+class ElementKey(NamedTuple):
+    """A named tuple, so keys hash and compare equal as ``(backend, data)``
+    in C; they order by the text ``render`` writes, as reports list them."""
+
     backend: str
     data: tuple
 
     def render(self) -> str:
         return f"{self.backend}[{_text(self.data)}]"
 
+    def _order(self) -> tuple[str, str]:
+        return self.backend, _text(self.data)
+
+    # tuple's own comparisons would win over functools.total_ordering
     def __lt__(self, other: "ElementKey") -> bool:
-        # by backend, then by the text of the data, as reports list keys
-        return (self.backend, _text(self.data)) < (other.backend, _text(other.data))
+        return self._order() < other._order()
+
+    def __le__(self, other: "ElementKey") -> bool:
+        return self._order() <= other._order()
+
+    def __gt__(self, other: "ElementKey") -> bool:
+        return self._order() > other._order()
+
+    def __ge__(self, other: "ElementKey") -> bool:
+        return self._order() >= other._order()
 
     def __repr__(self):
         return f"ElementKey({self.render()})"
@@ -339,10 +352,8 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def mat_det(m: Matrix) -> int:

@@ -3,9 +3,11 @@ library.  Everything here recomputes answers from first principles (raw
 transition scans, exhaustive word sweeps, breadth-first closures) and
 deliberately shares no machinery with the package under test."""
 
+import functools
 import itertools
 import re
 from collections import deque
+from dataclasses import dataclass
 
 
 def bf_accepts(nfa, word):
@@ -231,6 +233,66 @@ def wordwise_coverage(demo, radius, search_len, max_len=None):
         elif key in targets and key not in covered and len(w) <= search_len:
             covered[key] = w
     return list(covered.items()), targets - covered.keys(), violations
+
+
+# -- walk-edge kernels --------------------------------------------------------
+
+
+def unmemoized_pruned_step(nfa, max_len=None):
+    """``Nfa.pruned_step`` without its memo: every edge steps the subset
+    again and takes the fewest letters to accept from the stepped subset.
+    Written to be patched in as the method."""
+    dist = nfa._letters_to_accept
+
+    def step(subset, letter, n):
+        subset = nfa.step(subset, letter)
+        remaining = len(nfa.states) if max_len is None else max_len - n
+        if subset and min(dist.get(s, float("inf")) for s in subset) <= remaining:
+            return subset
+
+    return step
+
+
+def _key_text(data):
+    """Key data as text: integers joined by commas, names by spaces, matrix
+    rows by semicolons, and (vertex, key) pairs by bars."""
+    head = data[0] if data else ""
+    if isinstance(head, (int, str)):
+        return ("," if isinstance(head, int) else " ").join(map(str, data))
+    if isinstance(head[0], str):
+        return "|".join(f"{v}={k.backend}:{_key_text(k.data)}" for v, k in data)
+    return ";".join(map(_key_text, data))
+
+
+@functools.total_ordering
+@dataclass(frozen=True)
+class DataclassElementKey:
+    """An element key as a frozen dataclass: generated ``__eq__`` and
+    ``__hash__`` over (backend, data), ordered by backend, then by the text
+    of the data."""
+
+    backend: str
+    data: tuple
+
+    @classmethod
+    def of(cls, key):
+        """The reference key of a package key, graph-product syllable keys
+        included."""
+        data = key.data
+        if data and isinstance(data[0], tuple) and isinstance(data[0][0], str):
+            data = tuple((v, cls.of(k)) for v, k in data)
+        return cls(key.backend, data)
+
+    def __lt__(self, other):
+        return (self.backend, _key_text(self.data)) < (other.backend, _key_text(other.data))
+
+
+def indexed_mat_mul(a, b):
+    """Square matrix product, one indexed generator per entry."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n))
 
 
 # -- construction kernels ----------------------------------------------------

@@ -166,6 +166,26 @@ class TestUsageErrors:
         assert code == 2
         assert "unknown demonstration" in err
 
+    @pytest.mark.parametrize("name, message", [
+        ("zk(30)", "rank 30 too large for default generator names"),
+        ("zk(0)", "rank must be positive"),
+        ("free(0)", "rank must be positive"),
+        ("finite", "builtin 'finite' needs a group oracle"),
+        ("zq(2)", "unknown demonstration 'zq(2)'"),
+    ])
+    def test_builtin_name_error_is_reported(self, capsys, name, message):
+        code, out, err = run(capsys, "ball", "--demo", name, "--radius", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("files", [[], ["-f", DATA]], ids=["builtin", "file"])
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "must be an integer, got 'abc'"), ("0", "must be positive, got 0")])
+    def test_bad_state_cap_is_blamed_on_the_variable(self, capsys, monkeypatch, files,
+                                                     value, message):
+        monkeypatch.setenv("EPIC_MAX_STATES", value)
+        code, out, err = run(capsys, *files, "ball", "--demo", "ZK2", "--radius", "1")
+        assert (code, out, err) == (2, "", f"error: EPIC_MAX_STATES {message}\n")
+
     def test_unknown_verb_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +17,7 @@ from epicdemo.demonstrations import (
 )
 from epicdemo.groups import FreeAbelianOracle, PermutationOracle, perm_from_cycles
 
-from oracles import wordwise_coverage
+from oracles import unmemoized_pruned_step, wordwise_coverage
 from test_groups import oracles, s3_oracle
 
 
@@ -136,6 +139,29 @@ class TestEvalMapIndirection:
         lang = finite_language([(g,)])
         with pytest.raises(ValueError):
             Demonstration(base.oracle, {g: make_word("nope")}, lang)
+
+
+class TestKeyedWords:
+    @settings(deadline=None, max_examples=200)
+    @given(demos(), st.lists(st.one_of(st.integers(min_value=0, max_value=5),
+                                       st.tuples(st.integers(min_value=0, max_value=40))),
+                             min_size=1, max_size=6))
+    def test_memoized_walks_match_unmemoized_reference(self, demo, calls):
+        """Walks of bounds drawn in turn, an integer n for ``words(n)`` and
+        ``keyed_words(n)`` and a 1-tuple (k,) for the first k of ``words()``,
+        on one automaton, so each reads the steps the earlier ones kept."""
+        def walks():
+            out = []
+            for call in calls:
+                if isinstance(call, tuple):
+                    out.append(list(itertools.islice(demo.language.words(), call[0])))
+                else:
+                    out += [list(demo.language.words(call)), list(demo.keyed_words(call))]
+            return out
+
+        with mock.patch.object(Nfa, "pruned_step", unmemoized_pruned_step):
+            want = walks()
+        assert walks() == want
 
 
 class TestCoverageReport:

@@ -17,7 +17,8 @@ from epicdemo.groups import (
     perm_from_cycles,
 )
 
-from oracles import ascii_evaluate, cofactor_det, shuffle_class, wordwise_ball
+from oracles import DataclassElementKey, ascii_evaluate, cofactor_det, indexed_mat_mul, \
+    shuffle_class, wordwise_ball
 
 
 def z_oracle(name="a"):
@@ -177,6 +178,16 @@ class TestIntegerMatrices:
         assert mat_det(((0, 2, 1), (0, 1, 5), (0, 3, 7))) == 0
         assert mat_det(((1, 2, 3), (2, 4, 6), (1, 0, 1))) == 0
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_product_matches_indexed_reference(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        entries = st.one_of(st.integers(min_value=-4, max_value=4),
+                            st.integers(min_value=-10**30, max_value=10**30))
+        a, b = (tuple(tuple(data.draw(st.lists(entries, min_size=n, max_size=n)))
+                      for _ in range(n)) for _ in range(2))
+        assert mat_mul(a, b) == indexed_mat_mul(a, b)
+
     def test_exact_product(self):
         a = ((1, 1), (0, 1))
         assert mat_mul(a, a) == ((1, 2), (0, 1))
@@ -220,6 +231,31 @@ class TestKeys:
         keys = [o.evaluate(make_word(*names)) for names in (["a"] * 2, ["a^-1"], ["a"] * 10)]
         assert [k.data for k in keys] == [(2,), (-1,), (10,)]
         assert [k.render() for k in sorted(keys)] == ["zk1[-1]", "zk1[10]", "zk1[2]"]
+
+    def test_key_is_its_tuple(self):
+        key = z_oracle().evaluate(make_word("a"))
+        assert repr(key) == "ElementKey(zk1[1])"
+        assert key == ("zk1", (1,)) and hash(key) == hash(("zk1", (1,)))
+        assert (key.backend, key.data) == tuple(key)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_keys_match_dataclass_reference(self, data):
+        # keys of two drawn oracles, so backends meet as well as elements
+        keys = []
+        for o in (data.draw(oracles()), data.draw(oracles())):
+            words = st.lists(st.sampled_from(o.alphabet), max_size=8).map(tuple)
+            keys += [o.evaluate(w) for w in data.draw(st.lists(words, min_size=1, max_size=6))]
+        refs = [DataclassElementKey.of(k) for k in keys]
+        for k1, r1 in zip(keys, refs):
+            for k2, r2 in zip(keys, refs):
+                assert (k1 == k2) == (r1 == r2)
+                assert ([k1 < k2, k1 <= k2, k1 > k2, k1 >= k2]
+                        == [r1 < r2, r1 <= r2, r1 > r2, r1 >= r2])
+        half = len(keys) // 2
+        key_set, ref_set = set(keys[:half]), set(refs[:half])
+        assert [k in key_set for k in keys] == [r in ref_set for r in refs]
+        assert [DataclassElementKey.of(k) for k in sorted(keys)] == sorted(refs)
 
 
 def square_graph_oracle():
