@@ -11,7 +11,13 @@ across commits:
 The file is ``BENCH_<n>.json`` at the root of this repository, ``<n>``
 one more than the highest present, unless ``--out`` names another.  With
 ``--root`` the benchmark runs in another checkout, on its own ``src/`` and
-``perfbench/``: a clone of an older commit, say, for a before/after pair.
+``perfbench/``: a clone of an older commit, say.  ``--root`` may be given
+more than once, for a before/after pair: each run (workload, seed, trace)
+then goes through the checkouts in turn, so drift of the machine reaches
+all of them alike, and each checkout gets its own file, numbered in
+``--root`` order (or one ``--out`` per ``--root``):
+
+    python3 scripts/bench_record.py --root ../parent --root . --seconds 10
 """
 
 from __future__ import annotations
@@ -52,10 +58,11 @@ def medians(results: list) -> dict:
             for name, spec in results[0]["metrics"].items()}
 
 
-def next_path(root: str) -> str:
+def next_path(root: str, skip: int = 0) -> str:
+    """The next free ``BENCH_<n>.json`` in ``root``, ``skip`` numbers on."""
     taken = [int(m.group(1)) for path in glob.glob(os.path.join(root, "BENCH_*.json"))
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path)))]
-    return os.path.join(root, f"BENCH_{max(taken, default=0) + 1}.json")
+    return os.path.join(root, f"BENCH_{max(taken, default=0) + 1 + skip}.json")
 
 
 def main(argv=None) -> int:
@@ -64,15 +71,21 @@ def main(argv=None) -> int:
                         help="--seconds of each perfbench run (default: 20)")
     parser.add_argument("--seeds", type=int, default=3,
                         help="run seeds 1 to N (default: 3)")
-    parser.add_argument("--root", default=ROOT, help="checkout to benchmark (default: this one)")
-    parser.add_argument("--out", help="output file (default: the next BENCH_<n>.json)")
+    parser.add_argument("--root", action="append",
+                        help="checkout to benchmark (default: this one); repeat it to "
+                             "interleave several checkouts run by run")
+    parser.add_argument("--out", action="append",
+                        help="output file, once per --root (default: the next BENCH_<n>.json)")
     args = parser.parse_args(argv)
     if args.seconds <= 0 or args.seeds < 1:
         parser.error("--seconds must be positive and --seeds at least 1")
-    root = os.path.abspath(args.root)
+    roots = [os.path.abspath(root) for root in args.root or [ROOT]]
+    if args.out is not None and len(args.out) != len(roots):
+        parser.error(f"give --out once per --root: {len(roots)} times, not {len(args.out)}")
+    outs = args.out or [next_path(ROOT, skip) for skip in range(len(roots))]
     seeds = list(range(1, args.seeds + 1))
 
-    record = {
+    records = [{
         "commit": git(root, "rev-parse", "HEAD"),
         # uncommitted changes to the measured code
         "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no",
@@ -84,27 +97,32 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "correct": True,
         "workloads": {},
-    }
+    } for root in roots]
     for workload in WORKLOADS:
-        runs = {trace: [bench(root, workload, seed, args.seconds, trace) for seed in seeds]
-                for trace in (0, 1)}
-        results = runs[0] + runs[1]
-        record["correct"] &= all(r["correct"] for r in results)
-        record["workloads"][workload] = {
-            "correct": all(r["correct"] for r in results),
-            "failed": sum(r["failed"] for r in results),
-            "attempted": sum(r["attempted"] for r in results),
-            "end_to_end": medians(runs[0]),
-            "per_layer": medians(runs[1]),
-        }
-        wall = record["workloads"][workload]["end_to_end"]["wall_s"]["median"]
-        print(f"{workload}: median wall_s {wall:.4g} over seeds {seeds}", file=sys.stderr)
+        runs = [{0: [], 1: []} for _ in roots]
+        for trace in (0, 1):
+            for seed in seeds:
+                for root, got in zip(roots, runs):
+                    got[trace].append(bench(root, workload, seed, args.seconds, trace))
+        for root, record, got in zip(roots, records, runs):
+            results = got[0] + got[1]
+            record["correct"] &= all(r["correct"] for r in results)
+            record["workloads"][workload] = {
+                "correct": all(r["correct"] for r in results),
+                "failed": sum(r["failed"] for r in results),
+                "attempted": sum(r["attempted"] for r in results),
+                "end_to_end": medians(got[0]),
+                "per_layer": medians(got[1]),
+            }
+            wall = record["workloads"][workload]["end_to_end"]["wall_s"]["median"]
+            print(f"{workload}: median wall_s {wall:.4g} over seeds {seeds} in {root}",
+                  file=sys.stderr)
 
-    out = args.out or next_path(ROOT)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(out)
+    for record, out in zip(records, outs):
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(out)
     return 0
 
 

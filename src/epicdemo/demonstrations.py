@@ -17,8 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Letter, Nfa, Word, check_alphabet, finite_language, \
-    concat, subtract_word, union, walk
+from .automata import EPSILON, Letter, Nfa, Word, finite_language, walk
 from .groups import ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, \
     PermutationOracle, _GEN_NAMES
 
@@ -191,7 +190,10 @@ def zk_demo(rank: int, names: Optional[Iterable[str]] = None) -> Demonstration:
     """Sign-consistent generator blocks in a fixed order, empty word removed.
 
     Every element (n_1, ..., n_k) has the witness g_1^{n_1} ... g_k^{n_k}
-    written with the matching sign, whose length is the l1 norm.
+    written with the matching sign, whose length is the l1 norm.  The
+    automaton has a start state ``s`` and a state ``(i, sign)`` per block:
+    the letter g_i^sign enters ``(i, sign)`` from ``s``, from any earlier
+    block and from ``(i, sign)`` itself.
     """
     if rank < 1:
         raise ValueError("rank must be positive")
@@ -203,19 +205,16 @@ def zk_demo(rank: int, names: Optional[Iterable[str]] = None) -> Demonstration:
     if len(names) != rank:
         raise ValueError("need exactly one generator name per coordinate")
     gens: dict[Letter, tuple] = {}
-    blocks = []
-    for i in range(rank):
-        name = names[i]
-        pos, neg = Letter(name), Letter(name + "^-1")
+    transitions = set()
+    for i, name in enumerate(names):
         vec = tuple(1 if j == i else 0 for j in range(rank))
-        gens[pos] = vec
-        gens[neg] = tuple(-c for c in vec)
-        block = union(z_demo(name).language, finite_language([EPSILON]))
-        blocks.append(block)
-    language = blocks[0]
-    for block in blocks[1:]:
-        language = concat(language, block)
-    language = subtract_word(language, EPSILON)
+        for sign, x in ((1, Letter(name)), (-1, Letter(name + "^-1"))):
+            gens[x] = tuple(sign * c for c in vec)
+            sources = ["s", (i, sign)] + [(j, e) for j in range(i) for e in (1, -1)]
+            transitions.update((p, x, (i, sign)) for p in sources)
+    blocks = frozenset((i, sign) for i in range(rank) for sign in (1, -1))
+    language = Nfa(tuple(gens), blocks | {"s"}, frozenset(transitions),
+                   frozenset({"s"}), blocks)
     oracle = FreeAbelianOracle(rank, gens)
     return Demonstration(oracle, identity_eval_map(oracle.alphabet), language)
 

@@ -280,9 +280,20 @@ def inverse_name(name: str) -> str:
     return name + _INVERSE_SUFFIX
 
 
+class _Inverses(dict):
+    """Each letter's paired inverse ``Letter``, named once per letter."""
+
+    def __missing__(self, x: str) -> Letter:
+        inverse = self[x] = Letter(inverse_name(x))
+        return inverse
+
+
+_INVERSE = _Inverses()
+
+
 def formal_inverse(word: Word) -> Word:
     """Reversed word with every letter replaced by its paired inverse."""
-    return tuple(Letter(inverse_name(x)) for x in reversed(word))
+    return tuple(map(_INVERSE.__getitem__, reversed(word)))
 
 
 def free_reduce(word: Word, alphabet: Optional[tuple[Letter, ...]] = None) -> Word:
@@ -290,7 +301,8 @@ def free_reduce(word: Word, alphabet: Optional[tuple[Letter, ...]] = None) -> Wo
 
     The result is the unique reduced form and does not depend on the
     cancellation order.  When ``alphabet`` is given, every letter and its
-    formal inverse must belong to it.
+    formal inverse must belong to it.  A letter with no formal inverse (the
+    bare marker ``^-1``) raises ValueError, as in ``formal_inverse``.
     """
     if alphabet is not None:
         for x in word:
@@ -300,7 +312,8 @@ def free_reduce(word: Word, alphabet: Optional[tuple[Letter, ...]] = None) -> Wo
                 raise ValueError(f"letter {x.name!r} has no paired inverse in the alphabet")
     stack: list[Letter] = []
     for x in word:
-        if stack and stack[-1] == inverse_name(x):
+        inverse = _INVERSE[x]
+        if stack and stack[-1] == inverse:
             stack.pop()
         else:
             stack.append(x)
@@ -328,7 +341,6 @@ class FreeGroupOracle(GroupOracle):
         if len(self.names) != self.rank:
             raise ValueError("need exactly one name per generator")
         self.alphabet = paired_letters(self.names)
-        self._inverse = {x: inverse_name(x) for x in self.alphabet}
 
     @functools.cached_property
     def backend(self) -> str:
@@ -338,7 +350,7 @@ class FreeGroupOracle(GroupOracle):
         return EPSILON
 
     def act(self, state: Word, letter: Letter) -> Word:
-        if state and state[-1] == self._inverse[letter]:
+        if state and state[-1] == _INVERSE[letter]:
             return state[:-1]
         return state + (letter,)
 

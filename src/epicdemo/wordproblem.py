@@ -113,24 +113,24 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
     relators = p.relators
     inverses = tuple(formal_inverse(r) for r in relators)
     min_cost = 1 + min(len(r) for r in relators)
+    # conjugates[n][ri][0 or 1]: the words u r u^-1 or u r^-1 u^-1 for
+    # the relator r at index ri and every reduced u of length n, length-lex
+    conjugates: list[list[tuple[list[Word], list[Word]]]] = []
+    level: list[Word] = [EPSILON]  # the reduced words of the last length built
 
-    def reduced_of_length(n: int) -> Iterator[Word]:
-        prefix: list[Letter] = []
+    def conjugates_of(n: int) -> list[tuple[list[Word], list[Word]]]:
+        nonlocal level
+        while len(conjugates) <= n:
+            if conjugates:
+                level = [u + (x,) for u in level for x in alphabet
+                         if not u or u[-1] != inverse_name(x)]
+            conjugates.append([tuple([u + s + formal_inverse(u) for u in level]
+                                     for s in pair) for pair in zip(relators, inverses)])
+        return conjugates[n]
 
-        def extend(k: int) -> Iterator[Word]:
-            if k == 0:
-                yield tuple(prefix)
-                return
-            for x in alphabet:
-                if prefix and prefix[-1] == inverse_name(x):
-                    continue
-                prefix.append(x)
-                yield from extend(k - 1)
-                prefix.pop()
-
-        yield from extend(n)
-
-    def factor_sequences(total: int, m: int) -> Iterator[tuple]:
+    # factor_sequences calls itself, so it lives in a reference cycle until
+    # a garbage collection; the table comes as an argument to stay out of it
+    def factor_sequences(table: Callable, total: int, m: int) -> Iterator[tuple]:
         if m == 0:
             if total == 0:
                 yield ()
@@ -141,23 +141,18 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
             room = total - head - tail_min
             if room < 0:
                 continue
-            for sign in (1, -1):
+            for sign in (0, 1):
                 for u_len in range(room + 1):
-                    for u in reduced_of_length(u_len):
-                        for rest in factor_sequences(total - head - u_len, m - 1):
-                            yield ((ri, sign, u),) + rest
+                    for w in table(u_len)[ri][sign]:
+                        for rest in factor_sequences(table, total - head - u_len, m - 1):
+                            yield (w,) + rest
 
     def stream() -> Iterator[Word]:
         yield EPSILON
         for total in count(min_cost):
             for m in range(1, total // min_cost + 1):
-                for factors in factor_sequences(total, m):
-                    spelled: list[Letter] = []
-                    for (ri, sign, u) in factors:
-                        spelled.extend(u)
-                        spelled.extend(relators[ri] if sign == 1 else inverses[ri])
-                        spelled.extend(formal_inverse(u))
-                    yield free_reduce(tuple(spelled))
+                for factors in factor_sequences(conjugates_of, total, m):
+                    yield free_reduce(sum(factors, EPSILON))
 
     return Enumerator(stream)
 

@@ -343,20 +343,31 @@ def _parse_word_tokens(tokens, lineno, block) -> Word:
 
 
 def _parse_presentation(block: _Block) -> tuple[str, Presentation]:
+    """A presentation; each error names the line at fault, the header
+    when the block has no generator at all."""
+
+    def build(relators, lineno=None) -> Presentation:
+        try:
+            return Presentation(tuple(names), tuple(relators))
+        except ValueError as e:
+            block.fail(str(e), lineno)
+
     name = block.header[0]
     names: list[str] = []
-    relators: list[Word] = []
+    relators: list[tuple[int, Word]] = []
     for lineno, tokens in block.body:
         if tokens[0] == "alphabet":
             names.extend(tokens[1:])
+            if names:
+                build((), lineno)
         elif tokens[0] == "relator":
-            relators.append(_parse_word_tokens(tokens[1:], lineno, block))
+            relators.append((lineno, _parse_word_tokens(tokens[1:], lineno, block)))
         else:
             block.fail(f"unknown presentation line {tokens[0]!r}", lineno)
-    try:
-        return name, Presentation(tuple(names), tuple(relators))
-    except ValueError as e:
-        block.fail(str(e))
+    build(())
+    for lineno, r in relators:
+        build((r,), lineno)
+    return name, build(r for _, r in relators)
 
 
 # -- loading and linking -------------------------------------------------

@@ -635,3 +635,85 @@ def pairwise_decide_word(word, language, closure, budget, frontier=None):
         cursor = 0
         if stalled:
             return ("budget_exceeded", None, checkpoint(), total, True)
+
+
+def spelled_closure_enumerator(presentation):
+    """The normal-closure stream spelled factor by factor, as name tuples.
+
+    Products are visited by total size, factor count, then factorwise by
+    relator index, sign and conjugator, conjugators depth-first in
+    alphabet order; every factor sequence rebuilds each conjugator and its
+    inverse and reduces the whole spelling.  An endless generator unless
+    the presentation has no relators.
+    """
+    alphabet = [x.name for x in presentation.alphabet]
+    relators = [tuple(x.name for x in r) for r in presentation.relators]
+    yield ()
+    if not relators:
+        return
+    inverses = [tuple(_inverse_name(n) for n in reversed(r)) for r in relators]
+    min_cost = 1 + min(len(r) for r in relators)
+
+    def reduced_of_length(k, prefix=()):
+        if k == 0:
+            yield prefix
+            return
+        for n in alphabet:
+            if not prefix or prefix[-1] != _inverse_name(n):
+                yield from reduced_of_length(k - 1, prefix + (n,))
+
+    def factor_sequences(total, m):
+        if m == 0:
+            if total == 0:
+                yield ()
+            return
+        tail_min = (m - 1) * min_cost
+        for ri, r in enumerate(relators):
+            head = 1 + len(r)
+            room = total - head - tail_min
+            if room < 0:
+                continue
+            for sign in (1, -1):
+                for u_len in range(room + 1):
+                    for u in reduced_of_length(u_len):
+                        for rest in factor_sequences(total - head - u_len, m - 1):
+                            yield ((ri, sign, u),) + rest
+
+    for total in itertools.count(min_cost):
+        for m in range(1, total // min_cost + 1):
+            for factors in factor_sequences(total, m):
+                spelled = []
+                for (ri, sign, u) in factors:
+                    spelled.extend(u)
+                    spelled.extend(relators[ri] if sign == 1 else inverses[ri])
+                    spelled.extend(_inverse_name(n) for n in reversed(u))
+                yield _reduce_names(spelled)
+
+
+# -- builtin demonstrations ----------------------------------------------------
+
+
+def blockwise_zk_demo(rank, names=None):
+    """``zk_demo`` assembled block by block from the automaton algebra:
+    each generator's block is its ``z_demo`` language or the empty word,
+    the blocks are concatenated in order and the empty word is taken out
+    by ``subtract_word``."""
+    from epicdemo.automata import EPSILON, Letter, concat, finite_language, \
+        subtract_word, union
+    from epicdemo.demonstrations import Demonstration, identity_eval_map, z_demo
+    from epicdemo.groups import FreeAbelianOracle
+
+    names = list(names or "abcdefghijklmnopqrstuvwxyz"[:rank])
+    gens = {}
+    blocks = []
+    for i, name in enumerate(names):
+        vec = tuple(1 if j == i else 0 for j in range(rank))
+        gens[Letter(name)] = vec
+        gens[Letter(name + "^-1")] = tuple(-c for c in vec)
+        blocks.append(union(z_demo(name).language, finite_language([EPSILON])))
+    language = blocks[0]
+    for block in blocks[1:]:
+        language = concat(language, block)
+    language = subtract_word(language, EPSILON)
+    oracle = FreeAbelianOracle(rank, gens)
+    return Demonstration(oracle, identity_eval_map(oracle.alphabet), language)

@@ -17,7 +17,7 @@ from epicdemo.demonstrations import (
 )
 from epicdemo.groups import FreeAbelianOracle, PermutationOracle, perm_from_cycles
 
-from oracles import unmemoized_pruned_step, wordwise_coverage
+from oracles import blockwise_zk_demo, unmemoized_pruned_step, wordwise_coverage
 from test_groups import oracles, s3_oracle
 
 
@@ -110,6 +110,28 @@ class TestZkDemo:
         d = zk_demo(3)
         assert [x.name for x in d.language.alphabet] == [
             "a", "a^-1", "b", "b^-1", "c", "c^-1"]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("names", [None, "custom"])
+    def test_matches_blockwise_reference(self, rank, names):
+        if names:
+            names = [f"g{i}" for i in reversed(range(rank))]
+        got, want = zk_demo(rank, names), blockwise_zk_demo(rank, names)
+        assert got.oracle.alphabet == want.oracle.alphabet
+        assert got.language.alphabet == want.language.alphabet
+        assert got.eval_map == want.eval_map
+        assert got.oracle == want.oracle
+        # the bounded prefix first: a wrong automaton may accept far more
+        assert list(itertools.islice(got.language.words(), 5000)) == list(
+            itertools.islice(want.language.words(), 5000))
+        assert list(got.language.words(7)) == list(want.language.words(7))
+        assert [got.evaluate(w) for w in got.language.words(4)] == [
+            want.evaluate(w) for w in want.language.words(4)]
+
+    def test_one_start_state_and_two_per_generator(self):
+        language = zk_demo(3).language
+        assert language.initials == {"s"}
+        assert len(language.states) == 7
 
 
 class TestEvalMapIndirection:

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import os
 import pathlib
 
 import pytest
@@ -51,3 +53,41 @@ class TestBenchRecord:
         with pytest.raises(SystemExit) as caught:
             load_script("bench_record").main(["--seeds", "0"])
         assert caught.value.code == 2
+
+    def test_roots_take_turns_run_by_run(self, tmp_path, capsys):
+        """Two checkouts, stubbed runs: each (workload, trace, seed) visits
+        both roots before the next, and each root's medians go to its own
+        file, numbered in --root order."""
+        script = load_script("bench_record")
+        calls = []
+
+        def bench(root, workload, seed, seconds, trace):
+            calls.append((workload, trace, seed, os.path.basename(root)))
+            value = seed + (10 if root.endswith("new") else 0) + trace / 2
+            return {"correct": True, "failed": 0, "attempted": 4,
+                    "metrics": {"wall_s": {"value": value, "unit": "s"}}}
+
+        script.bench, script.ROOT = bench, str(tmp_path)
+        (tmp_path / "BENCH_3.json").write_text("{}")
+        old, new = tmp_path / "old", tmp_path / "new"
+        assert script.main(["--root", str(old), "--root", str(new),
+                            "--seconds", "1", "--seeds", "2"]) == 0
+        assert calls == [(workload, trace, seed, root)
+                         for workload in script.WORKLOADS for trace in (0, 1)
+                         for seed in (1, 2) for root in ("old", "new")]
+        out = capsys.readouterr().out
+        assert out.split() == [str(tmp_path / "BENCH_4.json"), str(tmp_path / "BENCH_5.json")]
+        for name, wall in (("BENCH_4.json", 1.5), ("BENCH_5.json", 11.5)):
+            record = json.loads((tmp_path / name).read_text())
+            assert record["seeds"] == [1, 2] and record["correct"] is True
+            for workload in script.WORKLOADS:
+                got = record["workloads"][workload]
+                assert got["end_to_end"] == {"wall_s": {"median": wall, "unit": "s"}}
+                assert got["per_layer"] == {"wall_s": {"median": wall + 0.5, "unit": "s"}}
+                assert (got["attempted"], got["failed"]) == (16, 0)
+
+    def test_one_out_per_root(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            load_script("bench_record").main(["--root", ".", "--root", ".", "--out", "x.json"])
+        assert caught.value.code == 2
+        assert "give --out once per --root: 2 times, not 1" in capsys.readouterr().err

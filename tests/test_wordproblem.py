@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epicdemo import groups
 from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word
 from epicdemo.demonstrations import builtin_demo, z_demo, zk_demo
 from epicdemo.errors import InputContradictionError
@@ -24,10 +26,12 @@ from epicdemo.wordproblem import (
     replay,
 )
 
-from oracles import PairwiseContradiction, ascii_evaluate, pairwise_decide_word, words_upto
+from oracles import PairwiseContradiction, _inverse_name, _reduce_names, ascii_evaluate, \
+    pairwise_decide_word, spelled_closure_enumerator, words_upto
 from test_groups import oracles, s3_oracle
 
 
+FRESH = itertools.count()
 PAIRED = st.sampled_from([Letter(n) for n in ("a", "a^-1", "b", "b^-1")])
 
 
@@ -69,6 +73,29 @@ class TestFreeReduce:
     def test_formal_inverse_cancels(self, letters):
         word = tuple(letters)
         assert free_reduce(word + formal_inverse(word)) == EPSILON
+
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.lists(st.tuples(st.integers(0, k - 1), st.booleans()), max_size=12)))
+    def test_matches_name_reference_on_fresh_letters(self, draws):
+        """Letters named afresh for each example miss the inverse table on
+        the first call and hit it on the second; both calls must agree with
+        the reduction of the names, and inverses must be letters."""
+        base = f"fresh{next(FRESH)}"
+        word = tuple(Letter(f"{base}_{i}" + ("^-1" if inverted else "")) for i, inverted in draws)
+        assert not any(x in groups._INVERSE for x in word)
+        names = tuple(x.name for x in word)
+        for _ in range(2):
+            assert free_reduce(word) == _reduce_names(names)
+            inverse = formal_inverse(word)
+            assert inverse == tuple(map(_inverse_name, reversed(names)))
+            assert all(type(x) is Letter for x in inverse)
+        assert all(x in groups._INVERSE for x in word)
+
+    def test_bare_marker_has_no_inverse(self):
+        # the letter "^-1" would pair with the empty name, which is no letter
+        for f in (formal_inverse, free_reduce):
+            with pytest.raises(ValueError, match="non-empty"):
+                f(make_word("^-1"))
 
     def test_alphabet_guard(self):
         alphabet = tuple([Letter("a"), Letter("a^-1")])
@@ -128,6 +155,12 @@ def commutator_presentation():
     return Presentation(("a", "b"), (make_word("a", "b", "a^-1", "b^-1"),))
 
 
+def closure_prefix(p, n):
+    """The first n words of the closure stream, fewer if it ends."""
+    e = normal_closure_enumerator(p)
+    return list(itertools.takewhile(lambda w: w is not None, map(e.get, range(n))))
+
+
 class TestNormalClosure:
     def test_empty_word_first(self):
         e = normal_closure_enumerator(commutator_presentation())
@@ -156,6 +189,22 @@ class TestNormalClosure:
         for i in range(200):
             w = e.get(i)
             assert free_reduce(w) == w
+
+    @pytest.mark.parametrize("relators", [
+        [("a", "b", "a^-1", "b^-1")],
+        [("a", "a"), ("b", "b"), ("a", "b", "a", "b", "a", "b")],
+    ], ids=["plane", "s3"])
+    def test_matches_spelled_reference(self, relators):
+        p = Presentation(("a", "b"), tuple(make_word(*r) for r in relators))
+        assert closure_prefix(p, 20_000) == list(
+            itertools.islice(spelled_closure_enumerator(p), 20_000))
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.lists(st.lists(PAIRED, min_size=1, max_size=4), min_size=1, max_size=2))
+    def test_drawn_presentations_match_spelled_reference(self, relators):
+        p = Presentation(("a", "b"), tuple(tuple(r) for r in relators))
+        assert closure_prefix(p, 20_000) == list(
+            itertools.islice(spelled_closure_enumerator(p), 20_000))
 
     def test_abelianization_vanishes(self):
         # every closure element of <a,b | [a,b]> has zero exponent sums

@@ -423,6 +423,19 @@ class TestPresentationBlocks:
         assert ws.presentations["p"].relators == (make_word("a"),)
         assert "relator a\n" in render(ws)
 
+    @pytest.mark.parametrize("text, message", [
+        ("presentation p\n  alphabet a b\n  relator a b\n  relator a c\nend\n",
+         "bad.epic:4: letter 'c' is outside the alphabet"),
+        ("presentation p\n  alphabet a\n  relator a a\n  alphabet b^-1\nend\n",
+         "bad.epic:4: generator name 'b^-1' must not carry an inverse marker"),
+        ("presentation p\n  alphabet a b\n  alphabet c a\n  relator a\nend\n",
+         "bad.epic:3: duplicate generator name"),
+    ], ids=["foreign-relator-letter", "inverse-marked-generator", "duplicate-generator"])
+    def test_error_names_the_line_at_fault(self, text, message):
+        with pytest.raises(LoadError) as caught:
+            load_text([("bad.epic", text)])
+        assert str(caught.value) == message
+
 
 class TestCanonicalStates:
     def test_tuple_states_render_and_reload(self):
