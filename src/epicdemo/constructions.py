@@ -10,6 +10,7 @@ are checked at caller-supplied bounds and trusted beyond them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -18,13 +19,13 @@ from .automata import (
     Letter,
     Nfa,
     Word,
+    _closed_edges,
     check_alphabet,
     concat,
     finite_language,
     format_word,
     image_hom,
     intersect,
-    inverse_letter_hom,
     merge_alphabets,
     normalize_no_accepting_initial,
     reachable,
@@ -243,23 +244,36 @@ def fi_subgroup(demo: Demonstration, table: CosetTable,
     edge_letters = tuple(e.letter for e in edges)
     check_alphabet(edge_letters)
 
-    home = table.subgroup_coset
-    # walks from the subgroup coset back to it, with a separate accepting
-    # copy of home so the empty walk is rejected
-    states: set = {("c", c) for c in table.cosets} | {("fin",)}
-    transitions = set()
+    # the product of the language with the walks on the coset digraph
+    # from the subgroup coset back to it, each edge letter read through
+    # its generator; a separate accepting copy of home, with no way out,
+    # rejects the empty walk
+    home, fin = table.subgroup_coset, ("fin",)
+    walk_edges: dict = {("c", c): [] for c in table.cosets}
     for e, letter in zip(edges, edge_letters):
-        transitions.add(((("c", e.source)), letter, ("c", e.target)))
-        if e.target == home:
-            transitions.add(((("c", e.source)), letter, ("fin",)))
-    walks = Nfa(edge_letters, frozenset(states), frozenset(transitions),
-                frozenset({("c", home)}), frozenset({("fin",)}))
-
-    spelled = inverse_letter_hom(
-        demo.language,
-        {e.letter: e.generator for e in edges},
-        edge_letters)
-    language = intersect(walks, spelled)
+        walk_edges["c", e.source].append(
+            (letter, e.generator, ("c", e.target), e.target == home))
+    closed, closed_accepting = _closed_edges(demo.language)
+    initials = frozenset((("c", home), q) for q in demo.language.initials)
+    states, transitions = set(initials), set()
+    queue = deque(initials)
+    while queue:
+        source = queue.popleft()
+        walk, q = source
+        out = closed.get(q, {})
+        for letter, x, target, closes in walk_edges[walk]:
+            for q2 in out.get(x, ()):
+                pair = (target, q2)
+                transitions.add((source, letter, pair))
+                if pair not in states:
+                    states.add(pair)
+                    queue.append(pair)
+                if closes:
+                    pair = (fin, q2)
+                    transitions.add((source, letter, pair))
+                    states.add(pair)
+    accepting = frozenset((fin, q) for q in closed_accepting if (fin, q) in states)
+    language = Nfa(edge_letters, frozenset(states), frozenset(transitions), initials, accepting)
 
     eval_map = {
         e.letter: table.transversal[e.source] + (e.generator,)

@@ -34,11 +34,13 @@ from .groups import (
     IntegerMatrixOracle,
     PermutationOracle,
     cycles_from_perm,
+    paired_letters,
     perm_from_cycles,
 )
 from .wordproblem import Presentation
 
 BLOCK_KINDS = ("automaton", "group", "demonstration", "cosettable", "presentation")
+_EPS_RESERVED = "'eps' is reserved and cannot be an alphabet letter"
 
 
 @dataclass
@@ -81,12 +83,16 @@ def _split_blocks(path: Optional[str], text: str) -> list[_Block]:
     """
     blocks: list[_Block] = []
     current: Optional[_Block] = None
+    body: list = []  # the open block's body
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+        if not tokens:
             continue
-        if "#" in tokens:
-            tokens = tokens[: tokens.index("#")]
+        if "#" in raw:  # no '#' in the line, no comment to strip
+            if tokens[0][0] == "#":
+                continue
+            if "#" in tokens:
+                tokens = tokens[: tokens.index("#")]
         if current is None:
             if tokens[0] not in BLOCK_KINDS:
                 raise LoadError(f"expected a block keyword, got {tokens[0]!r}",
@@ -94,11 +100,12 @@ def _split_blocks(path: Optional[str], text: str) -> list[_Block]:
             if len(tokens) < 2:
                 raise LoadError(f"{tokens[0]} block needs a name", path=path, line=lineno)
             current = _Block(tokens[0], tokens[1:], [], path, lineno)
-        elif tokens == ["end"]:
+            body = current.body
+        elif tokens[0] == "end" and len(tokens) == 1:
             blocks.append(current)
             current = None
         else:
-            current.body.append((lineno, tokens))
+            body.append((lineno, tokens))
     if current is not None:
         raise LoadError(f"unterminated {current.kind} block {current.header[0]!r}",
                         path=path, line=current.line)
@@ -114,15 +121,11 @@ def _parse_automaton(block: _Block) -> Nfa:
     initials: list[str] = []
     accepting: list[str] = []
     transitions = []  # token lists: trans source label target
-    for lineno, tokens in block.body:
+    for _, tokens in block.body:
         key = tokens[0]
         if key == "trans":
-            if len(tokens) != 4:
-                block.fail("trans takes: source label target", lineno)
             transitions.append(tokens)
-        elif key == "alphabet":
-            if "eps" in tokens:
-                block.fail("'eps' is reserved and cannot be an alphabet letter", lineno)
+        elif key == "alphabet" and "eps" not in tokens:
             alphabet.extend(Letter(n) for n in tokens[1:])
         elif key == "states":
             states.extend(tokens[1:])
@@ -131,29 +134,51 @@ def _parse_automaton(block: _Block) -> Nfa:
         elif key == "accept":
             accepting.extend(tokens[1:])
         else:
-            block.fail(f"unknown automaton line {key!r}", lineno)
+            _automaton_fault(block)
     letters = dict(zip(alphabet, alphabet), eps=None)
     try:
         return Nfa(tuple(alphabet), frozenset(states),
                    frozenset([(src, letters[label], tgt) for _, src, label, tgt in transitions]),
                    frozenset(initials), frozenset(accepting))
     except (KeyError, ValueError, AutomatonSizeError) as e:
-        # name the first bad line, checked in file order, before any other error
-        known = set(states)
-        for lineno, (key, *rest) in block.body:
-            if key == "trans":
-                src, label, tgt = rest
-                for s in (src, tgt):
-                    if s not in known:
-                        block.fail(f"transition uses undeclared state {s!r}", lineno)
-                if label not in letters:
-                    block.fail(f"transition label {label!r} is not in the alphabet", lineno)
-        for s in initials + accepting:
-            if s not in known:
-                block.fail(f"undeclared state {s!r}")
-        if isinstance(e, AutomatonSizeError):
-            raise
-        block.fail(str(e))
+        _automaton_fault(block, e)
+
+
+def _automaton_fault(block: _Block, error: Optional[Exception] = None):
+    """Raise the error of an automaton block's first bad line, in file
+    order: faults of a line on its own, then transitions naming an
+    undeclared state or letter, then undeclared initial or accepting
+    states; with no bad line, ``error`` itself."""
+    states, letters = set(), {"eps"}
+    marked: dict = {"initial": [], "accept": []}
+    for lineno, (key, *rest) in block.body:
+        if key == "trans":
+            if len(rest) != 3:
+                block.fail("trans takes: source label target", lineno)
+        elif key == "alphabet":
+            if "eps" in rest:
+                block.fail(_EPS_RESERVED, lineno)
+            letters.update(rest)
+        elif key == "states":
+            states.update(rest)
+        elif key in marked:
+            marked[key].extend(rest)
+        else:
+            block.fail(f"unknown automaton line {key!r}", lineno)
+    for lineno, (key, *rest) in block.body:
+        if key == "trans":
+            src, label, tgt = rest
+            for s in (src, tgt):
+                if s not in states:
+                    block.fail(f"transition uses undeclared state {s!r}", lineno)
+            if label not in letters:
+                block.fail(f"transition label {label!r} is not in the alphabet", lineno)
+    for s in marked["initial"] + marked["accept"]:
+        if s not in states:
+            block.fail(f"undeclared state {s!r}")
+    if isinstance(error, AutomatonSizeError):
+        raise error
+    block.fail(str(error))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -182,10 +207,47 @@ def _gen_lines(block: _Block):
             block.fail(f"unknown group line {tokens[0]!r}", lineno)
         if len(tokens) < 4 or tokens[2] != "=":
             block.fail("gen takes: gen NAME = VALUE", lineno)
+        if tokens[1] == "eps":
+            block.fail(_EPS_RESERVED, lineno)
         if tokens[1] in seen:
             block.fail(f"generator {tokens[1]!r} defined twice", lineno)
         seen.add(tokens[1])
         yield lineno, tokens[1], tokens[3:]
+
+
+def _gen_oracle(block: _Block, make, gens: dict, lines: dict) -> GroupOracle:
+    """``make(gens)``.  When it fails, a fault of the header (``make({})``
+    fails too) names the header, and a fault of one generator the line
+    that defines it."""
+    try:
+        return make(gens)
+    except ValueError:
+        make({})
+        for x, lineno in lines.items():
+            try:
+                make({x: gens[x]})
+            except ValueError as e:
+                block.fail(str(e), lineno)
+        raise
+
+
+_GEN_FLAVORS = {  # flavor: (header word, its value, oracle class)
+    "perm": ("degree", "N", PermutationOracle),
+    "matrix": ("dim", "N", IntegerMatrixOracle),
+    "zk": ("rank", "K", FreeAbelianOracle),
+}
+
+
+def _gen_value(flavor: str, size: int, rhs: list, lineno: int, block: _Block):
+    if flavor == "perm":
+        cycles = _parse_cycles(" ".join(rhs), lineno, block)
+        try:
+            return perm_from_cycles(cycles, size)
+        except ValueError as e:
+            block.fail(str(e), lineno)
+    if flavor == "matrix":
+        return tuple(tuple(r) for r in _parse_int_array("".join(rhs), 2, lineno, block))
+    return tuple(_parse_int_array("".join(rhs), 1, lineno, block))
 
 
 def _parse_group(block: _Block):
@@ -193,33 +255,17 @@ def _parse_group(block: _Block):
     name = block.header[0]
     flavor = block.header[1] if len(block.header) > 1 else None
     try:
-        if flavor == "perm":
-            if len(block.header) != 4 or block.header[2] != "degree":
-                block.fail("perm header: group NAME perm degree N")
-            degree = int(block.header[3])
-            gens = {}
+        if flavor in _GEN_FLAVORS:
+            word, value, oracle = _GEN_FLAVORS[flavor]
+            if len(block.header) != 4 or block.header[2] != word:
+                block.fail(f"{flavor} header: group NAME {flavor} {word} {value}")
+            size = int(block.header[3])
+            gens, lines = {}, {}
             for lineno, gen_name, rhs in _gen_lines(block):
-                cycles = _parse_cycles(" ".join(rhs), lineno, block)
-                gens[Letter(gen_name)] = perm_from_cycles(cycles, degree)
-            return name, PermutationOracle(degree, gens)
-        if flavor == "matrix":
-            if len(block.header) != 4 or block.header[2] != "dim":
-                block.fail("matrix header: group NAME matrix dim N")
-            dim = int(block.header[3])
-            gens = {}
-            for lineno, gen_name, rhs in _gen_lines(block):
-                rows = _parse_int_array("".join(rhs), 2, lineno, block)
-                gens[Letter(gen_name)] = tuple(tuple(r) for r in rows)
-            return name, IntegerMatrixOracle(dim, gens)
-        if flavor == "zk":
-            if len(block.header) != 4 or block.header[2] != "rank":
-                block.fail("zk header: group NAME zk rank K")
-            rank = int(block.header[3])
-            gens = {}
-            for lineno, gen_name, rhs in _gen_lines(block):
-                vec = _parse_int_array("".join(rhs), 1, lineno, block)
-                gens[Letter(gen_name)] = tuple(vec)
-            return name, FreeAbelianOracle(rank, gens)
+                x = Letter(gen_name)
+                gens[x] = _gen_value(flavor, size, rhs, lineno, block)
+                lines[x] = lineno
+            return name, _gen_oracle(block, lambda g: oracle(size, g), gens, lines)
         if flavor == "free":
             if len(block.header) != 4 or block.header[2] != "rank":
                 block.fail("free header: group NAME free rank K")
@@ -228,6 +274,12 @@ def _parse_group(block: _Block):
             for lineno, tokens in block.body:
                 if tokens[0] == "names":
                     names = tuple(tokens[1:])
+                    if "eps" in names:
+                        block.fail(_EPS_RESERVED, lineno)
+                    try:
+                        paired_letters(names)
+                    except ValueError as e:
+                        block.fail(str(e), lineno)
                 else:
                     block.fail(f"unknown free group line {tokens[0]!r}", lineno)
             return name, FreeGroupOracle(rank, names)
@@ -258,7 +310,7 @@ def _parse_int_array(text: str, depth: int, lineno: int, block: _Block):
     """A JSON vector (depth 1) or matrix (depth 2) with integer entries."""
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # the decoder recurses per level
         block.fail(f"cannot parse {text!r} as a vector or matrix", lineno)
 
     def shaped(v, d):
@@ -310,7 +362,7 @@ def _parse_cosettable(block: _Block):
         block.fail(f"coset count must be an integer, got {block.header[4]!r}")
     cosets: list[str] = []
     transversal = {}
-    action = {}
+    action, action_lines = {}, {}
     for lineno, tokens in block.body:
         if tokens[0] == "coset" and len(tokens) >= 4 and tokens[2] == "rep":
             coset = tokens[1]
@@ -324,6 +376,7 @@ def _parse_cosettable(block: _Block):
             if key in action:
                 block.fail(f"action for {source} {letter} given twice", lineno)
             action[key] = target
+            action_lines[key] = lineno
         else:
             block.fail(f"unknown cosettable line {' '.join(tokens)!r}", lineno)
     if len(cosets) != count:
@@ -331,7 +384,7 @@ def _parse_cosettable(block: _Block):
     for (source, letter), target in action.items():
         for c in (source, target):
             if c not in transversal:
-                block.fail(f"action references unknown coset {c!r}")
+                block.fail(f"action references unknown coset {c!r}", action_lines[source, letter])
     return name, group_name, CosetTable(tuple(cosets), transversal, action)
 
 
@@ -488,35 +541,59 @@ def _state_key(state):
     return (1, _natural_key(repr(state)))
 
 
-def _canonical(nfa: Nfa) -> tuple[list, list, dict, list]:
+def _canonical(nfa: Nfa) -> tuple[list, list, list, list]:
     """``canonical_states`` on integers: ``(states, order, position,
-    edges)`` where ``order[k]`` indexes the state named ``s<k>`` in
-    ``states``, ``position`` inverts ``order``, and ``edges`` holds the
-    transitions as (source, label rank, target) index triples."""
+    outgoing)`` where ``order[k]`` indexes the state named ``s<k>`` in
+    ``states``, ``position`` inverts ``order``, and ``outgoing[i]`` maps
+    each label rank of state ``i``'s transitions to their targets, as
+    indices into ``states`` in transition order.
+
+    ``_state_key`` is computed only where it decides the order: between
+    targets of one source and label first reached together, between
+    initial states and between unreached states.  States with equal keys
+    keep the iteration order of ``transitions``, ``initials`` and
+    ``states - reached``.
+    """
     states = list(nfa.states)
     number = {s: i for i, s in enumerate(states)}
     letter_rank = {x: i for i, x in enumerate((*nfa.alphabet, None))}
-    edges = [(number[p], letter_rank[label], number[q]) for (p, label, q) in nfa.transitions]
-    keys = [_state_key(s) for s in states]
-    dense = {k: i for i, k in enumerate(sorted(set(keys)))}
-    rank = [dense[k] for k in keys]  # equal keys, equal ranks
-    edge_rank = [label * len(dense) + rank[q] for _, label, q in edges]
-    outgoing: list = [[] for _ in states]
-    for i in sorted(range(len(edges)), key=edge_rank.__getitem__):  # ties keep input order
-        outgoing[edges[i][0]].append(edges[i][2])
-    order = sorted(map(number.__getitem__, nfa.initials), key=rank.__getitem__)
-    position = {i: k for k, i in enumerate(order)}
+    outgoing: list = [{} for _ in states]
+    for p, label, q in nfa.transitions:
+        by_label = outgoing[number[p]]
+        rank = letter_rank[label]
+        targets = by_label.get(rank)
+        if targets is None:
+            by_label[rank] = [number[q]]
+        else:
+            targets.append(number[q])
+
+    def key(i):
+        return _state_key(states[i])
+
+    order = [number[s] for s in nfa.initials]
+    if len(order) > 1:
+        order.sort(key=key)
+    position = [-1] * len(states)
+    for k, i in enumerate(order):
+        position[i] = k
     for p in order:  # grows while it is read: breadth first
-        for q in outgoing[p]:
-            if q not in position:
-                position[q] = len(order)
-                order.append(q)
+        by_label = outgoing[p]
+        for rank in sorted(by_label):
+            targets = by_label[rank]
+            if len(targets) > 1:  # the key orders the targets not yet placed
+                targets = [q for q in targets if position[q] < 0]
+                if len(targets) > 1:
+                    targets.sort(key=key)
+            for q in targets:
+                if position[q] < 0:
+                    position[q] = len(order)
+                    order.append(q)
     if len(order) < len(states):
-        unreached = nfa.states - {states[i] for i in order}
-        for i in sorted(map(number.__getitem__, unreached), key=rank.__getitem__):
+        unreached = [number[s] for s in nfa.states - {states[i] for i in order}]
+        for i in sorted(unreached, key=key):
             position[i] = len(order)
             order.append(i)
-    return states, order, position, edges
+    return states, order, position, outgoing
 
 
 def canonical_states(nfa: Nfa) -> dict:
@@ -532,21 +609,26 @@ def canonical_states(nfa: Nfa) -> dict:
 
 
 def render_automaton(name: str, nfa: Nfa) -> str:
-    states, order, position, edges = _canonical(nfa)
-    n, width = len(states), len(nfa.alphabet) + 1
+    states, order, position, outgoing = _canonical(nfa)
     labels = [*nfa.alphabet, "eps"]
+    names = [f"s{k}" for k in range(len(states))]
+    renamed = [names[k] for k in position]  # the new name of each state
     lines = [f"automaton {name}"]
     lines.append("  alphabet " + " ".join(nfa.alphabet))
-    lines.append("  states " + " ".join(f"s{k}" for k in range(n)))
-    lines.append("  initial " + " ".join(
-        f"s{k}" for k, i in enumerate(order) if states[i] in nfa.initials))
+    lines.append("  states " + " ".join(names))
+    lines.append("  initial " + " ".join(names[:len(nfa.initials)]))
     lines.append("  accept " + " ".join(
-        f"s{k}" for k, i in enumerate(order) if states[i] in nfa.accepting))
-    # one integer per transition orders by source, label and target names
-    for key in sorted((position[p] * width + label) * n + position[q] for p, label, q in edges):
-        rest, q = divmod(key, n)
-        p, label = divmod(rest, width)
-        lines.append(f"  trans s{p} {labels[label]} s{q}")
+        names[k] for k, i in enumerate(order) if states[i] in nfa.accepting))
+    # ordered by source, label and target: sources in order, then labels by rank
+    for source, p in zip(names, order):
+        by_label = outgoing[p]
+        for rank in sorted(by_label):
+            head = f"  trans {source} {labels[rank]} "
+            targets = by_label[rank]
+            if len(targets) > 1:
+                targets = sorted(targets, key=position.__getitem__)
+            for q in targets:
+                lines.append(head + renamed[q])
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -360,6 +360,30 @@ def pairwise_intersect(a, b):
     return states, transitions, initials, accepting
 
 
+def intersected_fi_language(demo, table):
+    """The language of ``fi_subgroup(demo, table)`` as the product of a
+    coset-walk automaton with the language pulled back to edge letters:
+    ``intersect(walks, inverse_letter_hom(...))``."""
+    from epicdemo.automata import Nfa, intersect, inverse_letter_hom
+    from epicdemo.constructions import EdgeLetter
+
+    edges = [EdgeLetter(c, x, table.act(c, x))
+             for c in table.cosets for x in demo.oracle.alphabet]
+    edge_letters = tuple(e.letter for e in edges)
+    home = table.subgroup_coset
+    states = {("c", c) for c in table.cosets} | {("fin",)}
+    transitions = set()
+    for e, letter in zip(edges, edge_letters):
+        transitions.add((("c", e.source), letter, ("c", e.target)))
+        if e.target == home:
+            transitions.add((("c", e.source), letter, ("fin",)))
+    walks = Nfa(edge_letters, frozenset(states), frozenset(transitions),
+                frozenset({("c", home)}), frozenset({("fin",)}))
+    spelled = inverse_letter_hom(demo.language, {e.letter: e.generator for e in edges},
+                                 edge_letters)
+    return intersect(walks, spelled)
+
+
 def triplewise_nfa_check(alphabet, states, transitions, initials, accepting):
     """The ValueError text an automaton with these parts must raise, or None:
     the checks in order, transitions one triple at a time in iteration

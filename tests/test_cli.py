@@ -199,6 +199,14 @@ class TestUsageErrors:
         assert code == 2
         assert ":3:" in err
 
+    def test_deeply_nested_generator_is_load_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.epic"
+        path.write_text("group g matrix dim 1\n  gen a = " + "[" * 5000 + "]" * 5000 + "\nend\n")
+        code, out, err = run(capsys, "-f", str(path), "ball", "--group", "g", "--radius", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}:2: cannot parse") and err.count("\n") == 1
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "unwritable-out"])
     def test_unreadable_file_is_usage_error(self, capsys, tmp_path, kind):
         if kind == "unwritable-out":

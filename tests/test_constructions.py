@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word, single_word, \
     subtract_word
@@ -21,11 +21,16 @@ from epicdemo.constructions import (
     pad_triple_word,
     split_triple,
 )
-from epicdemo.demonstrations import Demonstration, finite_demo, z_demo, zk_demo
+from epicdemo.demonstrations import Demonstration, finite_demo, identity_eval_map, z_demo, zk_demo
 from epicdemo.graphproduct import VertexGraph
-from epicdemo.groups import FreeAbelianOracle, IntegerMatrixOracle, PermutationOracle
+from epicdemo.groups import (
+    FreeAbelianOracle,
+    FreeGroupOracle,
+    IntegerMatrixOracle,
+    PermutationOracle,
+)
 
-from oracles import ascii_evaluate, bf_language, bf_pruned_types
+from oracles import ascii_evaluate, bf_language, bf_pruned_types, intersected_fi_language
 from test_demonstrations import demos
 from test_groups import heisenberg_oracle, s3_oracle, c2_oracle
 
@@ -322,6 +327,60 @@ class TestFiSubgroup:
         table = CosetTable(("H",), {"H": EPSILON}, {("H", Letter("a")): "H"})
         with pytest.raises(ValueError, match="no inverse"):
             fi_subgroup(demo, table)
+
+
+@st.composite
+def fi_cases(draw):
+    """A demonstration over free(2) whose language has one to five states,
+    epsilon edges and up to three initial states, with a transitive action
+    of free(2) on one to three cosets, transversal words breadth first."""
+    oracle = FreeGroupOracle(2)
+    letters = list(oracle.alphabet)
+    states = list(range(draw(st.integers(1, 5))))
+    transitions = draw(st.lists(st.tuples(st.sampled_from(states),
+                                          st.sampled_from(letters + [None]),
+                                          st.sampled_from(states)), max_size=20))
+    initials = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3))
+    accepting = draw(st.lists(st.sampled_from(states), max_size=3))
+    language = Nfa(oracle.alphabet, frozenset(states), frozenset(transitions),
+                   frozenset(initials), frozenset(accepting))
+    cosets = ("H", "C", "D")[:draw(st.integers(1, 3))]
+    action = {}
+    for x, x_inv in zip(letters[::2], letters[1::2]):
+        image = draw(st.permutations(cosets))
+        for c, d in zip(cosets, image):
+            action[c, x], action[d, x_inv] = d, c
+    transversal = {"H": EPSILON}
+    queue = ["H"]
+    for c in queue:  # grows while it is read
+        for x in letters:
+            d = action[c, x]
+            if d not in transversal:
+                transversal[d] = transversal[c] + (x,)
+                queue.append(d)
+    assume(len(transversal) == len(cosets))
+    return (Demonstration(oracle, identity_eval_map(oracle.alphabet), language),
+            CosetTable(cosets, transversal, action))
+
+
+def nfa_parts(nfa):
+    return nfa.alphabet, nfa.states, nfa.transitions, nfa.initials, nfa.accepting
+
+
+class TestFiSubgroupProduct:
+    @settings(deadline=None, max_examples=300)
+    @given(fi_cases())
+    def test_matches_intersected_reference(self, case):
+        demo, table = case
+        assert nfa_parts(fi_subgroup(demo, table).language) == \
+            nfa_parts(intersected_fi_language(demo, table))
+
+    @pytest.mark.parametrize("demo, table", [
+        (z_demo(), even_table()), (finite_demo(s3_oracle()), a3_table())],
+        ids=["even-integers", "alternating"])
+    def test_fixed_tables_match_intersected_reference(self, demo, table):
+        assert nfa_parts(fi_subgroup(demo, table).language) == \
+            nfa_parts(intersected_fi_language(demo, table))
 
 
 # -- admissible type automata -------------------------------------------

@@ -23,6 +23,7 @@ from epicdemo.workspace import (
 )
 
 from oracles import keyed_canonical_states, keyed_render_automaton, reference_load_text
+from test_constructions import fi_cases
 from test_groups import heisenberg_oracle
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data" / "demo_workspace.epic"
@@ -182,6 +183,57 @@ class TestMutatedSample:
             data.draw(mutated_texts(data.draw(st.sampled_from(bundle_texts)))))
 
 
+LINE_SHAPES = [
+    "", "   ", "# a comment", "  # an indented comment", "#pad", "end # note", "end #",
+    "  alphabet x #pad", "  states s0 s1 trans end", "  initial s0", "  accept s1 end",
+    "  trans s0 x s1", "  trans s0 #pad s1", "  trans s0 x s1 # note", "  trans trans x end",
+    "  trans end eps s0", "  trans s0 x", "  trans s0 x s1 s0", "  trans",
+]
+# line ends to str.splitlines and spaces to str.split: '\x0b', '\x1c' and
+# '\x85' are both
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85"]
+SPACES = [" ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u3000"]
+
+
+@st.composite
+def shaped_texts(draw):
+    """An automaton block of drawn line shapes, joined by drawn line breaks,
+    its spaces replaced by drawn whitespace."""
+    lines = ["automaton a"] + draw(st.lists(st.sampled_from(LINE_SHAPES), max_size=12))
+    if draw(st.booleans()):
+        lines.append("end")
+    text = ""
+    for line in lines:
+        text += "".join(draw(st.sampled_from(SPACES)) if c == " " else c for c in line)
+        text += draw(st.sampled_from(LINE_BREAKS))
+    return text
+
+
+class TestReaderDifferential:
+    @settings(deadline=None, max_examples=500)
+    @given(shaped_texts())
+    def test_line_shapes_load_like_reference(self, text):
+        assert_loads_like_reference(text)
+
+    @pytest.mark.parametrize("text", [
+        "automaton a\r\n  alphabet x\r\n  states s0 s1\r\n  initial s0\r\n"
+        "  accept s1\r\n  trans s0 x s1\r\nend\r\n",
+        "automaton a\n  alphabet x\x0b  states s0\x1c  initial s0\x85  accept s0\nend\n",
+        "automaton a\n\n  # inside\n  alphabet x\n  states trans end\n  initial trans\n"
+        "  accept end\n  trans trans x end\n  trans end eps trans\nend # note\n",
+        "automaton a\n  alphabet x #pad\n  states s0\n  initial s0\n  accept s0\n"
+        "  trans s0 #pad s0\nend\n",
+        "automaton a\n  alphabet x\n  states s0\n  initial s0\n  bogus\n  trans s0 x\nend\n",
+        "automaton a\n  alphabet x\n  states s0\n  trans s0 x s0 s0\n  alphabet eps\nend\n",
+        "automaton a\n  alphabet eps\n  trans s0\nend\n",
+        "automaton a\n  trans s0 y s1\n  trans s0 x\n  alphabet x\n  states s0\nend\n",
+    ], ids=["crlf", "line-break-whitespace", "comments-and-keyword-states", "pad",
+            "unknown-line-before-short-trans", "long-trans-before-eps", "eps-before-short-trans",
+            "bad-label-before-short-trans"])
+    def test_line_shape_loads_like_reference(self, text):
+        assert_loads_like_reference(text)
+
+
 class TestComments:
     def test_inline_hash_drops_tail(self):
         ws = load_str(
@@ -285,19 +337,55 @@ class TestGroupBlocks:
             load_str("group g nilpotent\nend\n")
 
     @pytest.mark.parametrize("text, match, line", [
-        ("group g matrix dim 2\n  gen x = [[2,0],[0,1]]\nend\n", "determinant", 1),
+        ("group g matrix dim 2\n  gen x = [[2,0],[0,1]]\nend\n", "determinant", 2),
         ("group g zk rank 1\n  gen a = 5\nend\n", "not a vector of integers", 2),
         ("group g matrix dim 1\n  gen a = 5\nend\n", "not a matrix of integers", 2),
         ("group g zk rank 1\n  gen a = [[1]]\nend\n", "not a vector of integers", 2),
         ("group g zk rank 1\n  gen a = [1.5]\nend\n", "not a vector of integers", 2),
         ("group g zk rank 1\n  gen a = [1]\n  gen a = [2]\nend\n", "'a' defined twice", 3),
-        ("group g free rank 2\n  names a b^-1\nend\n", "inverse marker", 1),
+        ("group g free rank 2\n  names a b^-1\nend\n", "inverse marker", 2),
     ], ids=["determinant", "zk-scalar", "matrix-scalar", "zk-nested", "zk-float", "duplicate",
             "free-inverse-name"])
     def test_bad_generator_error_carries_line(self, text, match, line):
         with pytest.raises(LoadError, match=match) as caught:
             load_str(text)
         assert caught.value.line == line
+
+    @pytest.mark.parametrize("text", [
+        "group g perm degree 2\n  gen eps = (1 2)\nend\n",
+        "group g zk rank 1\n  gen eps = [1]\nend\n",
+        "group g matrix dim 1\n  gen eps = [[1]]\nend\n",
+        "group g free rank 2\n  names a eps\nend\n",
+    ], ids=["perm", "zk", "matrix", "free"])
+    def test_eps_generator_rejected_at_its_line(self, text):
+        with pytest.raises(LoadError) as caught:
+            load_str(text)
+        assert str(caught.value) == "2: 'eps' is reserved and cannot be an alphabet letter"
+
+    @pytest.mark.parametrize("text, message", [
+        ("group g zk rank 2\n  gen a = [1, 0]\n  gen b = [1]\nend\n",
+         "3: generator 'b' has length 1, rank is 2"),
+        ("group g matrix dim 2\n  gen a = [[1,0],[0,1]]\n  gen b = [[1]]\nend\n",
+         "3: generator 'b' is not 2x2"),
+        ("group g perm degree 2\n  gen a = (1 2)\n  gen b = (1 3)\nend\n",
+         "3: cycle point out of range for degree 2: [1, 3]"),
+        ("group g free rank 2\n  names a a\nend\n", "2: duplicate letter 'a' in alphabet"),
+        ("group g zk rank 0\n  gen a = [1]\nend\n", "1: rank must be positive"),
+        ("group g perm degree 0\n  gen a = ()\nend\n", "1: degree must be positive"),
+        ("group g free rank 2\n  names a\nend\n", "1: need exactly one name per generator"),
+    ], ids=["zk-length", "matrix-shape", "perm-point", "free-duplicate", "zk-rank",
+            "perm-degree", "free-count"])
+    def test_fault_names_its_line(self, text, message):
+        # a generator's own fault names its line; the header's, the header
+        with pytest.raises(LoadError) as caught:
+            load_str(text)
+        assert str(caught.value) == message
+
+    def test_deeply_nested_value_is_a_load_error(self):
+        text = "[" * 5000 + "]" * 5000
+        with pytest.raises(LoadError, match="cannot parse") as caught:
+            load_str(f"group g matrix dim 1\n  gen a = {text}\nend\n")
+        assert caught.value.line == 2
 
     @pytest.mark.parametrize("flavor, form", [
         ("matrix", "group NAME matrix dim N"),
@@ -417,6 +505,15 @@ class TestCosetTableBlocks:
                      "  coset H rep eps\n  action H a X\nend\n")
 
 
+    @pytest.mark.parametrize("action", ["action H b X", "action X b H"])
+    def test_unknown_coset_names_the_action_line(self, action):
+        with pytest.raises(LoadError) as caught:
+            load_str("group g zk rank 2\n  gen a = [1, 0]\n  gen b = [0, 1]\nend\n"
+                     "cosettable t group g subgroupof 1\n"
+                     f"  coset H rep eps\n  action H a H\n  {action}\nend\n")
+        assert str(caught.value) == "8: action references unknown coset 'X'"
+
+
 class TestPresentationBlocks:
     def test_relators_stored_reduced(self):
         ws = load_str("presentation p\n  alphabet a\n  relator a a a^-1\nend\n")
@@ -490,6 +587,20 @@ class TestRenderDifferential:
     @given(mixed_state_nfas())
     def test_render_matches_keyed_reference(self, nfa):
         assert canonical_states(nfa) == keyed_canonical_states(nfa)
+        assert render_automaton("m", nfa) == keyed_render_automaton("m", nfa)
+
+    @settings(deadline=None, max_examples=200)
+    @given(fi_cases())
+    def test_fi_subgroup_shape_matches_keyed_reference(self, case):
+        # a home copy and a fin copy share each source and label that
+        # close a walk: ties that the key decides
+        nfa = fi_subgroup(*case).language
+        assert canonical_states(nfa) == keyed_canonical_states(nfa)
+        assert render_automaton("m", nfa) == keyed_render_automaton("m", nfa)
+
+    def test_sample_fi_subgroup_matches_keyed_reference(self):
+        ws = load([DATA])
+        nfa = fi_subgroup(ws.demonstrations["Zdemo"], ws.cosettables["evens"]).language
         assert render_automaton("m", nfa) == keyed_render_automaton("m", nfa)
 
     def test_tied_keys_keep_transition_order(self):
