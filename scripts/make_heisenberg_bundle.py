@@ -24,6 +24,7 @@ from epicdemo import (
     z_demo,
     zk_demo,
 )
+from epicdemo.workspace import demo_bundle
 
 
 def heisenberg_oracle() -> IntegerMatrixOracle:
@@ -68,11 +69,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     demo = build()
-    bundle = Workspace()
-    bundle.groups["heis"] = demo.oracle
-    bundle.automata["heis_lang"] = demo.language
-    bundle.demonstrations["heisdemo"] = demo
-    bundle.demo_refs["heisdemo"] = ("heis", "heis_lang")
+    bundle = demo_bundle(Workspace(groups={"heis": demo.oracle}), demo, "heisdemo")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render(bundle))
     print(f"wrote {args.out}")

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from .automata import Letter, Word, format_word, parse_word, state_cap
+from .automata import Letter, Nfa, Word, format_word, parse_word, state_cap
 from .constructions import (
     SyncTripleAutomaton,
     autostackable_projection,
@@ -27,8 +27,8 @@ from .constructions import (
     graph_product,
 )
 from .demonstrations import Demonstration, UnknownBuiltinError, builtin_demo
-from .errors import EpicError, InputContradictionError, LoadError
-from .graphproduct import GraphProductOracle, VertexGraph
+from .errors import EpicError, LoadError
+from .graphproduct import VertexGraph
 from .groups import cycles_from_perm
 from .wordproblem import (
     BUDGET_EXCEEDED,
@@ -39,7 +39,7 @@ from .wordproblem import (
     normal_closure_enumerator,
     replay,
 )
-from .workspace import Workspace, load, render, render_automaton
+from .workspace import Workspace, demo_bundle, load, render, render_automaton
 
 
 class UsageError(Exception):
@@ -141,49 +141,18 @@ def _flag_word(flag: str, text: str) -> Word:
         raise UsageError(f"{flag} takes a word, got {text!r}: {e}") from None
 
 
-def _bundle_group_name(bundle: Workspace, ws: Workspace, oracle, fallback: str) -> str:
-    """Register an oracle in the bundle, preferring its workspace name."""
-    for name, g in ws.groups.items():
-        if g == oracle:
-            fallback = name
-            break
-    if fallback in bundle.groups:
-        if bundle.groups[fallback] == oracle:
-            return fallback
-        raise UsageError(f"name {fallback!r} would collide inside the bundle")
-    bundle.groups[fallback] = oracle
-    if isinstance(oracle, GraphProductOracle):
-        refs = ws.graph_refs.get(fallback)
-        if refs is None:
-            refs = {}
-            for v in oracle.graph.vertices:
-                refs[v] = _bundle_group_name(
-                    bundle, ws, oracle.vertex_oracles[v], f"{fallback}_{v}")
-        else:
-            for v, used in refs.items():
-                _bundle_group_name(bundle, ws, ws.groups[used], used)
-        bundle.graph_refs[fallback] = refs
-    return fallback
-
-
-def _write_demo_bundle(ws: Workspace, demo: Demonstration, name: str, path: str):
-    bundle = Workspace()
-    group_name = _bundle_group_name(bundle, ws, demo.oracle, f"{name}_group")
-    bundle.automata[f"{name}_lang"] = demo.language
-    bundle.demonstrations[name] = demo
-    bundle.demo_refs[name] = (group_name, f"{name}_lang")
-    text = render(bundle)
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_bundle(ws: Workspace, args, built) -> int:
+    """Render what a construct verb built, write it to --out and reload it."""
+    if isinstance(built, Demonstration):
+        text = render(demo_bundle(ws, built, args.name))
+    else:  # an automaton, bundled alone
+        text = render_automaton(args.name, built)
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     # a bundle that does not reload is a bug, not a report line
-    load([path])
-
-
-def _write_automaton_bundle(nfa, name: str, path: str):
-    text = render_automaton(name, nfa)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    load([path])
+    load([args.out])
+    print(f"wrote {args.out}")
+    return 0
 
 
 # -- verb handlers -------------------------------------------------------
@@ -296,49 +265,37 @@ def cmd_wp_decide(ws: Workspace, args) -> int:
     return 0 if replayed else 1
 
 
-def cmd_change_gens(ws: Workspace, args) -> int:
+def cmd_change_gens(ws: Workspace, args) -> Demonstration:
     demo = _resolve_demo(ws, args.demo)
     target = dict(_named_pairs(args.letter, "--letter"))
     phi = dict(_named_pairs(args.image, "--image"))
-    out = change_generators(demo, target, phi)
-    _write_demo_bundle(ws, out, args.name, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return change_generators(demo, target, phi)
 
 
-def cmd_extension(ws: Workspace, args) -> int:
+def cmd_extension(ws: Workspace, args) -> Demonstration:
     demo_n = _resolve_demo(ws, args.normal)
     demo_q = _resolve_demo(ws, args.quotient)
     oracle = _resolve(ws.groups, "group", args.group)
     in_normal = parse_key_predicate(args.in_normal)
-    out = extension(demo_n, demo_q, oracle, in_normal, check_len=args.check_len)
-    _write_demo_bundle(ws, out, args.name, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return extension(demo_n, demo_q, oracle, in_normal, check_len=args.check_len)
 
 
-def cmd_fi_overgroup(ws: Workspace, args) -> int:
+def cmd_fi_overgroup(ws: Workspace, args) -> Demonstration:
     demo = _resolve_demo(ws, args.demo)
     oracle = _resolve(ws.groups, "group", args.group)
     transversal = dict(_named_pairs(args.coset_rep, "--coset-rep"))
     in_subgroup = parse_key_predicate(args.in_subgroup) if args.in_subgroup else None
-    out = fi_overgroup(demo, oracle, transversal, in_subgroup=in_subgroup)
-    _write_demo_bundle(ws, out, args.name, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return fi_overgroup(demo, oracle, transversal, in_subgroup=in_subgroup)
 
 
-def cmd_fi_subgroup(ws: Workspace, args) -> int:
+def cmd_fi_subgroup(ws: Workspace, args) -> Demonstration:
     demo = _resolve_demo(ws, args.demo)
     table = _resolve(ws.cosettables, "cosettable", args.table)
     in_subgroup = parse_key_predicate(args.in_subgroup) if args.in_subgroup else None
-    out = fi_subgroup(demo, table, in_subgroup=in_subgroup)
-    _write_demo_bundle(ws, out, args.name, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return fi_subgroup(demo, table, in_subgroup=in_subgroup)
 
 
-def cmd_graph_product(ws: Workspace, args) -> int:
+def cmd_graph_product(ws: Workspace, args) -> Demonstration:
     vertices = args.vertices.split()
     edges = []
     for item in args.edge or ():
@@ -356,42 +313,41 @@ def cmd_graph_product(ws: Workspace, args) -> int:
         graph = VertexGraph.make(vertices, edges)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    out = graph_product(graph, local)
-    _write_demo_bundle(ws, out, args.name, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return graph_product(graph, local)
 
 
-def cmd_autostackable_project(ws: Workspace, args) -> int:
+def cmd_autostackable_project(ws: Workspace, args) -> Nfa:
     nfa = _resolve(ws.automata, "automaton", args.automaton)
     base = _flag_word("--base", args.base)
-    triple = SyncTripleAutomaton(nfa, base)
-    projected = autostackable_projection(triple)
-    _write_automaton_bundle(projected, args.name, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return autostackable_projection(SyncTripleAutomaton(nfa, base))
 
 
-def cmd_cross_section(ws: Workspace, args) -> int:
+def cmd_cross_section(ws: Workspace, args) -> Demonstration:
     nfa = _resolve(ws.automata, "automaton", args.automaton)
     oracle = _resolve(ws.groups, "group", args.group)
     rep = _flag_word("--rep", args.rep)
-    out = cross_section_to_demo(nfa, oracle, rep)
-    _write_demo_bundle(ws, out, args.name, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return cross_section_to_demo(nfa, oracle, rep)
 
 
 # -- parser --------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, handler):
     # accepted after the verb too; a verb parser fills its own namespace, so
     # its files get their own dest and main appends them to the top-level ones
     p.add_argument("-f", "--file", dest="verb_files", action="append", default=[],
                    metavar="PATH", help="workspace file; repeatable")
     p.add_argument("--porcelain", action="store_true", default=argparse.SUPPRESS,
                    help="one machine-readable record per line")
+    p.set_defaults(handler=handler)
+
+
+def _add_bundle_flags(p: argparse.ArgumentParser, name: str, build):
+    """--name, --out and the common flags of a construct verb, after its own;
+    the verb writes what build returns through _write_bundle."""
+    p.add_argument("--name", default=name)
+    p.add_argument("--out", required=True)
+    _add_common(p, lambda ws, args: _write_bundle(ws, args, build(ws, args)))
 
 
 @functools.cache
@@ -415,22 +371,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word length for coverage search (default: --max-len)")
     p.add_argument("--strict", action="store_true",
                    help="missing coverage is a failure, not a bound artifact")
-    _add_common(p)
-    p.set_defaults(handler=cmd_verify)
+    _add_common(p, cmd_verify)
 
     p = sub.add_parser("enumerate", help="list accepted words in length-lex order")
     p.add_argument("--automaton")
     p.add_argument("--demo")
     p.add_argument("--max-len", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_enumerate)
+    _add_common(p, cmd_enumerate)
 
     p = sub.add_parser("ball", help="list group elements with shortest witnesses")
     p.add_argument("--group")
     p.add_argument("--demo")
     p.add_argument("--radius", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_ball)
+    _add_common(p, cmd_ball)
 
     wp = sub.add_parser("wp", help="word problem procedures").add_subparsers(
         dest="wp_verb", required=True)
@@ -442,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", metavar="PATH",
                    help="frontier checkpoint file, read if present, "
                         "written when the budget runs out")
-    _add_common(p)
-    p.set_defaults(handler=cmd_wp_decide)
+    _add_common(p, cmd_wp_decide)
 
     build = sub.add_parser("construct", help="closure constructions").add_subparsers(
         dest="construction", required=True)
@@ -454,10 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation of a new letter; repeatable")
     p.add_argument("--image", action="append", metavar="OLD=NEWWORD",
                    help="spelling of an old letter in new letters; repeatable")
-    p.add_argument("--name", default="derived")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_change_gens)
+    _add_bundle_flags(p, "derived", cmd_change_gens)
 
     p = build.add_parser("extension", help="combine a normal subgroup demo with a quotient demo")
     p.add_argument("--normal", required=True)
@@ -465,10 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--in-normal", required=True, metavar="PREDICATE")
     p.add_argument("--check-len", type=int, default=4)
-    p.add_argument("--name", default="extended")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_extension)
+    _add_bundle_flags(p, "extended", cmd_extension)
 
     p = build.add_parser("fi-overgroup", help="extend a finite index subgroup demo upward")
     p.add_argument("--demo", required=True)
@@ -476,48 +422,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coset-rep", action="append", metavar="LETTER=WORD",
                    help="transversal letter for a nontrivial coset; repeatable")
     p.add_argument("--in-subgroup", metavar="PREDICATE")
-    p.add_argument("--name", default="overgroup")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_fi_overgroup)
+    _add_bundle_flags(p, "overgroup", cmd_fi_overgroup)
 
     p = build.add_parser("fi-subgroup", help="restrict a demo to a finite index subgroup")
     p.add_argument("--demo", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--in-subgroup", metavar="PREDICATE")
-    p.add_argument("--name", default="subgroup")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_fi_subgroup)
+    _add_bundle_flags(p, "subgroup", cmd_fi_subgroup)
 
     p = build.add_parser("graph-product", help="glue vertex demos along a commutation graph")
     p.add_argument("--vertices", required=True, metavar="'U V ...'")
     p.add_argument("--edge", action="append", metavar="U-V")
     p.add_argument("--vertex", action="append", metavar="VERTEX=DEMO", required=True)
-    p.add_argument("--name", default="product")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_graph_product)
+    _add_bundle_flags(p, "product", cmd_graph_product)
 
     p = build.add_parser("autostackable-project",
                          help="project a padded-triple automaton to its first coordinate")
     p.add_argument("--automaton", required=True)
     p.add_argument("--base", required=True, metavar="'A B ...'",
                    help="base alphabet letters, space separated")
-    p.add_argument("--name", default="normalforms")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_autostackable_project)
+    _add_bundle_flags(p, "normalforms", cmd_autostackable_project)
 
     p = build.add_parser("cross-section", help="turn a cross section into a demonstration")
     p.add_argument("--automaton", required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--rep", default="eps",
                    help="identity representative to remove (default: eps)")
-    p.add_argument("--name", default="section")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_cross_section)
+    _add_bundle_flags(p, "section", cmd_cross_section)
 
     return parser
 
@@ -538,9 +469,6 @@ def main(argv: Optional[list] = None) -> int:
     except (UsageError, LoadError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except InputContradictionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (EpicError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -411,7 +411,6 @@ def graph_product(graph: VertexGraph,
 # -- padded triples and cross-sections ----------------------------------
 
 PAD_NAME = "#pad"
-PAD = Letter(PAD_NAME)
 
 
 def make_triple(a: str, b: str, c: str) -> Letter:
@@ -498,14 +497,10 @@ def autostackable_projection(t: SyncTripleAutomaton) -> Nfa:
     if not violations.is_empty():
         shown = format_word(next(violations.words()))
         raise ValueError(f"padding does not persist to the end of words, e.g.: {shown}")
-    padded_base = t.base + (PAD,)
-    first = image_hom(
-        t.nfa,
-        {letter: (Letter(split_triple(letter)[0]),) for letter in t.nfa.alphabet},
-        target_alphabet=padded_base)
+    firsts = {letter: split_triple(letter)[0] for letter in t.nfa.alphabet}
     return image_hom(
-        first,
-        {**{x: (x,) for x in t.base}, PAD: EPSILON},
+        t.nfa,
+        {letter: EPSILON if c == PAD_NAME else (Letter(c),) for letter, c in firsts.items()},
         allow_erasing=True,
         target_alphabet=t.base)
 

@@ -308,10 +308,11 @@ def _parse_group(block: _Block):
 
 def _parse_int_array(text: str, depth: int, lineno: int, block: _Block):
     """A JSON vector (depth 1) or matrix (depth 2) with integer entries."""
+    shown = text if len(text) <= 60 else text[:57] + "..."  # a value may be any length
     try:
         value = json.loads(text)
     except (json.JSONDecodeError, RecursionError):  # the decoder recurses per level
-        block.fail(f"cannot parse {text!r} as a vector or matrix", lineno)
+        block.fail(f"cannot parse {shown!r} as a vector or matrix", lineno)
 
     def shaped(v, d):
         if d == 0:
@@ -320,7 +321,7 @@ def _parse_int_array(text: str, depth: int, lineno: int, block: _Block):
 
     if not shaped(value, depth):
         what = "vector" if depth == 1 else "matrix"
-        block.fail(f"{text!r} is not a {what} of integers", lineno)
+        block.fail(f"{shown!r} is not a {what} of integers", lineno)
     return value
 
 
@@ -733,3 +734,48 @@ def render(ws: Workspace) -> str:
     for name in sorted(ws.presentations):
         chunks.append(render_presentation(name, ws.presentations[name]))
     return "\n".join(chunks)
+
+
+# -- bundles -------------------------------------------------------------
+
+
+def _bundle_group_name(bundle: Workspace, ws: Workspace, oracle, fallback: str) -> str:
+    """Register an oracle in the bundle, preferring its workspace name."""
+    for name, g in ws.groups.items():
+        if g == oracle:
+            fallback = name
+            break
+    if fallback in bundle.groups:
+        if bundle.groups[fallback] == oracle:
+            return fallback
+        raise LoadError(f"name {fallback!r} would collide inside the bundle")
+    bundle.groups[fallback] = oracle
+    if isinstance(oracle, GraphProductOracle):
+        refs = ws.graph_refs.get(fallback)
+        if refs is None:
+            refs = {}
+            for v in oracle.graph.vertices:
+                refs[v] = _bundle_group_name(
+                    bundle, ws, oracle.vertex_oracles[v], f"{fallback}_{v}")
+        else:
+            for v, used in refs.items():
+                _bundle_group_name(bundle, ws, ws.groups[used], used)
+        bundle.graph_refs[fallback] = refs
+    return fallback
+
+
+def demo_bundle(ws: Workspace, demo: Demonstration, name: str) -> Workspace:
+    """A self-contained workspace for one demonstration built over ws.
+
+    It holds the demonstration ``name``, its automaton ``name_lang`` and
+    its group under the group's name in ws, or else ``name_group``; the
+    vertex groups of a graph product come along the same way, falling
+    back to ``<group>_<vertex>``.  Two groups that would take one name
+    raise LoadError.
+    """
+    bundle = Workspace()
+    group_name = _bundle_group_name(bundle, ws, demo.oracle, f"{name}_group")
+    bundle.automata[f"{name}_lang"] = demo.language
+    bundle.demonstrations[name] = demo
+    bundle.demo_refs[name] = (group_name, f"{name}_lang")
+    return bundle

@@ -206,6 +206,7 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path}:2: cannot parse") and err.count("\n") == 1
+        assert len(err) < 200  # an excerpt of the value, not all 10,000 characters
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "unwritable-out"])
     def test_unreadable_file_is_usage_error(self, capsys, tmp_path, kind):
@@ -339,6 +340,22 @@ class TestWpDecide:
         assert "recorded for 'a', not 'a b'" in err and "Traceback" not in err
         assert len(err.splitlines()) == 1 and out == ""
 
+    def test_contradicting_streams_exit_one(self, capsys, tmp_path):
+        """A language that reaches the identity meets the closure stream:
+        the word gets both certificates, and the inputs are at fault."""
+        bad = tmp_path / "bad.epic"
+        bad.write_text(
+            "group P zk rank 2\n  gen a = [1,0]\n  gen a^-1 = [-1,0]\n"
+            "  gen b = [0,1]\n  gen b^-1 = [0,-1]\nend\n"
+            "automaton cancel\n  alphabet a a^-1 b b^-1\n  states s0 s1 s2\n"
+            "  initial s0\n  accept s2\n  trans s0 a s1\n  trans s1 a^-1 s2\nend\n"
+            "demonstration Bad\n  group P\n  automaton cancel\nend\n")
+        code, out, err = run(capsys, "-f", DATA, "-f", str(bad), "wp", "decide",
+                             "--presentation", "plane", "--demo", "Bad", "--word", "eps")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: streams certify both membership and non-membership")
+        assert err.count("\n") == 1
+
     def test_nonpositive_budget_is_usage_error(self, capsys):
         code, _, err = run(capsys, "-f", DATA, "wp", "decide", "--presentation", "plane",
                            "--demo", "ZK2", "--word", "a b", "--budget", "0")
@@ -407,6 +424,47 @@ class TestKeyPredicates:
 
 
 class TestConstructVerbs:
+    REQUIRED = {
+        "change-gens": ["--demo", "Z"],
+        "extension": ["--normal", "N", "--quotient", "Q", "--group", "G",
+                      "--in-normal", "perm-even"],
+        "fi-overgroup": ["--demo", "Z", "--group", "G"],
+        "fi-subgroup": ["--demo", "Z", "--table", "T"],
+        "graph-product": ["--vertices", "u", "--vertex", "u=Z"],
+        "autostackable-project": ["--automaton", "A", "--base", "a"],
+        "cross-section": ["--automaton", "A", "--group", "G"],
+    }
+
+    @pytest.mark.parametrize("verb, name", [
+        ("change-gens", "derived"), ("extension", "extended"), ("fi-overgroup", "overgroup"),
+        ("fi-subgroup", "subgroup"), ("graph-product", "product"),
+        ("autostackable-project", "normalforms"), ("cross-section", "section")])
+    def test_bundle_flags(self, capsys, verb, name):
+        argv = ["construct", verb, *self.REQUIRED[verb]]
+        args = build_parser().parse_args(argv + ["--out", "x.epic"])
+        assert (args.name, args.out) == (name, "x.epic")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+    def test_bundle_name_collision_is_load_error(self, capsys, tmp_path):
+        """The builtin Z of vertex v falls back to product_group_v, which the
+        workspace already gives to the group of D."""
+        fixture = tmp_path / "locals.epic"
+        fixture.write_text(
+            "group product_group_v zk rank 1\n  gen b = [1]\n  gen b^-1 = [-1]\nend\n"
+            "automaton bl\n  alphabet b b^-1\n  states s0 s1\n  initial s0\n"
+            "  accept s1\n  trans s0 b s1\nend\n"
+            "demonstration D\n  group product_group_v\n  automaton bl\nend\n")
+        out_path = tmp_path / "X.epic"
+        code, out, err = run(capsys, "-f", str(fixture), "construct", "graph-product",
+                             "--vertices", "u v", "--vertex", "u=D", "--vertex", "v=Z",
+                             "--name", "product", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == "error: name 'product_group_v' would collide inside the bundle\n"
+        assert not out_path.exists()
+
     def test_change_gens_bundle(self, capsys, tmp_path):
         out_path = tmp_path / "renamed.epic"
         code, out, _ = run(capsys, "construct", "change-gens", "--demo", "Z",

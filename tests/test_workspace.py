@@ -16,6 +16,7 @@ from epicdemo.groups import FreeGroupOracle, IntegerMatrixOracle, PermutationOra
 from epicdemo.workspace import (
     Workspace,
     canonical_states,
+    demo_bundle,
     load,
     load_text,
     render,
@@ -488,6 +489,35 @@ class TestReferences:
                       "demonstration d\n  group g\n  automaton a\nend\n")
         demo = ws.demonstrations["d"]
         assert demo.eval_map[Letter("x")] == (Letter("x"),)
+
+
+class TestDemoBundle:
+    def test_fallback_names(self):
+        demo = z_demo()
+        bundle = demo_bundle(Workspace(), demo, "x")
+        assert bundle.demonstrations == {"x": demo}
+        assert bundle.demo_refs == {"x": ("x_group", "x_lang")}
+        assert bundle.automata == {"x_lang": demo.language}
+        assert bundle.groups == {"x_group": demo.oracle}
+
+    def test_workspace_names_win_and_vertex_groups_fall_back(self):
+        left, right = z_demo("a"), z_demo("b")
+        product = graph_product(VertexGraph.make(("u", "v"), []), {"u": left, "v": right})
+        bundle = demo_bundle(Workspace(groups={"A": left.oracle}), product, "p")
+        assert bundle.demo_refs == {"p": ("p_group", "p_lang")}
+        assert bundle.graph_refs == {"p_group": {"u": "A", "v": "p_group_v"}}
+        assert bundle.groups == {"p_group": product.oracle, "A": left.oracle,
+                                 "p_group_v": right.oracle}
+        text = render(bundle)
+        assert render(load_text([(None, text)])) == text
+
+    def test_collision_is_load_error(self):
+        """Vertex u's group keeps its workspace name, which vertex v falls back to."""
+        left, right = z_demo("a"), z_demo("b")
+        product = graph_product(VertexGraph.make(("u", "v"), []), {"u": left, "v": right})
+        ws = Workspace(groups={"p_group_v": left.oracle})
+        with pytest.raises(LoadError, match="name 'p_group_v' would collide inside the bundle"):
+            demo_bundle(ws, product, "p")
 
 
 class TestCosetTableBlocks:
