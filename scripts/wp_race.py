@@ -15,7 +15,7 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from epicdemo import (
     Presentation,

@@ -183,31 +183,16 @@ class Nfa:
     # -- cached structure ------------------------------------------------
 
     @cached_property
-    def _eps_edges(self) -> dict:
-        out: dict = {}
+    def _edges(self) -> dict:
+        """The out-edge index ``{state: {label: [targets]}}`` with an entry
+        for every state; epsilon edges are under the label ``None``."""
+        out: dict = {s: {} for s in self.states}
         for (p, label, q) in self.transitions:
-            if label is None:
-                out.setdefault(p, []).append(q)
-        return out
-
-    @cached_property
-    def _letter_edges(self) -> dict:
-        out: dict = {}
-        for (p, label, q) in self.transitions:
-            if label is not None:
-                out.setdefault((p, label), []).append(q)
-        return out
-
-    @cached_property
-    def _forward(self) -> dict:
-        """Successor states of each state, over every label."""
-        out: dict = {}
-        for (p, _label, q) in self.transitions:
-            out.setdefault(p, []).append(q)
+            out[p].setdefault(label, []).append(q)
         return out
 
     def _successors(self, state: State):
-        return self._forward.get(state, ())
+        return (q for targets in self._edges[state].values() for q in targets)
 
     @cached_property
     def _closure_memo(self) -> dict:
@@ -219,7 +204,7 @@ class Nfa:
         for s in states:
             memo = self._closure_memo.get(s)
             if memo is None:
-                memo = frozenset(reachable((s,), lambda p: self._eps_edges.get(p, ())))
+                memo = frozenset(reachable((s,), lambda p: self._edges[p].get(None, ())))
                 self._closure_memo[s] = memo
             result |= memo
         return frozenset(result)
@@ -256,8 +241,9 @@ class Nfa:
 
     def step(self, subset: frozenset, letter: Letter) -> frozenset:
         moved: set = set()
+        edges = self._edges
         for p in subset:
-            moved.update(self._letter_edges.get((p, letter), ()))
+            moved.update(edges[p].get(letter, ()))
         if not moved:
             return frozenset()
         return self.eps_closure(moved)
@@ -352,44 +338,59 @@ def _closed_edges(a: Nfa) -> tuple[dict, frozenset]:
     """Epsilon removal: ``{state: {letter: targets}}`` giving each state
     every letter edge that leaves its epsilon closure, and the states
     whose closure accepts."""
-    edges: dict = defaultdict(lambda: defaultdict(set))
-    for (p, label, q) in a.transitions:
-        if label is not None:
-            edges[p][label].add(q)
+    closed = dict(a._edges)  # a state with no epsilon edge is its own closure
     accepting = set(a.accepting)
-    for p in a._eps_edges:  # every other state is its own closure
+    for p, out in a._edges.items():
+        if None not in out:
+            continue
         closure = a.eps_closure([p])
         if closure & a.accepting:
             accepting.add(p)
-        for c in closure - {p}:
-            for label, targets in edges.get(c, {}).items():
-                edges[p][label] |= targets
-    return edges, frozenset(accepting)
+        closed[p] = merged = defaultdict(set)
+        for c in closure:
+            for label, targets in a._edges[c].items():
+                if label is not None:
+                    merged[label].update(targets)
+    return closed, frozenset(accepting)
+
+
+def _product(alphabet: tuple[Letter, ...], lefts: Iterable[State], moves: Callable,
+             right: Nfa, left_accepting) -> Nfa:
+    """The reachable pairs ``(p, q)`` of a left-hand search and ``right``.
+
+    ``moves(p)`` yields ``(label, letter, p2)``: an edge to ``p2`` labelled
+    ``label`` in the product, taken together with every edge of ``right``
+    on ``letter`` after epsilon removal.  A pair accepts when ``p`` is in
+    ``left_accepting`` and ``q``'s epsilon closure accepts.
+    """
+    edges, right_accepting = _closed_edges(right)
+    transitions = set()
+
+    def successors(pair):
+        p, q = pair
+        out = edges[q]
+        for label, x, p2 in moves(p):
+            for q2 in out.get(x, ()):
+                target = (p2, q2)
+                transitions.add((pair, label, target))
+                yield target
+
+    initials = frozenset((p, q) for p in lefts for q in right.initials)
+    states = reachable(initials, successors)
+    accepting = frozenset(s for s in states if s[0] in left_accepting
+                          and s[1] in right_accepting)
+    return Nfa(alphabet, frozenset(states), frozenset(transitions), initials, accepting)
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product automaton for the intersection, restricted to reachable pairs."""
-    alphabet = merge_alphabets(a.alphabet, b.alphabet)
     left, left_accepting = _closed_edges(a)
-    right, right_accepting = _closed_edges(b)
-    initials = frozenset((p, q) for p in a.initials for q in b.initials)
-    states = set(initials)
-    transitions = set()
-    queue = deque(initials)
-    while queue:
-        p, q = source = queue.popleft()
-        edges = right.get(q, {})
-        for x, targets in left.get(p, {}).items():
-            for q2 in edges.get(x, ()):
-                for p2 in targets:
-                    pair = (p2, q2)
-                    transitions.add((source, x, pair))
-                    if pair not in states:
-                        states.add(pair)
-                        queue.append(pair)
-    accepting = frozenset(s for s in states if s[0] in left_accepting
-                          and s[1] in right_accepting)
-    return Nfa(alphabet, frozenset(states), frozenset(transitions), initials, accepting)
+
+    def moves(p):
+        return ((x, x, p2) for x, targets in left[p].items() for p2 in targets)
+
+    return _product(merge_alphabets(a.alphabet, b.alphabet), a.initials, moves, b,
+                    left_accepting)
 
 
 def image_hom(a: Nfa, phi: Mapping[Letter, Word], allow_erasing: bool = False,

@@ -128,6 +128,8 @@ def _named_pairs(values, what):
         if not eq:
             raise UsageError(f"{what} takes NAME=WORD, got {item!r}")
         try:
+            if name.strip() == "eps":
+                raise ValueError("'eps' is reserved and cannot be a letter name")
             out.append((Letter(name.strip()), parse_word(rhs)))
         except ValueError as e:
             raise UsageError(f"{what} takes NAME=WORD, got {item!r}: {e}") from None
@@ -141,8 +143,12 @@ def _flag_word(flag: str, text: str) -> Word:
         raise UsageError(f"{flag} takes a word, got {text!r}: {e}") from None
 
 
-def _write_bundle(ws: Workspace, args, built) -> int:
-    """Render what a construct verb built, write it to --out and reload it."""
+def _write_bundle(ws: Workspace, args, build) -> int:
+    """Render what a construct verb builds, write it to --out and reload it."""
+    if args.name.split() != [args.name] or args.name == "#":
+        raise UsageError(
+            f"--name takes a word without whitespace other than '#', got {args.name!r}")
+    built = build(ws, args)
     if isinstance(built, Demonstration):
         text = render(demo_bundle(ws, built, args.name))
     else:  # an automaton, bundled alone
@@ -347,7 +353,7 @@ def _add_bundle_flags(p: argparse.ArgumentParser, name: str, build):
     the verb writes what build returns through _write_bundle."""
     p.add_argument("--name", default=name)
     p.add_argument("--out", required=True)
-    _add_common(p, lambda ws, args: _write_bundle(ws, args, build(ws, args)))
+    _add_common(p, lambda ws, args: _write_bundle(ws, args, build))
 
 
 @functools.cache

@@ -10,16 +10,15 @@ are checked at caller-supplied bounds and trusted beyond them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .automata import (
     EPSILON,
     Letter,
     Nfa,
     Word,
-    _closed_edges,
+    _product,
     check_alphabet,
     concat,
     finite_language,
@@ -29,7 +28,6 @@ from .automata import (
     merge_alphabets,
     normalize_no_accepting_initial,
     reachable,
-    single_word,
     subtract_word,
     union,
 )
@@ -244,36 +242,20 @@ def fi_subgroup(demo: Demonstration, table: CosetTable,
     edge_letters = tuple(e.letter for e in edges)
     check_alphabet(edge_letters)
 
-    # the product of the language with the walks on the coset digraph
-    # from the subgroup coset back to it, each edge letter read through
-    # its generator; a separate accepting copy of home, with no way out,
+    # the product of the walks on the coset digraph from the subgroup coset
+    # back to it with the language, each edge letter read through its
+    # generator; a separate accepting copy of home, with no way out,
     # rejects the empty walk
     home, fin = table.subgroup_coset, ("fin",)
     walk_edges: dict = {("c", c): [] for c in table.cosets}
+    walk_edges[fin] = []
     for e, letter in zip(edges, edge_letters):
-        walk_edges["c", e.source].append(
-            (letter, e.generator, ("c", e.target), e.target == home))
-    closed, closed_accepting = _closed_edges(demo.language)
-    initials = frozenset((("c", home), q) for q in demo.language.initials)
-    states, transitions = set(initials), set()
-    queue = deque(initials)
-    while queue:
-        source = queue.popleft()
-        walk, q = source
-        out = closed.get(q, {})
-        for letter, x, target, closes in walk_edges[walk]:
-            for q2 in out.get(x, ()):
-                pair = (target, q2)
-                transitions.add((source, letter, pair))
-                if pair not in states:
-                    states.add(pair)
-                    queue.append(pair)
-                if closes:
-                    pair = (fin, q2)
-                    transitions.add((source, letter, pair))
-                    states.add(pair)
-    accepting = frozenset((fin, q) for q in closed_accepting if (fin, q) in states)
-    language = Nfa(edge_letters, frozenset(states), frozenset(transitions), initials, accepting)
+        out = walk_edges["c", e.source]
+        out.append((letter, e.generator, ("c", e.target)))
+        if e.target == home:
+            out.append((letter, e.generator, fin))
+    language = _product(edge_letters, [("c", home)], walk_edges.__getitem__, demo.language,
+                        {fin})
 
     eval_map = {
         e.letter: table.transversal[e.source] + (e.generator,)

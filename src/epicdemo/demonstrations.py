@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import EPSILON, Letter, Nfa, Word, finite_language, walk
-from .groups import ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, \
-    PermutationOracle, _GEN_NAMES
+from .groups import ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, _GEN_NAMES
 
 
 def identity_eval_map(alphabet: Iterable[Letter]) -> dict[Letter, Word]:
@@ -146,19 +145,7 @@ class CoverageReport:
 
 def z_demo(name: str = "a") -> Demonstration:
     """Positive powers and negative powers of one generator of Z."""
-    pos, neg = Letter(name), Letter(name + "^-1")
-    oracle = FreeAbelianOracle(1, {pos: (1,), neg: (-1,)})
-    language = Nfa(
-        alphabet=(pos, neg),
-        states=frozenset({"s", "p", "n"}),
-        transitions=frozenset({
-            ("s", pos, "p"), ("p", pos, "p"),
-            ("s", neg, "n"), ("n", neg, "n"),
-        }),
-        initials=frozenset({"s"}),
-        accepting=frozenset({"p", "n"}),
-    )
-    return Demonstration(oracle, identity_eval_map((pos, neg)), language)
+    return zk_demo(1, names=(name,))
 
 
 def finite_demo(oracle: GroupOracle) -> Demonstration:

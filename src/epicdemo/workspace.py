@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .automata import (
-    EPSILON,
     Letter,
     Nfa,
     Word,
-    check_alphabet,
     format_word,
     parse_word,
 )
@@ -505,7 +503,7 @@ def _link_groups(ws: Workspace, pending: dict):
             needed = set(parsed.uses.values())
             if any(n in pending for n in needed):
                 continue
-            missing = [n for n in needed if n not in ws.groups]
+            missing = sorted(n for n in needed if n not in ws.groups)
             if missing:
                 block.fail(f"graphproduct {name!r} references undefined groups {missing}")
             try:
@@ -609,104 +607,92 @@ def canonical_states(nfa: Nfa) -> dict:
     return {states[i]: f"s{k}" for k, i in enumerate(order)}
 
 
+def _block(header: str, lines: Iterable[str]) -> str:
+    """One block's text: the header, each body line indented, ``end``."""
+    return "\n  ".join([header, *lines]) + "\nend\n"
+
+
 def render_automaton(name: str, nfa: Nfa) -> str:
     states, order, position, outgoing = _canonical(nfa)
     labels = [*nfa.alphabet, "eps"]
     names = [f"s{k}" for k in range(len(states))]
     renamed = [names[k] for k in position]  # the new name of each state
-    lines = [f"automaton {name}"]
-    lines.append("  alphabet " + " ".join(nfa.alphabet))
-    lines.append("  states " + " ".join(names))
-    lines.append("  initial " + " ".join(names[:len(nfa.initials)]))
-    lines.append("  accept " + " ".join(
-        names[k] for k, i in enumerate(order) if states[i] in nfa.accepting))
+    lines = ["alphabet " + " ".join(nfa.alphabet),
+             "states " + " ".join(names),
+             "initial " + " ".join(names[:len(nfa.initials)]),
+             "accept " + " ".join(names[k] for k, i in enumerate(order)
+                                  if states[i] in nfa.accepting)]
     # ordered by source, label and target: sources in order, then labels by rank
     for source, p in zip(names, order):
         by_label = outgoing[p]
         for rank in sorted(by_label):
-            head = f"  trans {source} {labels[rank]} "
+            head = f"trans {source} {labels[rank]} "
             targets = by_label[rank]
             if len(targets) > 1:
                 targets = sorted(targets, key=position.__getitem__)
             for q in targets:
                 lines.append(head + renamed[q])
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _block(f"automaton {name}", lines)
+
+
+def _gen_text(flavor: str, value) -> str:
+    """A ``gen`` value as ``_gen_value`` reads it back."""
+    if flavor == "perm":
+        cycles = cycles_from_perm(value)
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
+    return json.dumps(value, separators=(",", ":"))  # tuples dump as lists
 
 
 def render_group(ws: Workspace, name: str) -> str:
     oracle = ws.groups[name]
-    if isinstance(oracle, PermutationOracle):
-        lines = [f"group {name} perm degree {oracle.degree}"]
-        for x in oracle.alphabet:
-            cycles = cycles_from_perm(oracle.gens[x])
-            text = "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
-            lines.append(f"  gen {x} = {text or '()'}")
-    elif isinstance(oracle, IntegerMatrixOracle):
-        lines = [f"group {name} matrix dim {oracle.dim}"]
-        for x in oracle.alphabet:
-            rows = json.dumps([list(r) for r in oracle.gens[x]], separators=(",", ":"))
-            lines.append(f"  gen {x} = {rows}")
-    elif isinstance(oracle, FreeAbelianOracle):
-        lines = [f"group {name} zk rank {oracle.rank}"]
-        for x in oracle.alphabet:
-            vec = json.dumps(list(oracle.gens[x]), separators=(",", ":"))
-            lines.append(f"  gen {x} = {vec}")
-    elif isinstance(oracle, FreeGroupOracle):
-        lines = [f"group {name} free rank {oracle.rank}"]
-        lines.append("  names " + " ".join(oracle.names))
-    elif isinstance(oracle, GraphProductOracle):
-        uses = ws.graph_refs[name]
-        lines = [f"group {name} graphproduct"]
-        lines.append("  vertices " + " ".join(oracle.graph.vertices))
-        rank = {v: i for i, v in enumerate(oracle.graph.vertices)}
-        for (u, v) in sorted(oracle.graph.edges, key=lambda e: (rank[e[0]], rank[e[1]])):
-            lines.append(f"  edge {u} {v}")
-        for v in oracle.graph.vertices:
-            lines.append(f"  vertex {v} uses {uses[v]}")
-    else:
-        raise LoadError(f"group {name!r} has no block syntax: {type(oracle).__name__}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    header = f"group {name}"
+    for flavor, (word, _, cls) in _GEN_FLAVORS.items():
+        if isinstance(oracle, cls):
+            return _block(f"{header} {flavor} {word} {getattr(oracle, word)}",
+                          (f"gen {x} = {_gen_text(flavor, oracle.gens[x])}"
+                           for x in oracle.alphabet))
+    if isinstance(oracle, FreeGroupOracle):
+        return _block(f"{header} free rank {oracle.rank}", ["names " + " ".join(oracle.names)])
+    if isinstance(oracle, GraphProductOracle):
+        graph, uses = oracle.graph, ws.graph_refs[name]
+        rank = {v: i for i, v in enumerate(graph.vertices)}
+        edges = sorted(graph.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
+        return _block(f"{header} graphproduct",
+                      ["vertices " + " ".join(graph.vertices),
+                       *(f"edge {u} {v}" for u, v in edges),
+                       *(f"vertex {v} uses {uses[v]}" for v in graph.vertices)])
+    raise LoadError(f"group {name!r} has no block syntax: {type(oracle).__name__}")
 
 
 def render_demonstration(ws: Workspace, name: str) -> str:
     demo = ws.demonstrations[name]
     group_name, automaton_name = ws.demo_refs[name]
-    lines = [f"demonstration {name}"]
-    lines.append(f"  group {group_name}")
-    for x in demo.language.alphabet:
-        lines.append(f"  letter {x} = {format_word(demo.eval_map[x])}")
-    lines.append(f"  automaton {automaton_name}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _block(f"demonstration {name}",
+                  [f"group {group_name}",
+                   *(f"letter {x} = {format_word(demo.eval_map[x])}"
+                     for x in demo.language.alphabet),
+                   f"automaton {automaton_name}"])
 
 
 def render_cosettable(ws: Workspace, name: str) -> str:
     table = ws.cosettables[name]
     group_name = ws.cosettable_refs[name]
-    oracle = ws.groups[group_name]
-    lines = [f"cosettable {name} group {group_name} subgroupof {len(table.cosets)}"]
-    for c in table.cosets:
-        lines.append(f"  coset {c} rep {format_word(table.transversal[c])}")
-    letter_rank = {x: i for i, x in enumerate(oracle.alphabet)}
+    letter_rank = {x: i for i, x in enumerate(ws.groups[group_name].alphabet)}
     coset_rank = {c: i for i, c in enumerate(table.cosets)}
+
     def action_key(item):
         (source, letter), _target = item
         return (coset_rank[source], letter_rank.get(letter, len(letter_rank)))
-    for (source, letter), target in sorted(table.action.items(), key=action_key):
-        lines.append(f"  action {source} {letter} {target}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+
+    return _block(f"cosettable {name} group {group_name} subgroupof {len(table.cosets)}",
+                  [*(f"coset {c} rep {format_word(table.transversal[c])}" for c in table.cosets),
+                   *(f"action {source} {letter} {target}" for (source, letter), target
+                     in sorted(table.action.items(), key=action_key))])
 
 
 def render_presentation(name: str, p: Presentation) -> str:
-    lines = [f"presentation {name}"]
-    lines.append("  alphabet " + " ".join(p.names))
-    for r in p.relators:
-        lines.append("  relator " + format_word(r))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _block(f"presentation {name}", ["alphabet " + " ".join(p.names),
+                                           *("relator " + format_word(r) for r in p.relators)])
 
 
 def render(ws: Workspace) -> str:

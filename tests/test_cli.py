@@ -239,12 +239,23 @@ class TestUsageErrors:
                    "--image", "a^-1=b^-1")
     GRAPH_PRODUCT = ("construct", "graph-product", "--vertex", "u=Z", "--vertex", "v=FREE2")
 
+    CHANGE_GENS_LETTERS = CHANGE_GENS + ("--letter", "b=a", "--letter", "b^-1=a^-1")
+
     @pytest.mark.parametrize("argv, match", [
         (CHANGE_GENS + ("--letter", "=a", "--letter", "b^-1=a^-1"), "--letter takes NAME=WORD"),
         (CHANGE_GENS + ("--letter", "b=a eps", "--letter", "b^-1=a^-1"), "'eps' is reserved"),
         (GRAPH_PRODUCT + ("--vertices", "u v", "--edge", "u-"), "edge endpoint not a vertex"),
         (GRAPH_PRODUCT + ("--vertices", "u u"), "vertex names must be distinct"),
-    ], ids=["letter-without-name", "letter-with-eps", "edge-without-end", "repeated-vertex"])
+        (CHANGE_GENS_LETTERS + ("--name", "x y"), "--name takes a word"),
+        (CHANGE_GENS_LETTERS + ("--name", "#"), "--name takes a word"),
+        (CHANGE_GENS_LETTERS + ("--name", ""), "--name takes a word"),
+        (CHANGE_GENS + ("--letter", "eps=a", "--letter", "b^-1=a^-1"),
+         "--letter takes NAME=WORD, got 'eps=a': 'eps' is reserved"),
+        (("-f", DATA, "construct", "fi-overgroup", "--demo", "Zdemo", "--group", "Z",
+          "--coset-rep", "eps=a"), "--coset-rep takes NAME=WORD, got 'eps=a': 'eps' is reserved"),
+    ], ids=["letter-without-name", "letter-with-eps", "edge-without-end", "repeated-vertex",
+            "name-with-space", "name-hash", "name-empty", "letter-named-eps",
+            "coset-rep-named-eps"])
     def test_malformed_flag_value_is_usage_error(self, capsys, tmp_path, argv, match):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.epic"))
         assert code == 2
@@ -538,27 +549,32 @@ class TestConstructVerbs:
             "  accept s1 s2\n  trans s0 c s1\n  trans s1 c s1\n"
             "  trans s0 c^-1 s2\n  trans s2 c^-1 s2\nend\n"
             "demonstration Bdemo\n  group B\n  automaton bl\nend\n")
+        undefined = tmp_path / "undefined.epic"
+        undefined.write_text("group P graphproduct\n  vertices u v w\n  vertex u uses Xray\n"
+                             "  vertex v uses Yankee\n  vertex w uses Zulu\nend\n")
         runs = []
-        for seed in ("0", "1"):
+        for seed in ("0", "1", "3", "4"):
             env = dict(os.environ, PYTHONHASHSEED=seed,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             bundle = tmp_path / f"product{seed}.epic"
             steps = [
-                ["-f", str(fixture), "construct", "graph-product", "--vertices", "u v w",
-                 "--edge", "u-v", "--vertex", "u=Cdemo", "--vertex", "v=FREE2",
-                 "--vertex", "w=Bdemo", "--name", "prod", "--out", str(bundle)],
-                ["-f", str(bundle), "verify", "--demo", "prod", "--max-len", "4",
-                 "--ball", "3"],
-                ["-f", str(bundle), "ball", "--demo", "prod", "--radius", "3"],
+                (0, ["-f", str(fixture), "construct", "graph-product", "--vertices", "u v w",
+                     "--edge", "u-v", "--vertex", "u=Cdemo", "--vertex", "v=FREE2",
+                     "--vertex", "w=Bdemo", "--name", "prod", "--out", str(bundle)]),
+                (0, ["-f", str(bundle), "verify", "--demo", "prod", "--max-len", "4",
+                     "--ball", "3"]),
+                (0, ["-f", str(bundle), "ball", "--demo", "prod", "--radius", "3"]),
+                (2, ["-f", str(undefined), "ball", "--group", "P", "--radius", "1"]),
             ]
             outputs = []
-            for argv in steps:
+            for code, argv in steps:
                 done = subprocess.run([sys.executable, "-m", "epicdemo.cli", *argv], env=env,
                                       capture_output=True, text=True, timeout=120)
-                assert done.returncode == 0, done.stderr
-                outputs.append(done.stdout.replace(str(bundle), "BUNDLE"))
+                assert done.returncode == code, done.stderr
+                outputs.append((done.stdout + done.stderr).replace(str(bundle), "BUNDLE"))
             runs.append((outputs, bundle.read_bytes()))
-        assert runs[0] == runs[1]
+        assert "undefined groups ['Xray', 'Yankee', 'Zulu']" in runs[0][0][-1]
+        assert runs[1:] == runs[:1] * 3
 
     def test_project_then_cross_section(self, capsys, tmp_path):
         fixture = tmp_path / "triples.epic"
