@@ -117,6 +117,24 @@ def reachable(starts: Iterable[State],
     return seen
 
 
+def explore(alphabet: Iterable[Letter], initials: Iterable[State], moves: Callable,
+            accepts: Callable) -> Nfa:
+    """The automaton of the states reachable from ``initials`` (included),
+    with every edge ``(label, q)`` that ``moves(p)`` yields from its states
+    (label None for epsilon), and the states that ``accepts`` picks."""
+    transitions = set()
+
+    def successors(p):
+        for label, q in moves(p):
+            transitions.add((p, label, q))
+            yield q
+
+    initials = frozenset(initials)
+    states = reachable(initials, successors)
+    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions), initials,
+               frozenset(filter(accepts, states)))
+
+
 def walk(alphabet: tuple[Letter, ...], root, step: Callable,
          max_len: Optional[int] = None) -> Iterator[tuple[Word, object]]:
     """``(word, node)`` pairs in length-lex order from ``(EPSILON, root)``,
@@ -364,22 +382,16 @@ def _product(alphabet: tuple[Letter, ...], lefts: Iterable[State], moves: Callab
     ``left_accepting`` and ``q``'s epsilon closure accepts.
     """
     edges, right_accepting = _closed_edges(right)
-    transitions = set()
 
-    def successors(pair):
+    def pair_moves(pair):
         p, q = pair
         out = edges[q]
         for label, x, p2 in moves(p):
             for q2 in out.get(x, ()):
-                target = (p2, q2)
-                transitions.add((pair, label, target))
-                yield target
+                yield label, (p2, q2)
 
-    initials = frozenset((p, q) for p in lefts for q in right.initials)
-    states = reachable(initials, successors)
-    accepting = frozenset(s for s in states if s[0] in left_accepting
-                          and s[1] in right_accepting)
-    return Nfa(alphabet, frozenset(states), frozenset(transitions), initials, accepting)
+    return explore(alphabet, [(p, q) for p in lefts for q in right.initials], pair_moves,
+                   lambda s: s[0] in left_accepting and s[1] in right_accepting)
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -417,23 +429,16 @@ def image_hom(a: Nfa, phi: Mapping[Letter, Word], allow_erasing: bool = False,
     states = set(("h", s) for s in a.states)
     transitions = set()
     for (p, label, q) in a.transitions:
-        if label is None:
-            transitions.add((("h", p), None, ("h", q)))
-            continue
-        image = phi[label]
-        if not image:
-            transitions.add((("h", p), None, ("h", q)))
-        elif len(image) == 1:
-            transitions.add((("h", p), image[0], ("h", q)))
-        else:
-            # chain of fresh states spelling the image
-            prev = ("h", p)
-            for k in range(len(image) - 1):
-                mid = ("hp", p, label.name, q, k)
-                states.add(mid)
-                transitions.add((prev, image[k], mid))
-                prev = mid
-            transitions.add((prev, image[-1], ("h", q)))
+        # a chain of fresh states spelling the image: an epsilon edge or an
+        # erased image is a chain of length 0, one epsilon edge
+        image = EPSILON if label is None else phi[label]
+        prev = ("h", p)
+        for k in range(len(image) - 1):
+            mid = ("hp", p, label.name, q, k)
+            states.add(mid)
+            transitions.add((prev, image[k], mid))
+            prev = mid
+        transitions.add((prev, image[-1] if image else None, ("h", q)))
     return Nfa(
         alphabet=alphabet,
         states=frozenset(states),
@@ -471,21 +476,15 @@ def inverse_letter_hom(a: Nfa, hom: Mapping[Letter, Letter],
 
 
 def _all_words_except(word: Word, alphabet: tuple[Letter, ...]) -> Nfa:
-    """Total DFA over ``alphabet`` rejecting exactly ``word``."""
+    """Total DFA over ``alphabet`` rejecting exactly ``word``: state ``i``
+    has read the first ``i`` letters of ``word``, ``div`` anything else."""
     n = len(word)
-    states: set = set(range(n + 1)) | {"div"}
-    transitions = set()
-    for i in range(n):
+
+    def moves(i):
         for x in alphabet:
-            if x == word[i]:
-                transitions.add((i, x, i + 1))
-            else:
-                transitions.add((i, x, "div"))
-    for x in alphabet:
-        transitions.add((n, x, "div"))
-        transitions.add(("div", x, "div"))
-    accepting = frozenset(s for s in states if s != n)
-    return Nfa(alphabet, frozenset(states), frozenset(transitions), frozenset({0}), accepting)
+            yield x, i + 1 if i != "div" and i < n and x == word[i] else "div"
+
+    return explore(alphabet, [0], moves, lambda i: i != n)
 
 
 def subtract_word(a: Nfa, word: Word) -> Nfa:

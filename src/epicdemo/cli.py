@@ -120,19 +120,30 @@ def parse_key_predicate(spec: str):
 # -- bundles -------------------------------------------------------------
 
 
-def _named_pairs(values, what):
-    """Parse repeated NAME=TOKENS flags into (Letter, Word) pairs."""
-    out = []
+def _bundle_name(what: str, text: str) -> str:
+    """``text``, if it can name something in a bundle: one word without
+    whitespace, and not '#', which the reader takes for a comment."""
+    if text.split() != [text] or text == "#":
+        raise UsageError(f"{what} without whitespace other than '#', got {text!r}")
+    return text
+
+
+def _named_pairs(values, flag: str) -> dict[Letter, Word]:
+    """Parse repeated NAME=WORD flags into a map, each NAME given once."""
+    out = {}
     for item in values or ():
         name, eq, rhs = item.partition("=")
         if not eq:
-            raise UsageError(f"{what} takes NAME=WORD, got {item!r}")
+            raise UsageError(f"{flag} takes NAME=WORD, got {item!r}")
+        name = _bundle_name(f"{flag} takes NAME=WORD with NAME a word", name.strip())
+        if name in out:
+            raise UsageError(f"{flag} names {name!r} twice")
         try:
-            if name.strip() == "eps":
+            if name == "eps":
                 raise ValueError("'eps' is reserved and cannot be a letter name")
-            out.append((Letter(name.strip()), parse_word(rhs)))
+            out[Letter(name)] = parse_word(rhs)
         except ValueError as e:
-            raise UsageError(f"{what} takes NAME=WORD, got {item!r}: {e}") from None
+            raise UsageError(f"{flag} takes NAME=WORD, got {item!r}: {e}") from None
     return out
 
 
@@ -145,9 +156,7 @@ def _flag_word(flag: str, text: str) -> Word:
 
 def _write_bundle(ws: Workspace, args, build) -> int:
     """Render what a construct verb builds, write it to --out and reload it."""
-    if args.name.split() != [args.name] or args.name == "#":
-        raise UsageError(
-            f"--name takes a word without whitespace other than '#', got {args.name!r}")
+    _bundle_name("--name takes a word", args.name)
     built = build(ws, args)
     if isinstance(built, Demonstration):
         text = render(demo_bundle(ws, built, args.name))
@@ -272,10 +281,9 @@ def cmd_wp_decide(ws: Workspace, args) -> int:
 
 
 def cmd_change_gens(ws: Workspace, args) -> Demonstration:
-    demo = _resolve_demo(ws, args.demo)
-    target = dict(_named_pairs(args.letter, "--letter"))
-    phi = dict(_named_pairs(args.image, "--image"))
-    return change_generators(demo, target, phi)
+    target = _named_pairs(args.letter, "--letter")
+    phi = _named_pairs(args.image, "--image")
+    return change_generators(_resolve_demo(ws, args.demo), target, phi)
 
 
 def cmd_extension(ws: Workspace, args) -> Demonstration:
@@ -287,9 +295,9 @@ def cmd_extension(ws: Workspace, args) -> Demonstration:
 
 
 def cmd_fi_overgroup(ws: Workspace, args) -> Demonstration:
+    transversal = _named_pairs(args.coset_rep, "--coset-rep")
     demo = _resolve_demo(ws, args.demo)
     oracle = _resolve(ws.groups, "group", args.group)
-    transversal = dict(_named_pairs(args.coset_rep, "--coset-rep"))
     in_subgroup = parse_key_predicate(args.in_subgroup) if args.in_subgroup else None
     return fi_overgroup(demo, oracle, transversal, in_subgroup=in_subgroup)
 
@@ -302,7 +310,7 @@ def cmd_fi_subgroup(ws: Workspace, args) -> Demonstration:
 
 
 def cmd_graph_product(ws: Workspace, args) -> Demonstration:
-    vertices = args.vertices.split()
+    vertices = [_bundle_name("--vertices takes vertex names", v) for v in args.vertices.split()]
     edges = []
     for item in args.edge or ():
         u, dash, v = item.partition("-")
@@ -314,17 +322,22 @@ def cmd_graph_product(ws: Workspace, args) -> Demonstration:
         v, eq, demo_name = item.partition("=")
         if not eq:
             raise UsageError(f"--vertex takes VERTEX=DEMO, got {item!r}")
-        local[v] = _resolve_demo(ws, demo_name)
+        _bundle_name("--vertex takes VERTEX=DEMO with VERTEX a word", v)
+        if v in local:
+            raise UsageError(f"--vertex names {v!r} twice")
+        local[v] = demo_name
     try:
         graph = VertexGraph.make(vertices, edges)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    return graph_product(graph, local)
+    return graph_product(graph, {v: _resolve_demo(ws, name) for v, name in local.items()})
 
 
 def cmd_autostackable_project(ws: Workspace, args) -> Nfa:
-    nfa = _resolve(ws.automata, "automaton", args.automaton)
+    for x in args.base.split():
+        _bundle_name("--base takes letters", x)
     base = _flag_word("--base", args.base)
+    nfa = _resolve(ws.automata, "automaton", args.automaton)
     return autostackable_projection(SyncTripleAutomaton(nfa, base))
 
 

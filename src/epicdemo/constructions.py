@@ -21,6 +21,7 @@ from .automata import (
     _product,
     check_alphabet,
     concat,
+    explore,
     finite_language,
     format_word,
     image_hom,
@@ -285,41 +286,26 @@ def admissible_automaton(graph: VertexGraph) -> Nfa:
     for states directly.
     """
     verts = graph.vertices
-    rank = {v: i for i, v in enumerate(verts)}
     letters = tuple(Letter(v) for v in verts)
 
     initial = (tuple(None for _ in verts), tuple(False for _ in verts))
 
-    def legal(state, w):
+    def moves(state):
         lastblock, tail_gt = state
-        i = rank[w]
-        return lastblock[i] != w and not tail_gt[i]
+        for i, w in enumerate(verts):
+            if lastblock[i] == w or tail_gt[i]:
+                continue
+            lb = list(lastblock)
+            tg = list(tail_gt)
+            for j, v in enumerate(verts):
+                if v == w or not graph.adjacent(v, w):
+                    lb[j] = w
+                    tg[j] = False
+                elif i > j:  # w ranks above v
+                    tg[j] = True
+            yield letters[i], (tuple(lb), tuple(tg))
 
-    def step(state, w):
-        lastblock, tail_gt = state
-        lb = list(lastblock)
-        tg = list(tail_gt)
-        for i, v in enumerate(verts):
-            if v == w or not graph.adjacent(v, w):
-                lb[i] = w
-                tg[i] = False
-            elif rank[w] > rank[v]:
-                tg[i] = True
-        return (tuple(lb), tuple(tg))
-
-    transitions = set()
-
-    def successors(state):
-        for v, letter in zip(verts, letters):
-            if legal(state, v):
-                nxt = step(state, v)
-                transitions.add((state, letter, nxt))
-                yield nxt
-
-    states = reachable([initial], successors)
-    accepting = frozenset(states - {initial})
-    return Nfa(letters, frozenset(states), frozenset(transitions),
-               frozenset({initial}), accepting)
+    return explore(letters, [initial], moves, lambda state: state != initial)
 
 
 def graph_product(graph: VertexGraph,
@@ -451,21 +437,17 @@ class SyncTripleAutomaton:
 
 def _padding_violations(t: SyncTripleAutomaton) -> Nfa:
     """Automaton for accepted words that resume a coordinate after padding."""
-    flag_states = [(a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)]
-    states = set(flag_states) | {"bad"}
-    transitions = set()
-    for letter in t.nfa.alphabet:
-        comps = split_triple(letter)
-        for st in flag_states:
-            ok = all(not ended or comp == PAD_NAME for ended, comp in zip(st, comps))
-            if ok:
-                nxt = tuple(ended or comp == PAD_NAME for ended, comp in zip(st, comps))
-                transitions.add((st, letter, nxt))
+    pads = {letter: tuple(c == PAD_NAME for c in split_triple(letter))
+            for letter in t.nfa.alphabet}
+
+    def moves(ended):  # which coordinates have padded so far, or "bad"
+        for letter, pad in pads.items():
+            if ended == "bad" or any(e and not p for e, p in zip(ended, pad)):
+                yield letter, "bad"
             else:
-                transitions.add((st, letter, "bad"))
-        transitions.add(("bad", letter, "bad"))
-    monitor = Nfa(t.nfa.alphabet, frozenset(states), frozenset(transitions),
-                  frozenset({(False, False, False)}), frozenset({"bad"}))
+                yield letter, tuple(e or p for e, p in zip(ended, pad))
+
+    monitor = explore(t.nfa.alphabet, [(False, False, False)], moves, lambda s: s == "bad")
     return intersect(t.nfa, monitor)
 
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Letter, Nfa, Word, finite_language, walk
+from .automata import EPSILON, Letter, Nfa, Word, explore, finite_language, walk
 from .groups import ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, _GEN_NAMES
 
 
@@ -161,15 +161,11 @@ def free_demo(rank: int) -> Demonstration:
     """All non-empty freely reduced words over a free group's alphabet."""
     oracle = FreeGroupOracle(rank)
     letters = oracle.alphabet
-    states: set = {"s"} | {("l", i) for i in range(len(letters))}
-    transitions = set()
-    for i, x in enumerate(letters):
-        transitions.add(("s", x, ("l", i)))
-        for j, y in enumerate(letters):
-            if i ^ 1 != j:  # never follow a letter with its inverse
-                transitions.add((("l", i), y, ("l", j)))
-    language = Nfa(letters, frozenset(states), frozenset(transitions),
-                   frozenset({"s"}), frozenset(("l", i) for i in range(len(letters))))
+
+    def moves(p):  # never a letter right after its inverse
+        return ((y, ("l", j)) for j, y in enumerate(letters) if p == "s" or p[1] ^ 1 != j)
+
+    language = explore(letters, ["s"], moves, lambda p: p != "s")
     return Demonstration(oracle, identity_eval_map(letters), language)
 
 
@@ -191,18 +187,15 @@ def zk_demo(rank: int, names: Optional[Iterable[str]] = None) -> Demonstration:
     names = list(names)
     if len(names) != rank:
         raise ValueError("need exactly one generator name per coordinate")
-    gens: dict[Letter, tuple] = {}
-    transitions = set()
-    for i, name in enumerate(names):
-        vec = tuple(1 if j == i else 0 for j in range(rank))
-        for sign, x in ((1, Letter(name)), (-1, Letter(name + "^-1"))):
-            gens[x] = tuple(sign * c for c in vec)
-            sources = ["s", (i, sign)] + [(j, e) for j in range(i) for e in (1, -1)]
-            transitions.update((p, x, (i, sign)) for p in sources)
-    blocks = frozenset((i, sign) for i in range(rank) for sign in (1, -1))
-    language = Nfa(tuple(gens), blocks | {"s"}, frozenset(transitions),
-                   frozenset({"s"}), blocks)
-    oracle = FreeAbelianOracle(rank, gens)
+    blocks = {Letter(name + suffix): (i, sign) for i, name in enumerate(names)
+              for sign, suffix in ((1, ""), (-1, "^-1"))}
+
+    def moves(p):
+        return ((x, b) for x, b in blocks.items() if p == "s" or p == b or p[0] < b[0])
+
+    language = explore(blocks, ["s"], moves, lambda p: p != "s")
+    oracle = FreeAbelianOracle(rank, {x: tuple(sign if j == i else 0 for j in range(rank))
+                                      for x, (i, sign) in blocks.items()})
     return Demonstration(oracle, identity_eval_map(oracle.alphabet), language)
 
 

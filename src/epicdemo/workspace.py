@@ -535,9 +535,12 @@ def _natural_key(text: str):
 
 
 def _state_key(state):
+    """Strings before other states, each in natural order of its text; the
+    raw text breaks ties ('s1' and 's01'), so the order is total."""
     if isinstance(state, str):
-        return (0, _natural_key(state))
-    return (1, _natural_key(repr(state)))
+        return (0, _natural_key(state), state)
+    text = repr(state)
+    return (1, _natural_key(text), text)
 
 
 def _canonical(nfa: Nfa) -> tuple[list, list, list, list]:
@@ -549,9 +552,9 @@ def _canonical(nfa: Nfa) -> tuple[list, list, list, list]:
 
     ``_state_key`` is computed only where it decides the order: between
     targets of one source and label first reached together, between
-    initial states and between unreached states.  States with equal keys
-    keep the iteration order of ``transitions``, ``initials`` and
-    ``states - reached``.
+    initial states and between unreached states.  States with distinct
+    texts have distinct keys, so the order depends on the sets alone, not
+    on the order they iterate in.
     """
     states = list(nfa.states)
     number = {s: i for i, s in enumerate(states)}

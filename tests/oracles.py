@@ -504,9 +504,12 @@ def _natural_key(text):
 
 
 def _state_key(state):
+    """Strings before other states, each in natural order of its text; the
+    raw text breaks ties ('s1' and 's01'), so the order is total."""
     if isinstance(state, str):
-        return (0, _natural_key(state))
-    return (1, _natural_key(repr(state)))
+        return (0, _natural_key(state), state)
+    text = repr(state)
+    return (1, _natural_key(text), text)
 
 
 def keyed_canonical_states(nfa):

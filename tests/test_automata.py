@@ -10,6 +10,7 @@ from epicdemo.automata import (
     _closed_edges,
     check_alphabet,
     concat,
+    explore,
     finite_language,
     image_hom,
     intersect,
@@ -233,6 +234,35 @@ class TestEnumerate:
     @given(nfas())
     def test_deterministic(self, a):
         assert a.enumerate_words(4) == a.enumerate_words(4)
+
+
+@st.composite
+def successor_tables(draw):
+    """Up to six integer states, each with up to four ``(label, target)``
+    edges over a, b and epsilon, initial states and accepting states."""
+    states = st.integers(min_value=0, max_value=draw(st.integers(min_value=0, max_value=5)))
+    edges = st.lists(st.tuples(st.sampled_from([A, B, None]), states), max_size=4)
+    return (draw(st.dictionaries(states, edges)), draw(st.frozensets(states, min_size=1)),
+            draw(st.frozensets(states)))
+
+
+class TestExplore:
+    @settings(deadline=None)
+    @given(successor_tables())
+    def test_matches_brute_force_closure(self, case):
+        table, initials, accepting = case
+        got = explore((A, B), initials, lambda p: table.get(p, []), accepting.__contains__)
+        reached = set(initials)
+        while True:  # add every target of an edge leaving the set, until none is new
+            grown = reached | {q for p in reached for _, q in table.get(p, [])}
+            if grown == reached:
+                break
+            reached = grown
+        assert got.alphabet == (A, B)
+        assert got.initials == initials and got.states == reached
+        assert got.transitions == {(p, label, q) for p in reached
+                                   for label, q in table.get(p, [])}
+        assert got.accepting == reached & accepting
 
 
 class TestIsEmpty:

@@ -253,9 +253,32 @@ class TestUsageErrors:
          "--letter takes NAME=WORD, got 'eps=a': 'eps' is reserved"),
         (("-f", DATA, "construct", "fi-overgroup", "--demo", "Zdemo", "--group", "Z",
           "--coset-rep", "eps=a"), "--coset-rep takes NAME=WORD, got 'eps=a': 'eps' is reserved"),
+        (CHANGE_GENS + ("--letter", "b=a^-1", "--letter", "b=a", "--letter", "b^-1=a^-1"),
+         "--letter names 'b' twice"),
+        (("construct", "graph-product", "--vertices", "u", "--vertex", "u=Z",
+          "--vertex", "u=FREE2"), "--vertex names 'u' twice"),
+        (("construct", "change-gens", "--demo", "Z", "--letter", "#=a", "--letter", "b=a^-1",
+          "--image", "a=#", "--image", "a^-1=b"),
+         "--letter takes NAME=WORD with NAME a word without whitespace other than '#', got '#'"),
+        (("construct", "change-gens", "--demo", "Z", "--letter", "b=a", "--letter", "b^-1=a^-1",
+          "--image", "#=b", "--image", "a^-1=b^-1"),
+         "--image takes NAME=WORD with NAME a word without whitespace other than '#', got '#'"),
+        (("-f", DATA, "construct", "fi-overgroup", "--demo", "Zdemo", "--group", "Z",
+          "--coset-rep", "#=a"),
+         "--coset-rep takes NAME=WORD with NAME a word without whitespace other than '#'"),
+        (("construct", "graph-product", "--vertices", "u #", "--vertex", "u=Z",
+          "--vertex", "#=FREE2"),
+         "--vertices takes vertex names without whitespace other than '#', got '#'"),
+        (("construct", "graph-product", "--vertices", "u", "--vertex", "u=Z",
+          "--vertex", "#=FREE2"),
+         "--vertex takes VERTEX=DEMO with VERTEX a word without whitespace other than '#'"),
+        (("-f", DATA, "construct", "autostackable-project", "--automaton", "powers",
+          "--base", "a #"), "--base takes letters without whitespace other than '#', got '#'"),
     ], ids=["letter-without-name", "letter-with-eps", "edge-without-end", "repeated-vertex",
             "name-with-space", "name-hash", "name-empty", "letter-named-eps",
-            "coset-rep-named-eps"])
+            "coset-rep-named-eps", "letter-twice", "vertex-twice", "letter-named-hash",
+            "image-named-hash", "coset-rep-named-hash", "vertices-hash", "vertex-named-hash",
+            "base-hash"])
     def test_malformed_flag_value_is_usage_error(self, capsys, tmp_path, argv, match):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.epic"))
         assert code == 2
@@ -552,6 +575,13 @@ class TestConstructVerbs:
         undefined = tmp_path / "undefined.epic"
         undefined.write_text("group P graphproduct\n  vertices u v w\n  vertex u uses Xray\n"
                              "  vertex v uses Yankee\n  vertex w uses Zulu\nend\n")
+        # s1 and s01 are equal in natural order and entered on one letter
+        tied = tmp_path / "tied.epic"
+        tied.write_text("group Z zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
+                        "automaton X\n  alphabet a a^-1\n  states s0 s1 s01\n  initial s0\n"
+                        "  accept s0 s1 s01\n  trans s0 a s1\n  trans s0 a s01\n"
+                        "  trans s01 a^-1 s01\nend\n")
+        section = tmp_path / "section.epic"
         runs = []
         for seed in ("0", "1", "3", "4"):
             env = dict(os.environ, PYTHONHASHSEED=seed,
@@ -565,6 +595,8 @@ class TestConstructVerbs:
                      "--ball", "3"]),
                 (0, ["-f", str(bundle), "ball", "--demo", "prod", "--radius", "3"]),
                 (2, ["-f", str(undefined), "ball", "--group", "P", "--radius", "1"]),
+                (0, ["-f", str(tied), "construct", "cross-section", "--automaton", "X",
+                     "--group", "Z", "--out", str(section)]),
             ]
             outputs = []
             for code, argv in steps:
@@ -572,8 +604,8 @@ class TestConstructVerbs:
                                       capture_output=True, text=True, timeout=120)
                 assert done.returncode == code, done.stderr
                 outputs.append((done.stdout + done.stderr).replace(str(bundle), "BUNDLE"))
-            runs.append((outputs, bundle.read_bytes()))
-        assert "undefined groups ['Xray', 'Yankee', 'Zulu']" in runs[0][0][-1]
+            runs.append((outputs, bundle.read_bytes(), section.read_bytes()))
+        assert "undefined groups ['Xray', 'Yankee', 'Zulu']" in runs[0][0][-2]
         assert runs[1:] == runs[:1] * 3
 
     def test_project_then_cross_section(self, capsys, tmp_path):

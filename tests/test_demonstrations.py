@@ -86,6 +86,14 @@ class TestFreeDemo:
         assert not d.language.accepts(make_word("a", "a^-1"))
         assert not d.language.accepts(EPSILON)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_accepts_exactly_nonempty_reduced_words(self, rank):
+        d = free_demo(rank)
+        letters, inverse = d.language.alphabet, d.oracle.inverse_letter
+        want = [w for n in range(1, 6) for w in itertools.product(letters, repeat=n)
+                if all(y != inverse(x) for x, y in zip(w, w[1:]))]
+        assert d.language.enumerate_words(5) == want
+
     def test_clean_and_complete(self):
         d = free_demo(2)
         assert d.verify_no_identity(6) == []

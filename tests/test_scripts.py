@@ -91,3 +91,17 @@ class TestBenchRecord:
             load_script("bench_record").main(["--root", ".", "--root", ".", "--out", "x.json"])
         assert caught.value.code == 2
         assert "give --out once per --root: 2 times, not 1" in capsys.readouterr().err
+
+
+class TestOutputDigest:
+    def test_one_line_per_job_whatever_the_work_directory(self, tmp_path):
+        """Seed 1 of the construct workload: every job exits 0 and writes a
+        bundle, and the lines do not depend on where the inputs are."""
+        from epicdemo.cli import main
+        script = load_script("output_digest")
+        first = list(script.job_lines(main, "construct", 1, str(tmp_path / "a")))
+        assert list(script.job_lines(main, "construct", 1, str(tmp_path / "b"))) == first
+        jobs = script.load_workloads().build("construct", 1, str(tmp_path / "c")).jobs
+        fields = [line.split() for line in first]
+        assert [f[:4] for f in fields] == [["construct", "1", job.jid, "0"] for job in jobs]
+        assert all(len(f) == 7 and all(len(h) == 32 for h in f[4:]) for f in fields)

@@ -633,9 +633,9 @@ class TestRenderDifferential:
         nfa = fi_subgroup(ws.demonstrations["Zdemo"], ws.cosettables["evens"]).language
         assert render_automaton("m", nfa) == keyed_render_automaton("m", nfa)
 
-    def test_tied_keys_keep_transition_order(self):
-        # 'q1'/'q01' and '1'/'01' have equal keys: only the iteration order
-        # of the transitions and states separates them
+    def test_tied_natural_keys_order_by_raw_text(self):
+        # 'q1'/'q01' and '1'/'01' are equal in natural order: the raw text
+        # separates them, not the iteration order of the sets
         a, b = Letter("a"), Letter("b")
         reached = Nfa((a, b), frozenset(["s", "q1", "q01", "1", "01"]),
                       frozenset([("s", a, "q1"), ("s", a, "q01"), ("s", b, "1"),
@@ -647,3 +647,7 @@ class TestRenderDifferential:
         for nfa in (reached, unreached):
             assert canonical_states(nfa) == keyed_canonical_states(nfa)
             assert render_automaton("m", nfa) == keyed_render_automaton("m", nfa)
+        assert canonical_states(reached) == {"s": "s0", "q01": "s1", "q1": "s2",
+                                             "01": "s3", "1": "s4"}
+        assert canonical_states(unreached) == {"q01": "s0", "q1": "s1", "01": "s2",
+                                               "1": "s3", "x": "s4"}
