@@ -317,39 +317,42 @@ class Nfa:
 # -- constructions ------------------------------------------------------
 
 
-def _tag(tag: str, nfa: Nfa):
-    states = frozenset((tag, s) for s in nfa.states)
-    transitions = frozenset(((tag, p), label, (tag, q)) for (p, label, q) in nfa.transitions)
-    initials = frozenset((tag, s) for s in nfa.initials)
-    accepting = frozenset((tag, s) for s in nfa.accepting)
-    return states, transitions, initials, accepting
+def glue(alphabet: Iterable[Letter], parts: Mapping[str, Nfa], bridges: Iterable,
+         initials: Iterable[str], accepting: Iterable[str]) -> Nfa:
+    """Disjoint copies of automata joined by epsilon edges.
+
+    State ``s`` of ``parts[t]`` becomes ``(t, s)``, with its transitions;
+    each bridge ``(t, u)`` adds an epsilon edge from every accepting state
+    of copy ``t`` to every initial state of copy ``u``.  The initial states
+    of the copies named in ``initials`` are initial, and the accepting
+    states of the copies named in ``accepting`` accept.
+    """
+    states, transitions = set(), set()
+    for t, a in parts.items():
+        for s in a.states:
+            states.add((t, s))
+        for (p, label, q) in a.transitions:
+            transitions.add(((t, p), label, (t, q)))
+    for t, u in bridges:
+        entry = parts[u].initials
+        for f in parts[t].accepting:
+            for i in entry:
+                transitions.add(((t, f), None, (u, i)))
+    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions),
+               frozenset((t, s) for t in initials for s in parts[t].initials),
+               frozenset((t, s) for t in accepting for s in parts[t].accepting))
 
 
 def union(a: Nfa, b: Nfa) -> Nfa:
     """Automaton accepting the union of the two languages."""
-    sa, ta, ia, fa = _tag("u0", a)
-    sb, tb, ib, fb = _tag("u1", b)
-    return Nfa(
-        alphabet=merge_alphabets(a.alphabet, b.alphabet),
-        states=sa | sb,
-        transitions=ta | tb,
-        initials=ia | ib,
-        accepting=fa | fb,
-    )
+    return glue(merge_alphabets(a.alphabet, b.alphabet), {"u0": a, "u1": b}, (),
+                ("u0", "u1"), ("u0", "u1"))
 
 
 def concat(a: Nfa, b: Nfa) -> Nfa:
     """Automaton accepting every word of ``a`` followed by a word of ``b``."""
-    sa, ta, ia, fa = _tag("c0", a)
-    sb, tb, ib, fb = _tag("c1", b)
-    bridge = frozenset((p, None, q) for p in fa for q in ib)
-    return Nfa(
-        alphabet=merge_alphabets(a.alphabet, b.alphabet),
-        states=sa | sb,
-        transitions=ta | tb | bridge,
-        initials=ia,
-        accepting=fb,
-    )
+    return glue(merge_alphabets(a.alphabet, b.alphabet), {"c0": a, "c1": b},
+                [("c0", "c1")], ("c0",), ("c1",))
 
 
 def _closed_edges(a: Nfa) -> tuple[dict, frozenset]:

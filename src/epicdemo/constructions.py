@@ -24,9 +24,9 @@ from .automata import (
     explore,
     finite_language,
     format_word,
+    glue,
     image_hom,
     intersect,
-    merge_alphabets,
     normalize_no_accepting_initial,
     reachable,
     subtract_word,
@@ -312,18 +312,20 @@ def graph_product(graph: VertexGraph,
                   local: Mapping[str, Demonstration]) -> Demonstration:
     """Glue local demonstrations along the pruned type automaton.
 
-    Every state of the admissible automaton is replaced by a copy of its
-    vertex's language; epsilon edges chain accepting states of one copy to
-    initial states of the next.  Accepted words are concatenations of one
-    non-empty local word per letter of a pruned type string, which reach
-    every non-identity element of the graph product and never the
-    identity, provided the locals do.
+    One ``glue``: every non-initial state of the admissible automaton
+    becomes a copy of its vertex's language, and every admissible
+    transition a bridge from the copy of its source to the copy of its
+    target.  A start part that accepts only the empty word stands in for
+    the initial state.  Accepted words are concatenations of one non-empty
+    local word per letter of a pruned type string, which reach every
+    non-identity element of the graph product and never the identity,
+    provided the locals do.
     """
     missing = [v for v in graph.vertices if v not in local]
     if missing:
         raise ValueError(f"no local demonstration for vertices: {missing}")
     oracle = GraphProductOracle(graph, {v: local[v].oracle for v in graph.vertices})
-    seen: dict[Letter, str] = {}
+    seen: dict[Letter, str] = {}  # the merged alphabet, with each letter's vertex
     for v in graph.vertices:
         for x in local[v].language.alphabet:
             if x in seen:
@@ -344,32 +346,10 @@ def graph_product(graph: VertexGraph,
         if label.setdefault(q, letter) != letter:
             raise AssertionError("admissible state entered by two different vertices")
 
-    alphabet = merge_alphabets(*(local[v].language.alphabet for v in graph.vertices))
-    states: set = {("glue-init",)}
-    transitions: set = set()
-    accepting: set = set()
-    for s in adm.states:
-        if s == adm_initial:
-            continue
-        nfa = normalized[label[s]]
-        for q in nfa.states:
-            states.add((s, q))
-        for (p, lbl, q) in nfa.transitions:
-            transitions.add(((s, p), lbl, (s, q)))
-        for q in nfa.accepting:
-            accepting.add((s, q))
-    for (p, _letter, q) in adm.transitions:
-        entry = normalized[label[q]].initials
-        if p == adm_initial:
-            for i in entry:
-                transitions.add((("glue-init",), None, (q, i)))
-        else:
-            exits = normalized[label[p]].accepting
-            for f in exits:
-                for i in entry:
-                    transitions.add(((p, f), None, (q, i)))
-    language = Nfa(alphabet, frozenset(states), frozenset(transitions),
-                   frozenset({("glue-init",)}), frozenset(accepting))
+    parts = {s: normalized[label[s]] for s in adm.accepting}  # the non-initial states
+    parts["start"] = finite_language([EPSILON], ())
+    bridges = [("start" if p == adm_initial else p, q) for (p, _letter, q) in adm.transitions]
+    language = glue(seen, parts, bridges, ("start",), adm.accepting)
     eval_map: dict[Letter, Word] = {}
     for v in graph.vertices:
         eval_map.update(local[v].eval_map)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import EPSILON, Letter, Nfa, Word, explore, finite_language, walk
-from .groups import ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, _GEN_NAMES
+from .groups import (ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, _GEN_NAMES,
+                     paired_letters)
 
 
 def identity_eval_map(alphabet: Iterable[Letter]) -> dict[Letter, Word]:
@@ -187,8 +188,8 @@ def zk_demo(rank: int, names: Optional[Iterable[str]] = None) -> Demonstration:
     names = list(names)
     if len(names) != rank:
         raise ValueError("need exactly one generator name per coordinate")
-    blocks = {Letter(name + suffix): (i, sign) for i, name in enumerate(names)
-              for sign, suffix in ((1, ""), (-1, "^-1"))}
+    # paired_letters lists g_1, g_1^-1, g_2, g_2^-1, ...
+    blocks = {x: (k // 2, -1 if k % 2 else 1) for k, x in enumerate(paired_letters(names))}
 
     def moves(p):
         return ((x, b) for x, b in blocks.items() if p == "s" or p == b or p[0] < b[0])

@@ -112,7 +112,8 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
     alphabet = p.alphabet
     relators = p.relators
     inverses = tuple(formal_inverse(r) for r in relators)
-    min_cost = 1 + min(len(r) for r in relators)
+    heads = tuple(1 + len(r) for r in relators)  # a conjugate costs its head plus |u|
+    min_cost = min(heads)
     # conjugates[n][ri][0 or 1]: the words u r u^-1 or u r^-1 u^-1 for
     # the relator r at index ri and every reduced u of length n, length-lex
     conjugates: list[list[tuple[list[Word], list[Word]]]] = []
@@ -128,33 +129,36 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
                                      for s in pair) for pair in zip(relators, inverses)])
         return conjugates[n]
 
-    # factor_sequences calls itself, so it lives in a reference cycle until
-    # a garbage collection; the table comes as an argument to stay out of it
-    def factor_sequences(table: Callable, total: int, m: int) -> Iterator[tuple]:
-        if m == 0:
-            if total == 0:
-                yield ()
-            return
-        tail_min = (m - 1) * min_cost
-        for ri, r in enumerate(relators):
-            head = 1 + len(r)
-            room = total - head - tail_min
-            if room < 0:
-                continue
-            for sign in (0, 1):
-                for u_len in range(room + 1):
-                    for w in table(u_len)[ri][sign]:
-                        for rest in factor_sequences(table, total - head - u_len, m - 1):
-                            yield (w,) + rest
-
     def stream() -> Iterator[Word]:
         yield EPSILON
         for total in count(min_cost):
             for m in range(1, total // min_cost + 1):
-                for factors in factor_sequences(conjugates_of, total, m):
+                for factors in _factor_sequences(heads, min_cost, conjugates_of, total, m):
                     yield free_reduce(sum(factors, EPSILON))
 
     return Enumerator(stream)
+
+
+def _factor_sequences(heads: tuple, min_cost: int, table: Callable, total: int,
+                      m: int) -> Iterator[tuple]:
+    """The ``m``-tuples of conjugates ``table(u_len)[ri][sign]`` of total
+    size ``total``, a conjugate of relator ``ri`` costing ``heads[ri] +
+    u_len`` and every factor at least ``min_cost``, in dovetailing order."""
+    if m == 0:
+        if total == 0:
+            yield ()
+        return
+    tail_min = (m - 1) * min_cost
+    for ri, head in enumerate(heads):
+        room = total - head - tail_min
+        if room < 0:
+            continue
+        for sign in (0, 1):
+            for u_len in range(room + 1):
+                for w in table(u_len)[ri][sign]:
+                    for rest in _factor_sequences(heads, min_cost, table,
+                                                  total - head - u_len, m - 1):
+                        yield (w,) + rest
 
 
 def _has_pumpable_cycle(a: Nfa) -> bool:

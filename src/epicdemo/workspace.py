@@ -271,6 +271,8 @@ def _parse_group(block: _Block):
             names = None
             for lineno, tokens in block.body:
                 if tokens[0] == "names":
+                    if names is not None:
+                        block.fail("names given twice", lineno)
                     names = tuple(tokens[1:])
                     if "eps" in names:
                         block.fail(_EPS_RESERVED, lineno)
@@ -291,6 +293,8 @@ def _parse_group(block: _Block):
                 elif tokens[0] == "edge" and len(tokens) == 3:
                     edges.append((tokens[1], tokens[2]))
                 elif tokens[0] == "vertex" and len(tokens) == 4 and tokens[2] == "uses":
+                    if tokens[1] in uses:
+                        block.fail(f"group of vertex {tokens[1]!r} given twice", lineno)
                     uses[tokens[1]] = tokens[3]
                 else:
                     block.fail(f"unknown graphproduct line {' '.join(tokens)!r}", lineno)
@@ -304,6 +308,13 @@ def _parse_group(block: _Block):
                "expected perm, matrix, zk, free or graphproduct")
 
 
+def _shaped(value, depth: int) -> bool:
+    """Whether ``value`` is an int nested in ``depth`` levels of lists."""
+    if depth == 0:
+        return type(value) is int
+    return isinstance(value, list) and all(_shaped(e, depth - 1) for e in value)
+
+
 def _parse_int_array(text: str, depth: int, lineno: int, block: _Block):
     """A JSON vector (depth 1) or matrix (depth 2) with integer entries."""
     shown = text if len(text) <= 60 else text[:57] + "..."  # a value may be any length
@@ -311,13 +322,7 @@ def _parse_int_array(text: str, depth: int, lineno: int, block: _Block):
         value = json.loads(text)
     except (json.JSONDecodeError, RecursionError):  # the decoder recurses per level
         block.fail(f"cannot parse {shown!r} as a vector or matrix", lineno)
-
-    def shaped(v, d):
-        if d == 0:
-            return type(v) is int
-        return isinstance(v, list) and all(shaped(e, d - 1) for e in v)
-
-    if not shaped(value, depth):
+    if not _shaped(value, depth):
         what = "vector" if depth == 1 else "matrix"
         block.fail(f"{shown!r} is not a {what} of integers", lineno)
     return value
@@ -332,21 +337,23 @@ class _GraphSpec:
 
 def _parse_demonstration(block: _Block):
     name = block.header[0]
-    group_name = None
-    automaton_name = None
-    letters = []
+    refs = {}  # "group" and "automaton": the name the line gives
+    letters = {}
     for lineno, tokens in block.body:
-        if tokens[0] == "group" and len(tokens) == 2:
-            group_name = tokens[1]
-        elif tokens[0] == "automaton" and len(tokens) == 2:
-            automaton_name = tokens[1]
+        if tokens[0] in ("group", "automaton") and len(tokens) == 2:
+            if tokens[0] in refs:
+                block.fail(f"{tokens[0]} given twice", lineno)
+            refs[tokens[0]] = tokens[1]
         elif tokens[0] == "letter" and len(tokens) >= 4 and tokens[2] == "=":
-            letters.append((lineno, Letter(tokens[1]), tokens[3:]))
+            letter = Letter(tokens[1])
+            if letter in letters:
+                block.fail(f"letter {tokens[1]!r} given twice", lineno)
+            letters[letter] = (lineno, tokens[3:])
         else:
             block.fail(f"unknown demonstration line {' '.join(tokens)!r}", lineno)
-    if group_name is None or automaton_name is None:
+    if len(refs) != 2:
         block.fail("demonstration needs both a group and an automaton line")
-    return name, group_name, automaton_name, letters
+    return name, refs["group"], refs["automaton"], letters
 
 
 def _parse_cosettable(block: _Block):
@@ -471,7 +478,7 @@ def load_text(sources: Iterable[tuple[Optional[str], str]]) -> Workspace:
         oracle = ws.groups[group_name]
         language = ws.automata[automaton_name]
         eval_map = {x: (x,) for x in language.alphabet}
-        for lineno, letter, word_tokens in letters:
+        for letter, (lineno, word_tokens) in letters.items():
             eval_map[letter] = _parse_word_tokens(word_tokens, lineno, block)
         try:
             demo = Demonstration(oracle, eval_map, language)
@@ -698,6 +705,17 @@ def render_presentation(name: str, p: Presentation) -> str:
                                            *("relator " + format_word(r) for r in p.relators)])
 
 
+def _emit_group(ws: Workspace, name: str, done: set, chunks: list):
+    """Append the group's block to ``chunks`` unless it is ``done``, after
+    the blocks of the groups a graph product uses."""
+    if name in done:
+        return
+    for used in sorted(set(ws.graph_refs.get(name, {}).values())):
+        _emit_group(ws, used, done, chunks)
+    done.add(name)
+    chunks.append(render_group(ws, name))
+
+
 def render(ws: Workspace) -> str:
     """The whole workspace as one reloadable file, kinds grouped, names sorted.
 
@@ -705,15 +723,8 @@ def render(ws: Workspace) -> str:
     """
     chunks = []
     done = set()
-    def emit_group(name):
-        if name in done:
-            return
-        for used in sorted(set(ws.graph_refs.get(name, {}).values())):
-            emit_group(used)
-        done.add(name)
-        chunks.append(render_group(ws, name))
     for name in sorted(ws.groups):
-        emit_group(name)
+        _emit_group(ws, name, done, chunks)
     for name in sorted(ws.automata):
         chunks.append(render_automaton(name, ws.automata[name]))
     for name in sorted(ws.demonstrations):

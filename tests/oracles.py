@@ -360,6 +360,57 @@ def pairwise_intersect(a, b):
     return states, transitions, initials, accepting
 
 
+def _tagged(tag, nfa):
+    return ({(tag, s) for s in nfa.states},
+            {((tag, p), label, (tag, q)) for (p, label, q) in nfa.transitions},
+            {(tag, s) for s in nfa.initials}, {(tag, s) for s in nfa.accepting})
+
+
+def tagged_union(a, b):
+    """(states, transitions, initials, accepting) of the union: the states
+    of ``a`` and ``b`` tagged ``u0`` and ``u1``, side by side."""
+    sa, ta, ia, fa = _tagged("u0", a)
+    sb, tb, ib, fb = _tagged("u1", b)
+    return sa | sb, ta | tb, ia | ib, fa | fb
+
+
+def tagged_concat(a, b):
+    """(states, transitions, initials, accepting) of the concatenation: the
+    states of ``a`` and ``b`` tagged ``c0`` and ``c1``, with an epsilon edge
+    from every accepting state of the first to every initial of the second."""
+    sa, ta, ia, fa = _tagged("c0", a)
+    sb, tb, ib, fb = _tagged("c1", b)
+    return sa | sb, ta | tb | {(p, None, q) for p in fa for q in ib}, ia, fb
+
+
+def looped_graph_product_language(graph, local):
+    """The language of ``graph_product(graph, local)`` glued state by state:
+    a copy ``(s, q)`` of each state ``q`` of the normalized local language
+    of the vertex entering admissible state ``s``, epsilon edges along the
+    admissible transitions, and one fresh initial state ``("glue-init",)``
+    in place of the admissible initial state."""
+    from epicdemo.automata import Nfa, merge_alphabets, normalize_no_accepting_initial
+    from epicdemo.constructions import admissible_automaton
+
+    normalized = {v: normalize_no_accepting_initial(local[v].language) for v in graph.vertices}
+    adm = admissible_automaton(graph)
+    (adm_initial,) = adm.initials
+    label = {q: letter for (p, letter, q) in adm.transitions}
+    states, transitions, accepting = {("glue-init",)}, set(), set()
+    for s in adm.states - {adm_initial}:
+        nfa = normalized[label[s]]
+        states.update((s, q) for q in nfa.states)
+        transitions.update(((s, p), lbl, (s, q)) for (p, lbl, q) in nfa.transitions)
+        accepting.update((s, q) for q in nfa.accepting)
+    for (p, _letter, q) in adm.transitions:
+        exits = [("glue-init",)] if p == adm_initial else \
+            [(p, f) for f in normalized[label[p]].accepting]
+        transitions.update((f, None, (q, i)) for f in exits for i in normalized[label[q]].initials)
+    alphabet = merge_alphabets(*(local[v].language.alphabet for v in graph.vertices))
+    return Nfa(alphabet, frozenset(states), frozenset(transitions),
+               frozenset({("glue-init",)}), frozenset(accepting))
+
+
 def intersected_fi_language(demo, table):
     """The language of ``fi_subgroup(demo, table)`` as the product of a
     coset-walk automaton with the language pulled back to edge letters:

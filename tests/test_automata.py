@@ -31,6 +31,8 @@ from oracles import (
     bf_language,
     pairwise_intersect,
     scan_epsilon_free,
+    tagged_concat,
+    tagged_union,
     triplewise_nfa_check,
     words_upto,
 )
@@ -304,6 +306,14 @@ class TestBooleanOps:
             expected = any(bf_accepts(a, w[:i]) and bf_accepts(b, w[i:])
                            for i in range(len(w) + 1))
             assert u.accepts(w) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(mixed_alphabet_nfas(), mixed_alphabet_nfas())
+    def test_union_and_concat_match_tagged_copies(self, a, b):
+        for got, want in ((union(a, b), tagged_union(a, b)),
+                          (concat(a, b), tagged_concat(a, b))):
+            assert (got.states, got.transitions, got.initials, got.accepting) == want
+            assert got.alphabet == merge_alphabets(a.alphabet, b.alphabet)
 
     def test_union_merges_alphabets_left_first(self):
         u = union(plus_language(A), plus_language(C, [B]))

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -674,3 +675,61 @@ class TestConstructVerbs:
                            "--demo", "dinfdemo", "--max-len", "10", "--ball", "4",
                            "--strict")
         assert code == 0
+
+
+class TestNoCyclicGarbage:
+    """A CLI call frees what it builds by reference counting alone: under
+    ``gc.DEBUG_SAVEALL`` a collection after the call finds nothing."""
+
+    S3 = ("group G perm degree 3\n  gen r = (1 2 3)\n  gen r2 = (1 3 2)\n  gen t = (1 2)\nend\n"
+          "automaton nl\n  alphabet r r2\n  states s0 s1\n  initial s0\n  accept s1\n"
+          "  trans s0 r s1\n  trans s0 r2 s1\nend\n"
+          "automaton ql\n  alphabet t\n  states s0 s1\n  initial s0\n  accept s1\n"
+          "  trans s0 t s1\nend\n"
+          "automaton sect\n  alphabet a a^-1\n  states s0 s1 s2\n  initial s0\n"
+          "  accept s0 s1 s2\n  trans s0 a s1\n  trans s1 a s1\n"
+          "  trans s0 a^-1 s2\n  trans s2 a^-1 s2\nend\n"
+          "demonstration N\n  group G\n  automaton nl\nend\n"
+          "demonstration Q\n  group G\n  automaton ql\nend\n")
+
+    VERBS = {
+        "verify": ["verify", "--demo", "Zdemo", "--max-len", "6", "--ball", "6"],
+        "enumerate": ["enumerate", "--automaton", "powers", "--max-len", "4"],
+        "ball": ["ball", "--group", "ZxS3", "--radius", "2"],
+        "wp-decide": ["wp", "decide", "--presentation", "plane", "--demo", "ZK2",
+                      "--word", "a b a^-1 b^-1", "--budget", "100000"],
+        "change-gens": ["construct", "change-gens", "--demo", "Z", "--letter", "b=a",
+                        "--letter", "b^-1=a^-1", "--image", "a=b", "--image", "a^-1=b^-1"],
+        "extension": ["construct", "extension", "--normal", "N", "--quotient", "Q",
+                      "--group", "G", "--in-normal", "perm-even"],
+        "fi-overgroup": ["construct", "fi-overgroup", "--demo", "N", "--group", "G",
+                         "--coset-rep", "t=t", "--in-subgroup", "perm-even"],
+        "fi-subgroup": ["construct", "fi-subgroup", "--demo", "Zdemo", "--table", "evens",
+                        "--in-subgroup", "zk-divisible:0,2"],
+        "graph-product": ["construct", "graph-product", "--vertices", "u v", "--edge", "u-v",
+                          "--vertex", "u=Zdemo", "--vertex", "v=N"],
+        "autostackable-project": ["construct", "autostackable-project", "--automaton", "trip",
+                                  "--base", "a a^-1"],
+        "cross-section": ["construct", "cross-section", "--automaton", "sect", "--group", "Z"],
+    }
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_call_leaves_no_cyclic_garbage(self, capsys, tmp_path, verb):
+        fixture = tmp_path / "fixture.epic"
+        fixture.write_text(self.S3 + render_automaton("trip", z_rewriting_fixture().nfa))
+        argv = ["-f", DATA, "-f", str(fixture), *self.VERBS[verb]]
+        if self.VERBS[verb][0] == "construct":
+            argv += ["--out", str(tmp_path / "out.epic")]
+        code, _, err = run(capsys, *argv)  # warm: first-call caches are not garbage
+        assert code == 0, err
+        flags = gc.get_debug()
+        gc.collect()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            run(capsys, *argv)
+            gc.collect()
+            garbage = [getattr(o, "__qualname__", type(o).__name__) for o in gc.garbage]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert garbage == []

@@ -30,7 +30,8 @@ from epicdemo.groups import (
     PermutationOracle,
 )
 
-from oracles import ascii_evaluate, bf_language, bf_pruned_types, intersected_fi_language
+from oracles import ascii_evaluate, bf_language, bf_pruned_types, intersected_fi_language, \
+    looped_graph_product_language
 from test_demonstrations import demos
 from test_groups import heisenberg_oracle, s3_oracle, c2_oracle
 
@@ -469,6 +470,28 @@ class TestGraphProduct:
             assert adm.accepts(tuple(Letter(t) for t in types))
             for vertex, sub in itertools.groupby(out.oracle_word(word), out.oracle.vertex_of):
                 assert not out.oracle.vertex_oracles[vertex].is_identity(tuple(sub))
+
+    LOCALS = (lambda v: z_demo(f"{v}1"), lambda v: zk_demo(2, names=(f"{v}1", f"{v}2")),
+              lambda v: c2_demo(f"{v}1"))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_looped_reference(self, n):
+        """Every graph on n vertices, locals of three builtin kinds in turn;
+        the glued start state is the reference's fresh initial state."""
+        vertices = tuple("uvwx"[:n])
+        pairs = list(itertools.combinations(vertices, 2))
+
+        def name(s):
+            return ("glue-init",) if s == ("start", "r") else s
+
+        for k in range(2 ** len(pairs)):
+            graph = VertexGraph.make(vertices, [e for i, e in enumerate(pairs) if k >> i & 1])
+            local = {v: self.LOCALS[(i + k) % 3](v) for i, v in enumerate(vertices)}
+            got = graph_product(graph, local).language
+            assert (got.alphabet, {name(s) for s in got.states},
+                    {(name(p), x, q) for (p, x, q) in got.transitions},
+                    {name(s) for s in got.initials}, got.accepting) == \
+                nfa_parts(looped_graph_product_language(graph, local))
 
     def test_local_accepting_epsilon_rejected(self):
         g = VertexGraph.make(("u",), [])

@@ -141,6 +141,12 @@ class TestZkDemo:
         assert language.initials == {"s"}
         assert len(language.states) == 7
 
+    @pytest.mark.parametrize("names, match", [
+        (("a", "a"), "duplicate letter 'a'"), (("a^-1", "b"), "inverse marker")])
+    def test_names_must_pair_into_distinct_letters(self, names, match):
+        with pytest.raises(ValueError, match=match):
+            zk_demo(2, names=names)
+
 
 class TestEvalMapIndirection:
     def test_letters_can_evaluate_through_words(self):

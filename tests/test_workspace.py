@@ -482,6 +482,26 @@ class TestReferences:
                      "  accept q1\n  trans q0 x q1\nend\n"
                      "demonstration d\n  group g\n  letter y = x\n  automaton a\nend\n")
 
+    GX = ("group g zk rank 1\n  gen x = [1]\nend\n"
+          "automaton a\n  alphabet x\n  states q0 q1\n  initial q0\n"
+          "  accept q1\n  trans q0 x q1\nend\n")
+
+    @pytest.mark.parametrize("text, match, line", [
+        ("group p graphproduct\n  vertices u\n  vertex u uses g\n  vertex u uses p\nend\n"
+         + GX, "group of vertex 'u' given twice", 4),
+        ("group f free rank 2\n  names a b\n  names c d\nend\n", "names given twice", 3),
+        ("demonstration d\n  group g\n  group g\n  automaton a\nend\n" + GX,
+         "group given twice", 3),
+        ("demonstration d\n  group g\n  automaton a\n  automaton a\nend\n" + GX,
+         "automaton given twice", 4),
+        ("demonstration d\n  group g\n  letter x = x\n  letter x = x x\n  automaton a\nend\n"
+         + GX, "letter 'x' given twice", 4),
+    ], ids=["vertex", "names", "demo-group", "demo-automaton", "demo-letter"])
+    def test_repeated_line_rejected(self, text, match, line):
+        with pytest.raises(LoadError, match=match) as caught:
+            load_str(text)
+        assert caught.value.line == line
+
     def test_default_eval_map_is_identity(self):
         ws = load_str("group g zk rank 1\n  gen x = [1]\nend\n"
                       "automaton a\n  alphabet x\n  states q0 q1\n  initial q0\n"
