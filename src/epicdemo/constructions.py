@@ -161,7 +161,8 @@ class CosetTable:
     def validate(self, oracle: GroupOracle,
                  in_subgroup: Optional[KeyPredicate] = None):
         """Structural and, given a membership predicate, semantic checks."""
-        if len(set(self.cosets)) != len(self.cosets) or not self.cosets:
+        cosets = set(self.cosets)
+        if len(cosets) != len(self.cosets) or not cosets:
             raise ValueError("coset names must be distinct and non-empty")
         home = self.subgroup_coset
         if self.transversal.get(home) != EPSILON:
@@ -172,7 +173,7 @@ class CosetTable:
         for c in self.cosets:
             for x in oracle.alphabet:
                 target = self.act(c, x)
-                if target not in set(self.cosets):
+                if target not in cosets:
                     raise ValueError(f"action maps ({c!r}, {x.name!r}) to unknown coset {target!r}")
         # right multiplication by x then x^-1 must return home
         for c in self.cosets:
@@ -182,8 +183,8 @@ class CosetTable:
                     raise ValueError(
                         f"action is inconsistent: {c!r}.{x.name} then its inverse gives {back!r}")
         reached = reachable([home], lambda c: (self.act(c, x) for x in oracle.alphabet))
-        if reached != set(self.cosets):
-            raise ValueError(f"cosets unreachable from {home!r}: {sorted(set(self.cosets) - reached)}")
+        if reached != cosets:
+            raise ValueError(f"cosets unreachable from {home!r}: {sorted(cosets - reached)}")
         if in_subgroup is not None:
             if not in_subgroup(oracle.identity_key):
                 raise ValueError("in_subgroup rejects the identity, predicate looks inverted")

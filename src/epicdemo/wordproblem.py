@@ -198,7 +198,9 @@ def coword_demo_from_wp(oracle: GroupOracle) -> Enumerator:
 
     Filtration against a terminating identity test: every word is
     generated and the identity words are dropped, leaving a stream whose
-    evaluation image is exactly the non-identity elements.
+    evaluation image is exactly the non-identity elements.  Over an
+    empty alphabet the only word is the empty one, so the stream is
+    finite and empty.
     """
     identity = oracle.identity_key
 
@@ -206,7 +208,7 @@ def coword_demo_from_wp(oracle: GroupOracle) -> Enumerator:
         nodes = walk(oracle.alphabet, oracle.start(), lambda state, x, n: oracle.act(state, x))
         return (w for w, state in nodes if oracle.key(state) != identity)
 
-    return Enumerator(stream)
+    return Enumerator(stream, finite=not oracle.alphabet)
 
 
 # -- the decision loop ---------------------------------------------------

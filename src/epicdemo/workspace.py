@@ -28,7 +28,6 @@ from .graphproduct import GraphProductOracle, VertexGraph
 from .groups import (
     FreeAbelianOracle,
     FreeGroupOracle,
-    GroupOracle,
     IntegerMatrixOracle,
     PermutationOracle,
     cycles_from_perm,
@@ -213,17 +212,17 @@ def _gen_lines(block: _Block):
         yield lineno, tokens[1], tokens[3:]
 
 
-def _gen_oracle(block: _Block, make, gens: dict, lines: dict) -> GroupOracle:
-    """``make(gens)``.  When it fails, a fault of the header (``make({})``
-    fails too) names the header, and a fault of one generator the line
-    that defines it."""
+def _build(block: _Block, make, parts: dict, lines: dict):
+    """``make(parts)``.  When it fails, a fault of the header (``make({})``
+    fails too) names the header, and a fault of one part the line that
+    gives it."""
     try:
-        return make(gens)
+        return make(parts)
     except ValueError:
         make({})
         for x, lineno in lines.items():
             try:
-                make({x: gens[x]})
+                make({x: parts[x]})
             except ValueError as e:
                 block.fail(str(e), lineno)
         raise
@@ -249,8 +248,7 @@ def _gen_value(flavor: str, size: int, rhs: list, lineno: int, block: _Block):
 
 
 def _parse_group(block: _Block):
-    """Returns (name, oracle) or (name, deferred graphproduct spec)."""
-    name = block.header[0]
+    """An oracle, or for a graph product the spec its link builds from."""
     flavor = block.header[1] if len(block.header) > 1 else None
     try:
         if flavor in _GEN_FLAVORS:
@@ -263,7 +261,7 @@ def _parse_group(block: _Block):
                 x = Letter(gen_name)
                 gens[x] = _gen_value(flavor, size, rhs, lineno, block)
                 lines[x] = lineno
-            return name, _gen_oracle(block, lambda g: oracle(size, g), gens, lines)
+            return _build(block, lambda g: oracle(size, g), gens, lines)
         if flavor == "free":
             if len(block.header) != 4 or block.header[2] != "rank":
                 block.fail("free header: group NAME free rank K")
@@ -282,26 +280,31 @@ def _parse_group(block: _Block):
                         block.fail(str(e), lineno)
                 else:
                     block.fail(f"unknown free group line {tokens[0]!r}", lineno)
-            return name, FreeGroupOracle(rank, names)
+            return FreeGroupOracle(rank, names)
         if flavor == "graphproduct":
             vertices: list[str] = []
-            edges = []
-            uses = {}
+            edges = {}  # (u, v): lineno
+            uses, use_lines = {}, {}
             for lineno, tokens in block.body:
                 if tokens[0] == "vertices":
                     vertices.extend(tokens[1:])
                 elif tokens[0] == "edge" and len(tokens) == 3:
-                    edges.append((tokens[1], tokens[2]))
+                    edges.setdefault((tokens[1], tokens[2]), lineno)
                 elif tokens[0] == "vertex" and len(tokens) == 4 and tokens[2] == "uses":
                     if tokens[1] in uses:
                         block.fail(f"group of vertex {tokens[1]!r} given twice", lineno)
                     uses[tokens[1]] = tokens[3]
+                    use_lines[tokens[1]] = lineno
                 else:
                     block.fail(f"unknown graphproduct line {' '.join(tokens)!r}", lineno)
             missing = [v for v in vertices if v not in uses]
             if missing:
                 block.fail(f"vertices without a group: {missing}")
-            return name, _GraphSpec(tuple(vertices), tuple(edges), uses)
+            graph = _build(block, lambda es: VertexGraph.make(vertices, es), edges, edges)
+            extra = [v for v in uses if v not in graph.vertices]
+            if extra:
+                block.fail(f"oracles for unknown vertices: {extra}", use_lines[extra[0]])
+            return _GraphSpec(graph, uses)
     except (ValueError, IndexError) as e:
         block.fail(str(e))
     block.fail(f"unknown group flavor {flavor!r}; "
@@ -330,13 +333,12 @@ def _parse_int_array(text: str, depth: int, lineno: int, block: _Block):
 
 @dataclass(frozen=True)
 class _GraphSpec:
-    vertices: tuple
-    edges: tuple
-    uses: dict
+    graph: VertexGraph
+    uses: dict  # vertex: the name of its group
 
 
 def _parse_demonstration(block: _Block):
-    name = block.header[0]
+    """The names of the group and automaton, and the letters' words."""
     refs = {}  # "group" and "automaton": the name the line gives
     letters = {}
     for lineno, tokens in block.body:
@@ -348,16 +350,16 @@ def _parse_demonstration(block: _Block):
             letter = Letter(tokens[1])
             if letter in letters:
                 block.fail(f"letter {tokens[1]!r} given twice", lineno)
-            letters[letter] = (lineno, tokens[3:])
+            letters[letter] = _parse_word_tokens(tokens[3:], lineno, block)
         else:
             block.fail(f"unknown demonstration line {' '.join(tokens)!r}", lineno)
     if len(refs) != 2:
         block.fail("demonstration needs both a group and an automaton line")
-    return name, refs["group"], refs["automaton"], letters
+    return refs["group"], refs["automaton"], letters
 
 
 def _parse_cosettable(block: _Block):
-    name = block.header[0]
+    """The name of the group and the table."""
     if (len(block.header) != 5 or block.header[1] != "group"
             or block.header[3] != "subgroupof"):
         block.fail("cosettable header: cosettable NAME group G subgroupof N")
@@ -391,7 +393,7 @@ def _parse_cosettable(block: _Block):
         for c in (source, target):
             if c not in transversal:
                 block.fail(f"action references unknown coset {c!r}", action_lines[source, letter])
-    return name, group_name, CosetTable(tuple(cosets), transversal, action)
+    return group_name, CosetTable(tuple(cosets), transversal, action)
 
 
 def _parse_word_tokens(tokens, lineno, block) -> Word:
@@ -401,7 +403,7 @@ def _parse_word_tokens(tokens, lineno, block) -> Word:
         block.fail(str(e), lineno)
 
 
-def _parse_presentation(block: _Block) -> tuple[str, Presentation]:
+def _parse_presentation(block: _Block) -> Presentation:
     """A presentation; each error names the line at fault, the header
     when the block has no generator at all."""
 
@@ -411,7 +413,6 @@ def _parse_presentation(block: _Block) -> tuple[str, Presentation]:
         except ValueError as e:
             block.fail(str(e), lineno)
 
-    name = block.header[0]
     names: list[str] = []
     relators: list[tuple[int, Word]] = []
     for lineno, tokens in block.body:
@@ -426,7 +427,7 @@ def _parse_presentation(block: _Block) -> tuple[str, Presentation]:
     build(())
     for lineno, r in relators:
         build((r,), lineno)
-    return name, build(r for _, r in relators)
+    return build(r for _, r in relators)
 
 
 # -- loading and linking -------------------------------------------------
@@ -442,91 +443,81 @@ def load(paths: Iterable[str]) -> Workspace:
 
 
 def load_text(sources: Iterable[tuple[Optional[str], str]]) -> Workspace:
-    blocks: list[_Block] = []
-    for path, text in sources:
-        blocks.extend(_split_blocks(path, text))
-
-    ws = Workspace()
-    pending_groups = {}
-    pending_demos = {}
-    pending_tables = {}
+    """Parse every block in file order, then link the references between
+    them, so blocks may come in any order.  A parse fault is reported
+    before any reference fault, the first faulty block's in file order."""
+    blocks = [b for path, text in sources for b in _split_blocks(path, text)]
+    # looked up per call, so a parser replaced on the module takes effect
+    parsers = {"automaton": _parse_automaton, "group": _parse_group,
+               "demonstration": _parse_demonstration, "cosettable": _parse_cosettable,
+               "presentation": _parse_presentation}
+    parsed = {kind: {} for kind in parsers}  # kind: {name: (block, parsed)}
     for block in blocks:
         name = block.header[0]
-        seen = {"automaton": ws.automata, "group": pending_groups,
-                "demonstration": pending_demos, "cosettable": pending_tables,
-                "presentation": ws.presentations}[block.kind]
-        if name in seen:
+        named = parsed[block.kind]
+        if name in named:
             block.fail(f"duplicate {block.kind} name {name!r}")
-        if block.kind == "automaton":
-            ws.automata[name] = _parse_automaton(block)
-        elif block.kind == "group":
-            pending_groups[name] = (block, _parse_group(block)[1])
-        elif block.kind == "presentation":
-            ws.presentations[name] = _parse_presentation(block)[1]
-        elif block.kind == "demonstration":
-            pending_demos[name] = block
-        else:
-            pending_tables[name] = block
+        named[name] = (block, parsers[block.kind](block))
 
-    _link_groups(ws, pending_groups)
-    for block in pending_demos.values():
-        name, group_name, automaton_name, letters = _parse_demonstration(block)
-        if group_name not in ws.groups:
-            block.fail(f"demonstration {name!r} references undefined group {group_name!r}")
-        if automaton_name not in ws.automata:
-            block.fail(f"demonstration {name!r} references undefined automaton {automaton_name!r}")
-        oracle = ws.groups[group_name]
-        language = ws.automata[automaton_name]
-        eval_map = {x: (x,) for x in language.alphabet}
-        for letter, (lineno, word_tokens) in letters.items():
-            eval_map[letter] = _parse_word_tokens(word_tokens, lineno, block)
+    ws = Workspace(automata={n: a for n, (_, a) in parsed["automaton"].items()},
+                   presentations={n: p for n, (_, p) in parsed["presentation"].items()})
+    _link_groups(ws, parsed["group"])
+    for name, (block, (group_name, automaton_name, letters)) in parsed["demonstration"].items():
+        oracle = _resolve(block, ws.groups, "group", group_name)
+        language = _resolve(block, ws.automata, "automaton", automaton_name)
         try:
-            demo = Demonstration(oracle, eval_map, language)
+            ws.demonstrations[name] = Demonstration(
+                oracle, {**{x: (x,) for x in language.alphabet}, **letters}, language)
         except ValueError as e:
             block.fail(str(e))
-        ws.demonstrations[name] = demo
         ws.demo_refs[name] = (group_name, automaton_name)
-    for block in pending_tables.values():
-        name, group_name, table = _parse_cosettable(block)
-        if group_name not in ws.groups:
-            block.fail(f"cosettable {name!r} references undefined group {group_name!r}")
+    for name, (block, (group_name, table)) in parsed["cosettable"].items():
+        _resolve(block, ws.groups, "group", group_name)
         ws.cosettables[name] = table
         ws.cosettable_refs[name] = group_name
     return ws
 
 
-def _link_groups(ws: Workspace, pending: dict):
-    """Resolve graphproduct references; plain oracles pass straight through."""
-    progress = True
-    while pending and progress:
-        progress = False
-        for name in list(pending):
-            block, parsed = pending[name]
-            if not isinstance(parsed, _GraphSpec):
-                ws.groups[name] = parsed
-                del pending[name]
-                progress = True
-                continue
-            needed = set(parsed.uses.values())
-            if any(n in pending for n in needed):
-                continue
-            missing = sorted(n for n in needed if n not in ws.groups)
-            if missing:
-                block.fail(f"graphproduct {name!r} references undefined groups {missing}")
-            try:
-                graph = VertexGraph.make(parsed.vertices, parsed.edges)
-                oracle = GraphProductOracle(
-                    graph, {v: ws.groups[g] for v, g in parsed.uses.items()})
-            except ValueError as e:
-                block.fail(str(e))
-            ws.groups[name] = oracle
-            ws.graph_refs[name] = dict(parsed.uses)
-            del pending[name]
-            progress = True
-    if pending:
-        name = sorted(pending)[0]
-        pending[name][0].fail(
-            f"circular graphproduct references involving {sorted(pending)}")
+def _resolve(block: _Block, named: dict, what: str, ref: str):
+    """``named[ref]``, which the block refers to as its ``what``."""
+    if ref not in named:
+        block.fail(f"{block.kind} {block.header[0]!r} references undefined {what} {ref!r}")
+    return named[ref]
+
+
+def _link_groups(ws: Workspace, parsed: dict):
+    """Fill ``ws.groups`` from ``{name: (block, oracle or _GraphSpec)}``:
+    first the plain oracles in file order, then each graph product after
+    the groups it uses, depth first on an explicit stack."""
+    for name, (_, group) in parsed.items():
+        if not isinstance(group, _GraphSpec):
+            ws.groups[name] = group
+    for root in parsed:
+        if root in ws.groups:
+            continue
+        path = {root: None}  # products being linked, each using the next: an ordered set
+        while path:
+            name = next(reversed(path))
+            block, spec = parsed[name]
+            for used in spec.uses.values():
+                if used in parsed and used not in ws.groups:
+                    if used in path:
+                        cycle = list(path)
+                        cycle = cycle[cycle.index(used):] + [used]
+                        block.fail(f"circular graphproduct references: {' -> '.join(cycle)}")
+                    path[used] = None
+                    break
+            else:
+                missing = sorted({g for g in spec.uses.values() if g not in ws.groups})
+                if missing:
+                    block.fail(f"graphproduct {name!r} references undefined groups {missing}")
+                try:
+                    ws.groups[name] = GraphProductOracle(
+                        spec.graph, {v: ws.groups[g] for v, g in spec.uses.items()})
+                except ValueError as e:
+                    block.fail(str(e))
+                ws.graph_refs[name] = spec.uses
+                path.popitem()
 
 
 # -- rendering -----------------------------------------------------------
@@ -741,27 +732,17 @@ def render(ws: Workspace) -> str:
 
 def _bundle_group_name(bundle: Workspace, ws: Workspace, oracle, fallback: str) -> str:
     """Register an oracle in the bundle, preferring its workspace name."""
-    for name, g in ws.groups.items():
-        if g == oracle:
-            fallback = name
-            break
-    if fallback in bundle.groups:
-        if bundle.groups[fallback] == oracle:
-            return fallback
-        raise LoadError(f"name {fallback!r} would collide inside the bundle")
-    bundle.groups[fallback] = oracle
+    name = next((n for n, g in ws.groups.items() if g == oracle), fallback)
+    if name in bundle.groups:
+        if bundle.groups[name] == oracle:
+            return name
+        raise LoadError(f"name {name!r} would collide inside the bundle")
+    bundle.groups[name] = oracle
     if isinstance(oracle, GraphProductOracle):
-        refs = ws.graph_refs.get(fallback)
-        if refs is None:
-            refs = {}
-            for v in oracle.graph.vertices:
-                refs[v] = _bundle_group_name(
-                    bundle, ws, oracle.vertex_oracles[v], f"{fallback}_{v}")
-        else:
-            for v, used in refs.items():
-                _bundle_group_name(bundle, ws, ws.groups[used], used)
-        bundle.graph_refs[fallback] = refs
-    return fallback
+        bundle.graph_refs[name] = {
+            v: _bundle_group_name(bundle, ws, oracle.vertex_oracles[v], f"{name}_{v}")
+            for v in oracle.graph.vertices}
+    return name
 
 
 def demo_bundle(ws: Workspace, demo: Demonstration, name: str) -> Workspace:

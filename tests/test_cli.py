@@ -500,6 +500,40 @@ class TestConstructVerbs:
         assert err == "error: name 'product_group_v' would collide inside the bundle\n"
         assert not out_path.exists()
 
+    def test_vertex_group_takes_first_equal_workspace_name(self, capsys, tmp_path):
+        """P's vertex uses B, which equals A; the bundle names it A, like any group."""
+        fixture = tmp_path / "twins.epic"
+        fixture.write_text(
+            "group A zk rank 1\n  gen x = [1]\n  gen x^-1 = [-1]\nend\n"
+            "group B zk rank 1\n  gen x = [1]\n  gen x^-1 = [-1]\nend\n"
+            "group P graphproduct\n  vertices u\n  vertex u uses B\nend\n"
+            "automaton xl\n  alphabet x x^-1\n  states s0 s1\n  initial s0\n"
+            "  accept s1\n  trans s0 x s1\n  trans s0 x^-1 s1\nend\n"
+            "demonstration D\n  group P\n  automaton xl\nend\n")
+        out_path = tmp_path / "out.epic"
+        code, _, err = run(capsys, "-f", str(fixture), "construct", "change-gens",
+                           "--demo", "D", "--letter", "y=x", "--letter", "y^-1=x^-1",
+                           "--image", "x=y", "--image", "x^-1=y^-1", "--out", str(out_path))
+        assert code == 0, err
+        ws = load([str(out_path)])
+        assert ws.graph_refs == {"P": {"u": "A"}}
+
+    def test_fallback_name_ignores_workspace_references(self, capsys, tmp_path):
+        """The workspace's product_group uses a Z^2 group, not the new product's FREE2."""
+        fixture = tmp_path / "other.epic"
+        fixture.write_text(
+            "group Z2 zk rank 2\n  gen a = [1,0]\n  gen a^-1 = [-1,0]\n"
+            "  gen b = [0,1]\n  gen b^-1 = [0,-1]\nend\n"
+            "group product_group graphproduct\n  vertices u\n  vertex u uses Z2\nend\n")
+        out_path = tmp_path / "product.epic"
+        code, _, err = run(capsys, "-f", str(fixture), "construct", "graph-product",
+                           "--vertices", "u", "--vertex", "u=FREE2", "--out", str(out_path))
+        assert code == 0, err
+        code, out, _ = run(capsys, "-f", str(out_path), "verify", "--demo", "product",
+                           "--max-len", "4", "--ball", "1")
+        assert code == 0
+        assert "identity violations: 0" in out
+
     def test_change_gens_bundle(self, capsys, tmp_path):
         out_path = tmp_path / "renamed.epic"
         code, out, _ = run(capsys, "construct", "change-gens", "--demo", "Z",

@@ -271,6 +271,11 @@ class TestCowordStream:
         first = [e.get(i) for i in range(len(oracle.alphabet))]
         assert first == [(x,) for x in oracle.alphabet]
 
+    def test_trivial_group_stream_is_finite_and_empty(self):
+        e = coword_demo_from_wp(PermutationOracle(1, {}))
+        assert e.finite
+        assert e.get(0) is None and e.next() is None
+
     def test_prefix_covers_small_ball(self):
         oracle = FreeAbelianOracle(2, {Letter("a"): (1, 0), Letter("a^-1"): (-1, 0),
                                        Letter("b"): (0, 1), Letter("b^-1"): (0, -1)})

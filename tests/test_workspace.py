@@ -452,6 +452,44 @@ class TestGraphProductBlocks:
         with pytest.raises(LoadError, match="circular"):
             load_str(text)
 
+    def test_cycle_names_only_its_members(self):
+        text = (
+            "group g0 graphproduct\n  vertices t\n  vertex t uses g1\nend\n"
+            "group g1 graphproduct\n  vertices u\n  vertex u uses g2\nend\n"
+            "group g2 graphproduct\n  vertices v\n  vertex v uses g1\nend\n")
+        with pytest.raises(LoadError, match="circular") as caught:
+            load_str(text)
+        message = str(caught.value)
+        assert "g1" in message and "g2" in message and "g0" not in message
+
+    def test_deep_chain_links_in_one_pass(self):
+        """Each product uses the group declared after it, the order a
+        sweep over the file links one block per pass."""
+        depth = 2000
+        text = "".join(f"group g{i} graphproduct\n  vertices v{i}\n  vertex v{i} uses g{i + 1}\nend\n"
+                       for i in range(depth))
+        text += f"group g{depth} zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
+        start = time.perf_counter()
+        ws = load_str(text)
+        assert time.perf_counter() - start < 0.5
+        assert ws.groups["g0"].alphabet == (Letter("a"), Letter("a^-1"))
+
+    Z = "group Z zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
+
+    @pytest.mark.parametrize("text, match, line", [
+        (Z + "group P graphproduct\n  vertices u\n  vertex u uses Z\n  vertex w uses Z\nend\n",
+         r"oracles for unknown vertices: \['w'\]", 8),
+        (Z + "# the product\n\ngroup P graphproduct\n  vertices u\n  edge u q\n"
+         "  vertex u uses Z\nend\n", "edge endpoint not a vertex", 9),
+        ("group Z zk rank 1\n  gen a = [1]\nend\n"
+         "group P graphproduct\n  vertices u\n  edge u u\n  vertex u uses Z\nend\n",
+         "self-loop at 'u'", 6),
+    ], ids=["extra", "edge", "loop"])
+    def test_structure_fault_names_its_line(self, text, match, line):
+        with pytest.raises(LoadError, match=match) as caught:
+            load_str(text)
+        assert caught.value.line == line
+
     def test_undefined_vertex_group_rejected(self):
         text = ("group g graphproduct\n  vertices u\n  vertex u uses ghost\nend\n")
         with pytest.raises(LoadError, match="ghost"):
@@ -501,6 +539,12 @@ class TestReferences:
         with pytest.raises(LoadError, match=match) as caught:
             load_str(text)
         assert caught.value.line == line
+
+    def test_first_faulty_block_in_file_order_is_reported(self):
+        with pytest.raises(LoadError, match="unknown demonstration line 'bogus'") as caught:
+            load_str("demonstration d\n  group g\n  bogus\n  automaton a\nend\n"
+                     "automaton a\n  alphabet x\n  states q0\n  trans q0 x q9\nend\n")
+        assert caught.value.line == 3
 
     def test_default_eval_map_is_identity(self):
         ws = load_str("group g zk rank 1\n  gen x = [1]\nend\n"
