@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import operator
 import os
 import sys
@@ -473,24 +474,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    files = args.files + args.verb_files
+    # A call frees everything it builds by reference counting alone (no
+    # reference cycles, see TestNoCyclicGarbage), so the cyclic collector
+    # would only rescan its large acyclic structures and find nothing.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        for dest in ("max_len", "search_len", "ball", "radius", "check_len"):
-            if (value := getattr(args, dest, None)) is not None and value < 0:
-                raise UsageError(f"--{dest.replace('_', '-')} must not be negative, got {value}")
-        try:  # read on every automaton built, so a bad value would be blamed on a file or a name
-            state_cap()
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-        ws = load(files) if files else Workspace()
-        return args.handler(ws, args)
-    except (UsageError, LoadError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (EpicError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        files = args.files + args.verb_files
+        try:
+            for dest in ("max_len", "search_len", "ball", "radius", "check_len"):
+                if (value := getattr(args, dest, None)) is not None and value < 0:
+                    raise UsageError(f"--{dest.replace('_', '-')} must not be negative, got {value}")
+            try:  # read on every automaton built, so a bad value would be blamed on a file or a name
+                state_cap()
+            except ValueError as e:
+                raise UsageError(str(e)) from None
+            ws = load(files) if files else Workspace()
+            return args.handler(ws, args)
+        except (UsageError, LoadError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except (EpicError, ValueError, RecursionError) as e:  # RecursionError: nested too deep
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -404,12 +404,32 @@ def _parse_word_tokens(tokens, lineno, block) -> Word:
 
 
 def _parse_presentation(block: _Block) -> Presentation:
-    """A presentation; each error names the line at fault, the header
-    when the block has no generator at all."""
+    """A presentation, built once; when a line is at fault,
+    ``_presentation_fault`` names it."""
+    names: list[str] = []
+    relators: list[Word] = []
+    try:
+        for _, (key, *rest) in block.body:
+            if key == "alphabet":
+                names.extend(rest)
+            elif key == "relator":
+                relators.append(parse_word(" ".join(rest)))
+            else:
+                _presentation_fault(block)
+        return Presentation(tuple(names), tuple(relators))
+    except ValueError:
+        _presentation_fault(block)
 
-    def build(relators, lineno=None) -> Presentation:
+
+def _presentation_fault(block: _Block):
+    """Raise the error of a presentation block's first bad line, in file
+    order: each alphabet line's names so far, an unparsable relator or an
+    unknown line, then the header when the block has no generator at all,
+    then each relator on its own."""
+
+    def build(relators, lineno=None):
         try:
-            return Presentation(tuple(names), tuple(relators))
+            Presentation(tuple(names), tuple(relators))
         except ValueError as e:
             block.fail(str(e), lineno)
 
@@ -427,7 +447,7 @@ def _parse_presentation(block: _Block) -> Presentation:
     build(())
     for lineno, r in relators:
         build((r,), lineno)
-    return build(r for _, r in relators)
+    build(r for _, r in relators)
 
 
 # -- loading and linking -------------------------------------------------
@@ -696,15 +716,25 @@ def render_presentation(name: str, p: Presentation) -> str:
                                            *("relator " + format_word(r) for r in p.relators)])
 
 
-def _emit_group(ws: Workspace, name: str, done: set, chunks: list):
+def _emit_group(ws: Workspace, root: str, done: set, chunks: list):
     """Append the group's block to ``chunks`` unless it is ``done``, after
-    the blocks of the groups a graph product uses."""
-    if name in done:
-        return
-    for used in sorted(set(ws.graph_refs.get(name, {}).values())):
-        _emit_group(ws, used, done, chunks)
-    done.add(name)
-    chunks.append(render_group(ws, name))
+    the blocks of the groups a graph product uses, depth first in sorted
+    order on an explicit stack."""
+
+    def uses(name):
+        return iter(sorted(set(ws.graph_refs.get(name, {}).values())))
+
+    stack = [] if root in done else [(root, uses(root))]
+    while stack:
+        name, pending = stack[-1]
+        for used in pending:
+            if used not in done:
+                stack.append((used, uses(used)))
+                break
+        else:
+            stack.pop()
+            done.add(name)
+            chunks.append(render_group(ws, name))
 
 
 def render(ws: Workspace) -> str:

@@ -15,6 +15,7 @@ from epicdemo.workspace import load, render_automaton
 
 from test_groups import s3_oracle
 from test_constructions import z_rewriting_fixture
+from test_workspace import chain_text
 
 DATA = str(pathlib.Path(__file__).resolve().parent.parent / "data" / "demo_workspace.epic")
 
@@ -767,3 +768,49 @@ class TestNoCyclicGarbage:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert garbage == []
+
+
+class TestCollectorState:
+    """main turns the cyclic collector off for the call and leaves it as it
+    found it, however the call ends."""
+
+    CALLS = {
+        "exit-0": (["verify", "--demo", "Z", "--max-len", "4", "--ball", "4"], 0),
+        "exit-1": (["verify", "--demo", "Z", "--max-len", "3", "--ball", "5", "--strict"], 1),
+        "load-error": (["-f", DATA, "-f", DATA, "ball", "--demo", "Zdemo", "--radius", "1"], 2),
+        "usage-error": (["ball", "--demo", "NOPE", "--radius", "1"], 2),
+        "argparse-exit": (["no-such-verb"], SystemExit),
+        "escaping-exception": (["-f", DATA, "ball", "--demo", "Zdemo", "--radius", "1"], RuntimeError),
+    }
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("case", list(CALLS))
+    def test_collector_state_is_restored(self, capsys, monkeypatch, case, collecting):
+        argv, expected = self.CALLS[case]
+        if expected is RuntimeError:
+            def load(files):
+                raise RuntimeError("escapes main")
+            monkeypatch.setattr("epicdemo.cli.load", load)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if isinstance(expected, int):
+                code = main(argv)
+            else:
+                with pytest.raises(expected):
+                    main(argv)
+                code = expected
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert (code, after) == (expected, collecting)
+
+
+class TestDeepGraphProduct:
+    def test_evaluation_too_deep_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "chain.epic"
+        path.write_text(chain_text(2000))
+        code, out, err = run(capsys, "-f", str(path), "ball", "--group", "g0", "--radius", "1")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

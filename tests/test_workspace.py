@@ -34,6 +34,14 @@ def load_str(text):
     return load_text([(None, text)])
 
 
+def chain_text(depth):
+    """Single-vertex graph products g0 ... g{depth-1}, each using the group
+    declared after it, over Z at the bottom."""
+    text = "".join(f"group g{i} graphproduct\n  vertices v{i}\n  vertex v{i} uses g{i + 1}\nend\n"
+                   for i in range(depth))
+    return text + f"group g{depth} zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
+
+
 class TestSampleFile:
     def test_counts(self):
         ws = load([DATA])
@@ -465,14 +473,21 @@ class TestGraphProductBlocks:
     def test_deep_chain_links_in_one_pass(self):
         """Each product uses the group declared after it, the order a
         sweep over the file links one block per pass."""
-        depth = 2000
-        text = "".join(f"group g{i} graphproduct\n  vertices v{i}\n  vertex v{i} uses g{i + 1}\nend\n"
-                       for i in range(depth))
-        text += f"group g{depth} zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
         start = time.perf_counter()
-        ws = load_str(text)
+        ws = load_str(chain_text(2000))
         assert time.perf_counter() - start < 0.5
         assert ws.groups["g0"].alphabet == (Letter("a"), Letter("a^-1"))
+
+    def test_deep_chain_renders_and_reloads(self):
+        ws = load_str(chain_text(2000))
+        text = render(ws)
+        again = load_str(text)
+        assert render(again) == text
+        # compared level by level: == on a product compares its vertex groups
+        # recursively, one frame per level
+        assert again.graph_refs == ws.graph_refs
+        assert again.groups["g2000"] == ws.groups["g2000"]
+        assert all(again.groups[name].graph == ws.groups[name].graph for name in ws.graph_refs)
 
     Z = "group Z zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
 
@@ -621,7 +636,12 @@ class TestPresentationBlocks:
          "bad.epic:4: generator name 'b^-1' must not carry an inverse marker"),
         ("presentation p\n  alphabet a b\n  alphabet c a\n  relator a\nend\n",
          "bad.epic:3: duplicate generator name"),
-    ], ids=["foreign-relator-letter", "inverse-marked-generator", "duplicate-generator"])
+        ("presentation p\n  alphabet a a\n  relator a eps\nend\n",
+         "bad.epic:2: duplicate generator name"),
+        ("presentation p\n  alphabet a\n  relator a eps\n  alphabet b^-1\nend\n",
+         "bad.epic:3: 'eps' is reserved for the empty word and cannot mix with letters"),
+    ], ids=["foreign-relator-letter", "inverse-marked-generator", "duplicate-generator",
+            "alphabet-before-relator-word", "relator-word-before-alphabet"])
     def test_error_names_the_line_at_fault(self, text, message):
         with pytest.raises(LoadError) as caught:
             load_text([("bad.epic", text)])
