@@ -202,19 +202,6 @@ class CosetTable:
                         raise ValueError(f"cosets {c!r} and {d!r} share a coset")
 
 
-@dataclass(frozen=True)
-class EdgeLetter:
-    """A coset-to-coset step reading one generator."""
-
-    source: str
-    generator: Letter
-    target: str
-
-    @property
-    def letter(self) -> Letter:
-        return Letter(f"({self.source}|{self.generator}|{self.target})")
-
-
 def fi_subgroup(demo: Demonstration, table: CosetTable,
                 in_subgroup: Optional[KeyPredicate] = None) -> Demonstration:
     """Restrict a demonstration to a finite-index subgroup.
@@ -237,11 +224,8 @@ def fi_subgroup(demo: Demonstration, table: CosetTable,
             raise ValueError(f"letter {x.name!r} must evaluate to itself")
     table.validate(oracle, in_subgroup)
 
-    edges = []
-    for c in table.cosets:
-        for x in oracle.alphabet:
-            edges.append(EdgeLetter(c, x, table.act(c, x)))
-    edge_letters = tuple(e.letter for e in edges)
+    edges = [(c, x, table.act(c, x)) for c in table.cosets for x in oracle.alphabet]
+    edge_letters = tuple(Letter(f"({c}|{x}|{d})") for c, x, d in edges)
     check_alphabet(edge_letters)
 
     # the product of the walks on the coset digraph from the subgroup coset
@@ -251,18 +235,16 @@ def fi_subgroup(demo: Demonstration, table: CosetTable,
     home, fin = table.subgroup_coset, ("fin",)
     walk_edges: dict = {("c", c): [] for c in table.cosets}
     walk_edges[fin] = []
-    for e, letter in zip(edges, edge_letters):
-        out = walk_edges["c", e.source]
-        out.append((letter, e.generator, ("c", e.target)))
-        if e.target == home:
-            out.append((letter, e.generator, fin))
+    for (c, x, d), letter in zip(edges, edge_letters):
+        out = walk_edges["c", c]
+        out.append((letter, x, ("c", d)))
+        if d == home:
+            out.append((letter, x, fin))
     language = _product(edge_letters, [("c", home)], walk_edges.__getitem__, demo.language,
                         {fin})
 
-    eval_map = {
-        e.letter: table.transversal[e.source] + (e.generator,)
-        + oracle.inverse_word(table.transversal[e.target])
-        for e in edges}
+    eval_map = {letter: table.transversal[c] + (x,) + oracle.inverse_word(table.transversal[d])
+                for (c, x, d), letter in zip(edges, edge_letters)}
     return Demonstration(oracle, eval_map, language)
 
 
@@ -379,22 +361,6 @@ def split_triple(letter: Letter) -> tuple[str, str, str]:
     if len(parts) != 3:
         raise ValueError(f"triple letter needs three components: {name!r}")
     return (parts[0], parts[1], parts[2])
-
-
-def pad_triple_word(u: Word, v: Word, w: Word) -> Word:
-    """Align three words into one padded triple word.
-
-    Shorter coordinates are padded at the tail, so padding persists to the
-    end of the word in every coordinate.
-    """
-    k = max(len(u), len(v), len(w))
-    out = []
-    for i in range(k):
-        out.append(make_triple(
-            u[i] if i < len(u) else PAD_NAME,
-            v[i] if i < len(v) else PAD_NAME,
-            w[i] if i < len(w) else PAD_NAME))
-    return tuple(out)
 
 
 @dataclass

@@ -134,9 +134,6 @@ class CoverageReport:
         """Every non-identity element of the ball was hit."""
         return not self.missing
 
-    def sorted_covered(self) -> list:
-        return sorted(self.covered.items())
-
     def sorted_missing(self) -> list:
         return sorted(self.missing)
 
@@ -200,28 +197,22 @@ def zk_demo(rank: int, names: Optional[Iterable[str]] = None) -> Demonstration:
     return Demonstration(oracle, identity_eval_map(oracle.alphabet), language)
 
 
-_BUILTIN_RE = re.compile(r"(z|finite)|(free|zk)(?:\((\d+)\)|(\d+))")
+_BUILTIN_RE = re.compile(r"(z)|(free|zk)(?:\((\d+)\)|(\d+))")
 
 
 class UnknownBuiltinError(ValueError):
     """A name that ``builtin_demo`` does not read."""
 
 
-def builtin_demo(kind: str, oracle: Optional[GroupOracle] = None) -> Demonstration:
-    """Dispatch on a textual description: z, finite, free(k) or zk(k).
+def builtin_demo(kind: str) -> Demonstration:
+    """Dispatch on a textual description: z, free(k) or zk(k).
 
     Case is ignored and the parentheses may be dropped (FREE2, ZK3).
-    ``finite`` needs an oracle whose letters enumerate the non-identity
-    elements; the other kinds build their own oracle.
     """
     m = _BUILTIN_RE.fullmatch(kind.strip().lower())
     if not m:
         raise UnknownBuiltinError(f"unknown builtin demonstration {kind!r}")
-    if m.group(1) == "z":
+    if m.group(1):
         return z_demo()
-    if m.group(1) == "finite":
-        if oracle is None:
-            raise ValueError("builtin 'finite' needs a group oracle")
-        return finite_demo(oracle)
     rank = int(m.group(3) or m.group(4))
     return free_demo(rank) if m.group(2) == "free" else zk_demo(rank)

@@ -257,14 +257,19 @@ class FreeAbelianOracle(GroupOracle):
 
 _GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 _INVERSE_SUFFIX = "^-1"
+EPS_RESERVED = "'eps' is reserved and cannot be an alphabet letter"
 
 
 def paired_letters(names: Iterable[str]) -> tuple[Letter, ...]:
     """Interleave each name with its formal inverse ``name^-1``.
 
-    Names must not end in the inverse marker themselves, so that pairing
-    letters by name (``inverse_name``) pairs each letter with its inverse.
+    No name may be ``eps``, which spells the empty word.  Names must not
+    end in the inverse marker themselves, so that pairing letters by name
+    (``inverse_name``) pairs each letter with its inverse.
     """
+    names = tuple(names)
+    if "eps" in names:
+        raise ValueError(EPS_RESERVED)
     out = []
     for n in names:
         if n.endswith(_INVERSE_SUFFIX):
@@ -296,20 +301,13 @@ def formal_inverse(word: Word) -> Word:
     return tuple(map(_INVERSE.__getitem__, reversed(word)))
 
 
-def free_reduce(word: Word, alphabet: Optional[tuple[Letter, ...]] = None) -> Word:
+def free_reduce(word: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 
     The result is the unique reduced form and does not depend on the
-    cancellation order.  When ``alphabet`` is given, every letter and its
-    formal inverse must belong to it.  A letter with no formal inverse (the
-    bare marker ``^-1``) raises ValueError, as in ``formal_inverse``.
+    cancellation order.  A letter with no formal inverse (the bare marker
+    ``^-1``) raises ValueError, as in ``formal_inverse``.
     """
-    if alphabet is not None:
-        for x in word:
-            if x not in alphabet:
-                raise ValueError(f"letter {x.name!r} is outside the alphabet")
-            if inverse_name(x) not in alphabet:
-                raise ValueError(f"letter {x.name!r} has no paired inverse in the alphabet")
     stack: list[Letter] = []
     for x in word:
         inverse = _INVERSE[x]

@@ -46,7 +46,10 @@ class Presentation:
         allowed = paired_letters(names)
         reduced = []
         for r in self.relators:
-            r = free_reduce(tuple(r), allowed)
+            for x in r:
+                if x not in allowed:
+                    raise ValueError(f"letter {x.name!r} is outside the alphabet")
+            r = free_reduce(tuple(r))
             if r:
                 reduced.append(r)
         object.__setattr__(self, "relators", tuple(reduced))
@@ -71,7 +74,6 @@ class Enumerator:
         self._iter = factory()
         self._cache: list[Word] = []
         self._dry = False
-        self._cursor = 0
         self.finite = finite
 
     def get(self, i: int) -> Optional[Word]:
@@ -87,14 +89,6 @@ class Enumerator:
         if i < len(self._cache):
             return self._cache[i]
         return None
-
-    def next(self) -> Optional[tuple[int, Word]]:
-        word = self.get(self._cursor)
-        if word is None:
-            return None
-        pair = (self._cursor, word)
-        self._cursor += 1
-        return pair
 
 
 def normal_closure_enumerator(p: Presentation) -> Enumerator:

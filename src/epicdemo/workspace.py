@@ -26,6 +26,7 @@ from .demonstrations import Demonstration
 from .errors import AutomatonSizeError, LoadError
 from .graphproduct import GraphProductOracle, VertexGraph
 from .groups import (
+    EPS_RESERVED,
     FreeAbelianOracle,
     FreeGroupOracle,
     IntegerMatrixOracle,
@@ -37,7 +38,6 @@ from .groups import (
 from .wordproblem import Presentation
 
 BLOCK_KINDS = ("automaton", "group", "demonstration", "cosettable", "presentation")
-_EPS_RESERVED = "'eps' is reserved and cannot be an alphabet letter"
 
 
 @dataclass
@@ -154,7 +154,7 @@ def _automaton_fault(block: _Block, error: Optional[Exception] = None):
                 block.fail("trans takes: source label target", lineno)
         elif key == "alphabet":
             if "eps" in rest:
-                block.fail(_EPS_RESERVED, lineno)
+                block.fail(EPS_RESERVED, lineno)
             letters.update(rest)
         elif key == "states":
             states.update(rest)
@@ -205,7 +205,7 @@ def _gen_lines(block: _Block):
         if len(tokens) < 4 or tokens[2] != "=":
             block.fail("gen takes: gen NAME = VALUE", lineno)
         if tokens[1] == "eps":
-            block.fail(_EPS_RESERVED, lineno)
+            block.fail(EPS_RESERVED, lineno)
         if tokens[1] in seen:
             block.fail(f"generator {tokens[1]!r} defined twice", lineno)
         seen.add(tokens[1])
@@ -272,8 +272,6 @@ def _parse_group(block: _Block):
                     if names is not None:
                         block.fail("names given twice", lineno)
                     names = tuple(tokens[1:])
-                    if "eps" in names:
-                        block.fail(_EPS_RESERVED, lineno)
                     try:
                         paired_letters(names)
                     except ValueError as e:
@@ -359,7 +357,7 @@ def _parse_demonstration(block: _Block):
 
 
 def _parse_cosettable(block: _Block):
-    """The name of the group and the table."""
+    """The name of the group, the table, and each action's line."""
     if (len(block.header) != 5 or block.header[1] != "group"
             or block.header[3] != "subgroupof"):
         block.fail("cosettable header: cosettable NAME group G subgroupof N")
@@ -393,7 +391,7 @@ def _parse_cosettable(block: _Block):
         for c in (source, target):
             if c not in transversal:
                 block.fail(f"action references unknown coset {c!r}", action_lines[source, letter])
-    return group_name, CosetTable(tuple(cosets), transversal, action)
+    return group_name, CosetTable(tuple(cosets), transversal, action), action_lines
 
 
 def _parse_word_tokens(tokens, lineno, block) -> Word:
@@ -491,8 +489,12 @@ def load_text(sources: Iterable[tuple[Optional[str], str]]) -> Workspace:
         except ValueError as e:
             block.fail(str(e))
         ws.demo_refs[name] = (group_name, automaton_name)
-    for name, (block, (group_name, table)) in parsed["cosettable"].items():
-        _resolve(block, ws.groups, "group", group_name)
+    for name, (block, (group_name, table, action_lines)) in parsed["cosettable"].items():
+        alphabet = _resolve(block, ws.groups, "group", group_name).alphabet
+        for (_, letter), lineno in action_lines.items():
+            if letter not in alphabet:
+                block.fail(f"action letter {letter.name!r} is not a generator of {group_name!r}",
+                           lineno)
         ws.cosettables[name] = table
         ws.cosettable_refs[name] = group_name
     return ws
@@ -703,7 +705,7 @@ def render_cosettable(ws: Workspace, name: str) -> str:
 
     def action_key(item):
         (source, letter), _target = item
-        return (coset_rank[source], letter_rank.get(letter, len(letter_rank)))
+        return (coset_rank[source], letter_rank[letter])
 
     return _block(f"cosettable {name} group {group_name} subgroupof {len(table.cosets)}",
                   [*(f"coset {c} rep {format_word(table.transversal[c])}" for c in table.cosets),
@@ -716,36 +718,11 @@ def render_presentation(name: str, p: Presentation) -> str:
                                            *("relator " + format_word(r) for r in p.relators)])
 
 
-def _emit_group(ws: Workspace, root: str, done: set, chunks: list):
-    """Append the group's block to ``chunks`` unless it is ``done``, after
-    the blocks of the groups a graph product uses, depth first in sorted
-    order on an explicit stack."""
-
-    def uses(name):
-        return iter(sorted(set(ws.graph_refs.get(name, {}).values())))
-
-    stack = [] if root in done else [(root, uses(root))]
-    while stack:
-        name, pending = stack[-1]
-        for used in pending:
-            if used not in done:
-                stack.append((used, uses(used)))
-                break
-        else:
-            stack.pop()
-            done.add(name)
-            chunks.append(render_group(ws, name))
-
-
 def render(ws: Workspace) -> str:
-    """The whole workspace as one reloadable file, kinds grouped, names sorted.
-
-    Graph product groups render after the groups they use.
-    """
+    """The whole workspace as one reloadable file, kinds grouped, names sorted."""
     chunks = []
-    done = set()
     for name in sorted(ws.groups):
-        _emit_group(ws, name, done, chunks)
+        chunks.append(render_group(ws, name))
     for name in sorted(ws.automata):
         chunks.append(render_automaton(name, ws.automata[name]))
     for name in sorted(ws.demonstrations):

@@ -415,24 +415,34 @@ def intersected_fi_language(demo, table):
     """The language of ``fi_subgroup(demo, table)`` as the product of a
     coset-walk automaton with the language pulled back to edge letters:
     ``intersect(walks, inverse_letter_hom(...))``."""
-    from epicdemo.automata import Nfa, intersect, inverse_letter_hom
-    from epicdemo.constructions import EdgeLetter
+    from epicdemo.automata import Letter, Nfa, intersect, inverse_letter_hom
 
-    edges = [EdgeLetter(c, x, table.act(c, x))
-             for c in table.cosets for x in demo.oracle.alphabet]
-    edge_letters = tuple(e.letter for e in edges)
+    edges = [(c, x, table.act(c, x)) for c in table.cosets for x in demo.oracle.alphabet]
+    edge_letters = tuple(Letter(f"({c}|{x}|{d})") for c, x, d in edges)
     home = table.subgroup_coset
     states = {("c", c) for c in table.cosets} | {("fin",)}
     transitions = set()
-    for e, letter in zip(edges, edge_letters):
-        transitions.add((("c", e.source), letter, ("c", e.target)))
-        if e.target == home:
-            transitions.add((("c", e.source), letter, ("fin",)))
+    for (c, _, d), letter in zip(edges, edge_letters):
+        transitions.add((("c", c), letter, ("c", d)))
+        if d == home:
+            transitions.add((("c", c), letter, ("fin",)))
     walks = Nfa(edge_letters, frozenset(states), frozenset(transitions),
                 frozenset({("c", home)}), frozenset({("fin",)}))
-    spelled = inverse_letter_hom(demo.language, {e.letter: e.generator for e in edges},
+    spelled = inverse_letter_hom(demo.language,
+                                 {letter: x for (_, x, _), letter in zip(edges, edge_letters)},
                                  edge_letters)
     return intersect(walks, spelled)
+
+
+def pad_triple_word(u, v, w):
+    """Align three words into one padded triple word, shorter coordinates
+    padded at the tail, so padding persists to the end of the word in
+    every coordinate."""
+    from epicdemo.constructions import PAD_NAME, make_triple
+
+    k = max(len(u), len(v), len(w))
+    return tuple(make_triple(*(word[i] if i < len(word) else PAD_NAME for word in (u, v, w)))
+                 for i in range(k))
 
 
 def triplewise_nfa_check(alphabet, states, transitions, initials, accepting):

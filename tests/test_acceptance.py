@@ -91,7 +91,7 @@ def test_02_s3_single_letter_demo_total():
         assert demo.verify_no_identity(3) == []
         report = demo.verify_coverage(1, 1)
         assert report.clean and report.complete
-        assert len(report.sorted_covered()) == 5
+        assert len(report.covered) == 5
 
 
 def test_03_operations_match_brute_force():
@@ -218,7 +218,7 @@ def test_08_graph_products():
         assert square.verify_no_identity(4) == []
         square_report = square.verify_coverage(2, 2)
         assert square_report.clean and square_report.complete
-        assert len(square_report.sorted_covered()) == 3
+        assert len(square_report.covered) == 3
 
         free = graph_product(no_edge, {"u": c2_demo("a"), "v": c2_demo("b")})
         assert free.verify_no_identity(10) == []

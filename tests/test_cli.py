@@ -9,8 +9,7 @@ import pytest
 
 from epicdemo.cli import build_parser, main, parse_key_predicate, UsageError
 from epicdemo.demonstrations import z_demo, zk_demo
-from epicdemo.groups import PermutationOracle
-from epicdemo.automata import Letter, make_word
+from epicdemo.automata import make_word
 from epicdemo.workspace import load, render_automaton
 
 from test_groups import s3_oracle
@@ -172,7 +171,7 @@ class TestUsageErrors:
         ("zk(30)", "rank 30 too large for default generator names"),
         ("zk(0)", "rank must be positive"),
         ("free(0)", "rank must be positive"),
-        ("finite", "builtin 'finite' needs a group oracle"),
+        ("finite", "unknown demonstration 'finite'"),
         ("zq(2)", "unknown demonstration 'zq(2)'"),
     ])
     def test_builtin_name_error_is_reported(self, capsys, name, message):

@@ -7,7 +7,6 @@ from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word, 
     subtract_word
 from epicdemo.constructions import (
     CosetTable,
-    EdgeLetter,
     SyncTripleAutomaton,
     admissible_automaton,
     autostackable_projection,
@@ -18,7 +17,6 @@ from epicdemo.constructions import (
     fi_subgroup,
     graph_product,
     make_triple,
-    pad_triple_word,
     split_triple,
 )
 from epicdemo.demonstrations import Demonstration, finite_demo, identity_eval_map, z_demo, zk_demo
@@ -31,7 +29,7 @@ from epicdemo.groups import (
 )
 
 from oracles import ascii_evaluate, bf_language, bf_pruned_types, intersected_fi_language, \
-    looped_graph_product_language
+    looped_graph_product_language, pad_triple_word
 from test_demonstrations import demos
 from test_groups import heisenberg_oracle, s3_oracle, c2_oracle
 

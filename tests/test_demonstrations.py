@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word
 from epicdemo.demonstrations import (
-    CoverageReport,
     Demonstration,
     builtin_demo,
     finite_demo,
@@ -15,7 +14,7 @@ from epicdemo.demonstrations import (
     z_demo,
     zk_demo,
 )
-from epicdemo.groups import FreeAbelianOracle, PermutationOracle, perm_from_cycles
+from epicdemo.groups import PermutationOracle, perm_from_cycles
 
 from oracles import blockwise_zk_demo, unmemoized_pruned_step, wordwise_coverage
 from test_groups import oracles, s3_oracle
@@ -220,7 +219,6 @@ class TestCoverageReport:
 
     def test_sorted_views_are_deterministic(self):
         report = z_demo().verify_coverage(3, 3)
-        assert report.sorted_covered() == sorted(report.covered.items())
         assert [k for k in report.sorted_missing()] == sorted(report.missing)
 
 
@@ -232,17 +230,11 @@ class TestBuiltinDispatch:
         d = builtin_demo(spec)
         assert len(d.language.alphabet) == alphabet_size
 
-    def test_finite_requires_oracle(self):
-        with pytest.raises(ValueError):
-            builtin_demo("finite")
-        d = builtin_demo("finite", oracle=s3_oracle())
-        assert len(d.language.alphabet) == 5
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             builtin_demo("zq(2)")
 
-    @pytest.mark.parametrize("spec", ["free(2", "zk3)", "free", "zz", "finite2"])
+    @pytest.mark.parametrize("spec", ["free(2", "zk3)", "free", "zz", "finite2", "finite"])
     def test_malformed_names_rejected(self, spec):
         with pytest.raises(ValueError, match="unknown builtin"):
             builtin_demo(spec)

@@ -1,8 +1,8 @@
 """Every name a module imports is used in it.
 
 No linter runs here, so this walks the syntax tree of each package module
-(the re-exports of ``__init__.py`` aside) and each script, and lists the
-imported names that nothing in the file reads.
+(the re-exports of ``__init__.py`` aside), each script and each test
+module, and lists the imported names that nothing in the file reads.
 """
 
 import ast
@@ -12,7 +12,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted([p for p in (ROOT / "src" / "epicdemo").glob("*.py") if p.name != "__init__.py"]
-                 + list((ROOT / "scripts").glob("*.py")))
+                 + list((ROOT / "scripts").glob("*.py")) + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epicdemo.automata import Letter, Nfa, make_word
-from epicdemo.constructions import CosetTable, fi_subgroup, graph_product
+from epicdemo.constructions import fi_subgroup, graph_product
 from epicdemo.cli import main as cli_main
 from epicdemo.demonstrations import z_demo, zk_demo
 from epicdemo.errors import LoadError
 from epicdemo.graphproduct import VertexGraph
-from epicdemo.groups import FreeGroupOracle, IntegerMatrixOracle, PermutationOracle
+from epicdemo.groups import FreeGroupOracle, PermutationOracle
 from epicdemo.workspace import (
     Workspace,
     canonical_states,
@@ -445,7 +445,7 @@ class TestGraphProductBlocks:
     def test_render_orders_dependencies_first(self):
         ws = load_str(GP_TEXT)
         text = render(ws)
-        assert text.index("group left") < text.index("group prod")
+        assert text.index("group left") < text.index("group prod") < text.index("group right")
         assert render(load_str(text)) == text
 
     def test_alphabet_collision_rejected(self):
@@ -622,6 +622,13 @@ class TestCosetTableBlocks:
                      f"  coset H rep eps\n  action H a H\n  {action}\nend\n")
         assert str(caught.value) == "8: action references unknown coset 'X'"
 
+    def test_action_letter_outside_the_group_names_its_line(self):
+        with pytest.raises(LoadError) as caught:
+            load_str("group g zk rank 1\n  gen a = [1]\nend\n"
+                     "cosettable t group g subgroupof 1\n"
+                     "  coset H rep eps\n  action H a H\n  action H zz H\nend\n")
+        assert str(caught.value) == "7: action letter 'zz' is not a generator of 'g'"
+
 
 class TestPresentationBlocks:
     def test_relators_stored_reduced(self):
@@ -640,8 +647,10 @@ class TestPresentationBlocks:
          "bad.epic:2: duplicate generator name"),
         ("presentation p\n  alphabet a\n  relator a eps\n  alphabet b^-1\nend\n",
          "bad.epic:3: 'eps' is reserved for the empty word and cannot mix with letters"),
+        ("presentation p\n  alphabet a eps\nend\n",
+         "bad.epic:2: 'eps' is reserved and cannot be an alphabet letter"),
     ], ids=["foreign-relator-letter", "inverse-marked-generator", "duplicate-generator",
-            "alphabet-before-relator-word", "relator-word-before-alphabet"])
+            "alphabet-before-relator-word", "relator-word-before-alphabet", "eps-generator"])
     def test_error_names_the_line_at_fault(self, text, message):
         with pytest.raises(LoadError) as caught:
             load_text([("bad.epic", text)])
