@@ -30,7 +30,7 @@ from .constructions import (
 from .demonstrations import Demonstration, UnknownBuiltinError, builtin_demo
 from .errors import EpicError, LoadError
 from .graphproduct import VertexGraph
-from .groups import cycles_from_perm
+from .groups import EPS_RESERVED, cycles_from_perm
 from .wordproblem import (
     BUDGET_EXCEEDED,
     Frontier,
@@ -141,7 +141,7 @@ def _named_pairs(values, flag: str) -> dict[Letter, Word]:
             raise UsageError(f"{flag} names {name!r} twice")
         try:
             if name == "eps":
-                raise ValueError("'eps' is reserved and cannot be a letter name")
+                raise ValueError(EPS_RESERVED)
             out[Letter(name)] = parse_word(rhs)
         except ValueError as e:
             raise UsageError(f"{flag} takes NAME=WORD, got {item!r}: {e}") from None

@@ -137,13 +137,14 @@ def fi_overgroup(demo: Demonstration, oracle: GroupOracle,
 
 @dataclass
 class CosetTable:
-    """Right cosets of a finite-index subgroup with transversal words.
+    """Right cosets of a finite-index subgroup of ``oracle``, with transversal words.
 
     ``cosets[0]`` is the subgroup itself; its transversal word must be
     empty.  ``action`` maps (coset, generator letter) to the coset reached
     by right multiplication and must be total.
     """
 
+    oracle: GroupOracle
     cosets: tuple[str, ...]
     transversal: dict[str, Word]
     action: dict[tuple[str, Letter], str]
@@ -158,9 +159,9 @@ class CosetTable:
         except KeyError:
             raise ValueError(f"action undefined on ({coset!r}, {letter.name!r})") from None
 
-    def validate(self, oracle: GroupOracle,
-                 in_subgroup: Optional[KeyPredicate] = None):
+    def validate(self, in_subgroup: Optional[KeyPredicate] = None):
         """Structural and, given a membership predicate, semantic checks."""
+        oracle = self.oracle
         cosets = set(self.cosets)
         if len(cosets) != len(self.cosets) or not cosets:
             raise ValueError("coset names must be distinct and non-empty")
@@ -217,12 +218,14 @@ def fi_subgroup(demo: Demonstration, table: CosetTable,
     closed.
     """
     oracle = demo.oracle
+    if table.oracle != oracle:
+        raise ValueError("the coset table and the demonstration have different groups")
     if set(demo.language.alphabet) != set(oracle.alphabet):
         raise ValueError("language alphabet must equal the oracle alphabet")
     for x in demo.language.alphabet:
         if demo.eval_map[x] != (x,):
             raise ValueError(f"letter {x.name!r} must evaluate to itself")
-    table.validate(oracle, in_subgroup)
+    table.validate(in_subgroup)
 
     edges = [(c, x, table.act(c, x)) for c in table.cosets for x in oracle.alphabet]
     edge_letters = tuple(Letter(f"({c}|{x}|{d})") for c, x, d in edges)
@@ -342,15 +345,6 @@ def graph_product(graph: VertexGraph,
 # -- padded triples and cross-sections ----------------------------------
 
 PAD_NAME = "#pad"
-
-
-def make_triple(a: str, b: str, c: str) -> Letter:
-    for comp in (a, b, c):
-        if "|" in comp or not comp or any(ch.isspace() for ch in comp):
-            raise ValueError(f"bad triple component {comp!r}")
-    if a == b == c == PAD_NAME:
-        raise ValueError("the all-padding triple is not a letter")
-    return Letter(f"({a}|{b}|{c})")
 
 
 def split_triple(letter: Letter) -> tuple[str, str, str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import count
 from typing import Callable, Iterator, Mapping, Optional
@@ -219,16 +219,7 @@ class Frontier:
     comparisons: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "word": self.word,
-                "iteration": self.iteration,
-                "cursor": self.cursor,
-                "pending": self.pending,
-                "comparisons": self.comparisons,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Frontier":

@@ -42,18 +42,14 @@ BLOCK_KINDS = ("automaton", "group", "demonstration", "cosettable", "presentatio
 
 @dataclass
 class Workspace:
-    """Named objects parsed from block files, plus the reference names
-    needed to render them back out."""
+    """Named objects parsed from block files.  An object refers to another
+    by holding it; ``render`` finds the name that holds it."""
 
     groups: dict = field(default_factory=dict)
     automata: dict = field(default_factory=dict)
     demonstrations: dict = field(default_factory=dict)
     cosettables: dict = field(default_factory=dict)
     presentations: dict = field(default_factory=dict)
-    # render-side bookkeeping: references by name, not by object
-    demo_refs: dict = field(default_factory=dict)        # demo -> (group, automaton)
-    cosettable_refs: dict = field(default_factory=dict)  # table -> group
-    graph_refs: dict = field(default_factory=dict)       # gp group -> {vertex: group}
 
 
 # -- splitting into blocks ------------------------------------------------
@@ -357,7 +353,8 @@ def _parse_demonstration(block: _Block):
 
 
 def _parse_cosettable(block: _Block):
-    """The name of the group, the table, and each action's line."""
+    """The group's name, the table's cosets, transversal and action, and
+    each action's line."""
     if (len(block.header) != 5 or block.header[1] != "group"
             or block.header[3] != "subgroupof"):
         block.fail("cosettable header: cosettable NAME group G subgroupof N")
@@ -391,7 +388,7 @@ def _parse_cosettable(block: _Block):
         for c in (source, target):
             if c not in transversal:
                 block.fail(f"action references unknown coset {c!r}", action_lines[source, letter])
-    return group_name, CosetTable(tuple(cosets), transversal, action), action_lines
+    return group_name, (tuple(cosets), transversal, action), action_lines
 
 
 def _parse_word_tokens(tokens, lineno, block) -> Word:
@@ -488,15 +485,13 @@ def load_text(sources: Iterable[tuple[Optional[str], str]]) -> Workspace:
                 oracle, {**{x: (x,) for x in language.alphabet}, **letters}, language)
         except ValueError as e:
             block.fail(str(e))
-        ws.demo_refs[name] = (group_name, automaton_name)
-    for name, (block, (group_name, table, action_lines)) in parsed["cosettable"].items():
-        alphabet = _resolve(block, ws.groups, "group", group_name).alphabet
+    for name, (block, (group_name, parts, action_lines)) in parsed["cosettable"].items():
+        oracle = _resolve(block, ws.groups, "group", group_name)
         for (_, letter), lineno in action_lines.items():
-            if letter not in alphabet:
+            if letter not in oracle.alphabet:
                 block.fail(f"action letter {letter.name!r} is not a generator of {group_name!r}",
                            lineno)
-        ws.cosettables[name] = table
-        ws.cosettable_refs[name] = group_name
+        ws.cosettables[name] = CosetTable(oracle, *parts)
     return ws
 
 
@@ -538,7 +533,6 @@ def _link_groups(ws: Workspace, parsed: dict):
                         spec.graph, {v: ws.groups[g] for v, g in spec.uses.items()})
                 except ValueError as e:
                     block.fail(str(e))
-                ws.graph_refs[name] = spec.uses
                 path.popitem()
 
 
@@ -666,8 +660,7 @@ def _gen_text(flavor: str, value) -> str:
     return json.dumps(value, separators=(",", ":"))  # tuples dump as lists
 
 
-def render_group(ws: Workspace, name: str) -> str:
-    oracle = ws.groups[name]
+def render_group(name: str, oracle, name_of) -> str:
     header = f"group {name}"
     for flavor, (word, _, cls) in _GEN_FLAVORS.items():
         if isinstance(oracle, cls):
@@ -677,37 +670,34 @@ def render_group(ws: Workspace, name: str) -> str:
     if isinstance(oracle, FreeGroupOracle):
         return _block(f"{header} free rank {oracle.rank}", ["names " + " ".join(oracle.names)])
     if isinstance(oracle, GraphProductOracle):
-        graph, uses = oracle.graph, ws.graph_refs[name]
+        graph, uses = oracle.graph, oracle.vertex_oracles
         rank = {v: i for i, v in enumerate(graph.vertices)}
         edges = sorted(graph.edges, key=lambda e: (rank[e[0]], rank[e[1]]))
         return _block(f"{header} graphproduct",
                       ["vertices " + " ".join(graph.vertices),
                        *(f"edge {u} {v}" for u, v in edges),
-                       *(f"vertex {v} uses {uses[v]}" for v in graph.vertices)])
+                       *(f"vertex {v} uses {name_of(uses[v])}" for v in graph.vertices)])
     raise LoadError(f"group {name!r} has no block syntax: {type(oracle).__name__}")
 
 
-def render_demonstration(ws: Workspace, name: str) -> str:
-    demo = ws.demonstrations[name]
-    group_name, automaton_name = ws.demo_refs[name]
+def render_demonstration(name: str, demo: Demonstration, name_of) -> str:
     return _block(f"demonstration {name}",
-                  [f"group {group_name}",
+                  [f"group {name_of(demo.oracle)}",
                    *(f"letter {x} = {format_word(demo.eval_map[x])}"
                      for x in demo.language.alphabet),
-                   f"automaton {automaton_name}"])
+                   f"automaton {name_of(demo.language)}"])
 
 
-def render_cosettable(ws: Workspace, name: str) -> str:
-    table = ws.cosettables[name]
-    group_name = ws.cosettable_refs[name]
-    letter_rank = {x: i for i, x in enumerate(ws.groups[group_name].alphabet)}
+def render_cosettable(name: str, table: CosetTable, name_of) -> str:
+    letter_rank = {x: i for i, x in enumerate(table.oracle.alphabet)}
     coset_rank = {c: i for i, c in enumerate(table.cosets)}
 
     def action_key(item):
         (source, letter), _target = item
         return (coset_rank[source], letter_rank[letter])
 
-    return _block(f"cosettable {name} group {group_name} subgroupof {len(table.cosets)}",
+    return _block(f"cosettable {name} group {name_of(table.oracle)} "
+                  f"subgroupof {len(table.cosets)}",
                   [*(f"coset {c} rep {format_word(table.transversal[c])}" for c in table.cosets),
                    *(f"action {source} {letter} {target}" for (source, letter), target
                      in sorted(table.action.items(), key=action_key))])
@@ -719,16 +709,29 @@ def render_presentation(name: str, p: Presentation) -> str:
 
 
 def render(ws: Workspace) -> str:
-    """The whole workspace as one reloadable file, kinds grouped, names sorted."""
+    """The whole workspace as one reloadable file, kinds grouped, names sorted.
+    A reference reads as the first name holding the object itself, else as
+    the first group equal to it, else raises LoadError."""
+    names = {id(obj): name for named in (ws.automata, ws.groups)
+             for name, obj in reversed(named.items())}
+
+    def name_of(obj) -> str:
+        if id(obj) in names:
+            return names[id(obj)]
+        for name, group in ws.groups.items():
+            if group == obj:
+                return name
+        raise LoadError(f"no workspace name holds or equals a referenced {type(obj).__name__}")
+
     chunks = []
     for name in sorted(ws.groups):
-        chunks.append(render_group(ws, name))
+        chunks.append(render_group(name, ws.groups[name], name_of))
     for name in sorted(ws.automata):
         chunks.append(render_automaton(name, ws.automata[name]))
     for name in sorted(ws.demonstrations):
-        chunks.append(render_demonstration(ws, name))
+        chunks.append(render_demonstration(name, ws.demonstrations[name], name_of))
     for name in sorted(ws.cosettables):
-        chunks.append(render_cosettable(ws, name))
+        chunks.append(render_cosettable(name, ws.cosettables[name], name_of))
     for name in sorted(ws.presentations):
         chunks.append(render_presentation(name, ws.presentations[name]))
     return "\n".join(chunks)
@@ -737,19 +740,17 @@ def render(ws: Workspace) -> str:
 # -- bundles -------------------------------------------------------------
 
 
-def _bundle_group_name(bundle: Workspace, ws: Workspace, oracle, fallback: str) -> str:
+def _bundle_group(bundle: Workspace, ws: Workspace, oracle, fallback: str):
     """Register an oracle in the bundle, preferring its workspace name."""
     name = next((n for n, g in ws.groups.items() if g == oracle), fallback)
     if name in bundle.groups:
         if bundle.groups[name] == oracle:
-            return name
+            return
         raise LoadError(f"name {name!r} would collide inside the bundle")
     bundle.groups[name] = oracle
     if isinstance(oracle, GraphProductOracle):
-        bundle.graph_refs[name] = {
-            v: _bundle_group_name(bundle, ws, oracle.vertex_oracles[v], f"{name}_{v}")
-            for v in oracle.graph.vertices}
-    return name
+        for v in oracle.graph.vertices:
+            _bundle_group(bundle, ws, oracle.vertex_oracles[v], f"{name}_{v}")
 
 
 def demo_bundle(ws: Workspace, demo: Demonstration, name: str) -> Workspace:
@@ -762,8 +763,7 @@ def demo_bundle(ws: Workspace, demo: Demonstration, name: str) -> Workspace:
     raise LoadError.
     """
     bundle = Workspace()
-    group_name = _bundle_group_name(bundle, ws, demo.oracle, f"{name}_group")
+    _bundle_group(bundle, ws, demo.oracle, f"{name}_group")
     bundle.automata[f"{name}_lang"] = demo.language
     bundle.demonstrations[name] = demo
-    bundle.demo_refs[name] = (group_name, f"{name}_lang")
     return bundle

@@ -434,11 +434,24 @@ def intersected_fi_language(demo, table):
     return intersect(walks, spelled)
 
 
+def make_triple(a: str, b: str, c: str):
+    """The padded-triple letter ``(a|b|c)``."""
+    from epicdemo.automata import Letter
+    from epicdemo.constructions import PAD_NAME
+
+    for comp in (a, b, c):
+        if "|" in comp or not comp or any(ch.isspace() for ch in comp):
+            raise ValueError(f"bad triple component {comp!r}")
+    if a == b == c == PAD_NAME:
+        raise ValueError("the all-padding triple is not a letter")
+    return Letter(f"({a}|{b}|{c})")
+
+
 def pad_triple_word(u, v, w):
     """Align three words into one padded triple word, shorter coordinates
     padded at the tail, so padding persists to the end of the word in
     every coordinate."""
-    from epicdemo.constructions import PAD_NAME, make_triple
+    from epicdemo.constructions import PAD_NAME
 
     k = max(len(u), len(v), len(w))
     return tuple(make_triple(*(word[i] if i < len(word) else PAD_NAME for word in (u, v, w)))

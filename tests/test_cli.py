@@ -287,6 +287,14 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and match in err
         assert not (tmp_path / "out.epic").exists()
 
+    def test_letter_named_eps_shares_the_loader_message(self, capsys, tmp_path):
+        code, out, err = run(capsys, *self.CHANGE_GENS, "--letter", "eps=a",
+                             "--letter", "b^-1=a^-1", "--out", str(tmp_path / "out.epic"))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --letter takes NAME=WORD, got 'eps=a': "
+                       "'eps' is reserved and cannot be an alphabet letter\n")
+
     @pytest.mark.parametrize("flag, argv", [
         ("--word", ["wp", "decide", "--presentation", "plane", "--demo", "ZK2"]),
         ("--rep", ["construct", "cross-section", "--automaton", "powers", "--group", "Z"]),
@@ -515,8 +523,8 @@ class TestConstructVerbs:
                            "--demo", "D", "--letter", "y=x", "--letter", "y^-1=x^-1",
                            "--image", "x=y", "--image", "x^-1=y^-1", "--out", str(out_path))
         assert code == 0, err
-        ws = load([str(out_path)])
-        assert ws.graph_refs == {"P": {"u": "A"}}
+        text = out_path.read_text()
+        assert "group P graphproduct\n  vertices u\n  vertex u uses A\nend\n" in text
 
     def test_fallback_name_ignores_workspace_references(self, capsys, tmp_path):
         """The workspace's product_group uses a Z^2 group, not the new product's FREE2."""
@@ -573,6 +581,22 @@ class TestConstructVerbs:
                            "--name", "x", "--out", str(tmp_path / "x.epic"))
         assert code == 1
         assert "disagree with the action" in err
+
+    def test_fi_subgroup_rejects_table_of_another_group(self, capsys, tmp_path):
+        """The table evens is declared over Z, not over the cyclic group C3."""
+        fixture = tmp_path / "c3.epic"
+        fixture.write_text(
+            "group C3 perm degree 3\n  gen a = (1 2 3)\n  gen a^-1 = (1 3 2)\nend\n"
+            "automaton c3l\n  alphabet a a^-1\n  states s0 s1 s2\n  initial s0\n"
+            "  accept s1 s2\n  trans s0 a s1\n  trans s1 a s2\nend\n"
+            "demonstration C3demo\n  group C3\n  automaton c3l\nend\n")
+        out_path = tmp_path / "x.epic"
+        code, out, err = run(capsys, "-f", DATA, "-f", str(fixture), "construct", "fi-subgroup",
+                             "--demo", "C3demo", "--table", "evens", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: the coset table and the demonstration have different groups\n"
+        assert not out_path.exists()
 
     def test_graph_product_bundle(self, capsys, tmp_path):
         fixture = tmp_path / "locals.epic"

@@ -16,7 +16,6 @@ from epicdemo.constructions import (
     fi_overgroup,
     fi_subgroup,
     graph_product,
-    make_triple,
     split_triple,
 )
 from epicdemo.demonstrations import Demonstration, finite_demo, identity_eval_map, z_demo, zk_demo
@@ -29,7 +28,7 @@ from epicdemo.groups import (
 )
 
 from oracles import ascii_evaluate, bf_language, bf_pruned_types, intersected_fi_language, \
-    looped_graph_product_language, pad_triple_word
+    looped_graph_product_language, make_triple, pad_triple_word
 from test_demonstrations import demos
 from test_groups import heisenberg_oracle, s3_oracle, c2_oracle
 
@@ -221,6 +220,7 @@ class TestFiOvergroup:
 def even_table():
     a, ainv = Letter("a"), Letter("a^-1")
     return CosetTable(
+        oracle=z_demo().oracle,
         cosets=("H", "C"),
         transversal={"H": EPSILON, "C": (a,)},
         action={("H", a): "C", ("C", a): "H", ("H", ainv): "C", ("C", ainv): "H"},
@@ -237,7 +237,7 @@ def a3_table():
     for x in even:
         action[("H", x)] = "H"
         action[("C", x)] = "C"
-    return CosetTable(("H", "C"), {"H": EPSILON, "C": (Letter("(12)"),)}, action)
+    return CosetTable(s3_oracle(), ("H", "C"), {"H": EPSILON, "C": (Letter("(12)"),)}, action)
 
 
 class TestFiSubgroup:
@@ -270,7 +270,7 @@ class TestFiSubgroup:
     def test_index_one_degenerate(self):
         demo = z_demo()
         a, ainv = Letter("a"), Letter("a^-1")
-        table = CosetTable(("H",), {"H": EPSILON},
+        table = CosetTable(demo.oracle, ("H",), {"H": EPSILON},
                            {("H", a): "H", ("H", ainv): "H"})
         out = fi_subgroup(demo, table)
         report = out.verify_coverage(4, 4)
@@ -291,27 +291,37 @@ class TestFiSubgroup:
         for i, c in enumerate(names):
             action[(c, a)] = names[(i + 1) % 4]
             action[(c, ainv)] = names[(i - 1) % 4]
-        bad = CosetTable(names, {c: (a,) * i for i, c in enumerate(names)}, action)
+        bad = CosetTable(z_demo().oracle, names, {c: (a,) * i for i, c in enumerate(names)},
+                         action)
         with pytest.raises(ValueError, match="share a coset"):
             fi_subgroup(z_demo(), bad, in_subgroup=even)
 
+    def test_table_of_another_group_rejected(self):
+        """Same letters, other group: the table's cosets are not Z's."""
+        a, ainv = Letter("a"), Letter("a^-1")
+        table = even_table()
+        table.oracle = FreeAbelianOracle(1, {a: (2,), ainv: (-2,)})
+        with pytest.raises(ValueError, match="the coset table and the demonstration have "
+                                             "different groups"):
+            fi_subgroup(z_demo(), table)
+
     def test_partial_action_rejected(self):
         a, ainv = Letter("a"), Letter("a^-1")
-        table = CosetTable(("H", "C"), {"H": EPSILON, "C": (a,)},
+        table = CosetTable(z_demo().oracle, ("H", "C"), {"H": EPSILON, "C": (a,)},
                            {("H", a): "C", ("C", a): "H"})
         with pytest.raises(ValueError, match="undefined"):
             fi_subgroup(z_demo(), table)
 
     def test_nontrivial_home_transversal_rejected(self):
         a, ainv = Letter("a"), Letter("a^-1")
-        table = CosetTable(("H", "C"), {"H": (a,), "C": (a,)},
+        table = CosetTable(z_demo().oracle, ("H", "C"), {"H": (a,), "C": (a,)},
                            even_table().action)
         with pytest.raises(ValueError, match="must be empty"):
             fi_subgroup(z_demo(), table)
 
     def test_unreachable_coset_rejected(self):
         a, ainv = Letter("a"), Letter("a^-1")
-        table = CosetTable(("H", "X"), {"H": EPSILON, "X": (a,)},
+        table = CosetTable(z_demo().oracle, ("H", "X"), {"H": EPSILON, "X": (a,)},
                            {("H", a): "H", ("H", ainv): "H",
                             ("X", a): "X", ("X", ainv): "X"})
         with pytest.raises(ValueError, match="unreachable"):
@@ -323,7 +333,7 @@ class TestFiSubgroup:
                    frozenset({(0, Letter("a"), 1), (1, Letter("a"), 1)}),
                    frozenset({0}), frozenset({1}))
         demo = Demonstration(mono, {Letter("a"): (Letter("a"),)}, lang)
-        table = CosetTable(("H",), {"H": EPSILON}, {("H", Letter("a")): "H"})
+        table = CosetTable(mono, ("H",), {"H": EPSILON}, {("H", Letter("a")): "H"})
         with pytest.raises(ValueError, match="no inverse"):
             fi_subgroup(demo, table)
 
@@ -359,7 +369,7 @@ def fi_cases(draw):
                 queue.append(d)
     assume(len(transversal) == len(cosets))
     return (Demonstration(oracle, identity_eval_map(oracle.alphabet), language),
-            CosetTable(cosets, transversal, action))
+            CosetTable(oracle, cosets, transversal, action))
 
 
 def nfa_parts(nfa):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epicdemo.automata import Letter, Nfa, make_word
-from epicdemo.constructions import fi_subgroup, graph_product
+from epicdemo.constructions import CosetTable, fi_subgroup, graph_product
 from epicdemo.cli import main as cli_main
-from epicdemo.demonstrations import z_demo, zk_demo
+from epicdemo.demonstrations import Demonstration, z_demo, zk_demo
 from epicdemo.errors import LoadError
-from epicdemo.graphproduct import VertexGraph
-from epicdemo.groups import FreeGroupOracle, PermutationOracle
+from epicdemo.graphproduct import GraphProductOracle, VertexGraph
+from epicdemo.groups import FreeAbelianOracle, FreeGroupOracle, PermutationOracle
 from epicdemo.workspace import (
     Workspace,
     canonical_states,
@@ -483,11 +483,12 @@ class TestGraphProductBlocks:
         text = render(ws)
         again = load_str(text)
         assert render(again) == text
+        assert "group g0 graphproduct\n  vertices v0\n  vertex v0 uses g1\nend\n" in text
+        assert "  vertex v1999 uses g2000\nend\n" in text
         # compared level by level: == on a product compares its vertex groups
         # recursively, one frame per level
-        assert again.graph_refs == ws.graph_refs
         assert again.groups["g2000"] == ws.groups["g2000"]
-        assert all(again.groups[name].graph == ws.groups[name].graph for name in ws.graph_refs)
+        assert all(again.groups[f"g{i}"].graph == ws.groups[f"g{i}"].graph for i in range(2000))
 
     Z = "group Z zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
 
@@ -575,19 +576,23 @@ class TestDemoBundle:
         demo = z_demo()
         bundle = demo_bundle(Workspace(), demo, "x")
         assert bundle.demonstrations == {"x": demo}
-        assert bundle.demo_refs == {"x": ("x_group", "x_lang")}
         assert bundle.automata == {"x_lang": demo.language}
         assert bundle.groups == {"x_group": demo.oracle}
+        assert render(bundle).endswith("demonstration x\n  group x_group\n"
+                                       "  letter a = a\n  letter a^-1 = a^-1\n"
+                                       "  automaton x_lang\nend\n")
 
     def test_workspace_names_win_and_vertex_groups_fall_back(self):
         left, right = z_demo("a"), z_demo("b")
         product = graph_product(VertexGraph.make(("u", "v"), []), {"u": left, "v": right})
         bundle = demo_bundle(Workspace(groups={"A": left.oracle}), product, "p")
-        assert bundle.demo_refs == {"p": ("p_group", "p_lang")}
-        assert bundle.graph_refs == {"p_group": {"u": "A", "v": "p_group_v"}}
         assert bundle.groups == {"p_group": product.oracle, "A": left.oracle,
                                  "p_group_v": right.oracle}
         text = render(bundle)
+        assert ("group p_group graphproduct\n  vertices u v\n"
+                "  vertex u uses A\n  vertex v uses p_group_v\nend\n") in text
+        assert "demonstration p\n  group p_group\n" in text
+        assert text.endswith("  automaton p_lang\nend\n")
         assert render(load_text([(None, text)])) == text
 
     def test_collision_is_load_error(self):
@@ -597,6 +602,44 @@ class TestDemoBundle:
         ws = Workspace(groups={"p_group_v": left.oracle})
         with pytest.raises(LoadError, match="name 'p_group_v' would collide inside the bundle"):
             demo_bundle(ws, product, "p")
+
+
+class TestRenderReferences:
+    """A reference renders as the name holding the object itself, else as
+    the first equal group."""
+
+    def test_equal_twins_keep_their_own_names(self):
+        """B equals A, which comes first; every reference to B still reads B."""
+        x, x_inv = Letter("x"), Letter("x^-1")
+        twin_a, twin_b = (FreeAbelianOracle(1, {x: (1,), x_inv: (-1,)}) for _ in "AB")
+        lang = Nfa((x, x_inv), frozenset({0, 1}), frozenset({(0, x, 1), (0, x_inv, 1)}),
+                   frozenset({0}), frozenset({1}))
+        ws = Workspace(
+            groups={"A": twin_a, "B": twin_b,
+                    "P": GraphProductOracle(VertexGraph.make(("u",), []), {"u": twin_b})},
+            automata={"xl": lang},
+            demonstrations={"D": Demonstration(twin_b, {x: (x,), x_inv: (x_inv,)}, lang)},
+            cosettables={"T": CosetTable(twin_b, ("H",), {"H": ()},
+                                         {("H", x): "H", ("H", x_inv): "H"})})
+        text = render(ws)
+        assert "  vertex u uses B\nend\n" in text
+        assert "demonstration D\n  group B\n" in text
+        assert "cosettable T group B subgroupof 1\n" in text
+        assert render(load_str(text)) == text
+
+    def test_equal_separate_vertex_groups_take_one_name(self):
+        empty = Nfa((), frozenset({0}), frozenset(), frozenset({0}), frozenset())
+        trivial = {v: Demonstration(PermutationOracle(1, {}), {}, empty) for v in ("u", "v")}
+        product = graph_product(VertexGraph.make(("u", "v"), []), trivial)
+        bundle = demo_bundle(Workspace(groups={"T": PermutationOracle(1, {})}), product, "p")
+        assert bundle.groups == {"p_group": product.oracle, "T": trivial["u"].oracle}
+        text = render(bundle)
+        assert "  vertex u uses T\n  vertex v uses T\nend\n" in text
+        assert render(load_str(text)) == text
+
+    def test_unnamed_reference_is_load_error(self):
+        with pytest.raises(LoadError, match="no workspace name holds or equals"):
+            render(Workspace(demonstrations={"x": z_demo()}))
 
 
 class TestCosetTableBlocks:
