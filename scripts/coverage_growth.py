@@ -13,20 +13,11 @@ Usage:
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from epicdemo import LoadError, Workspace, builtin_demo, load
 
 
-@dataclass
-class Config:
-    demo: str = "z"
-    max_radius: int = 6
-    stretch: int = 2
-    files: list = field(default_factory=list)
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--demo", default="z",
                         help="workspace demonstration or builtin name (z, free2, zk3)")
@@ -35,38 +26,37 @@ def parse_args(argv=None) -> Config:
                         help="search words up to stretch * radius letters")
     parser.add_argument("-f", "--file", dest="files", action="append", default=[],
                         metavar="PATH", help="workspace file; repeatable")
-    args = parser.parse_args(argv)
-    return Config(args.demo, args.max_radius, args.stretch, args.files)
+    return parser.parse_args(argv)
 
 
-def resolve(cfg: Config):
+def resolve(args):
     """The named demonstration; a bad file or an unknown name prints one
     error line and exits 2, as a bad option does."""
     try:
-        ws = load(cfg.files) if cfg.files else Workspace()
-        if cfg.demo in ws.demonstrations:
-            return ws.demonstrations[cfg.demo]
-        return builtin_demo(cfg.demo)
+        ws = load(args.files) if args.files else Workspace()
+        if args.demo in ws.demonstrations:
+            return ws.demonstrations[args.demo]
+        return builtin_demo(args.demo)
     except (LoadError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    demo = resolve(cfg)
-    print(f"demo {cfg.demo}: alphabet {' '.join(demo.language.alphabet)}")
+    args = parse_args(argv)
+    demo = resolve(args)
+    print(f"demo {args.demo}: alphabet {' '.join(demo.language.alphabet)}")
     print(f"{'radius':>6} {'ball':>6} {'covered':>8} {'missing':>8} {'seconds':>8}")
     clean = True
-    for radius in range(1, cfg.max_radius + 1):
+    for radius in range(1, args.max_radius + 1):
         start = time.monotonic()
-        report = demo.verify_coverage(radius, cfg.stretch * radius)
+        report = demo.verify_coverage(radius, args.stretch * radius)
         elapsed = time.monotonic() - start
         covered, missing = len(report.covered), len(report.missing)
         clean = clean and report.clean
         print(f"{radius:>6} {covered + missing:>6} {covered:>8} {missing:>8} {elapsed:>8.2f}")
-    violations = demo.verify_no_identity(cfg.stretch * cfg.max_radius)
-    print(f"identity violations up to length {cfg.stretch * cfg.max_radius}: {len(violations)}")
+    violations = demo.verify_no_identity(args.stretch * args.max_radius)
+    print(f"identity violations up to length {args.stretch * args.max_radius}: {len(violations)}")
     return 0 if clean and not violations else 1
 
 

@@ -70,8 +70,12 @@ def main(argv=None) -> int:
 
     demo = build()
     bundle = demo_bundle(Workspace(groups={"heis": demo.oracle}), demo, "heisdemo")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render(bundle))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(render(bundle))
+    except OSError as e:  # one error line and exit 2, as the CLI's --out does
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}")
 
     reloaded = load([args.out]).demonstrations["heisdemo"]

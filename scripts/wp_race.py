@@ -15,7 +15,6 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from epicdemo import (
     Presentation,
@@ -38,37 +37,53 @@ DEFAULT_WORDS = (
     "a a b b",
     "a a b a^-1 a^-1 b^-1",
 )
+PLANE = Presentation(("a", "b"), (parse_word("a b a^-1 b^-1"),))
 
 
-@dataclass
-class Config:
-    words: tuple = DEFAULT_WORDS
-    budget: int = 10**7
-
-
-def parse_args(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--word", action="append", default=[],
                         help="space-separated letters, eps for the empty word; repeatable")
-    parser.add_argument("--budget", type=int, default=Config.budget)
-    args = parser.parse_args(argv)
-    return Config(tuple(args.word) or DEFAULT_WORDS, args.budget)
+    parser.add_argument("--budget", type=int, default=10**7)
+    return parser.parse_args(argv)
+
+
+def usage_error(message: str):
+    """One error line and exit 2, as the CLI's ``wp decide`` does."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def words(args) -> list:
+    """The (text, word) pairs to race, each word over the plane's alphabet."""
+    if args.budget < 1:
+        usage_error(f"--budget must be positive, got {args.budget}")
+    pairs = []
+    for text in args.word or DEFAULT_WORDS:
+        try:
+            word = parse_word(text)
+        except ValueError as e:
+            usage_error(f"--word takes a word, got {text!r}: {e}")
+        foreign = [x for x in word if x not in PLANE.alphabet]
+        if foreign:
+            usage_error(f"word letter {foreign[0].name!r} is outside the presentation alphabet")
+        pairs.append((text, word))
+    return pairs
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    presentation = Presentation(("a", "b"), (parse_word("a b a^-1 b^-1"),))
+    args = parse_args(argv)
+    pairs = words(args)
     demo = zk_demo(2)
 
     def streams():
         return (demonstration_enumerator(demo),
-                normal_closure_enumerator(presentation))
+                normal_closure_enumerator(PLANE))
 
     print(f"{'word':<24} {'verdict':<16} {'comparisons':>11} {'replay':>7}")
     undecided = 0
-    for text in cfg.words:
-        word = parse_word(text)
-        verdict = decide_word(word, *streams(), cfg.budget)
+    for text, word in pairs:
+        verdict = decide_word(word, *streams(), args.budget)
         if verdict.certificate is None:
             print(f"{text:<24} {'budget exceeded':<16} {verdict.comparisons:>11} {'-':>7}")
             undecided += 1

@@ -318,6 +318,10 @@ def cmd_graph_product(ws: Workspace, args) -> Demonstration:
         if not dash:
             raise UsageError(f"--edge takes U-V, got {item!r}")
         edges.append((u, v))
+    try:
+        graph = VertexGraph.make(vertices, edges)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     local = {}
     for item in args.vertex or ():
         v, eq, demo_name = item.partition("=")
@@ -326,11 +330,9 @@ def cmd_graph_product(ws: Workspace, args) -> Demonstration:
         _bundle_name("--vertex takes VERTEX=DEMO with VERTEX a word", v)
         if v in local:
             raise UsageError(f"--vertex names {v!r} twice")
+        if v not in graph.vertices:
+            raise UsageError(f"--vertex names {v!r}, which --vertices does not list")
         local[v] = demo_name
-    try:
-        graph = VertexGraph.make(vertices, edges)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     return graph_product(graph, {v: _resolve_demo(ws, name) for v, name in local.items()})
 
 

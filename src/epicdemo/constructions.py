@@ -310,6 +310,9 @@ def graph_product(graph: VertexGraph,
     missing = [v for v in graph.vertices if v not in local]
     if missing:
         raise ValueError(f"no local demonstration for vertices: {missing}")
+    extra = [v for v in local if v not in graph.vertices]
+    if extra:
+        raise ValueError(f"local demonstrations for unknown vertices: {extra}")
     oracle = GraphProductOracle(graph, {v: local[v].oracle for v in graph.vertices})
     seen: dict[Letter, str] = {}  # the merged alphabet, with each letter's vertex
     for v in graph.vertices:

@@ -330,7 +330,6 @@ def decide_word(
     cursor = frontier.cursor
     pending = [dict(c) for c in frontier.pending]
     total = frontier.comparisons
-    performed = False
 
     def checkpoint() -> Frontier:
         return Frontier(word=target_text, iteration=i, cursor=cursor,
@@ -360,7 +359,7 @@ def decide_word(
     def scan(first: int, existing: int, hits: list, certify) -> bool:
         """Compare positions first .. first+existing-1 from the cursor on,
         pending a certificate for each hit; True when the budget cuts."""
-        nonlocal spent, total, performed, cursor
+        nonlocal spent, total, cursor
         lo = max(cursor - first, 0)
         todo = existing - lo
         if todo <= 0:
@@ -373,11 +372,9 @@ def decide_word(
         if todo > done:
             cursor = first + lo + done
             return True
-        performed = True
         return False
 
     while True:
-        performed = False
         key = filed(closure, closure_at, i, EPSILON)
         if key is not None:
             closure_count = i + 1
@@ -413,7 +410,7 @@ def decide_word(
                     "inputs do not describe the same group")
             winner = pending[0]
             return WpVerdict(winner["kind"], winner, None, total)
-        stalled = not performed and closure.get(i) is None and language.get(i) is None
+        stalled = closure.get(i) is None and language.get(i) is None
         i += 1
         cursor = 0
         if stalled:

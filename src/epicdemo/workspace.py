@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .automata import (
     Letter,
     Nfa,
-    Word,
+    check_alphabet,
     format_word,
     parse_word,
 )
@@ -65,6 +65,13 @@ class _Block:
 
     def fail(self, message, line=None):
         raise LoadError(message, path=self.path, line=self.line if line is None else line)
+
+    def at(self, line, make, *args):
+        """``make(*args)``, its ValueError a fault of ``line`` (None: the header)."""
+        try:
+            return make(*args)
+        except ValueError as e:
+            self.fail(str(e), line)
 
 
 def _split_blocks(path: Optional[str], text: str) -> list[_Block]:
@@ -139,11 +146,12 @@ def _parse_automaton(block: _Block) -> Nfa:
 
 def _automaton_fault(block: _Block, error: Optional[Exception] = None):
     """Raise the error of an automaton block's first bad line, in file
-    order: faults of a line on its own, then transitions naming an
-    undeclared state or letter, then undeclared initial or accepting
-    states; with no bad line, ``error`` itself."""
-    states, letters = set(), {"eps"}
-    marked: dict = {"initial": [], "accept": []}
+    order: faults of a line on its own (an alphabet line's letters so far
+    included), then transitions naming an undeclared state or letter,
+    then initial or accepting lines naming an undeclared state; with no
+    bad line, ``error`` itself."""
+    states, alphabet = set(), []
+    marked = []  # (lineno, state) of each initial and accepting state
     for lineno, (key, *rest) in block.body:
         if key == "trans":
             if len(rest) != 3:
@@ -151,13 +159,15 @@ def _automaton_fault(block: _Block, error: Optional[Exception] = None):
         elif key == "alphabet":
             if "eps" in rest:
                 block.fail(EPS_RESERVED, lineno)
-            letters.update(rest)
+            alphabet.extend(map(Letter, rest))
+            block.at(lineno, check_alphabet, alphabet)
         elif key == "states":
             states.update(rest)
-        elif key in marked:
-            marked[key].extend(rest)
+        elif key in ("initial", "accept"):
+            marked.extend((lineno, s) for s in rest)
         else:
             block.fail(f"unknown automaton line {key!r}", lineno)
+    letters = {*alphabet, "eps"}
     for lineno, (key, *rest) in block.body:
         if key == "trans":
             src, label, tgt = rest
@@ -166,9 +176,9 @@ def _automaton_fault(block: _Block, error: Optional[Exception] = None):
                     block.fail(f"transition uses undeclared state {s!r}", lineno)
             if label not in letters:
                 block.fail(f"transition label {label!r} is not in the alphabet", lineno)
-    for s in marked["initial"] + marked["accept"]:
+    for lineno, s in marked:
         if s not in states:
-            block.fail(f"undeclared state {s!r}")
+            block.fail(f"undeclared state {s!r}", lineno)
     if isinstance(error, AutomatonSizeError):
         raise error
     block.fail(str(error))
@@ -209,19 +219,17 @@ def _gen_lines(block: _Block):
 
 
 def _build(block: _Block, make, parts: dict, lines: dict):
-    """``make(parts)``.  When it fails, a fault of the header (``make({})``
-    fails too) names the header, and a fault of one part the line that
-    gives it."""
+    """``make(parts)``, the reader's one fault rule for a block built from
+    parts: when it fails, the header is at fault if ``make({})`` fails
+    too, else the first line whose part fails on its own, else the
+    header."""
     try:
         return make(parts)
-    except ValueError:
-        make({})
+    except ValueError as e:
+        block.at(None, make, {})
         for x, lineno in lines.items():
-            try:
-                make({x: parts[x]})
-            except ValueError as e:
-                block.fail(str(e), lineno)
-        raise
+            block.at(lineno, make, {x: parts[x]})
+        block.fail(str(e))
 
 
 _GEN_FLAVORS = {  # flavor: (header word, its value, oracle class)
@@ -234,10 +242,7 @@ _GEN_FLAVORS = {  # flavor: (header word, its value, oracle class)
 def _gen_value(flavor: str, size: int, rhs: list, lineno: int, block: _Block):
     if flavor == "perm":
         cycles = _parse_cycles(" ".join(rhs), lineno, block)
-        try:
-            return perm_from_cycles(cycles, size)
-        except ValueError as e:
-            block.fail(str(e), lineno)
+        return block.at(lineno, perm_from_cycles, cycles, size)
     if flavor == "matrix":
         return tuple(tuple(r) for r in _parse_int_array("".join(rhs), 2, lineno, block))
     return tuple(_parse_int_array("".join(rhs), 1, lineno, block))
@@ -268,10 +273,7 @@ def _parse_group(block: _Block):
                     if names is not None:
                         block.fail("names given twice", lineno)
                     names = tuple(tokens[1:])
-                    try:
-                        paired_letters(names)
-                    except ValueError as e:
-                        block.fail(str(e), lineno)
+                    block.at(lineno, paired_letters, names)
                 else:
                     block.fail(f"unknown free group line {tokens[0]!r}", lineno)
             return FreeGroupOracle(rank, names)
@@ -282,6 +284,7 @@ def _parse_group(block: _Block):
             for lineno, tokens in block.body:
                 if tokens[0] == "vertices":
                     vertices.extend(tokens[1:])
+                    block.at(lineno, VertexGraph.make, vertices, ())
                 elif tokens[0] == "edge" and len(tokens) == 3:
                     edges.setdefault((tokens[1], tokens[2]), lineno)
                 elif tokens[0] == "vertex" and len(tokens) == 4 and tokens[2] == "uses":
@@ -332,9 +335,10 @@ class _GraphSpec:
 
 
 def _parse_demonstration(block: _Block):
-    """The names of the group and automaton, and the letters' words."""
+    """The names of the group and automaton, then ``_build``'s parts and
+    lines: each letter's word and each letter's line."""
     refs = {}  # "group" and "automaton": the name the line gives
-    letters = {}
+    letters, letter_lines = {}, {}
     for lineno, tokens in block.body:
         if tokens[0] in ("group", "automaton") and len(tokens) == 2:
             if tokens[0] in refs:
@@ -344,12 +348,13 @@ def _parse_demonstration(block: _Block):
             letter = Letter(tokens[1])
             if letter in letters:
                 block.fail(f"letter {tokens[1]!r} given twice", lineno)
-            letters[letter] = _parse_word_tokens(tokens[3:], lineno, block)
+            letters[letter] = block.at(lineno, parse_word, " ".join(tokens[3:]))
+            letter_lines[letter] = lineno
         else:
             block.fail(f"unknown demonstration line {' '.join(tokens)!r}", lineno)
     if len(refs) != 2:
         block.fail("demonstration needs both a group and an automaton line")
-    return refs["group"], refs["automaton"], letters
+    return refs["group"], refs["automaton"], letters, letter_lines
 
 
 def _parse_cosettable(block: _Block):
@@ -372,7 +377,7 @@ def _parse_cosettable(block: _Block):
             if coset in transversal:
                 block.fail(f"coset {coset!r} defined twice", lineno)
             cosets.append(coset)
-            transversal[coset] = _parse_word_tokens(tokens[3:], lineno, block)
+            transversal[coset] = block.at(lineno, parse_word, " ".join(tokens[3:]))
         elif tokens[0] == "action" and len(tokens) == 4:
             source, letter, target = tokens[1:]
             key = (source, Letter(letter))
@@ -391,58 +396,22 @@ def _parse_cosettable(block: _Block):
     return group_name, (tuple(cosets), transversal, action), action_lines
 
 
-def _parse_word_tokens(tokens, lineno, block) -> Word:
-    try:
-        return parse_word(" ".join(tokens))
-    except ValueError as e:
-        block.fail(str(e), lineno)
-
-
 def _parse_presentation(block: _Block) -> Presentation:
-    """A presentation, built once; when a line is at fault,
-    ``_presentation_fault`` names it."""
+    """A presentation: each alphabet line's names so far checked and each
+    relator parsed in file order, then built once through ``_build``."""
     names: list[str] = []
-    relators: list[Word] = []
-    try:
-        for _, (key, *rest) in block.body:
-            if key == "alphabet":
-                names.extend(rest)
-            elif key == "relator":
-                relators.append(parse_word(" ".join(rest)))
-            else:
-                _presentation_fault(block)
-        return Presentation(tuple(names), tuple(relators))
-    except ValueError:
-        _presentation_fault(block)
-
-
-def _presentation_fault(block: _Block):
-    """Raise the error of a presentation block's first bad line, in file
-    order: each alphabet line's names so far, an unparsable relator or an
-    unknown line, then the header when the block has no generator at all,
-    then each relator on its own."""
-
-    def build(relators, lineno=None):
-        try:
-            Presentation(tuple(names), tuple(relators))
-        except ValueError as e:
-            block.fail(str(e), lineno)
-
-    names: list[str] = []
-    relators: list[tuple[int, Word]] = []
-    for lineno, tokens in block.body:
-        if tokens[0] == "alphabet":
-            names.extend(tokens[1:])
+    relators = {}  # lineno: word
+    for lineno, (key, *rest) in block.body:
+        if key == "alphabet":
+            names.extend(rest)
             if names:
-                build((), lineno)
-        elif tokens[0] == "relator":
-            relators.append((lineno, _parse_word_tokens(tokens[1:], lineno, block)))
+                block.at(lineno, Presentation, tuple(names), ())
+        elif key == "relator":
+            relators[lineno] = block.at(lineno, parse_word, " ".join(rest))
         else:
-            block.fail(f"unknown presentation line {tokens[0]!r}", lineno)
-    build(())
-    for lineno, r in relators:
-        build((r,), lineno)
-    build(r for _, r in relators)
+            block.fail(f"unknown presentation line {key!r}", lineno)
+    return _build(block, lambda rs: Presentation(tuple(names), tuple(rs.values())),
+                  relators, dict(zip(relators, relators)))
 
 
 # -- loading and linking -------------------------------------------------
@@ -477,14 +446,12 @@ def load_text(sources: Iterable[tuple[Optional[str], str]]) -> Workspace:
     ws = Workspace(automata={n: a for n, (_, a) in parsed["automaton"].items()},
                    presentations={n: p for n, (_, p) in parsed["presentation"].items()})
     _link_groups(ws, parsed["group"])
-    for name, (block, (group_name, automaton_name, letters)) in parsed["demonstration"].items():
+    for name, (block, (group_name, automaton_name, *parts)) in parsed["demonstration"].items():
         oracle = _resolve(block, ws.groups, "group", group_name)
         language = _resolve(block, ws.automata, "automaton", automaton_name)
-        try:
-            ws.demonstrations[name] = Demonstration(
-                oracle, {**{x: (x,) for x in language.alphabet}, **letters}, language)
-        except ValueError as e:
-            block.fail(str(e))
+        identity = {x: (x,) for x in language.alphabet}
+        ws.demonstrations[name] = _build(
+            block, lambda ls: Demonstration(oracle, {**identity, **ls}, language), *parts)
     for name, (block, (group_name, parts, action_lines)) in parsed["cosettable"].items():
         oracle = _resolve(block, ws.groups, "group", group_name)
         for (_, letter), lineno in action_lines.items():
@@ -558,11 +525,16 @@ def _state_key(state):
 
 
 def _canonical(nfa: Nfa) -> tuple[list, list, list, list]:
-    """``canonical_states`` on integers: ``(states, order, position,
-    outgoing)`` where ``order[k]`` indexes the state named ``s<k>`` in
-    ``states``, ``position`` inverts ``order``, and ``outgoing[i]`` maps
-    each label rank of state ``i``'s transitions to their targets, as
-    indices into ``states`` in transition order.
+    """The stable renaming of states to ``s0``, ``s1``, ... on integers:
+    ``(states, order, position, outgoing)`` where ``order[k]`` indexes the
+    state named ``s<k>`` in ``states``, ``position`` inverts ``order``,
+    and ``outgoing[i]`` maps each label rank of state ``i``'s transitions
+    to their targets, as indices into ``states`` in transition order.
+
+    Initial states come first (sorted), then discovery order with edges
+    scanned letters-first in alphabet order; unreachable states trail,
+    sorted.  The numbering is a function of the automaton's structure,
+    so rendering twice gives identical text.
 
     ``_state_key`` is computed only where it decides the order: between
     targets of one source and label first reached together, between
@@ -610,18 +582,6 @@ def _canonical(nfa: Nfa) -> tuple[list, list, list, list]:
             position[i] = len(order)
             order.append(i)
     return states, order, position, outgoing
-
-
-def canonical_states(nfa: Nfa) -> dict:
-    """Stable renaming state -> 's0', 's1', ... by breadth-first order.
-
-    Initial states come first (sorted), then discovery order with edges
-    scanned letters-first in alphabet order; unreachable states trail,
-    sorted.  The numbering is a function of the automaton's structure,
-    so rendering twice gives identical text.
-    """
-    states, order, _, _ = _canonical(nfa)
-    return {states[i]: f"s{k}" for k, i in enumerate(order)}
 
 
 def _block(header: str, lines: Iterable[str]) -> str:

@@ -518,23 +518,30 @@ def tokenized_split_blocks(path, text):
 
 
 def scanning_parse_automaton(block):
-    """An automaton block, every transition, initial and accepting state
-    checked line by line before the automaton is built."""
+    """An automaton block, every letter, transition, initial and accepting
+    state checked line by line before the automaton is built."""
     from epicdemo.automata import Letter, Nfa
 
     alphabet, states, initials, accepting, transitions = [], [], [], [], []
+    declared, marked = set(), []  # letters; (lineno, state) of initial and accepting states
     for lineno, tokens in block.body:
         key, rest = tokens[0], tokens[1:]
         if key == "alphabet":
             if "eps" in rest:
                 block.fail("'eps' is reserved and cannot be an alphabet letter", lineno)
-            alphabet.extend(Letter(n) for n in rest)
+            for n in rest:
+                if n in declared:
+                    block.fail(f"duplicate letter {n!r} in alphabet", lineno)
+                declared.add(n)
+                alphabet.append(Letter(n))
         elif key == "states":
             states.extend(rest)
         elif key == "initial":
             initials.extend(rest)
+            marked.extend((lineno, s) for s in rest)
         elif key == "accept":
             accepting.extend(rest)
+            marked.extend((lineno, s) for s in rest)
         elif key == "trans":
             if len(rest) != 3:
                 block.fail("trans takes: source label target", lineno)
@@ -549,9 +556,9 @@ def scanning_parse_automaton(block):
                 block.fail(f"transition uses undeclared state {s!r}", lineno)
         if label not in letters:
             block.fail(f"transition label {label!r} is not in the alphabet", lineno)
-    for s in initials + accepting:
+    for lineno, s in marked:
         if s not in known:
-            block.fail(f"undeclared state {s!r}")
+            block.fail(f"undeclared state {s!r}", lineno)
     try:
         return Nfa(tuple(alphabet), frozenset(states),
                    frozenset((src, letters[label], tgt) for _, src, label, tgt in transitions),
@@ -584,6 +591,15 @@ def _state_key(state):
         return (0, _natural_key(state), state)
     text = repr(state)
     return (1, _natural_key(text), text)
+
+
+def canonical_states(nfa):
+    """The package's state renaming, read off ``workspace._canonical``:
+    ``{state: 's<k>'}``, to compare with ``keyed_canonical_states``."""
+    from epicdemo.workspace import _canonical
+
+    states, order, _, _ = _canonical(nfa)
+    return {states[i]: f"s{k}" for k, i in enumerate(order)}
 
 
 def keyed_canonical_states(nfa):

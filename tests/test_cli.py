@@ -273,13 +273,15 @@ class TestUsageErrors:
         (("construct", "graph-product", "--vertices", "u", "--vertex", "u=Z",
           "--vertex", "#=FREE2"),
          "--vertex takes VERTEX=DEMO with VERTEX a word without whitespace other than '#'"),
+        (("construct", "graph-product", "--vertices", "u", "--vertex", "u=Z",
+          "--vertex", "w=Z"), "--vertex names 'w', which --vertices does not list"),
         (("-f", DATA, "construct", "autostackable-project", "--automaton", "powers",
           "--base", "a #"), "--base takes letters without whitespace other than '#', got '#'"),
     ], ids=["letter-without-name", "letter-with-eps", "edge-without-end", "repeated-vertex",
             "name-with-space", "name-hash", "name-empty", "letter-named-eps",
             "coset-rep-named-eps", "letter-twice", "vertex-twice", "letter-named-hash",
             "image-named-hash", "coset-rep-named-hash", "vertices-hash", "vertex-named-hash",
-            "base-hash"])
+            "vertex-not-in-vertices", "base-hash"])
     def test_malformed_flag_value_is_usage_error(self, capsys, tmp_path, argv, match):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.epic"))
         assert code == 2

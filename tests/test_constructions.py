@@ -514,6 +514,11 @@ class TestGraphProduct:
         with pytest.raises(ValueError):
             graph_product(g, {"u": c2_demo("a"), "v": c2_demo("a")})
 
+    def test_local_demonstration_at_unknown_vertex_rejected(self):
+        g = VertexGraph.make(("u",), [])
+        with pytest.raises(ValueError, match=r"local demonstrations for unknown vertices: \['w'\]"):
+            graph_product(g, {"u": c2_demo("a"), "w": c2_demo("b")})
+
 
 # -- padded triples ------------------------------------------------------
 

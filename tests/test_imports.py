@@ -47,24 +47,42 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+class _NoDocstrings(ast.NodeTransformer):
+    """Drops every statement that is a bare string, docstrings among them."""
+
+    def visit_Expr(self, node):
+        if isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+            return None
+        return node
+
+
+def code_text(source: str) -> str:
+    """The source without its comments and docstrings.  Other strings stay,
+    and so do the expressions inside f-strings."""
+    return ast.unparse(_NoDocstrings().visit(ast.parse(source)))
+
+
 def unread_definitions(package: list, readers: list) -> list:
     """The functions and classes defined in the ``package`` sources,
-    dunders aside, whose name occurs in the ``readers`` texts no more often
-    than it is defined there.  A name exported from ``__init__.py`` occurs
-    in its import list, so it counts as read."""
+    dunders aside, whose name occurs in the ``readers`` code (comments and
+    docstrings aside) no more often than it is defined there.  A name
+    exported from ``__init__.py`` occurs in its import list, and a name
+    spelled in a string occurs there too, so both count as read."""
     defined = collections.Counter(
         node.name for source in package for node in ast.walk(ast.parse(source))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("__"))
-    words = collections.Counter(re.findall(r"\w+", "\n".join(readers)))
+    words = collections.Counter(re.findall(r"\w+", "\n".join(map(code_text, readers))))
     return sorted(name for name, count in defined.items() if words[name] <= count)
 
 
 def test_finds_a_definition_without_a_reader():
     module = ("class Kept:\n    def act(self): ...\n    def __eq__(self, o): ...\n"
-              "def helper(): ...\ndef orphan(): ...\n")
-    reader = "Kept().act()\nhelper()\n"
-    assert unread_definitions([module], [module, reader]) == ["orphan"]
+              "def helper(): ...\ndef orphan(): ...\n"
+              "def shown(): ...\ndef named(): ...\ndef documented(): ...\n")
+    reader = ("Kept().act()\nhelper()\nprint(f'{shown()}')\ngetattr(m, 'named')\n"
+              'def f():\n    """Not documented() in code."""\n    # nor documented() here\n')
+    assert unread_definitions([module], [module, reader]) == ["documented", "orphan"]
 
 
 def test_every_package_definition_has_a_reader():

@@ -105,3 +105,33 @@ class TestOutputDigest:
         fields = [line.split() for line in first]
         assert [f[:4] for f in fields] == [["construct", "1", job.jid, "0"] for job in jobs]
         assert all(len(f) == 7 and all(len(h) == 32 for h in f[4:]) for f in fields)
+
+
+class TestWpRace:
+    @pytest.mark.parametrize("argv, message", [
+        (["--budget", "0"], "error: --budget must be positive, got 0\n"),
+        (["--word", "a eps"], "error: --word takes a word, got 'a eps': "
+                              "'eps' is reserved for the empty word and cannot mix with letters\n"),
+        (["--word", "a b", "--word", "c"],
+         "error: word letter 'c' is outside the presentation alphabet\n"),
+    ], ids=["budget-zero", "eps-in-word", "foreign-letter"])
+    def test_bad_value_is_one_line_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as caught:
+            load_script("wp_race").main(argv)
+        assert caught.value.code == 2
+        out, err = capsys.readouterr()
+        assert err == message and out == ""
+
+    def test_words_race_within_the_budget(self, capsys):
+        assert load_script("wp_race").main(["--word", "a b a^-1 b^-1", "--word", "a b"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[-3], row[-1]) for row in rows] == [("in_wp", "yes"), ("not_in_wp", "yes")]
+
+
+class TestMakeHeisenbergBundle:
+    def test_unwritable_out_is_one_line_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.epic"
+        assert load_script("make_heisenberg_bundle").main(["--out", str(out_path)]) == 2
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and out == ""
+        assert not out_path.exists()

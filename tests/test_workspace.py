@@ -15,7 +15,6 @@ from epicdemo.graphproduct import GraphProductOracle, VertexGraph
 from epicdemo.groups import FreeAbelianOracle, FreeGroupOracle, PermutationOracle
 from epicdemo.workspace import (
     Workspace,
-    canonical_states,
     demo_bundle,
     load,
     load_text,
@@ -23,7 +22,8 @@ from epicdemo.workspace import (
     render_automaton,
 )
 
-from oracles import keyed_canonical_states, keyed_render_automaton, reference_load_text
+from oracles import (canonical_states, keyed_canonical_states, keyed_render_automaton,
+                     reference_load_text)
 from test_constructions import fi_cases
 from test_groups import heisenberg_oracle
 
@@ -236,9 +236,12 @@ class TestReaderDifferential:
         "automaton a\n  alphabet x\n  states s0\n  trans s0 x s0 s0\n  alphabet eps\nend\n",
         "automaton a\n  alphabet eps\n  trans s0\nend\n",
         "automaton a\n  trans s0 y s1\n  trans s0 x\n  alphabet x\n  states s0\nend\n",
+        "automaton a\n  accept q8\n  alphabet x y\n  initial q9\n  alphabet y\nend\n",
+        "automaton a\n  accept q8\n  states q0\n  initial q9\n  trans q0 x q7\nend\n",
     ], ids=["crlf", "line-break-whitespace", "comments-and-keyword-states", "pad",
             "unknown-line-before-short-trans", "long-trans-before-eps", "eps-before-short-trans",
-            "bad-label-before-short-trans"])
+            "bad-label-before-short-trans", "repeated-letter-after-undeclared-states",
+            "undeclared-accept-before-initial"])
     def test_line_shape_loads_like_reference(self, text):
         assert_loads_like_reference(text)
 
@@ -305,6 +308,19 @@ class TestAutomatonBlocks:
     def test_unterminated_block(self):
         with pytest.raises(LoadError, match="unterminated"):
             load_str("automaton a\n  alphabet x\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("automaton a\n  alphabet x\n  states q0\n  initial q0\n  accept q9\nend\n",
+         "5: undeclared state 'q9'"),
+        ("automaton a\n  alphabet x\n  states q0\n  accept q0\n  initial q9\nend\n",
+         "5: undeclared state 'q9'"),
+        ("automaton a\n  alphabet x x\n  states q0\n  initial q0\n  accept q0\nend\n",
+         "2: duplicate letter 'x' in alphabet"),
+    ], ids=["accept", "initial", "alphabet"])
+    def test_fault_names_its_line(self, text, message):
+        with pytest.raises(LoadError) as caught:
+            load_str(text)
+        assert str(caught.value) == message
 
     def test_line_numbers_in_errors(self):
         try:
@@ -500,7 +516,9 @@ class TestGraphProductBlocks:
         ("group Z zk rank 1\n  gen a = [1]\nend\n"
          "group P graphproduct\n  vertices u\n  edge u u\n  vertex u uses Z\nend\n",
          "self-loop at 'u'", 6),
-    ], ids=["extra", "edge", "loop"])
+        (Z + "group P graphproduct\n  vertices u\n  vertices u\n  vertex u uses Z\nend\n",
+         "vertex names must be distinct", 7),
+    ], ids=["extra", "edge", "loop", "repeated-vertex"])
     def test_structure_fault_names_its_line(self, text, match, line):
         with pytest.raises(LoadError, match=match) as caught:
             load_str(text)
@@ -530,11 +548,13 @@ class TestReferences:
                      "group g zk rank 1\n  gen y = [1]\nend\n")
 
     def test_eval_letter_mismatch_reported(self):
-        with pytest.raises(LoadError):
+        with pytest.raises(LoadError) as caught:
             load_str("group g zk rank 1\n  gen x = [1]\nend\n"
                      "automaton a\n  alphabet x\n  states q0 q1\n  initial q0\n"
                      "  accept q1\n  trans q0 x q1\nend\n"
                      "demonstration d\n  group g\n  letter y = x\n  automaton a\nend\n")
+        assert str(caught.value) == \
+            "13: evaluation map covers ['x', 'y'] but the language alphabet is ['x']"
 
     GX = ("group g zk rank 1\n  gen x = [1]\nend\n"
           "automaton a\n  alphabet x\n  states q0 q1\n  initial q0\n"
@@ -555,6 +575,12 @@ class TestReferences:
         with pytest.raises(LoadError, match=match) as caught:
             load_str(text)
         assert caught.value.line == line
+
+    def test_eval_letter_outside_the_group_names_its_line(self):
+        with pytest.raises(LoadError) as caught:
+            load_str("demonstration d\n  group g\n  automaton a\n  letter x = zz\nend\n" + self.GX)
+        assert str(caught.value) == \
+            "4: letter 'x' evaluates through 'zz' which the oracle does not know"
 
     def test_first_faulty_block_in_file_order_is_reported(self):
         with pytest.raises(LoadError, match="unknown demonstration line 'bogus'") as caught:
