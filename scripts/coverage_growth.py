@@ -14,7 +14,8 @@ import argparse
 import sys
 import time
 
-from epicdemo import LoadError, Workspace, builtin_demo, load
+from epicdemo import Workspace, load
+from epicdemo.cli import _check_lengths, _exit_code, _resolve_demo
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -29,22 +30,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def resolve(args):
-    """The named demonstration; a bad file or an unknown name prints one
-    error line and exits 2, as a bad option does."""
-    try:
-        ws = load(args.files) if args.files else Workspace()
-        if args.demo in ws.demonstrations:
-            return ws.demonstrations[args.demo]
-        return builtin_demo(args.demo)
-    except (LoadError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    demo = resolve(args)
+def grow(args) -> int:
+    _check_lengths(args, "max_radius", "stretch")
+    demo = _resolve_demo(load(args.files) if args.files else Workspace(), args.demo)
     print(f"demo {args.demo}: alphabet {' '.join(demo.language.alphabet)}")
     print(f"{'radius':>6} {'ball':>6} {'covered':>8} {'missing':>8} {'seconds':>8}")
     clean = True
@@ -58,6 +46,10 @@ def main(argv=None) -> int:
     violations = demo.verify_no_identity(args.stretch * args.max_radius)
     print(f"identity violations up to length {args.stretch * args.max_radius}: {len(violations)}")
     return 0 if clean and not violations else 1
+
+
+def main(argv=None) -> int:
+    return _exit_code(grow, parse_args(argv))
 
 
 if __name__ == "__main__":

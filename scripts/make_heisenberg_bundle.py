@@ -18,13 +18,11 @@ from epicdemo import (
     Letter,
     Workspace,
     extension,
-    load,
     make_word,
-    render,
     z_demo,
     zk_demo,
 )
-from epicdemo.workspace import demo_bundle
+from epicdemo.cli import _check_lengths, _exit_code, _write_bundle
 
 
 def heisenberg_oracle() -> IntegerMatrixOracle:
@@ -48,8 +46,9 @@ def in_center(key) -> bool:
     return key.data[0][1] == 0 and key.data[1][2] == 0
 
 
-def build() -> Demonstration:
-    oracle = heisenberg_oracle()
+def build(ws: Workspace, args) -> Demonstration:
+    """The demonstration over ws's group ``heis``, built as a construct verb builds."""
+    oracle = ws.groups["heis"]
     center = Demonstration(oracle,
                            {Letter("z"): make_word("z"),
                             Letter("z^-1"): make_word("z^-1")},
@@ -60,30 +59,25 @@ def build() -> Demonstration:
     return extension(center, quotient, oracle, in_center)
 
 
+def write_and_verify(args) -> int:
+    _check_lengths(args, "max_len", "ball", "search_len")
+    bundle = _write_bundle(Workspace(groups={"heis": heisenberg_oracle()}), args, build)
+    reloaded = bundle.demonstrations[args.name]
+    violations = reloaded.verify_no_identity(args.max_len)
+    report = reloaded.verify_coverage(args.ball, args.search_len)
+    print(f"reloaded: identity violations {len(violations)}, "
+          f"covered {len(report.covered)}, missing {len(report.missing)}")
+    return 0 if not violations and report.complete and report.clean else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="heisenberg.epic")
     parser.add_argument("--max-len", type=int, default=8)
     parser.add_argument("--ball", type=int, default=3)
     parser.add_argument("--search-len", type=int, default=10)
-    args = parser.parse_args(argv)
-
-    demo = build()
-    bundle = demo_bundle(Workspace(groups={"heis": demo.oracle}), demo, "heisdemo")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render(bundle))
-    except OSError as e:  # one error line and exit 2, as the CLI's --out does
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(f"wrote {args.out}")
-
-    reloaded = load([args.out]).demonstrations["heisdemo"]
-    violations = reloaded.verify_no_identity(args.max_len)
-    report = reloaded.verify_coverage(args.ball, args.search_len)
-    print(f"reloaded: identity violations {len(violations)}, "
-          f"covered {len(report.covered)}, missing {len(report.missing)}")
-    return 0 if not violations and report.complete and report.clean else 1
+    parser.set_defaults(name="heisdemo")  # the demonstration's name in the bundle
+    return _exit_code(write_and_verify, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

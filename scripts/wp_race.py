@@ -16,15 +16,8 @@ Usage:
 import argparse
 import sys
 
-from epicdemo import (
-    Presentation,
-    decide_word,
-    demonstration_enumerator,
-    normal_closure_enumerator,
-    parse_word,
-    replay,
-    zk_demo,
-)
+from epicdemo import Presentation, parse_word, zk_demo
+from epicdemo.cli import _decide, _exit_code, _wp_word
 
 DEFAULT_WORDS = (
     "eps",
@@ -48,52 +41,26 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def usage_error(message: str):
-    """One error line and exit 2, as the CLI's ``wp decide`` does."""
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def words(args) -> list:
-    """The (text, word) pairs to race, each word over the plane's alphabet."""
-    if args.budget < 1:
-        usage_error(f"--budget must be positive, got {args.budget}")
-    pairs = []
-    for text in args.word or DEFAULT_WORDS:
-        try:
-            word = parse_word(text)
-        except ValueError as e:
-            usage_error(f"--word takes a word, got {text!r}: {e}")
-        foreign = [x for x in word if x not in PLANE.alphabet]
-        if foreign:
-            usage_error(f"word letter {foreign[0].name!r} is outside the presentation alphabet")
-        pairs.append((text, word))
-    return pairs
-
-
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    pairs = words(args)
+def race(args) -> int:
     demo = zk_demo(2)
-
-    def streams():
-        return (demonstration_enumerator(demo),
-                normal_closure_enumerator(PLANE))
-
+    # every word is checked, as wp decide checks its one word, before the table starts
+    pairs = [(text, _wp_word(PLANE, demo, text, args.budget))
+             for text in args.word or DEFAULT_WORDS]
     print(f"{'word':<24} {'verdict':<16} {'comparisons':>11} {'replay':>7}")
     undecided = 0
     for text, word in pairs:
-        verdict = decide_word(word, *streams(), args.budget)
-        if verdict.certificate is None:
+        verdict, replayed = _decide(word, demo, PLANE, args.budget)
+        if replayed is None:
             print(f"{text:<24} {'budget exceeded':<16} {verdict.comparisons:>11} {'-':>7}")
-            undecided += 1
-            continue
-        ok = replay(word, *streams(), verdict.certificate)
-        print(f"{text:<24} {verdict.kind:<16} {verdict.comparisons:>11} "
-              f"{'yes' if ok else 'NO':>7}")
-        if not ok:
-            undecided += 1
+        else:
+            print(f"{text:<24} {verdict.kind:<16} {verdict.comparisons:>11} "
+                  f"{'yes' if replayed else 'NO':>7}")
+        undecided += not replayed
     return 1 if undecided else 0
+
+
+def main(argv=None) -> int:
+    return _exit_code(race, parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 verification failure or undecided word, 2 usage
 or load error.  Reports are deterministic; ``--porcelain`` switches to
 one machine-readable record per line.  The environment variable
 ``EPIC_MAX_STATES`` caps constructed automaton sizes (default 10^6).
+The scripts under ``scripts/`` reuse its exit codes, length and
+``wp decide`` checks, demonstration lookup and bundle writer.
 """
 
 from __future__ import annotations
@@ -63,6 +65,26 @@ def _resolve(table: dict, what: str, name: str):
     if name not in table:
         raise UsageError(f"unknown {what} {name!r}")
     return table[name]
+
+
+def _check_lengths(args, *dests: str) -> None:
+    """Reject a negative value of each named length flag that was given."""
+    for dest in dests:
+        if (value := getattr(args, dest, None)) is not None and value < 0:
+            raise UsageError(f"--{dest.replace('_', '-')} must not be negative, got {value}")
+
+
+def _exit_code(run, *args) -> int:
+    """Call run(*args), which returns an exit code.  A fault it raises
+    prints one ``error:`` line and returns 2 for bad input, 1 otherwise."""
+    try:
+        return run(*args)
+    except (UsageError, LoadError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (EpicError, ValueError, RecursionError) as e:  # RecursionError: nested too deep
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 # -- key predicates ------------------------------------------------------
@@ -155,8 +177,9 @@ def _flag_word(flag: str, text: str) -> Word:
         raise UsageError(f"{flag} takes a word, got {text!r}: {e}") from None
 
 
-def _write_bundle(ws: Workspace, args, build) -> int:
-    """Render what a construct verb builds, write it to --out and reload it."""
+def _write_bundle(ws: Workspace, args, build) -> Workspace:
+    """Render what build(ws, args) makes under --name, write it to --out
+    and return it reloaded."""
     _bundle_name("--name takes a word", args.name)
     built = build(ws, args)
     if isinstance(built, Demonstration):
@@ -166,9 +189,9 @@ def _write_bundle(ws: Workspace, args, build) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     # a bundle that does not reload is a bug, not a report line
-    load([args.out])
+    reloaded = load([args.out])
     print(f"wrote {args.out}")
-    return 0
+    return reloaded
 
 
 # -- verb handlers -------------------------------------------------------
@@ -221,21 +244,40 @@ def cmd_ball(ws: Workspace, args) -> int:
     return 0
 
 
-def cmd_wp_decide(ws: Workspace, args) -> int:
-    presentation = _resolve(ws.presentations, "presentation", args.presentation)
-    demo = _resolve_demo(ws, args.demo)
+def _wp_word(presentation, demo: Demonstration, text: str, budget: int) -> Word:
+    """The word that text spells, once wp decide's inputs pass its checks:
+    demo evaluates inside the presentation's generators, the word is
+    over them, and the budget is positive."""
     for letter, image in demo.eval_map.items():
         for y in image:
             if y not in presentation.alphabet:
                 raise UsageError(
                     f"demonstration letter {letter.name!r} evaluates through "
                     f"{y.name!r}, which the presentation does not generate")
-    word = _flag_word("--word", args.word)
+    word = _flag_word("--word", text)
     for x in word:
         if x not in presentation.alphabet:
             raise UsageError(f"word letter {x.name!r} is outside the presentation alphabet")
-    if args.budget < 1:
-        raise UsageError(f"--budget must be positive, got {args.budget}")
+    if budget < 1:
+        raise UsageError(f"--budget must be positive, got {budget}")
+    return word
+
+
+def _decide(word: Word, demo: Demonstration, presentation, budget: int, frontier=None):
+    """The verdict on word, and whether its certificate replays on fresh
+    streams, or None for a verdict that ran out of budget."""
+    verdict = decide_word(word, demonstration_enumerator(demo),
+                          normal_closure_enumerator(presentation), budget, frontier)
+    if verdict.kind == BUDGET_EXCEEDED:
+        return verdict, None
+    return verdict, replay(word, demonstration_enumerator(demo),
+                           normal_closure_enumerator(presentation), verdict.certificate)
+
+
+def cmd_wp_decide(ws: Workspace, args) -> int:
+    presentation = _resolve(ws.presentations, "presentation", args.presentation)
+    demo = _resolve_demo(ws, args.demo)
+    word = _wp_word(presentation, demo, args.word, args.budget)
     frontier = None
     if args.resume and os.path.exists(args.resume):
         with open(args.resume, "r", encoding="utf-8") as fh:
@@ -248,10 +290,8 @@ def cmd_wp_decide(ws: Workspace, args) -> int:
         if frontier.word != target:
             raise UsageError(f"frontier file {args.resume} was recorded for "
                              f"{frontier.word!r}, not {target!r}")
-    language = demonstration_enumerator(demo)
-    closure = normal_closure_enumerator(presentation)
-    verdict = decide_word(word, language, closure, args.budget, frontier)
-    if verdict.kind == BUDGET_EXCEEDED:
+    verdict, replayed = _decide(word, demo, presentation, args.budget, frontier)
+    if replayed is None:
         if args.resume:
             with open(args.resume, "w", encoding="utf-8") as fh:
                 fh.write(verdict.frontier.to_json())
@@ -264,8 +304,6 @@ def cmd_wp_decide(ws: Workspace, args) -> int:
             if args.resume:
                 print(f"frontier written to {args.resume}")
         return 1
-    replayed = replay(word, demonstration_enumerator(demo),
-                      normal_closure_enumerator(presentation), verdict.certificate)
     if args.porcelain:
         fields = " ".join(f"{k}={v}" for k, v in sorted(verdict.certificate.items())
                           if k != "kind")
@@ -333,6 +371,9 @@ def cmd_graph_product(ws: Workspace, args) -> Demonstration:
         if v not in graph.vertices:
             raise UsageError(f"--vertex names {v!r}, which --vertices does not list")
         local[v] = demo_name
+    for v in graph.vertices:
+        if v not in local:
+            raise UsageError(f"--vertices lists {v!r}, which no --vertex names")
     return graph_product(graph, {v: _resolve_demo(ws, name) for v, name in local.items()})
 
 
@@ -369,7 +410,12 @@ def _add_bundle_flags(p: argparse.ArgumentParser, name: str, build):
     the verb writes what build returns through _write_bundle."""
     p.add_argument("--name", default=name)
     p.add_argument("--out", required=True)
-    _add_common(p, lambda ws, args: _write_bundle(ws, args, build))
+
+    def write(ws: Workspace, args) -> int:
+        _write_bundle(ws, args, build)
+        return 0
+
+    _add_common(p, write)
 
 
 @functools.cache
@@ -475,6 +521,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    _check_lengths(args, "max_len", "search_len", "ball", "radius", "check_len")
+    try:  # read on every automaton built, so a bad value would be blamed on a file or a name
+        state_cap()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    files = args.files + args.verb_files
+    ws = load(files) if files else Workspace()
+    return args.handler(ws, args)
+
+
 def main(argv: Optional[list] = None) -> int:
     # A call frees everything it builds by reference counting alone (no
     # reference cycles, see TestNoCyclicGarbage), so the cyclic collector
@@ -482,24 +539,7 @@ def main(argv: Optional[list] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-        files = args.files + args.verb_files
-        try:
-            for dest in ("max_len", "search_len", "ball", "radius", "check_len"):
-                if (value := getattr(args, dest, None)) is not None and value < 0:
-                    raise UsageError(f"--{dest.replace('_', '-')} must not be negative, got {value}")
-            try:  # read on every automaton built, so a bad value would be blamed on a file or a name
-                state_cap()
-            except ValueError as e:
-                raise UsageError(str(e)) from None
-            ws = load(files) if files else Workspace()
-            return args.handler(ws, args)
-        except (UsageError, LoadError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        except (EpicError, ValueError, RecursionError) as e:  # RecursionError: nested too deep
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+        return _exit_code(_run, build_parser().parse_args(argv))
     finally:
         if collecting:
             gc.enable()

@@ -277,11 +277,13 @@ class TestUsageErrors:
           "--vertex", "w=Z"), "--vertex names 'w', which --vertices does not list"),
         (("-f", DATA, "construct", "autostackable-project", "--automaton", "powers",
           "--base", "a #"), "--base takes letters without whitespace other than '#', got '#'"),
+        (("construct", "graph-product", "--vertices", "u v", "--vertex", "u=Z"),
+         "--vertices lists 'v', which no --vertex names"),
     ], ids=["letter-without-name", "letter-with-eps", "edge-without-end", "repeated-vertex",
             "name-with-space", "name-hash", "name-empty", "letter-named-eps",
             "coset-rep-named-eps", "letter-twice", "vertex-twice", "letter-named-hash",
             "image-named-hash", "coset-rep-named-hash", "vertices-hash", "vertex-named-hash",
-            "vertex-not-in-vertices", "base-hash"])
+            "vertex-not-in-vertices", "base-hash", "vertex-without-demo"])
     def test_malformed_flag_value_is_usage_error(self, capsys, tmp_path, argv, match):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.epic"))
         assert code == 2

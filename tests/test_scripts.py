@@ -17,16 +17,12 @@ def load_script(name):
 
 class TestCoverageGrowth:
     def test_unknown_demo_is_one_line_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as caught:
-            load_script("coverage_growth").main(["--demo", "nope"])
-        assert caught.value.code == 2
+        assert load_script("coverage_growth").main(["--demo", "nope"]) == 2
         out, err = capsys.readouterr()
-        assert err == "error: unknown builtin demonstration 'nope'\n" and out == ""
+        assert err == "error: unknown demonstration 'nope'\n" and out == ""
 
     def test_missing_file_is_one_line_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as caught:
-            load_script("coverage_growth").main(["-f", str(tmp_path / "none.epic")])
-        assert caught.value.code == 2
+        assert load_script("coverage_growth").main(["-f", str(tmp_path / "none.epic")]) == 2
         out, err = capsys.readouterr()
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and out == ""
 
@@ -116,9 +112,7 @@ class TestWpRace:
          "error: word letter 'c' is outside the presentation alphabet\n"),
     ], ids=["budget-zero", "eps-in-word", "foreign-letter"])
     def test_bad_value_is_one_line_usage_error(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as caught:
-            load_script("wp_race").main(argv)
-        assert caught.value.code == 2
+        assert load_script("wp_race").main(argv) == 2
         out, err = capsys.readouterr()
         assert err == message and out == ""
 
@@ -135,3 +129,28 @@ class TestMakeHeisenbergBundle:
         out, err = capsys.readouterr()
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and out == ""
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    ("coverage_growth", ["--stretch", "-1"], "--stretch must not be negative, got -1"),
+    ("coverage_growth", ["--max-radius", "-3"], "--max-radius must not be negative, got -3"),
+    ("coverage_growth", ["--demo", "zk(0)"], "rank must be positive"),
+    ("wp_race", ["--budget", "-5"], "--budget must be positive, got -5"),
+    ("wp_race", ["--word", "a b", "--word", "a c"],
+     "word letter 'c' is outside the presentation alphabet"),
+    ("make_heisenberg_bundle", ["--max-len", "-1"], "--max-len must not be negative, got -1"),
+    ("make_heisenberg_bundle", ["--ball", "-2"], "--ball must not be negative, got -2"),
+    ("make_heisenberg_bundle", ["--search-len", "-3"],
+     "--search-len must not be negative, got -3"),
+], ids=["stretch", "max-radius", "unbuildable-demo", "budget", "later-word",
+        "max-len", "ball", "search-len"])
+def test_bad_value_returns_2_with_one_error_line(capsys, tmp_path, script, argv, message):
+    """Every bad value is rejected as the CLI rejects it, before any output:
+    exit 2, one error line, nothing on stdout, no --out written."""
+    out_path = tmp_path / "out.epic"
+    if script == "make_heisenberg_bundle":
+        argv = argv + ["--out", str(out_path)]
+    assert load_script(script).main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n" and out == ""
+    assert not out_path.exists()

@@ -104,6 +104,33 @@ def mutated_texts(draw, text):
     return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
+@st.composite
+def edited_texts(draw, text):
+    """The text after one to three edits, each on one line: a token
+    replaced, deleted or inserted, or the line duplicated or deleted."""
+    lines = [line.split() for line in text.splitlines()]
+    pool = sorted({t for line in lines for t in line}) + ["0", "-1", "7", "eps", "zz"]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        kind = draw(st.sampled_from(["replace", "delete", "insert", "duplicate", "drop"]))
+        if kind == "duplicate":
+            lines.insert(i, list(line))
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "insert":
+            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(pool)))
+        elif line:
+            j = draw(st.integers(0, len(line) - 1))
+            if kind == "replace":
+                line[j] = draw(st.sampled_from(pool))
+            else:
+                del line[j]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
 def load_outcome(load_text_fn, text):
     """The rendered workspace, or the LoadError's text, path and line."""
     try:
@@ -179,6 +206,27 @@ class TestMutatedSample:
     @given(mutated_texts(SAMPLE_TEXT))
     def test_load_error_or_render_fixpoint(self, text):
         assert_loads_like_reference(text)
+
+    @settings(deadline=None, max_examples=500, derandomize=True)
+    @given(text=edited_texts(SAMPLE_TEXT))
+    def test_edited_sample_loads_or_fails_cleanly(self, tmp_path_factory, text):
+        """An edited sample file loads and renders to a fixpoint, or raises
+        LoadError; verify on it exits 0, 1 or 2 with at most one error line."""
+        path = tmp_path_factory.getbasetemp() / "edited.epic"
+        path.write_text(text)
+        try:
+            rendered = render(load([str(path)]))
+        except LoadError:
+            pass
+        else:
+            assert render(load_str(rendered)) == rendered
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["-f", str(path), "verify", "--demo", "Zdemo",
+                             "--max-len", "3", "--ball", "2"])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2) and len(lines) <= 1
+        assert all(line.startswith("error: ") for line in lines)
 
     def test_bundles_cover_every_group_kind(self, bundle_texts):
         flavors = {line.split()[2] for text in bundle_texts for line in text.splitlines()
