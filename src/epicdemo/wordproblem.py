@@ -13,10 +13,10 @@ import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import count
-from typing import Callable, Iterator, Mapping, Optional
+from itertools import count, islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Letter, Nfa, Word, format_word, reachable, walk
+from .automata import EPSILON, Letter, Nfa, Word, format_word, walk
 from .errors import InputContradictionError
 from .groups import GroupOracle, formal_inverse, free_reduce, inverse_name, paired_letters
 
@@ -67,28 +67,21 @@ class Enumerator:
 
     The i-th emission is a function of i alone, so independently built
     copies agree index by index; certificates that cite indices stay
-    replayable.  Finite streams report ``None`` past the end.
+    replayable.  The stream's end is the only finiteness signal: ``get``
+    reports ``None`` past the last word of a stream that ends.
     """
 
-    def __init__(self, factory: Callable[[], Iterator[Word]], finite: bool = False):
-        self._iter = factory()
+    def __init__(self, words: Iterable[Word]):
+        self._iter = iter(words)
         self._cache: list[Word] = []
-        self._dry = False
-        self.finite = finite
 
     def get(self, i: int) -> Optional[Word]:
         if i < 0:
             raise IndexError(i)
-        while len(self._cache) <= i and not self._dry:
-            try:
-                self._cache.append(next(self._iter))
-            except StopIteration:
-                if not self.finite:
-                    raise RuntimeError("enumerator declared total but its stream ended")
-                self._dry = True
-        if i < len(self._cache):
-            return self._cache[i]
-        return None
+        missing = i + 1 - len(self._cache)
+        if missing > 0:
+            self._cache.extend(islice(self._iter, missing))
+        return self._cache[i] if i < len(self._cache) else None
 
 
 def normal_closure_enumerator(p: Presentation) -> Enumerator:
@@ -102,7 +95,7 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
     index 0.
     """
     if not p.relators:
-        return Enumerator(lambda: iter([EPSILON]), finite=True)
+        return Enumerator([EPSILON])
     alphabet = p.alphabet
     relators = p.relators
     inverses = tuple(formal_inverse(r) for r in relators)
@@ -130,7 +123,7 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
                 for factors in _factor_sequences(heads, min_cost, conjugates_of, total, m):
                     yield free_reduce(sum(factors, EPSILON))
 
-    return Enumerator(stream)
+    return Enumerator(stream())
 
 
 def _factor_sequences(heads: tuple, min_cost: int, table: Callable, total: int,
@@ -155,24 +148,14 @@ def _factor_sequences(heads: tuple, min_cost: int, table: Callable, total: int,
                         yield (w,) + rest
 
 
-def _has_pumpable_cycle(a: Nfa) -> bool:
-    """True when some accepting run revisits a state with a letter between."""
-    useful = reachable(a.initials, a._successors) & set(a._letters_to_accept)
-    for (pp, label, qq) in a.transitions:
-        if label is None or pp not in useful or qq not in useful:
-            continue
-        if pp in reachable([qq], a._successors):
-            return True
-    return False
-
-
 def language_enumerator(a: Nfa) -> Enumerator:
-    """Accepted words in length-lex order, with finiteness detected.
+    """Accepted words in length-lex order.
 
-    The language is infinite exactly when a useful state lies on a cycle
-    through a letter edge; otherwise the stream is declared finite.
+    The stream ends exactly when the language is finite, since the walk
+    extends only prefixes that can still accept; that end is the only
+    finiteness signal.
     """
-    return Enumerator(a.words, finite=not _has_pumpable_cycle(a))
+    return Enumerator(a.words())
 
 
 def demonstration_enumerator(demo) -> Enumerator:
@@ -180,11 +163,9 @@ def demonstration_enumerator(demo) -> Enumerator:
 
     Emission order follows the language words length-lex; each is pushed
     through the demonstration's evaluation map before comparison in the
-    free group.
+    free group.  The stream ends when the language is finite.
     """
-    language = demo.language
-    return Enumerator(lambda: map(demo.oracle_word, language.words()),
-                      finite=not _has_pumpable_cycle(language))
+    return Enumerator(map(demo.oracle_word, demo.language.words()))
 
 
 def coword_demo_from_wp(oracle: GroupOracle) -> Enumerator:
@@ -192,17 +173,15 @@ def coword_demo_from_wp(oracle: GroupOracle) -> Enumerator:
 
     Filtration against a terminating identity test: every word is
     generated and the identity words are dropped, leaving a stream whose
-    evaluation image is exactly the non-identity elements.  Over an
-    empty alphabet the only word is the empty one, so the stream is
-    finite and empty.
+    evaluation image is exactly the non-identity elements.  When every
+    generator is the identity (an empty alphabet included) the group is
+    trivial and the stream is empty.
     """
     identity = oracle.identity_key
-
-    def stream() -> Iterator[Word]:
-        nodes = walk(oracle.alphabet, oracle.start(), lambda state, x, n: oracle.act(state, x))
-        return (w for w, state in nodes if oracle.key(state) != identity)
-
-    return Enumerator(stream, finite=not oracle.alphabet)
+    if all(oracle.is_identity((x,)) for x in oracle.alphabet):
+        return Enumerator(())
+    nodes = walk(oracle.alphabet, oracle.start(), lambda state, x, n: oracle.act(state, x))
+    return Enumerator(w for w, state in nodes if oracle.key(state) != identity)
 
 
 # -- the decision loop ---------------------------------------------------

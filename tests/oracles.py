@@ -44,6 +44,27 @@ def bf_language(nfa, max_len, alphabet=None):
     return [w for w in words_upto(alphabet, max_len) if bf_accepts(nfa, w)]
 
 
+def pumpable_cycle(nfa):
+    """True when some accepting run revisits a state with a letter between,
+    that is when the language is infinite: a letter edge joins two states
+    that lie on accepting runs, and its target leads back to its source."""
+    def closure(starts, edges):
+        seen, stack = set(starts), list(starts)
+        while stack:
+            p = stack.pop()
+            for (src, _, q) in edges:
+                if src == p and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    edges = nfa.transitions
+    backward = [(q, label, p) for (p, label, q) in edges]
+    useful = closure(nfa.initials, edges) & closure(nfa.accepting, backward)
+    return any(label is not None and p in useful and p in closure([q], edges)
+               for (p, label, q) in edges)
+
+
 def shuffle_class(type_string, adjacent):
     """All strings reachable by swapping adjacent letters whose vertices
     are joined in the graph.  ``adjacent(u, v)`` is the edge predicate."""

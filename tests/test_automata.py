@@ -24,12 +24,12 @@ from epicdemo.automata import (
     walk,
 )
 from epicdemo.errors import AutomatonSizeError
-from epicdemo.wordproblem import language_enumerator
 
 from oracles import (
     bf_accepts,
     bf_language,
     pairwise_intersect,
+    pumpable_cycle,
     scan_epsilon_free,
     tagged_concat,
     tagged_union,
@@ -214,7 +214,18 @@ class TestEnumerate:
         expected = bf_language(a, 4)
         assert a.enumerate_words(4) == expected
         assert list(islice(a.words(), len(expected))) == expected
-        if language_enumerator(a).finite:
+        if not pumpable_cycle(a):
+            assert list(a.words()) == bf_language(a, len(a.states))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(nfas(), epsilon_cycle_nfas(), mixed_alphabet_nfas()))
+    def test_walk_ends_exactly_when_language_is_finite(self, a):
+        # without a pumpable cycle every accepted word is shorter than
+        # len(a.states), and the unbounded walk ends after listing them;
+        # with one, the walk reaches a word of at least that length
+        if pumpable_cycle(a):
+            assert any(len(w) >= len(a.states) for w in a.words())
+        else:
             assert list(a.words()) == bf_language(a, len(a.states))
 
     def test_walk_prunes_extensions_and_respects_bounds(self):

@@ -403,6 +403,29 @@ class TestWpDecide:
         assert err.startswith("error: streams certify both membership and non-membership")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["report", "porcelain"])
+    def test_both_streams_ending_stalls(self, capsys, tmp_path, porcelain):
+        """No relators and a one-word language: both streams end after two
+        comparisons, and no budget can settle the word."""
+        path = tmp_path / "stall.epic"
+        path.write_text(
+            "group Z zk rank 1\n  gen a = [1]\nend\n"
+            "automaton just_a\n  alphabet a\n  states s0 s1\n  initial s0\n"
+            "  accept s1\n  trans s0 a s1\nend\n"
+            "demonstration A\n  group Z\n  automaton just_a\nend\n"
+            "presentation free\n  alphabet a\nend\n")
+        state = tmp_path / "frontier.json"
+        code, out, err = run(capsys, "-f", str(path), *(["--porcelain"] if porcelain else []),
+                             "wp", "decide", "--presentation", "free", "--demo", "A",
+                             "--word", "a a", "--resume", str(state))
+        assert (code, err) == (1, "")
+        if porcelain:
+            assert out == "verdict budget_exceeded comparisons=2 stalled=yes\n"
+        else:
+            assert out == ("verdict: budget exceeded after 2 comparisons "
+                           f"(both streams exhausted)\nfrontier written to {state}\n")
+        assert json.loads(state.read_text())["comparisons"] == 2
+
     def test_nonpositive_budget_is_usage_error(self, capsys):
         code, _, err = run(capsys, "-f", DATA, "wp", "decide", "--presentation", "plane",
                            "--demo", "ZK2", "--word", "a b", "--budget", "0")

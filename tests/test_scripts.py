@@ -30,6 +30,24 @@ class TestCoverageGrowth:
         assert load_script("coverage_growth").main(["--demo", "zk2", "--max-radius", "2"]) == 0
         assert "identity violations up to length 4: 0" in capsys.readouterr().out
 
+    def test_identity_words_are_violations(self, capsys, tmp_path):
+        """Every non-empty word over a a^-1 as a demonstration of Z: the
+        words of length 2, 4 and 6 that cancel (2 + 6 + 20) are violations,
+        and a radius of 0 checks only the empty word, which is not accepted."""
+        path = tmp_path / "every.epic"
+        path.write_text(
+            "group Z zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
+            "automaton every\n  alphabet a a^-1\n  states s0 s1\n  initial s0\n"
+            "  accept s1\n  trans s0 a s1\n  trans s0 a^-1 s1\n"
+            "  trans s1 a s1\n  trans s1 a^-1 s1\nend\n"
+            "demonstration Every\n  group Z\n  automaton every\nend\n")
+        script = load_script("coverage_growth")
+        base = ["-f", str(path), "--demo", "Every"]
+        assert script.main(base + ["--max-radius", "3"]) == 1
+        assert capsys.readouterr().out.endswith("identity violations up to length 6: 28\n")
+        assert script.main(base + ["--max-radius", "0"]) == 0
+        assert capsys.readouterr().out.endswith("identity violations up to length 0: 0\n")
+
 
 class TestBenchRecord:
     def test_next_file_follows_the_highest_number(self, tmp_path):

@@ -130,21 +130,15 @@ class TestPresentation:
 
 class TestEnumerator:
     def test_get_and_next_agree(self):
-        e = Enumerator(lambda: iter([make_word("a"), make_word("b")]), finite=True)
+        e = Enumerator([make_word("a"), make_word("b")])
         assert e.get(1) == make_word("b")
         assert e.get(0) == make_word("a")
         assert e.get(2) is None
 
     def test_finite_exhaustion_returns_none(self):
-        e = Enumerator(lambda: iter([]), finite=True)
+        e = Enumerator(iter([]))
         assert e.get(0) is None
         assert e.get(7) is None
-
-    def test_total_stream_running_dry_is_an_error(self):
-        e = Enumerator(lambda: iter([make_word("a")]))
-        assert e.get(0) == make_word("a")
-        with pytest.raises(RuntimeError):
-            e.get(1)
 
 
 def commutator_presentation():
@@ -176,9 +170,9 @@ class TestNormalClosure:
 
     def test_no_relators_enumerates_only_identity(self):
         e = normal_closure_enumerator(Presentation(("a",), ()))
-        assert e.finite
         assert e.get(0) == EPSILON
         assert e.get(1) is None
+        assert e.get(50) is None
 
     def test_emissions_are_reduced(self):
         e = normal_closure_enumerator(commutator_presentation())
@@ -216,10 +210,11 @@ class TestNormalClosure:
 class TestLanguageEnumerator:
     def test_z_demo_prefix(self):
         e = language_enumerator(z_demo().language)
-        assert not e.finite
         assert [e.get(i) for i in range(4)] == [
             make_word("a"), make_word("a^-1"),
             make_word("a", "a"), make_word("a^-1", "a^-1")]
+        # the stream goes on: the 1000th word is a^500 or a^-500
+        assert len(e.get(999)) == 500
 
     def test_prefix_matches_bounded_enumeration(self):
         lang = zk_demo(2).language
@@ -233,13 +228,12 @@ class TestLanguageEnumerator:
         lang = Nfa((a,), frozenset({0, 1}), frozenset({(0, a, 0)}),
                    frozenset({0}), frozenset({1}))
         e = language_enumerator(lang)
-        assert e.finite
         assert e.get(0) is None
+        assert e.get(5) is None
 
-    def test_finite_language_declared_finite(self):
+    def test_finite_language_stream_ends(self):
         words = [make_word("a"), make_word("b", "a")]
         e = language_enumerator(finite_language(words))
-        assert e.finite
         assert [e.get(i) for i in range(3)] == [
             make_word("a"), make_word("b", "a"), None]
 
@@ -249,8 +243,8 @@ class TestLanguageEnumerator:
                    frozenset({(0, None, 0), (0, a, 1)}),
                    frozenset({0}), frozenset({1}))
         e = language_enumerator(lang)
-        assert e.finite
         assert [e.get(i) for i in range(2)] == [make_word("a"), None]
+        assert e.get(10) is None
 
 
 class TestCowordStream:
@@ -269,7 +263,16 @@ class TestCowordStream:
 
     def test_trivial_group_stream_is_finite_and_empty(self):
         e = coword_demo_from_wp(PermutationOracle(1, {}))
-        assert e.finite
+        assert e.get(0) is None
+        assert e.get(3) is None
+
+    @pytest.mark.parametrize("oracle", [
+        FreeAbelianOracle(1, {Letter("z"): (0,)}),
+        PermutationOracle(2, {Letter("e"): (0, 1)}),
+    ], ids=["zero-vector", "identity-permutation"])
+    def test_generators_all_identity_give_empty_stream(self, oracle):
+        # every word spells the identity, so the stream is empty
+        e = coword_demo_from_wp(oracle)
         assert e.get(0) is None
 
     def test_prefix_covers_small_ball(self):
@@ -364,7 +367,7 @@ class TestDecideWord:
     def test_contradictory_streams_diagnosed(self):
         commutator = make_word("a", "b", "a^-1", "b^-1")
         # a "language" stream that contains a word-problem word
-        lying = Enumerator(lambda: iter([make_word("a"), commutator]), finite=True)
+        lying = Enumerator([make_word("a"), commutator])
         closure = normal_closure_enumerator(commutator_presentation())
         with pytest.raises(InputContradictionError):
             decide_word(commutator, lying, closure, 1_000_000)
@@ -427,7 +430,7 @@ class TestIndexedScanMatchesPairwise:
             if listed is None:
                 language = demonstration_enumerator(DEMOS[source])
             else:
-                language = Enumerator(lambda: iter(listed), finite=True)
+                language = Enumerator(listed)
             return language, normal_closure_enumerator(presentation)
 
         # the reference keeps its streams; every resumed run starts fresh ones
@@ -473,6 +476,6 @@ class TestDemonstrationEnumerator:
         lang = finite_language([make_word("u")])
         demo = Demonstration(oracle, {Letter("u"): (Letter("t"),)}, lang)
         e = demonstration_enumerator(demo)
-        assert e.finite
         assert e.get(0) == (Letter("t"),)
         assert e.get(1) is None
+        assert e.get(4) is None
