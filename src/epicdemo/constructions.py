@@ -20,7 +20,6 @@ from .automata import (
     Word,
     _product,
     check_alphabet,
-    concat,
     explore,
     finite_language,
     format_word,
@@ -30,7 +29,6 @@ from .automata import (
     normalize_no_accepting_initial,
     reachable,
     subtract_word,
-    union,
 )
 from .demonstrations import Demonstration, identity_eval_map, spell
 from .graphproduct import GraphProductOracle, VertexGraph
@@ -53,6 +51,9 @@ def change_generators(demo: Demonstration,
     a letter could silently drop elements from the image.
     """
     target_alphabet = check_alphabet(target_eval_map.keys())
+    for x in phi:
+        if x not in demo.language.alphabet:
+            raise ValueError(f"image given for {x.name!r}, which the demonstration does not use")
     for x in demo.language.alphabet:
         if x not in phi:
             raise ValueError(f"no image for letter {x.name!r}")
@@ -65,7 +66,36 @@ def change_generators(demo: Demonstration,
     return Demonstration(demo.oracle, dict(target_eval_map), language)
 
 
-# -- extensions ----------------------------------------------------------
+# -- extensions and finite index overgroups ------------------------------
+
+
+def _glued(oracle: GroupOracle, demos: Mapping[str, Demonstration], parts: Mapping,
+           bridges, initials, accepting) -> Demonstration:
+    """One ``glue`` of ``parts`` over the letters of the named ``demos``,
+    each letter evaluating as in the one demo that uses it."""
+    owner: dict[Letter, str] = {}
+    for name, demo in demos.items():
+        for x in demo.language.alphabet:
+            if x in owner:
+                raise ValueError(f"language letter {x.name!r} used by {owner[x]!r} and {name!r}")
+            owner[x] = name
+    eval_map = {x: demos[name].eval_map[x] for x, name in owner.items()}
+    return Demonstration(oracle, eval_map, glue(owner, parts, bridges, initials, accepting))
+
+
+def _cover(sub: Demonstration, reps: Demonstration, inside: KeyPredicate,
+           check_len: int) -> Demonstration:
+    """Every non-identity element as h, t or h t, with h a word of ``sub``
+    (a subgroup) and t one of ``reps``, whose words up to ``check_len``
+    letters must not land ``inside`` the subgroup."""
+    for w, key in reps.keyed_words(check_len):
+        if inside(key):
+            raise ValueError(f"quotient demo word evaluates into the subgroup: {' '.join(w)}")
+    if sub.language.start_subset() & sub.language.accepting:
+        raise ValueError("the subgroup demonstration accepts the empty word")
+    both = ("subgroup", "cosets")
+    return _glued(sub.oracle, {"subgroup": sub, "cosets": reps},
+                  {"subgroup": sub.language, "cosets": reps.language}, [both], both, both)
 
 
 def extension(demo_n: Demonstration, demo_q: Demonstration,
@@ -84,22 +114,10 @@ def extension(demo_n: Demonstration, demo_q: Demonstration,
         raise ValueError("both demonstrations must evaluate in the supplied oracle")
     if not in_normal(oracle.identity_key):
         raise ValueError("in_normal rejects the identity, predicate looks inverted")
-    clash = set(demo_n.language.alphabet) & set(demo_q.language.alphabet)
-    if clash:
-        raise ValueError(f"letter sets must be disjoint, both use {sorted(map(str, clash))}")
     for x in demo_n.language.alphabet:
         if not in_normal(demo_n.evaluate((x,))):
             raise ValueError(f"letter {x.name!r} of the subgroup demo is outside the subgroup")
-    for w, key in demo_q.keyed_words(check_len):
-        if in_normal(key):
-            raise ValueError(f"quotient demo word evaluates into the subgroup: {' '.join(w)}")
-    language = union(demo_n.language,
-                     union(demo_q.language, concat(demo_n.language, demo_q.language)))
-    eval_map = {**demo_n.eval_map, **demo_q.eval_map}
-    return Demonstration(oracle, eval_map, language)
-
-
-# -- finite index overgroups --------------------------------------------
+    return _cover(demo_n, demo_q, in_normal, check_len)
 
 
 def fi_overgroup(demo: Demonstration, oracle: GroupOracle,
@@ -111,25 +129,19 @@ def fi_overgroup(demo: Demonstration, oracle: GroupOracle,
     evaluating to a representative of that coset.  The language becomes
     L, T and L T.  A transversal letter evaluating into the subgroup would
     let a word collide with the identity coset, so it is rejected (always
-    for the identity itself, and via ``in_subgroup`` when supplied).
+    for the identity itself, and via ``in_subgroup`` when supplied); every
+    word of T has one letter, so checking the letters checks T.
     """
     if demo.oracle != oracle:
         raise ValueError("demonstration must evaluate in the supplied oracle")
-    t_alphabet = check_alphabet(transversal.keys())
-    clash = set(demo.language.alphabet) & set(t_alphabet)
-    if clash:
-        raise ValueError(
-            f"transversal letters clash with the subgroup demo: {sorted(map(str, clash))}")
-    for t in t_alphabet:
-        word = transversal[t]
-        if oracle.is_identity(word):
-            raise ValueError(f"transversal letter {t.name!r} evaluates to the identity")
-        if in_subgroup is not None and in_subgroup(oracle.evaluate(word)):
-            raise ValueError(f"transversal letter {t.name!r} evaluates into the subgroup")
-    t_lang = finite_language([(t,) for t in t_alphabet], t_alphabet)
-    language = union(demo.language, union(t_lang, concat(demo.language, t_lang)))
-    eval_map = {**demo.eval_map, **{t: tuple(w) for t, w in transversal.items()}}
-    return Demonstration(oracle, eval_map, language)
+    reps = Demonstration(oracle, {t: tuple(w) for t, w in transversal.items()},
+                         finite_language([(t,) for t in transversal], transversal))
+    identity = oracle.identity_key
+
+    def inside(key):
+        return key == identity or (in_subgroup is not None and in_subgroup(key))
+
+    return _cover(demo, reps, inside, 1)
 
 
 # -- finite index subgroups ---------------------------------------------
@@ -314,13 +326,6 @@ def graph_product(graph: VertexGraph,
     if extra:
         raise ValueError(f"local demonstrations for unknown vertices: {extra}")
     oracle = GraphProductOracle(graph, {v: local[v].oracle for v in graph.vertices})
-    seen: dict[Letter, str] = {}  # the merged alphabet, with each letter's vertex
-    for v in graph.vertices:
-        for x in local[v].language.alphabet:
-            if x in seen:
-                raise ValueError(
-                    f"language letter {x.name!r} used by vertices {seen[x]!r} and {v!r}")
-            seen[x] = v
     normalized = {}
     for v in graph.vertices:
         try:
@@ -338,11 +343,8 @@ def graph_product(graph: VertexGraph,
     parts = {s: normalized[label[s]] for s in adm.accepting}  # the non-initial states
     parts["start"] = finite_language([EPSILON], ())
     bridges = [("start" if p == adm_initial else p, q) for (p, _letter, q) in adm.transitions]
-    language = glue(seen, parts, bridges, ("start",), adm.accepting)
-    eval_map: dict[Letter, Word] = {}
-    for v in graph.vertices:
-        eval_map.update(local[v].eval_map)
-    return Demonstration(oracle, eval_map, language)
+    return _glued(oracle, {v: local[v] for v in graph.vertices}, parts, bridges, ("start",),
+                  adm.accepting)
 
 
 # -- padded triples and cross-sections ----------------------------------

@@ -761,6 +761,31 @@ class TestConstructVerbs:
                            "--strict")
         assert code == 0
 
+    def test_fi_overgroup_rejects_subgroup_demo_accepting_empty_word(self, capsys, tmp_path):
+        fixture = tmp_path / "zeps.epic"
+        fixture.write_text(
+            "group Z zk rank 1\n  gen a = [1]\n  gen a^-1 = [-1]\nend\n"
+            "automaton powers_or_empty\n  alphabet a a^-1\n  states s0 s1 s2\n"
+            "  initial s0\n  accept s0 s1 s2\n  trans s0 a s1\n  trans s1 a s1\n"
+            "  trans s0 a^-1 s2\n  trans s2 a^-1 s2\nend\n"
+            "demonstration Zeps\n  group Z\n  automaton powers_or_empty\nend\n")
+        out_path = tmp_path / "out.epic"
+        code, out, err = run(capsys, "-f", str(fixture), "construct", "fi-overgroup",
+                             "--demo", "Zeps", "--group", "Z", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: the subgroup demonstration accepts the empty word\n"
+        assert not out_path.exists()
+
+    def test_change_gens_rejects_image_for_unused_letter(self, capsys, tmp_path):
+        out_path = tmp_path / "out.epic"
+        code, out, err = run(capsys, "construct", "change-gens", "--demo", "Z",
+                             "--letter", "b=a", "--letter", "b^-1=a^-1",
+                             "--image", "a=b", "--image", "a^-1=b^-1", "--image", "q=b",
+                             "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: image given for 'q', which the demonstration does not use\n"
+        assert not out_path.exists()
+
 
 class TestNoCyclicGarbage:
     """A CLI call frees what it builds by reference counting alone: under

@@ -7,6 +7,7 @@ from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word, 
     subtract_word
 from epicdemo.constructions import (
     CosetTable,
+    _cover,
     SyncTripleAutomaton,
     admissible_automaton,
     autostackable_projection,
@@ -28,7 +29,7 @@ from epicdemo.groups import (
 )
 
 from oracles import ascii_evaluate, bf_language, bf_pruned_types, intersected_fi_language, \
-    looped_graph_product_language, make_triple, pad_triple_word
+    looped_graph_product_language, make_triple, pad_triple_word, tagged_concat, tagged_union
 from test_demonstrations import demos
 from test_groups import heisenberg_oracle, s3_oracle, c2_oracle
 
@@ -86,6 +87,15 @@ class TestChangeGenerators:
         phi = {Letter("a"): (b, Letter("c")), Letter("a^-1"): (binv,)}
         with pytest.raises(ValueError, match="'c' has no evaluation"):
             change_generators(d, target, phi)
+
+    def test_image_for_unused_letter_rejected(self):
+        d = z_demo()
+        b, binv = Letter("b"), Letter("b^-1")
+        target = {b: make_word("a"), binv: make_word("a^-1")}
+        phi = {Letter("a"): (b,), Letter("a^-1"): (binv,), Letter("q"): (b,)}
+        with pytest.raises(ValueError) as caught:
+            change_generators(d, target, phi)
+        assert str(caught.value) == "image given for 'q', which the demonstration does not use"
 
 
 # -- extensions ----------------------------------------------------------
@@ -150,12 +160,35 @@ class TestExtension:
                                      + " ".join(x.name for x in bad[0]))
 
     def test_letter_clash_rejected(self):
+        # the clashing quotient's words are central, which is found first
         oracle = heisenberg_oracle()
         lang = z_demo("z").language
         clashing = Demonstration(oracle, {Letter("z"): make_word("z"),
                                           Letter("z^-1"): make_word("z^-1")}, lang)
-        with pytest.raises(ValueError, match="disjoint"):
+        with pytest.raises(ValueError, match="into the subgroup: z$"):
             extension(central_demo(oracle), clashing, oracle, in_center)
+
+    def test_letter_clash_outside_subgroup_rejected(self):
+        oracle = heisenberg_oracle()
+        lang = z_demo("z").language
+        clashing = Demonstration(oracle, {Letter("z"): make_word("x"),
+                                          Letter("z^-1"): make_word("x^-1")}, lang)
+        with pytest.raises(ValueError) as caught:
+            extension(central_demo(oracle), clashing, oracle, in_center)
+        assert str(caught.value) == "language letter 'z' used by 'subgroup' and 'cosets'"
+
+    def test_subgroup_demo_accepting_empty_word_rejected(self):
+        plane = zk_demo(2, names=("a", "b")).oracle
+        a, ainv = Letter("a"), Letter("a^-1")
+        powers_or_empty = Nfa((a, ainv), frozenset({0, 1, 2}),
+                              frozenset({(0, a, 1), (1, a, 1), (0, ainv, 2), (2, ainv, 2)}),
+                              frozenset({0}), frozenset({0, 1, 2}))
+        demo_n = Demonstration(plane, identity_eval_map((a, ainv)), powers_or_empty)
+        demo_q = Demonstration(plane, identity_eval_map(make_word("b", "b^-1")),
+                               z_demo("b").language)
+        with pytest.raises(ValueError) as caught:
+            extension(demo_n, demo_q, plane, lambda key: key.data[1] == 0)
+        assert str(caught.value) == "the subgroup demonstration accepts the empty word"
 
     def test_inverted_predicate_caught(self):
         oracle = heisenberg_oracle()
@@ -193,7 +226,7 @@ class TestFiOvergroup:
 
     def test_identity_transversal_rejected(self):
         oracle = dinf_oracle()
-        with pytest.raises(ValueError, match="identity"):
+        with pytest.raises(ValueError, match="into the subgroup: t$"):
             fi_overgroup(translations_demo(oracle), oracle,
                          {Letter("t"): make_word("a", "a^-1")})
 
@@ -209,9 +242,50 @@ class TestFiOvergroup:
 
     def test_letter_clash_rejected(self):
         oracle = dinf_oracle()
-        with pytest.raises(ValueError, match="clash"):
+        with pytest.raises(ValueError,
+                           match="^language letter 'a' used by 'subgroup' and 'cosets'$"):
             fi_overgroup(translations_demo(oracle), oracle,
                          {Letter("a"): make_word("s")})
+
+    def test_subgroup_demo_accepting_empty_word_rejected(self):
+        oracle = dinf_oracle()
+        demo = translations_demo(oracle)
+        with_empty = Demonstration(oracle, demo.eval_map,
+                                   Nfa(demo.language.alphabet, demo.language.states,
+                                       demo.language.transitions, demo.language.initials,
+                                       demo.language.states))
+        assert with_empty.language.accepts(EPSILON)
+        with pytest.raises(ValueError, match="^the subgroup demonstration accepts the empty word"):
+            fi_overgroup(with_empty, oracle, {Letter("s"): make_word("s")})
+
+
+def _as_nfa(alphabet, parts):
+    states, transitions, initials, accepting = parts
+    return Nfa(alphabet, frozenset(states), frozenset(transitions), frozenset(initials),
+               frozenset(accepting))
+
+
+@st.composite
+def covers(draw):
+    """A subgroup demo without the empty word and a coset demo over other
+    letters, on one drawn oracle."""
+    sub = draw(demos())
+    reps = draw(demos(oracle=sub.oracle, names="uvw"))
+    return Demonstration(sub.oracle, sub.eval_map, subtract_word(sub.language, EPSILON)), reps
+
+
+@settings(deadline=None, max_examples=200)
+@given(covers())
+def test_cover_language_matches_tagged_reference(pair):
+    sub, reps = pair
+    out = _cover(sub, reps, lambda key: False, 4)
+    lang, t = sub.language, reps.language
+    alphabet = out.language.alphabet
+    reference = _as_nfa(alphabet, tagged_union(
+        lang, _as_nfa(alphabet, tagged_union(t, _as_nfa(alphabet, tagged_concat(lang, t))))))
+    assert bf_language(out.language, 4) == bf_language(reference, 4, alphabet)
+    assert len(out.language.states) == len(lang.states) + len(t.states)
+    assert out.eval_map == {**sub.eval_map, **reps.eval_map}
 
 
 # -- finite index subgroups ---------------------------------------------
@@ -513,6 +587,14 @@ class TestGraphProduct:
         g = VertexGraph.make(("u", "v"), [])
         with pytest.raises(ValueError):
             graph_product(g, {"u": c2_demo("a"), "v": c2_demo("a")})
+
+    def test_language_letter_clash_over_distinct_generators_rejected(self):
+        g = VertexGraph.make(("u", "v"), [])
+        p = Letter("p")
+        local = {v: Demonstration(c2_oracle(gen), {p: make_word(gen)}, single_word((p,)))
+                 for v, gen in (("u", "a"), ("v", "b"))}
+        with pytest.raises(ValueError, match="^language letter 'p' used by 'u' and 'v'$"):
+            graph_product(g, local)
 
     def test_local_demonstration_at_unknown_vertex_rejected(self):
         g = VertexGraph.make(("u",), [])

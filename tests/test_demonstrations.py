@@ -21,12 +21,13 @@ from test_groups import oracles, s3_oracle
 
 
 @st.composite
-def demos(draw):
-    """A drawn oracle of any backend, an NFA of one to four states with
-    epsilon edges over one to three letters, and an evaluation map whose
-    images have zero to two letters."""
-    oracle = draw(oracles())
-    letters = [Letter(n) for n in "pqr"[:draw(st.integers(min_value=1, max_value=3))]]
+def demos(draw, oracle=None, names="pqr"):
+    """A drawn oracle of any backend (or the given one), an NFA of one to
+    four states with epsilon edges over one to three letters (the first of
+    ``names``), and an evaluation map whose images have zero to two letters."""
+    if oracle is None:
+        oracle = draw(oracles())
+    letters = [Letter(n) for n in names[:draw(st.integers(min_value=1, max_value=3))]]
     states = list(range(draw(st.integers(min_value=1, max_value=4))))
     transitions = draw(st.lists(st.tuples(st.sampled_from(states),
                                           st.sampled_from(letters + [None]),

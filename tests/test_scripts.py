@@ -148,6 +148,26 @@ class TestMakeHeisenbergBundle:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--max-len", "3", "--search-len", "3"], 2),
+        (["--max-len", "1", "--search-len", "2"], 0),
+    ], ids=["within-max-len", "beyond-max-len"])
+    def test_identity_words_fail_the_bundle(self, capsys, tmp_path, argv, shown):
+        """Every non-empty word over z z^-1: the count shows the violations
+        of at most --max-len letters (z z^-1 and z^-1 z), and any violation
+        up to --search-len letters fails the bundle."""
+        from epicdemo import Demonstration, Letter, Nfa
+        script = load_script("make_heisenberg_bundle")
+        z, zi = Letter("z"), Letter("z^-1")
+        every = Nfa((z, zi), frozenset({0, 1}),
+                    frozenset({(p, x, 1) for p in (0, 1) for x in (z, zi)}),
+                    frozenset({0}), frozenset({1}))
+        script.build = lambda ws, args: Demonstration(ws.groups["heis"], {z: (z,), zi: (zi,)},
+                                                      every)
+        assert script.main(["--out", str(tmp_path / "x.epic"), "--ball", "0", *argv]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"reloaded: identity violations {shown}, covered 0, missing 0")
+
 
 @pytest.mark.parametrize("script, argv, message", [
     ("coverage_growth", ["--stretch", "-1"], "--stretch must not be negative, got -1"),
