@@ -4,8 +4,9 @@ Letters are strings: a ``Letter`` equals, hashes and sorts as its display
 string, so two automata agree on a letter exactly when they spell it the
 same way, and sets and maps of letters work on the names directly.  Words
 are tuples of letters and the empty tuple is the empty word.  Epsilon
-transitions are stored explicitly (label ``None``) and never eliminated
-eagerly; decision procedures work on epsilon-closed state subsets instead.
+transitions are stored explicitly (label ``None``) and never eliminated:
+products keep them, and decision procedures step state subsets through
+each state's epsilon closure instead.
 
 Alphabets are ordered: declaration order fixes the lexicographic order
 of :func:`walk`, the one length-lex word walk (``Nfa.words``, group
@@ -16,7 +17,7 @@ alphabets keeps the left operand's order and appends unseen letters.
 from __future__ import annotations
 
 import os
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
@@ -212,20 +213,9 @@ class Nfa:
     def _successors(self, state: State):
         return (q for targets in self._edges[state].values() for q in targets)
 
-    @cached_property
-    def _closure_memo(self) -> dict:
-        return {}
-
     def eps_closure(self, states: Iterable[State]) -> frozenset:
         """All states reachable from ``states`` by epsilon edges alone."""
-        result: set = set()
-        for s in states:
-            memo = self._closure_memo.get(s)
-            if memo is None:
-                memo = frozenset(reachable((s,), lambda p: self._edges[p].get(None, ())))
-                self._closure_memo[s] = memo
-            result |= memo
-        return frozenset(result)
+        return frozenset(reachable(states, lambda p: self._edges[p].get(None, ())))
 
     @cached_property
     def _letters_to_accept(self) -> dict:
@@ -257,14 +247,41 @@ class Nfa:
     def start_subset(self) -> frozenset:
         return self.eps_closure(self.initials)
 
+    @cached_property
+    def _closed_memo(self) -> dict:
+        return {}
+
+    def _closed(self, state: State) -> dict:
+        """``{letter: targets}`` of the letter edges leaving the state's
+        epsilon closure, memoized per state."""
+        out = self._edges[state]
+        if None in out:
+            merged: dict = {}
+            for c in self.eps_closure((state,)):
+                for label, targets in self._edges[c].items():
+                    if label is not None:
+                        merged.setdefault(label, set()).update(targets)
+            out = merged
+        self._closed_memo[state] = out
+        return out
+
+    @cached_property
+    def closure_accepting(self) -> frozenset:
+        """The states whose epsilon closure holds an accepting state."""
+        return frozenset(s for s, d in self._letters_to_accept.items() if not d)
+
     def step(self, subset: frozenset, letter: Letter) -> frozenset:
+        """The states the letter reaches from the epsilon closures of
+        ``subset``; the result is not itself closed, so acceptance is
+        tested against ``closure_accepting``."""
         moved: set = set()
-        edges = self._edges
+        memo = self._closed_memo
         for p in subset:
-            moved.update(edges[p].get(letter, ()))
-        if not moved:
-            return frozenset()
-        return self.eps_closure(moved)
+            out = memo.get(p)
+            if out is None:
+                out = self._closed(p)
+            moved.update(out.get(letter, ()))
+        return frozenset(moved)
 
     def accepts(self, word: Word) -> bool:
         """Membership test; letters outside the alphabet never match."""
@@ -273,7 +290,7 @@ class Nfa:
             subset = self.step(subset, x)
             if not subset:
                 return False
-        return bool(subset & self.accepting)
+        return not self.closure_accepting.isdisjoint(subset)
 
     def is_empty(self) -> bool:
         """True when no word at all is accepted."""
@@ -307,7 +324,8 @@ class Nfa:
         lazily, all of them when ``max_len`` is None; only prefixes that can
         still accept are extended, so a finite language's walk ends."""
         nodes = walk(self.alphabet, self.start_subset(), self.pruned_step(max_len), max_len)
-        return (w for w, subset in nodes if subset & self.accepting)
+        accepting = self.closure_accepting
+        return (w for w, subset in nodes if not accepting.isdisjoint(subset))
 
     def enumerate_words(self, max_len: int) -> list[Word]:
         """Accepted words of length at most ``max_len`` in length-lex order."""
@@ -355,57 +373,44 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
                 [("c0", "c1")], ("c0",), ("c1",))
 
 
-def _closed_edges(a: Nfa) -> tuple[dict, frozenset]:
-    """Epsilon removal: ``{state: {letter: targets}}`` giving each state
-    every letter edge that leaves its epsilon closure, and the states
-    whose closure accepts."""
-    closed = dict(a._edges)  # a state with no epsilon edge is its own closure
-    accepting = set(a.accepting)
-    for p, out in a._edges.items():
-        if None not in out:
-            continue
-        closure = a.eps_closure([p])
-        if closure & a.accepting:
-            accepting.add(p)
-        closed[p] = merged = defaultdict(set)
-        for c in closure:
-            for label, targets in a._edges[c].items():
-                if label is not None:
-                    merged[label].update(targets)
-    return closed, frozenset(accepting)
-
-
 def _product(alphabet: tuple[Letter, ...], lefts: Iterable[State], moves: Callable,
              right: Nfa, left_accepting) -> Nfa:
     """The reachable pairs ``(p, q)`` of a left-hand search and ``right``.
 
     ``moves(p)`` yields ``(label, letter, p2)``: an edge to ``p2`` labelled
     ``label`` in the product, taken together with every edge of ``right``
-    on ``letter`` after epsilon removal.  A pair accepts when ``p`` is in
-    ``left_accepting`` and ``q``'s epsilon closure accepts.
+    on ``letter``, or alone when ``letter`` is None (an epsilon move of the
+    left).  An epsilon edge of ``right`` moves ``q`` alone, as an epsilon
+    edge of the product.  A pair accepts when ``p`` is in
+    ``left_accepting`` and ``q`` accepts.
     """
-    edges, right_accepting = _closed_edges(right)
+    edges = right._edges
 
     def pair_moves(pair):
         p, q = pair
         out = edges[q]
         for label, x, p2 in moves(p):
-            for q2 in out.get(x, ()):
-                yield label, (p2, q2)
+            if x is None:
+                yield label, (p2, q)
+            else:
+                for q2 in out.get(x, ()):
+                    yield label, (p2, q2)
+        for q2 in out.get(None, ()):
+            yield None, (p, q2)
 
     return explore(alphabet, [(p, q) for p in lefts for q in right.initials], pair_moves,
-                   lambda s: s[0] in left_accepting and s[1] in right_accepting)
+                   lambda s: s[0] in left_accepting and s[1] in right.accepting)
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
-    """Product automaton for the intersection, restricted to reachable pairs."""
-    left, left_accepting = _closed_edges(a)
+    """Product automaton for the intersection, restricted to reachable
+    pairs; an epsilon edge of either side moves that side alone."""
 
     def moves(p):
-        return ((x, x, p2) for x, targets in left[p].items() for p2 in targets)
+        return ((x, x, p2) for x, targets in a._edges[p].items() for p2 in targets)
 
     return _product(merge_alphabets(a.alphabet, b.alphabet), a.initials, moves, b,
-                    left_accepting)
+                    a.accepting)
 
 
 def image_hom(a: Nfa, phi: Mapping[Letter, Word], allow_erasing: bool = False,

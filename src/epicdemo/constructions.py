@@ -130,10 +130,13 @@ def fi_overgroup(demo: Demonstration, oracle: GroupOracle,
     L, T and L T.  A transversal letter evaluating into the subgroup would
     let a word collide with the identity coset, so it is rejected (always
     for the identity itself, and via ``in_subgroup`` when supplied); every
-    word of T has one letter, so checking the letters checks T.
+    word of T has one letter, so checking the letters checks T.  An
+    ``in_subgroup`` that rejects the identity is refused as inverted.
     """
     if demo.oracle != oracle:
         raise ValueError("demonstration must evaluate in the supplied oracle")
+    if in_subgroup is not None and not in_subgroup(oracle.identity_key):
+        raise ValueError("in_subgroup rejects the identity, predicate looks inverted")
     reps = Demonstration(oracle, {t: tuple(w) for t, w in transversal.items()},
                          finite_language([(t,) for t in transversal], transversal))
     identity = oracle.identity_key

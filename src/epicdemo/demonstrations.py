@@ -76,8 +76,9 @@ class Demonstration:
                 return subset, functools.reduce(oracle.act, images[letter], node[1])
 
         root = (self.language.start_subset(), oracle.start())
+        accepting = self.language.closure_accepting
         for w, (subset, state) in walk(self.language.alphabet, root, step, max_len):
-            if subset & self.language.accepting:
+            if not accepting.isdisjoint(subset):
                 yield w, oracle.key(state)
 
     def verify_no_identity(self, max_len: int) -> list[Word]:

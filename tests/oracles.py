@@ -381,6 +381,62 @@ def pairwise_intersect(a, b):
     return states, transitions, initials, accepting
 
 
+def pairwise_product(a, b):
+    """(states, transitions, initials, accepting) of the reachable product
+    of ``a`` and ``b`` with their epsilon edges kept, every pair of
+    transitions tried: a shared letter moves both sides, an epsilon edge
+    of either side moves that side alone."""
+    initials = {(p, q) for p in a.initials for q in b.initials}
+    states, transitions = set(initials), set()
+    queue = deque(initials)
+    while queue:
+        p, q = queue.popleft()
+        edges = [(None, (p2, q)) for (p1, y, p2) in a.transitions if p1 == p and y is None]
+        edges += [(None, (p, q2)) for (q1, z, q2) in b.transitions if q1 == q and z is None]
+        for (p1, y, p2) in a.transitions:
+            for (q1, z, q2) in b.transitions:
+                if p1 == p and q1 == q and y is not None and y == z:
+                    edges.append((y, (p2, q2)))
+        for label, target in edges:
+            transitions.add(((p, q), label, target))
+            if target not in states:
+                states.add(target)
+                queue.append(target)
+    accepting = {(p, q) for (p, q) in states if p in a.accepting and q in b.accepting}
+    return states, transitions, initials, accepting
+
+
+def closure_subsets(nfa, word):
+    """The state subsets read along ``word``, each closed under epsilon
+    edges by a full scan of the transitions, from the closure of the
+    initial states; the walk stops at the first empty subset."""
+    def closure(states):
+        seen, stack = set(states), list(states)
+        while stack:
+            p = stack.pop()
+            for (src, label, q) in nfa.transitions:
+                if src == p and label is None and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    subset = closure(nfa.initials)
+    yield subset
+    for x in word:
+        if not subset:
+            return
+        subset = closure({q for (p, label, q) in nfa.transitions
+                          if p in subset and label is not None and label == x})
+        yield subset
+
+
+def closure_step_accepts(nfa, word):
+    """Membership by stepping epsilon-closed subsets: the last subset of
+    ``closure_subsets`` holds an accepting state."""
+    subsets = list(closure_subsets(nfa, word))
+    return len(subsets) == len(word) + 1 and bool(subsets[-1] & nfa.accepting)
+
+
 def _tagged(tag, nfa):
     return ({(tag, s) for s in nfa.states},
             {((tag, p), label, (tag, q)) for (p, label, q) in nfa.transitions},
@@ -432,11 +488,11 @@ def looped_graph_product_language(graph, local):
                frozenset({("glue-init",)}), frozenset(accepting))
 
 
-def intersected_fi_language(demo, table):
-    """The language of ``fi_subgroup(demo, table)`` as the product of a
-    coset-walk automaton with the language pulled back to edge letters:
-    ``intersect(walks, inverse_letter_hom(...))``."""
-    from epicdemo.automata import Letter, Nfa, intersect, inverse_letter_hom
+def fi_walks_and_language(demo, table):
+    """The two factors behind ``fi_subgroup(demo, table)``: the walks on
+    the coset digraph from the subgroup coset back to it, over one letter
+    per edge, and the language pulled back to those edge letters."""
+    from epicdemo.automata import Letter, Nfa, inverse_letter_hom
 
     edges = [(c, x, table.act(c, x)) for c in table.cosets for x in demo.oracle.alphabet]
     edge_letters = tuple(Letter(f"({c}|{x}|{d})") for c, x, d in edges)
@@ -452,7 +508,24 @@ def intersected_fi_language(demo, table):
     spelled = inverse_letter_hom(demo.language,
                                  {letter: x for (_, x, _), letter in zip(edges, edge_letters)},
                                  edge_letters)
-    return intersect(walks, spelled)
+    return walks, spelled
+
+
+def intersected_fi_language(demo, table):
+    """The language of ``fi_subgroup(demo, table)`` as the product of a
+    coset-walk automaton with the language pulled back to edge letters:
+    ``intersect(walks, inverse_letter_hom(...))``."""
+    from epicdemo.automata import intersect
+
+    return intersect(*fi_walks_and_language(demo, table))
+
+
+def epsilon_free_nfa(nfa):
+    """``nfa`` with its epsilon edges removed by ``scan_epsilon_free``."""
+    from epicdemo.automata import Nfa
+
+    transitions, accepting = scan_epsilon_free(nfa)
+    return Nfa(nfa.alphabet, nfa.states, transitions, nfa.initials, accepting)
 
 
 def make_triple(a: str, b: str, c: str):

@@ -7,7 +7,6 @@ from epicdemo.automata import (
     EPSILON,
     Letter,
     Nfa,
-    _closed_edges,
     check_alphabet,
     concat,
     explore,
@@ -28,9 +27,10 @@ from epicdemo.errors import AutomatonSizeError
 from oracles import (
     bf_accepts,
     bf_language,
+    closure_step_accepts,
     pairwise_intersect,
+    pairwise_product,
     pumpable_cycle,
-    scan_epsilon_free,
     tagged_concat,
     tagged_union,
     triplewise_nfa_check,
@@ -192,6 +192,15 @@ class TestMembership:
     def test_matches_path_search(self, a, word):
         assert a.accepts(tuple(word)) == bf_accepts(a, word)
 
+    @settings(deadline=None, max_examples=200)
+    @given(epsilon_cycle_nfas())
+    def test_stepping_matches_closed_subsets(self, a):
+        # each step closes the states it reads, not the subset it returns;
+        # acceptance and the word walk must not tell the two apart
+        accepted = [w for w in words_upto((A, B), 5) if closure_step_accepts(a, w)]
+        assert [w for w in words_upto((A, B), 5) if a.accepts(w)] == accepted
+        assert list(a.words(5)) == accepted
+
 
 class TestEnumerate:
     def test_a_plus_prefix(self):
@@ -336,22 +345,22 @@ class TestBooleanOps:
         u = concat(a, eps_only)
         assert u.enumerate_words(4) == a.enumerate_words(4)
 
-    @settings(deadline=None, max_examples=200)
-    @given(epsilon_cycle_nfas())
-    def test_epsilon_free_matches_transition_scan(self, a):
-        edges, accepting = _closed_edges(a)
-        transitions = frozenset((p, x, q) for p, out in edges.items()
-                                for x, targets in out.items() for q in targets)
-        assert (transitions, accepting) == scan_epsilon_free(a)
-        assert set(edges) <= a.states
-
     @settings(deadline=None, max_examples=300)
     @given(mixed_alphabet_nfas(), mixed_alphabet_nfas())
     def test_intersect_matches_pairwise_reference(self, a, b):
         product = intersect(a, b)
         assert (product.states, product.transitions, product.initials,
-                product.accepting) == pairwise_intersect(a, b)
+                product.accepting) == pairwise_product(a, b)
         assert product.alphabet == merge_alphabets(a.alphabet, b.alphabet)
+
+    @settings(deadline=None, max_examples=100)
+    @given(mixed_alphabet_nfas(), mixed_alphabet_nfas())
+    def test_intersect_language_matches_epsilon_free_product(self, a, b):
+        alphabet = merge_alphabets(a.alphabet, b.alphabet)
+        states, transitions, initials, accepting = pairwise_intersect(a, b)
+        reference = Nfa(alphabet, frozenset(states), frozenset(transitions),
+                        frozenset(initials), frozenset(accepting))
+        assert bf_language(intersect(a, b), 5) == bf_language(reference, 5)
 
     def test_intersect_disjoint_languages_empty(self):
         assert intersect(plus_language(A, [B]), plus_language(B, [A])).is_empty()

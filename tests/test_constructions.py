@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word, single_word, \
-    subtract_word
+from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, intersect, make_word, \
+    single_word, subtract_word
 from epicdemo.constructions import (
     CosetTable,
     _cover,
@@ -28,8 +28,9 @@ from epicdemo.groups import (
     PermutationOracle,
 )
 
-from oracles import ascii_evaluate, bf_language, bf_pruned_types, intersected_fi_language, \
-    looped_graph_product_language, make_triple, pad_triple_word, tagged_concat, tagged_union
+from oracles import ascii_evaluate, bf_language, bf_pruned_types, epsilon_free_nfa, \
+    fi_walks_and_language, intersected_fi_language, looped_graph_product_language, make_triple, \
+    pad_triple_word, tagged_concat, tagged_union
 from test_demonstrations import demos
 from test_groups import heisenberg_oracle, s3_oracle, c2_oracle
 
@@ -239,6 +240,17 @@ class TestFiOvergroup:
         with pytest.raises(ValueError, match="into the subgroup"):
             fi_overgroup(translations_demo(oracle), oracle,
                          {Letter("t"): make_word("a")}, in_subgroup=is_translation)
+
+    def test_inverted_subgroup_predicate_rejected(self):
+        oracle = dinf_oracle()
+
+        def not_translation(key):
+            return key.data[0][0] == -1
+
+        with pytest.raises(ValueError,
+                           match="^in_subgroup rejects the identity, predicate looks inverted$"):
+            fi_overgroup(translations_demo(oracle), oracle,
+                         {Letter("t"): make_word("a")}, in_subgroup=not_translation)
 
     def test_letter_clash_rejected(self):
         oracle = dinf_oracle()
@@ -464,6 +476,26 @@ class TestFiSubgroupProduct:
     def test_fixed_tables_match_intersected_reference(self, demo, table):
         assert nfa_parts(fi_subgroup(demo, table).language) == \
             nfa_parts(intersected_fi_language(demo, table))
+
+    def test_epsilon_edges_kept_on_path_product(self):
+        # Z on a path of six vertices and its index-2 subgroup of even
+        # exponent sum: the graph-product language is full of epsilon bridges,
+        # which the product keeps, so it has more states than the product
+        # with epsilon edges removed first but fewer transitions
+        names = "abcdef"
+        graph = VertexGraph.make(names, list(zip(names, names[1:])))
+        demo = graph_product(graph, {v: z_demo(v) for v in names})
+        letters = demo.oracle.alphabet
+        table = CosetTable(demo.oracle, ("H", "C"), {"H": EPSILON, "C": letters[:1]},
+                           {(c, x): d for c, d in (("H", "C"), ("C", "H")) for x in letters})
+        out = fi_subgroup(demo, table).language
+        walks, spelled = fi_walks_and_language(demo, table)
+        eps_free = intersect(walks, epsilon_free_nfa(spelled))
+        assert (len(out.states), len(out.transitions)) == (513, 2008)
+        assert (len(eps_free.states), len(eps_free.transitions)) == (349, 3012)
+        words = out.enumerate_words(6)
+        assert words == intersected_fi_language(demo, table).enumerate_words(6)
+        assert words == eps_free.enumerate_words(6)
 
 
 # -- admissible type automata -------------------------------------------
