@@ -197,27 +197,30 @@ def _write_bundle(ws: Workspace, args, build) -> Workspace:
 # -- verb handlers -------------------------------------------------------
 
 
+def _print_lines(lines: list) -> None:
+    """Print a report's lines with one call, each ending in a newline; an
+    empty report prints nothing."""
+    if lines:
+        print("\n".join(lines))
+
+
 def cmd_verify(ws: Workspace, args) -> int:
     demo = _resolve_demo(ws, args.demo)
     search_len = args.search_len if args.search_len is not None else args.max_len
     report = demo.verify_coverage(args.ball, search_len, args.max_len)
     violations = report.identity_violations
     missing = report.sorted_missing()
+    failed = bool(violations or (args.strict and missing))
     if args.porcelain:
-        for w in violations:
-            print(f"violation {format_word(w)}")
-        for key in missing:
-            print(f"missing {key.render()}")
-        print(f"result {'fail' if violations or (args.strict and missing) else 'pass'}")
+        lines = [f"violation {format_word(w)}" for w in violations]
+        lines += [f"missing {key.render()}" for key in missing]
+        lines.append(f"result {'fail' if failed else 'pass'}")
     else:
-        for w in violations:
-            print(f"identity word accepted: {format_word(w)}")
-        for key in missing:
-            print(f"uncovered element: {key.render()}")
-        print(f"identity violations: {len(violations)}, missing: {len(missing)}")
-    if violations or (args.strict and missing):
-        return 1
-    return 0
+        lines = [f"identity word accepted: {format_word(w)}" for w in violations]
+        lines += [f"uncovered element: {key.render()}" for key in missing]
+        lines.append(f"identity violations: {len(violations)}, missing: {len(missing)}")
+    _print_lines(lines)
+    return 1 if failed else 0
 
 
 def cmd_enumerate(ws: Workspace, args) -> int:
@@ -227,8 +230,7 @@ def cmd_enumerate(ws: Workspace, args) -> int:
         nfa = _resolve(ws.automata, "automaton", args.automaton)
     else:
         nfa = _resolve_demo(ws, args.demo).language
-    for w in nfa.enumerate_words(args.max_len):
-        print(format_word(w))
+    _print_lines([format_word(w) for w in nfa.enumerate_words(args.max_len)])
     return 0
 
 
@@ -239,8 +241,8 @@ def cmd_ball(ws: Workspace, args) -> int:
         oracle = _resolve(ws.groups, "group", args.group)
     else:
         oracle = _resolve_demo(ws, args.demo).oracle
-    for key, witness in oracle.ball(args.radius).items():
-        print(f"{key.render()} {format_word(witness)}")
+    _print_lines([f"{key.render()} {format_word(witness)}"
+                  for key, witness in oracle.ball(args.radius).items()])
     return 0
 
 

@@ -12,7 +12,6 @@ infinite ones cannot).
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
@@ -69,11 +68,15 @@ class Demonstration:
         NFA step and, if the subset survives, one ``act`` per letter of its
         image."""
         oracle, images, live = self.oracle, self.eval_map, self.language.pruned_step(max_len)
+        act = oracle.act
 
         def step(node, letter, n):
             subset = live(node[0], letter, n)
             if subset is not None:
-                return subset, functools.reduce(oracle.act, images[letter], node[1])
+                state = node[1]
+                for y in images[letter]:
+                    state = act(state, y)
+                return subset, state
 
         root = (self.language.start_subset(), oracle.start())
         accepting = self.language.closure_accepting
@@ -99,20 +102,22 @@ class Demonstration:
         if max_len is None:
             max_len = search_len
         identity = self.oracle.identity_key
-        targets = set(self.oracle.ball(radius)) - {identity}
+        targets = set(self.oracle.ball(radius).keys())  # the ones not yet hit
+        targets.remove(identity)
         covered: dict[ElementKey, Word] = {}
         violations: list[Word] = []
         for w, key in self.keyed_words(max(search_len, max_len)):
             if key == identity:
                 if len(w) <= max_len:
                     violations.append(w)
-            elif key in targets and key not in covered and len(w) <= search_len:
+            elif key in targets and len(w) <= search_len:
+                targets.remove(key)
                 covered[key] = w
         return CoverageReport(
             radius=radius,
             search_len=search_len,
             covered=covered,
-            missing=frozenset(targets - covered.keys()),
+            missing=frozenset(targets),
             identity_violations=tuple(violations),
         )
 
@@ -136,7 +141,8 @@ class CoverageReport:
         return not self.missing
 
     def sorted_missing(self) -> list:
-        return sorted(self.missing)
+        # one text per key, not two per comparison
+        return sorted(self.missing, key=ElementKey._order)
 
 
 # -- builtin demonstrations ---------------------------------------------

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping
 
 from .automata import Letter, Word
-from .groups import ElementKey, GroupOracle
+from .groups import ElementKey, GroupOracle, new_key
+
+_syllable_key = itemgetter(0)  # a syllable's (vertex, local key) pair
 
 
 @dataclass(frozen=True)
@@ -94,44 +97,40 @@ class GraphProductOracle(GroupOracle):
         parts = [f"{v}:{self.vertex_oracles[v].backend}" for v in self.graph.vertices]
         return "gp(" + ",".join(parts) + ";" + ",".join(f"{u}-{v}" for u, v in edges) + ")"
 
-    def vertex_of(self, letter: Letter) -> str:
-        try:
-            return self._letter_vertex[letter]
-        except KeyError:
-            raise ValueError(f"letter {letter.name!r} is not in any vertex alphabet") from None
-
-    # the state is the normal form: (vertex, local word, local state, local
-    # key) syllables in ShortLex-least vertex order
+    # the state is the normal form: ((vertex, local key), local word, local
+    # state) syllables in ShortLex-least vertex order, so that a key is the
+    # syllables' first entries
 
     def start(self) -> tuple:
         return ()
 
     def act(self, state: tuple, letter: Letter) -> tuple:
-        v = self.vertex_of(letter)
+        v = self._letter_vertex[letter]
         local = self.vertex_oracles[v]
+        neighbours = self._neighbours[v]
         i = len(state)
-        while i and state[i - 1][0] in self._neighbours[v]:
+        while i and state[i - 1][0][0] in neighbours:
             i -= 1
-        if i and state[i - 1][0] == v:
+        if i and state[i - 1][0][0] == v:
             i -= 1
-            _, sub, s, _ = state[i]
+            _, sub, s = state[i]
             rest = state[i + 1:]
         else:
             sub, s = (), local.start()
-            while i < len(state) and self._rank[state[i][0]] < self._rank[v]:
+            while i < len(state) and self._rank[state[i][0][0]] < self._rank[v]:
                 i += 1
             rest = state[i:]
         s = local.act(s, letter)
         k = local.key(s)
         if k == self._identity_keys[v]:
             return state[:i] + rest
-        return state[:i] + ((v, sub + (letter,), s, k),) + rest
+        return state[:i] + (((v, k), sub + (letter,), s),) + rest
 
     def key(self, state: tuple) -> ElementKey:
-        return ElementKey(self.backend, tuple((v, k) for v, _, _, k in state))
+        return new_key((self.backend, tuple(map(_syllable_key, state))))
 
     def prune(self, word: Word) -> tuple[Word, tuple[str, ...]]:
         """Normal form of the word, spelled as its syllables' local words
         in order, and its type string."""
         state = self.fold(word)
-        return tuple(x for _, sub, *_ in state for x in sub), tuple(v for v, *_ in state)
+        return tuple(x for _, sub, _ in state for x in sub), tuple(v for (v, _), _, _ in state)

@@ -25,8 +25,10 @@ def _text(data: tuple) -> str:
     """Integers joined by commas, names by spaces, matrix rows by
     semicolons, and (vertex, key) pairs by bars."""
     head = data[0] if data else ""
-    if isinstance(head, (int, str)):
-        return ("," if isinstance(head, int) else " ").join(map(str, data))
+    if isinstance(head, str):  # a Letter is a str, so names join as they are
+        return " ".join(data)
+    if isinstance(head, int):
+        return ",".join(map(str, data))
     if isinstance(head[0], str):
         return "|".join(f"{v}={k.backend}:{_text(k.data)}" for v, k in data)
     return ";".join(map(_text, data))
@@ -60,6 +62,11 @@ class ElementKey(NamedTuple):
 
     def __repr__(self):
         return f"ElementKey({self.render()})"
+
+
+# new_key((backend, data)) is ElementKey(backend, data) built in C, without
+# the named tuple's Python-level __new__: every backend's key goes through it
+new_key = functools.partial(tuple.__new__, ElementKey)
 
 
 class GroupOracle(ABC):
@@ -218,7 +225,7 @@ class PermutationOracle(GroupOracle):
 
     def key(self, state: tuple[int, ...]) -> ElementKey:
         # 1-based images, as cycles are written
-        return ElementKey(self.backend, tuple(i + 1 for i in state))
+        return new_key((self.backend, tuple(i + 1 for i in state)))
 
 
 # -- free abelian --------------------------------------------------------
@@ -250,7 +257,7 @@ class FreeAbelianOracle(GroupOracle):
         return tuple(map(operator.add, state, self.gens[letter]))
 
     def key(self, state: tuple[int, ...]) -> ElementKey:
-        return ElementKey(self.backend, state)
+        return new_key((self.backend, state))
 
 
 # -- free groups ---------------------------------------------------------
@@ -353,7 +360,7 @@ class FreeGroupOracle(GroupOracle):
         return state + (letter,)
 
     def key(self, state: Word) -> ElementKey:
-        return ElementKey(self.backend, state)
+        return new_key((self.backend, state))
 
 
 # -- integer matrices ----------------------------------------------------
@@ -432,4 +439,4 @@ class IntegerMatrixOracle(GroupOracle):
         return mat_mul(state, self.gens[letter])
 
     def key(self, state: Matrix) -> ElementKey:
-        return ElementKey(self.backend, state)
+        return new_key((self.backend, state))

@@ -309,10 +309,12 @@ def _parse_group(block: _Block):
 
 
 def _shaped(value, depth: int) -> bool:
-    """Whether ``value`` is an int nested in ``depth`` levels of lists."""
-    if depth == 0:
-        return type(value) is int
-    return isinstance(value, list) and all(_shaped(e, depth - 1) for e in value)
+    """Whether ``value`` is an int nested in ``depth`` >= 1 levels of lists."""
+    if not isinstance(value, list):
+        return False
+    if depth == 1:
+        return all(type(e) is int for e in value)
+    return all(_shaped(e, depth - 1) for e in value)
 
 
 def _parse_int_array(text: str, depth: int, lineno: int, block: _Block):

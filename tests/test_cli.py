@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from epicdemo.cli import build_parser, main, parse_key_predicate, UsageError
-from epicdemo.demonstrations import z_demo, zk_demo
-from epicdemo.automata import make_word
+from epicdemo.demonstrations import builtin_demo, z_demo, zk_demo
+from epicdemo.automata import format_word, make_word
 from epicdemo.workspace import load, render_automaton
 
 from test_groups import s3_oracle
@@ -158,6 +158,95 @@ class TestEnumerateAndBall:
                            "--radius", "1", "-f", str(clash))
         assert code == 2
         assert f"{clash}:1:" in err and "duplicate group name 'gA'" in err
+
+
+# groups beside the sample workspace whose balls pass 1,000 lines: S7 on
+# its adjacent transpositions, and the free product of Z and F2
+BIG_GROUPS = """
+group S7 perm degree 7
+  gen p = (1 2)
+  gen q = (2 3)
+  gen r = (3 4)
+  gen s = (4 5)
+  gen t = (5 6)
+  gen u = (6 7)
+end
+
+group ZfreeF2 graphproduct
+  vertices u v
+  vertex u uses Z
+  vertex v uses F2
+end
+"""
+
+
+def printed(capsys, lines) -> str:
+    """What one print call per line writes."""
+    capsys.readouterr()
+    for line in lines:
+        print(line)
+    return capsys.readouterr().out
+
+
+class TestReportBytes:
+    """Reports are written whole; their bytes are those of printing each
+    line on its own, with missing keys in ``sorted`` order."""
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        path = tmp_path / "big.epic"
+        path.write_text(BIG_GROUPS)
+        return [DATA, str(path)]
+
+    # (group, backend, a radius whose ball has more than 1,000 elements)
+    BALLS = [("ZfreeF2", "gp", 5), ("F2", "free", 6), ("Z", "zk", 500), ("H3", "mat", 7),
+             ("S7", "perm", 8)]
+
+    @pytest.mark.parametrize("large", [False, True], ids=["radius0", "large"])
+    @pytest.mark.parametrize("group,backend,radius", BALLS, ids=[b for _, b, _ in BALLS])
+    def test_ball(self, capsys, big, group, backend, radius, large):
+        radius = radius if large else 0
+        oracle = load(big).groups[group]
+        assert oracle.backend.startswith(backend)
+        ball = oracle.ball(radius)
+        assert len(ball) > 1000 if large else len(ball) == 1
+        want = printed(capsys, [f"{k.render()} {format_word(w)}" for k, w in ball.items()])
+        code, out, err = run(capsys, "-f", big[0], "-f", big[1], "ball", "--group", group,
+                             "--radius", str(radius))
+        assert (code, out, err) == (0, want, "")
+
+    @pytest.mark.parametrize("max_len", [4, 0], ids=["words", "empty"])
+    def test_enumerate(self, capsys, max_len):
+        words = builtin_demo("FREE2").language.enumerate_words(max_len)
+        assert len(words) == (4 + 12 + 36 + 108 if max_len else 0)
+        want = printed(capsys, [format_word(w) for w in words])
+        code, out, err = run(capsys, "enumerate", "--demo", "FREE2", "--max-len", str(max_len))
+        assert (code, out, err) == (0, want, "")
+
+    # Z's own demonstration, clean, and every word over a, a^-1, which
+    # accepts the identity: both miss most of a ball of radius 40
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["report", "porcelain"])
+    @pytest.mark.parametrize("demo", ["Z", "loose"])
+    def test_verify_with_missing_elements(self, capsys, tmp_path, demo, porcelain):
+        path = tmp_path / "loose.epic"
+        path.write_text(TestVerify.LOOSE)
+        ws = load([str(path)])
+        found = ws.demonstrations[demo] if demo == "loose" else builtin_demo(demo)
+        report = found.verify_coverage(40, 3, 3)
+        violations, missing = report.identity_violations, sorted(report.missing)
+        assert bool(violations) == (demo == "loose") and len(missing) > 70
+        failed = "fail" if violations else "pass"
+        if porcelain:
+            lines = ([f"violation {format_word(w)}" for w in violations]
+                     + [f"missing {k.render()}" for k in missing] + [f"result {failed}"])
+        else:
+            lines = ([f"identity word accepted: {format_word(w)}" for w in violations]
+                     + [f"uncovered element: {k.render()}" for k in missing]
+                     + [f"identity violations: {len(violations)}, missing: {len(missing)}"])
+        want = printed(capsys, lines)
+        code, out, err = run(capsys, "-f", str(path), "verify", "--demo", demo, "--max-len",
+                             "3", "--ball", "40", *(["--porcelain"] if porcelain else []))
+        assert (code, out, err) == (int(bool(violations)), want, "")
 
 
 class TestUsageErrors:

@@ -579,10 +579,12 @@ class TestGraphProduct:
         g = VertexGraph.make(("u", "v", "w"), [("u", "v")])
         out = graph_product(g, {"u": c2_demo("a"), "v": c2_demo("b"), "w": z_demo("c")})
         adm = admissible_automaton(g)
+        vertex_of = {x: v for v, local in out.oracle.vertex_oracles.items()
+                     for x in local.alphabet}
         for word in out.language.enumerate_words(5):
             pruned, types = out.oracle.prune(out.oracle_word(word))
             assert adm.accepts(tuple(Letter(t) for t in types))
-            for vertex, sub in itertools.groupby(out.oracle_word(word), out.oracle.vertex_of):
+            for vertex, sub in itertools.groupby(out.oracle_word(word), vertex_of.__getitem__):
                 assert not out.oracle.vertex_oracles[vertex].is_identity(tuple(sub))
 
     LOCALS = (lambda v: z_demo(f"{v}1"), lambda v: zk_demo(2, names=(f"{v}1", f"{v}2")),

@@ -18,20 +18,22 @@ from epicdemo.groups import (
 )
 
 from oracles import DataclassElementKey, ascii_evaluate, cofactor_det, indexed_mat_mul, \
-    shuffle_class, wordwise_ball
+    rewriting_prune, shuffle_class, wordwise_ball
 
 
 def z_oracle(name="a"):
     return FreeAbelianOracle(1, {Letter(name): (1,), Letter(name + "^-1"): (-1,)})
 
 
-def s3_oracle():
+def s3_oracle(prefix=""):
+    """S3 on its five non-identity elements, letters named by their cycles
+    after ``prefix``."""
     gens = {
-        Letter("(12)"): perm_from_cycles([[1, 2]], 3),
-        Letter("(13)"): perm_from_cycles([[1, 3]], 3),
-        Letter("(23)"): perm_from_cycles([[2, 3]], 3),
-        Letter("(123)"): perm_from_cycles([[1, 2, 3]], 3),
-        Letter("(132)"): perm_from_cycles([[1, 3, 2]], 3),
+        Letter(prefix + "(12)"): perm_from_cycles([[1, 2]], 3),
+        Letter(prefix + "(13)"): perm_from_cycles([[1, 3]], 3),
+        Letter(prefix + "(23)"): perm_from_cycles([[2, 3]], 3),
+        Letter(prefix + "(123)"): perm_from_cycles([[1, 2, 3]], 3),
+        Letter(prefix + "(132)"): perm_from_cycles([[1, 3, 2]], 3),
     }
     return PermutationOracle(3, gens)
 
@@ -286,7 +288,8 @@ class TestGraphProduct:
     def test_decompose_maximal_runs(self):
         o = square_graph_oracle()
         word = make_word("a", "a", "b", "a")
-        runs = [(v, tuple(sub)) for v, sub in itertools.groupby(word, o.vertex_of)]
+        vertex_of = {x: v for v, local in o.vertex_oracles.items() for x in local.alphabet}
+        runs = [(v, tuple(sub)) for v, sub in itertools.groupby(word, vertex_of.__getitem__)]
         assert [v for v, _ in runs] == ["u", "v", "u"]
         assert runs[0] == ("u", make_word("a", "a"))
         # a a cancels in C2, and b shuffles past the last a
@@ -373,16 +376,35 @@ class TestGraphProduct:
         assert k1 == k2
         assert o.evaluate(make_word("x", "z")) != o.evaluate(make_word("z", "x"))
 
-    @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=8))
-    def test_prune_is_idempotent_and_preserves_element(self, indices):
-        o = raag_path_oracle()
-        word = tuple(o.alphabet[i] for i in indices)
+    GRAPHS = {"edgeless": [], "path": [("u", "v"), ("v", "w")],
+              "complete": [("u", "v"), ("u", "w"), ("v", "w")]}
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_prune_is_idempotent_and_preserves_element(self, data):
+        """Z and S3 vertex groups on three vertices, edgeless, on a path or
+        complete, against the whole-word rewriting in tests/oracles.py:
+        keys, syllables and balls."""
+        shape = data.draw(st.sampled_from(sorted(self.GRAPHS)))
+        graph = VertexGraph.make("uvw", self.GRAPHS[shape])
+        kinds = data.draw(st.lists(st.sampled_from([z_oracle, s3_oracle]), min_size=3, max_size=3))
+        o = GraphProductOracle(graph, {v: kind(v) for v, kind in zip("uvw", kinds)})
+        word = data.draw(st.lists(st.sampled_from(o.alphabet), max_size=10).map(tuple))
+        assert o.key(o.fold(word)).render() == ascii_evaluate(o, word)
         pruned, types = o.prune(word)
+        vertex_of = {x: v for v, local in o.vertex_oracles.items() for x in local.alphabet}
+        syllables = [(v, ascii_evaluate(o.vertex_oracles[v], tuple(sub)))
+                     for v, sub in itertools.groupby(pruned, vertex_of.__getitem__)]
+        assert syllables == [(v, ascii_evaluate(o.vertex_oracles[v], sub))
+                             for v, sub in rewriting_prune(o, word)]
+        assert types == tuple(v for v, _ in syllables)
         again, types2 = o.prune(pruned)
         assert again == pruned
         assert types2 == types
         assert o.evaluate(pruned) == o.evaluate(word)
+        radius = 2 if s3_oracle in kinds else 3
+        got = [(k.render(), w) for k, w in o.ball(radius).items()]
+        assert got == list(wordwise_ball(o, radius).items())
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.integers(min_value=0, max_value=5), max_size=8))
