@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .automata import EPSILON, Letter, Nfa, Word, explore, finite_language, walk
+from .automata import Letter, Nfa, Word, explore, finite_language, walk
 from .groups import (ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, _GEN_NAMES,
                      paired_letters)
 
@@ -27,13 +27,13 @@ def identity_eval_map(alphabet: Iterable[Letter]) -> dict[Letter, Word]:
 
 def spell(eval_map: Mapping[Letter, Word], word: Word) -> Word:
     """The word's letters replaced by their images under ``eval_map``."""
-    out: Word = EPSILON
+    out: list[Letter] = []
     for x in word:
         try:
-            out += eval_map[x]
+            out.extend(eval_map[x])
         except KeyError:
             raise ValueError(f"letter {x.name!r} has no evaluation") from None
-    return out
+    return tuple(out)
 
 
 @dataclass

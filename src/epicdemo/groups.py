@@ -311,17 +311,20 @@ def formal_inverse(word: Word) -> Word:
 def free_reduce(word: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 
-    The result is the unique reduced form and does not depend on the
-    cancellation order.  A letter with no formal inverse (the bare marker
-    ``^-1``) raises ValueError, as in ``formal_inverse``.
+    A letter cancels the last kept letter when it is that letter's formal
+    inverse.  The result is the unique reduced form and does not depend on
+    the cancellation order.  A letter with no formal inverse (the bare
+    marker ``^-1``) raises ValueError, as in ``formal_inverse``.
     """
     stack: list[Letter] = []
+    top = None  # the inverse of the last kept letter
     for x in word:
-        inverse = _INVERSE[x]
-        if stack and stack[-1] == inverse:
+        if x == top:
             stack.pop()
+            top = _INVERSE[stack[-1]] if stack else None
         else:
             stack.append(x)
+            top = _INVERSE[x]
     return tuple(stack)
 
 

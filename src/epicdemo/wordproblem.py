@@ -13,7 +13,7 @@ import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import count, islice
+from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .automata import EPSILON, Letter, Nfa, Word, format_word, walk
@@ -78,10 +78,13 @@ class Enumerator:
     def get(self, i: int) -> Optional[Word]:
         if i < 0:
             raise IndexError(i)
-        missing = i + 1 - len(self._cache)
-        if missing > 0:
-            self._cache.extend(islice(self._iter, missing))
-        return self._cache[i] if i < len(self._cache) else None
+        cache = self._cache
+        while len(cache) <= i:  # one pull per missing index
+            w = next(self._iter, None)
+            if w is None:
+                return None
+            cache.append(w)
+        return cache[i]
 
 
 def normal_closure_enumerator(p: Presentation) -> Enumerator:
@@ -112,7 +115,8 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
             if conjugates:
                 level = [u + (x,) for u in level for x in alphabet
                          if not u or u[-1] != inverse_name(x)]
-            conjugates.append([tuple([u + s + formal_inverse(u) for u in level]
+            sides = [(u, formal_inverse(u)) for u in level]  # one inverse per conjugator
+            conjugates.append([tuple([u + s + v for u, v in sides]
                                      for s in pair) for pair in zip(relators, inverses)])
         return conjugates[n]
 
@@ -284,9 +288,10 @@ def decide_word(
     language_j under language_j . word^-1.  Within a segment one side is
     fixed, so its hits are the indices filed under the fixed side's key,
     and, because finite streams end after a prefix, the number of
-    comparisons is arithmetic.  An iteration thus costs O(1) lookups and
-    a bisect per segment, plus one certificate per hit, however many
-    comparisons it counts.
+    comparisons is arithmetic.  A segment with no hit that fits the
+    budget only adds its count; any other segment takes a bisect, plus
+    one certificate per hit.  An iteration thus costs O(1) lookups
+    however many comparisons it counts.
 
     The budget counts comparisons.  When it runs out the verdict carries
     a frontier; passing that frontier back in resumes mid-iteration.
@@ -304,11 +309,11 @@ def decide_word(
             f"frontier was recorded for {frontier.word!r}, not {target_text!r}")
     inverse_target = formal_inverse(target)
 
-    spent = 0
     i = frontier.iteration
     cursor = frontier.cursor
     pending = [dict(c) for c in frontier.pending]
     total = frontier.comparisons
+    limit = total + budget  # the total at which this call's budget runs out
 
     def checkpoint() -> Frontier:
         return Frontier(word=target_text, iteration=i, cursor=cursor,
@@ -319,34 +324,35 @@ def decide_word(
     closure_at: dict[Word, list[int]] = {}
     language_at: dict[Word, list[int]] = {}
 
-    def filed(stream: Enumerator, at: dict, n: int, tail: Word) -> Optional[Word]:
-        """Key of stream word n, reduced and indexed; None past the end."""
+    def filed(stream: Enumerator, at: dict, n: int, tail: Word) -> tuple:
+        """Stream word n and its key, reduced and indexed; (None, None)
+        past the end."""
         w = stream.get(n)
         if w is None:
-            return None
+            return None, None
         key = free_reduce(w + tail)
         at.setdefault(key, []).append(n)
-        return key
+        return w, key
 
     closure_count = language_count = 0
-    while closure_count < i and filed(closure, closure_at, closure_count, EPSILON) is not None:
+    while closure_count < i and filed(
+            closure, closure_at, closure_count, EPSILON)[0] is not None:
         closure_count += 1
     while language_count < i and filed(
-            language, language_at, language_count, inverse_target) is not None:
+            language, language_at, language_count, inverse_target)[0] is not None:
         language_count += 1
 
     def scan(first: int, existing: int, hits: list, certify) -> bool:
         """Compare positions first .. first+existing-1 from the cursor on,
         pending a certificate for each hit; True when the budget cuts."""
-        nonlocal spent, total, cursor
+        nonlocal total, cursor
         lo = max(cursor - first, 0)
         todo = existing - lo
         if todo <= 0:
             return False
-        done = min(todo, budget - spent)
+        done = min(todo, limit - total)
         for at in hits[bisect_left(hits, lo):bisect_left(hits, lo + done)]:
             pending.append(certify(at))
-        spent += done
         total += done
         if todo > done:
             cursor = first + lo + done
@@ -354,30 +360,36 @@ def decide_word(
         return False
 
     while True:
-        key = filed(closure, closure_at, i, EPSILON)
-        if key is not None:
+        gw, key = filed(closure, closure_at, i, EPSILON)
+        if gw is not None:
             closure_count = i + 1
-            gw = closure.get(i)
-            cut = scan(0, 1, [0] if key == target else [],
-                       lambda _: {"kind": IN_WP, "index": i,
-                                  "closure_word": format_word(gw)})
-            cut = cut or scan(1, language_count, language_at.get(key, []),
-                              lambda j: {"kind": NOT_IN_WP,
-                                         "language_index": j, "closure_index": i,
-                                         "language_word": format_word(language.get(j)),
-                                         "closure_word": format_word(gw)})
-            if cut:
-                return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total)
-        key = filed(language, language_at, i, inverse_target)
-        if key is not None:
+            hits = language_at.get(key)
+            if cursor or key == target or hits or limit - total <= language_count:
+                cut = scan(0, 1, [0] if key == target else [],
+                           lambda _: {"kind": IN_WP, "index": i,
+                                      "closure_word": format_word(gw)})
+                cut = cut or scan(1, language_count, hits or [],
+                                  lambda j: {"kind": NOT_IN_WP,
+                                             "language_index": j, "closure_index": i,
+                                             "language_word": format_word(language.get(j)),
+                                             "closure_word": format_word(gw)})
+                if cut:
+                    return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total)
+            else:  # segments 1 and 2 whole, without a hit
+                total += 1 + language_count
+        fw, key = filed(language, language_at, i, inverse_target)
+        if fw is not None:
             language_count = i + 1
-            fw = language.get(i)
-            if scan(i + 1, closure_count, closure_at.get(key, []),
-                    lambda k: {"kind": NOT_IN_WP,
-                               "language_index": i, "closure_index": k,
-                               "language_word": format_word(fw),
-                               "closure_word": format_word(closure.get(k))}):
-                return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total)
+            hits = closure_at.get(key)
+            if cursor or hits or limit - total < closure_count:
+                if scan(i + 1, closure_count, hits or [],
+                        lambda k: {"kind": NOT_IN_WP,
+                                   "language_index": i, "closure_index": k,
+                                   "language_word": format_word(fw),
+                                   "closure_word": format_word(closure.get(k))}):
+                    return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total)
+            else:  # segment 3 whole, without a hit
+                total += closure_count
         if pending:
             hits_in = [c for c in pending if c["kind"] == IN_WP]
             hits_out = [c for c in pending if c["kind"] == NOT_IN_WP]
@@ -389,7 +401,7 @@ def decide_word(
                     "inputs do not describe the same group")
             winner = pending[0]
             return WpVerdict(winner["kind"], winner, None, total)
-        stalled = closure.get(i) is None and language.get(i) is None
+        stalled = gw is None and fw is None
         i += 1
         cursor = 0
         if stalled:

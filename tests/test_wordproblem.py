@@ -140,6 +140,15 @@ class TestEnumerator:
         assert e.get(0) is None
         assert e.get(7) is None
 
+    def test_mixed_pulls_agree_with_list(self):
+        words = [make_word(*w.split()) for w in ("a", "b", "a b", "b a", "a a b", "b^-1")]
+        words.append(EPSILON)
+        e = Enumerator(iter(words))
+        # one-index pulls, a forward jump, pulls past the end, earlier reads
+        order = [0, 1, 2, 5, 3, 6, 7, 6, 9, 0, 4, 8, 6]
+        assert [e.get(i) for i in order] == \
+            [words[i] if i < len(words) else None for i in order]
+
 
 def commutator_presentation():
     return Presentation(("a", "b"), (make_word("a", "b", "a^-1", "b^-1"),))
@@ -407,7 +416,9 @@ def words(min_size, max_size):
 
 @st.composite
 def decide_cases(draw):
-    """A presentation over a b, a language and a word, plus a budget."""
+    """A presentation over a b, a language and a word, plus a budget: a
+    small one cuts inside segments, a large one lets whole segments pass
+    uncut."""
     relators = draw(st.lists(words(1, 4), max_size=2))
     source = draw(st.sampled_from(["ZK2", "FREE2", "list"]))
     listed = None
@@ -416,7 +427,8 @@ def decide_cases(draw):
         if relators and draw(st.booleans()):
             listed.insert(draw(st.integers(0, len(listed))), draw(st.sampled_from(relators)))
     pool = words(0, 4) | st.sampled_from(relators) if relators else words(0, 4)
-    return relators, source, listed, draw(pool), draw(st.integers(1, 20))
+    budgets = st.integers(1, 20) | st.integers(100, 600)
+    return relators, source, listed, draw(pool), draw(budgets)
 
 
 class TestIndexedScanMatchesPairwise:
