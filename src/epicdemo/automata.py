@@ -210,9 +210,6 @@ class Nfa:
             out[p].setdefault(label, []).append(q)
         return out
 
-    def _successors(self, state: State):
-        return (q for targets in self._edges[state].values() for q in targets)
-
     def eps_closure(self, states: Iterable[State]) -> frozenset:
         """All states reachable from ``states`` by epsilon edges alone."""
         return frozenset(reachable(states, lambda p: self._edges[p].get(None, ())))
@@ -293,8 +290,9 @@ class Nfa:
         return not self.closure_accepting.isdisjoint(subset)
 
     def is_empty(self) -> bool:
-        """True when no word at all is accepted."""
-        return not reachable(self.initials, self._successors) & self.accepting
+        """True when no word at all is accepted: no initial state is
+        within any number of letters of acceptance."""
+        return self.initials.isdisjoint(self._letters_to_accept)
 
     @cached_property
     def _step_memo(self) -> dict:
@@ -505,39 +503,25 @@ def normalize_no_accepting_initial(a: Nfa) -> Nfa:
     """Check that the empty word is rejected and drop redundant epsilon loops.
 
     When epsilon is not accepted, no initial state is accepting and no
-    accepting state is epsilon-reachable from an initial state, which is
-    the structural shape gluing constructions rely on.  Raises ValueError
-    if the language contains the empty word.
+    accepting state is epsilon-reachable from an initial state.  Raises
+    ValueError if the language contains the empty word.
     """
-    if a.start_subset() & a.accepting:
+    if a.accepts(EPSILON):
         raise ValueError("language contains the empty word; cannot normalize")
     transitions = frozenset(t for t in a.transitions if not (t[1] is None and t[0] == t[2]))
     return Nfa(a.alphabet, a.states, transitions, a.initials, a.accepting)
 
 
 def finite_language(words: Iterable[Word], alphabet: Optional[Iterable[Letter]] = None) -> Nfa:
-    """Automaton accepting exactly the given finite set of words."""
-    words = list(dict.fromkeys(tuple(w) for w in words))
-    if alphabet is None:
-        alphabet = merge_alphabets(*(list(w) for w in words))
-    else:
-        alphabet = check_alphabet(alphabet)
-    states: set = {"r"}
-    transitions = set()
-    accepting = set()
-    for i, w in enumerate(words):
-        if not w:
-            accepting.add("r")
-            continue
-        prev: State = "r"
+    """Automaton accepting exactly the given finite set of words: their
+    prefix tree, each state the prefix read so far."""
+    words = dict.fromkeys(tuple(w) for w in words)
+    alphabet = merge_alphabets(*words) if alphabet is None else check_alphabet(alphabet)
+    children: dict = {}
+    for w in words:
         for k, x in enumerate(w):
-            s = ("w", i, k + 1)
-            states.add(s)
-            transitions.add((prev, x, s))
-            prev = s
-        accepting.add(prev)
-    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions),
-               frozenset({"r"}), frozenset(accepting))
+            children.setdefault(w[:k], set()).add((x, w[:k + 1]))
+    return explore(alphabet, [EPSILON], lambda p: children.get(p, ()), words.__contains__)
 
 
 def single_word(word: Word, alphabet: Optional[Iterable[Letter]] = None) -> Nfa:

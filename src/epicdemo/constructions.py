@@ -26,7 +26,6 @@ from .automata import (
     glue,
     image_hom,
     intersect,
-    normalize_no_accepting_initial,
     reachable,
     subtract_word,
 )
@@ -91,7 +90,7 @@ def _cover(sub: Demonstration, reps: Demonstration, inside: KeyPredicate,
     for w, key in reps.keyed_words(check_len):
         if inside(key):
             raise ValueError(f"quotient demo word evaluates into the subgroup: {' '.join(w)}")
-    if sub.language.start_subset() & sub.language.accepting:
+    if sub.language.accepts(EPSILON):
         raise ValueError("the subgroup demonstration accepts the empty word")
     both = ("subgroup", "cosets")
     return _glued(sub.oracle, {"subgroup": sub, "cosets": reps},
@@ -282,9 +281,7 @@ def admissible_automaton(graph: VertexGraph) -> Nfa:
 
     Each state tracks, per vertex v: the letter at the last position not
     commuting with v, and whether any letter after that position exceeds
-    v.  The initial state is the only non-accepting state and carries no
-    epsilon transitions, so gluing constructions can substitute automata
-    for states directly.
+    v.  The initial state is the only non-accepting state.
     """
     verts = graph.vertices
     letters = tuple(Letter(v) for v in verts)
@@ -329,12 +326,9 @@ def graph_product(graph: VertexGraph,
     if extra:
         raise ValueError(f"local demonstrations for unknown vertices: {extra}")
     oracle = GraphProductOracle(graph, {v: local[v].oracle for v in graph.vertices})
-    normalized = {}
     for v in graph.vertices:
-        try:
-            normalized[v] = normalize_no_accepting_initial(local[v].language)
-        except ValueError:
-            raise ValueError(f"local demonstration at {v!r} accepts the empty word") from None
+        if local[v].language.accepts(EPSILON):
+            raise ValueError(f"local demonstration at {v!r} accepts the empty word")
 
     adm = admissible_automaton(graph)
     (adm_initial,) = adm.initials
@@ -343,7 +337,7 @@ def graph_product(graph: VertexGraph,
         if label.setdefault(q, letter) != letter:
             raise AssertionError("admissible state entered by two different vertices")
 
-    parts = {s: normalized[label[s]] for s in adm.accepting}  # the non-initial states
+    parts = {s: local[label[s]].language for s in adm.accepting}  # the non-initial states
     parts["start"] = finite_language([EPSILON], ())
     bridges = [("start" if p == adm_initial else p, q) for (p, _letter, q) in adm.transitions]
     return _glued(oracle, {v: local[v] for v in graph.vertices}, parts, bridges, ("start",),

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .automata import Letter, Nfa, Word, explore, finite_language, walk
-from .groups import (ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle, _GEN_NAMES,
-                     paired_letters)
+from .groups import (ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle,
+                     generator_names, paired_letters)
 
 
 def identity_eval_map(alphabet: Iterable[Letter]) -> dict[Letter, Word]:
@@ -183,17 +183,9 @@ def zk_demo(rank: int, names: Optional[Iterable[str]] = None) -> Demonstration:
     the letter g_i^sign enters ``(i, sign)`` from ``s``, from any earlier
     block and from ``(i, sign)`` itself.
     """
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    if names is None:
-        if rank > len(_GEN_NAMES):
-            raise ValueError(f"rank {rank} too large for default generator names")
-        names = _GEN_NAMES[:rank]
-    names = list(names)
-    if len(names) != rank:
-        raise ValueError("need exactly one generator name per coordinate")
     # paired_letters lists g_1, g_1^-1, g_2, g_2^-1, ...
-    blocks = {x: (k // 2, -1 if k % 2 else 1) for k, x in enumerate(paired_letters(names))}
+    blocks = {x: (k // 2, -1 if k % 2 else 1)
+              for k, x in enumerate(paired_letters(generator_names(rank, names)))}
 
     def moves(p):
         return ((x, b) for x, b in blocks.items() if p == "s" or p == b or p[0] < b[0])

@@ -84,7 +84,6 @@ class GraphProductOracle(GroupOracle):
         self._rank = {v: i for i, v in enumerate(graph.vertices)}
         self._neighbours = {v: {u for u in graph.vertices if graph.adjacent(u, v)}
                             for v in graph.vertices}
-        self._identity_keys = {v: o.identity_key for v, o in self.vertex_oracles.items()}
 
     def __eq__(self, other):
         return (isinstance(other, GraphProductOracle)
@@ -122,7 +121,7 @@ class GraphProductOracle(GroupOracle):
             rest = state[i:]
         s = local.act(s, letter)
         k = local.key(s)
-        if k == self._identity_keys[v]:
+        if k == local.identity_key:
             return state[:i] + rest
         return state[:i] + (((v, k), sub + (letter,), s),) + rest
 

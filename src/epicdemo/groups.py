@@ -100,8 +100,9 @@ class GroupOracle(ABC):
         """Canonical key of the element the word multiplies out to."""
         return self.key(self.fold(word))
 
-    @property
+    @functools.cached_property
     def identity_key(self) -> ElementKey:
+        """Key of the empty word, built once per oracle."""
         return self.key(self.start())
 
     def is_identity(self, word: Word) -> bool:
@@ -271,8 +272,9 @@ def paired_letters(names: Iterable[str]) -> tuple[Letter, ...]:
     """Interleave each name with its formal inverse ``name^-1``.
 
     No name may be ``eps``, which spells the empty word.  Names must not
-    end in the inverse marker themselves, so that pairing letters by name
-    (``inverse_name``) pairs each letter with its inverse.
+    end in the inverse marker themselves, so that adding or removing the
+    marker, as ``formal_inverse`` and ``free_reduce`` do, pairs each
+    letter with its inverse.
     """
     names = tuple(names)
     if "eps" in names:
@@ -286,17 +288,28 @@ def paired_letters(names: Iterable[str]) -> tuple[Letter, ...]:
     return check_alphabet(out)
 
 
-def inverse_name(name: str) -> str:
-    if name.endswith(_INVERSE_SUFFIX):
-        return name[: -len(_INVERSE_SUFFIX)]
-    return name + _INVERSE_SUFFIX
+def generator_names(rank: int, names: Optional[Iterable[str]] = None) -> tuple[str, ...]:
+    """One name per generator: ``names`` as a tuple, or by default the
+    first ``rank`` letters of the Latin alphabet."""
+    if rank < 1:
+        raise ValueError("rank must be positive")
+    if names is None:
+        if rank > len(_GEN_NAMES):
+            raise ValueError(f"rank {rank} too large for default generator names")
+        return tuple(_GEN_NAMES[:rank])
+    names = tuple(names)
+    if len(names) != rank:
+        raise ValueError("need exactly one name per generator")
+    return names
 
 
 class _Inverses(dict):
-    """Each letter's paired inverse ``Letter``, named once per letter."""
+    """Each letter's paired inverse ``Letter``, named once per letter:
+    the inverse marker added, or removed when the letter carries it."""
 
     def __missing__(self, x: str) -> Letter:
-        inverse = self[x] = Letter(inverse_name(x))
+        base = x.removesuffix(_INVERSE_SUFFIX)
+        inverse = self[x] = Letter(x + _INVERSE_SUFFIX if base == x else base)
         return inverse
 
 
@@ -340,14 +353,7 @@ class FreeGroupOracle(GroupOracle):
     names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if self.names is None:
-            if self.rank > len(_GEN_NAMES):
-                raise ValueError(f"rank {self.rank} needs explicit generator names")
-            self.names = tuple(_GEN_NAMES[: self.rank])
-        if len(self.names) != self.rank:
-            raise ValueError("need exactly one name per generator")
+        self.names = generator_names(self.rank, self.names)
         self.alphabet = paired_letters(self.names)
 
     @functools.cached_property

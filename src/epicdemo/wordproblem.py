@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .automata import EPSILON, Letter, Nfa, Word, format_word, walk
 from .errors import InputContradictionError
-from .groups import GroupOracle, formal_inverse, free_reduce, inverse_name, paired_letters
+from .groups import _INVERSE, GroupOracle, formal_inverse, free_reduce, paired_letters
 
 IN_WP = "in_wp"
 NOT_IN_WP = "not_in_wp"
@@ -114,7 +114,7 @@ def normal_closure_enumerator(p: Presentation) -> Enumerator:
         while len(conjugates) <= n:
             if conjugates:
                 level = [u + (x,) for u in level for x in alphabet
-                         if not u or u[-1] != inverse_name(x)]
+                         if not u or u[-1] != _INVERSE[x]]
             sides = [(u, formal_inverse(u)) for u in level]  # one inverse per conjugator
             conjugates.append([tuple([u + s + v for u, v in sides]
                                      for s in pair) for pair in zip(relators, inverses)])

@@ -44,6 +44,41 @@ def bf_language(nfa, max_len, alphabet=None):
     return [w for w in words_upto(alphabet, max_len) if bf_accepts(nfa, w)]
 
 
+def searched_is_empty(nfa):
+    """True when a forward search along every edge from the initial
+    states, epsilon edges included, meets no accepting state."""
+    seen = set(nfa.initials)
+    stack = list(seen)
+    while stack:
+        p = stack.pop()
+        for (src, _label, q) in nfa.transitions:
+            if src == p and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return not seen & nfa.accepting
+
+
+def chained_finite_language(words, alphabet=None):
+    """The automaton of a finite set of words as one chain of fresh states
+    per distinct word from a shared root ``"r"``; the alphabet defaults to
+    the words' letters in order of first use."""
+    from epicdemo.automata import Nfa
+
+    words = list(dict.fromkeys(tuple(w) for w in words))
+    if alphabet is None:
+        alphabet = dict.fromkeys(x for w in words for x in w)
+    states, transitions, accepting = {"r"}, set(), set()
+    for i, w in enumerate(words):
+        prev = "r"
+        for k, x in enumerate(w):
+            states.add(("w", i, k + 1))
+            transitions.add((prev, x, ("w", i, k + 1)))
+            prev = ("w", i, k + 1)
+        accepting.add(prev)
+    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions), frozenset({"r"}),
+               frozenset(accepting))
+
+
 def pumpable_cycle(nfa):
     """True when some accepting run revisits a state with a letter between,
     that is when the language is infinite: a letter edge joins two states

@@ -27,10 +27,12 @@ from epicdemo.errors import AutomatonSizeError
 from oracles import (
     bf_accepts,
     bf_language,
+    chained_finite_language,
     closure_step_accepts,
     pairwise_intersect,
     pairwise_product,
     pumpable_cycle,
+    searched_is_empty,
     tagged_concat,
     tagged_union,
     triplewise_nfa_check,
@@ -87,6 +89,18 @@ def epsilon_cycle_nfas(draw):
     accepting = draw(st.lists(st.sampled_from(states), max_size=n))
     return Nfa((A, B), frozenset(states), frozenset(transitions),
                frozenset(initials), frozenset(accepting))
+
+
+@st.composite
+def island_nfas(draw):
+    """An automaton with an epsilon cycle, plus an accepting state that
+    no edge enters, though edges may leave it."""
+    a = draw(epsilon_cycle_nfas())
+    exits = draw(st.lists(st.tuples(st.sampled_from([A, B, None]),
+                                    st.sampled_from(sorted(a.states))), max_size=2))
+    return Nfa(a.alphabet, a.states | {"island"},
+               a.transitions | {("island", x, q) for x, q in exits}, a.initials,
+               a.accepting | {"island"})
 
 
 @st.composite
@@ -301,6 +315,38 @@ class TestIsEmpty:
     def test_agrees_with_short_word_sweep(self, a):
         # a non-empty language over <=4 states contains a word of length <= 4
         assert a.is_empty() == (bf_language(a, len(a.states)) == [])
+
+    @settings(deadline=None, max_examples=300)
+    @given(island_nfas())
+    def test_agrees_with_forward_search(self, a):
+        assert a.is_empty() == searched_is_empty(a)
+
+
+@st.composite
+def word_lists(draw):
+    """Up to six words of up to three letters over a and b, so that
+    duplicates, shared prefixes and the empty word are common, and either
+    no alphabet or an explicit one holding their letters and maybe c."""
+    words = draw(st.lists(st.lists(st.sampled_from([A, B]), max_size=3).map(tuple),
+                          max_size=6))
+    if draw(st.booleans()):
+        return words, None
+    letters = {x for w in words for x in w} | set(draw(st.lists(st.sampled_from([A, B, C]))))
+    return words, tuple(draw(st.permutations(sorted(letters))))
+
+
+class TestFiniteLanguage:
+    @settings(deadline=None, max_examples=300)
+    @given(word_lists(), st.lists(st.lists(st.sampled_from([A, B, C]), max_size=4).map(tuple),
+                                  max_size=6))
+    def test_matches_chained_reference(self, case, probes):
+        words, alphabet = case
+        got, want = finite_language(words, alphabet), chained_finite_language(words, alphabet)
+        n = max(map(len, words), default=0) + 1
+        assert got.alphabet == want.alphabet
+        assert got.enumerate_words(n) == want.enumerate_words(n)
+        for w in probes + words:
+            assert got.accepts(w) == want.accepts(w)
 
 
 class TestBooleanOps:

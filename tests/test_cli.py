@@ -267,6 +267,10 @@ class TestUsageErrors:
         code, out, err = run(capsys, "ball", "--demo", name, "--radius", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_free_group_past_default_names_is_reported_as_zk(self, capsys):
+        code, out, err = run(capsys, "ball", "--demo", "free(30)", "--radius", "1")
+        assert (code, out, err) == (2, "", "error: rank 30 too large for default generator names\n")
+
     @pytest.mark.parametrize("files", [[], ["-f", DATA]], ids=["builtin", "file"])
     @pytest.mark.parametrize("value, message", [
         ("abc", "must be an integer, got 'abc'"), ("0", "must be positive, got 0")])

@@ -1,10 +1,13 @@
+import functools
 import itertools
+from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, intersect, make_word, \
-    single_word, subtract_word
+from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, intersect, \
+    inverse_letter_hom, make_word, single_word, subtract_word, union
 from epicdemo.constructions import (
     CosetTable,
     _cover,
@@ -19,7 +22,8 @@ from epicdemo.constructions import (
     graph_product,
     split_triple,
 )
-from epicdemo.demonstrations import Demonstration, finite_demo, identity_eval_map, z_demo, zk_demo
+from epicdemo.demonstrations import Demonstration, finite_demo, free_demo, identity_eval_map, \
+    z_demo, zk_demo
 from epicdemo.graphproduct import VertexGraph
 from epicdemo.groups import (
     FreeAbelianOracle,
@@ -598,7 +602,7 @@ class TestGraphProduct:
         pairs = list(itertools.combinations(vertices, 2))
 
         def name(s):
-            return ("glue-init",) if s == ("start", "r") else s
+            return ("glue-init",) if s == ("start", ()) else s
 
         for k in range(2 ** len(pairs)):
             graph = VertexGraph.make(vertices, [e for i, e in enumerate(pairs) if k >> i & 1])
@@ -736,3 +740,182 @@ class TestCrossSection:
         lang = finite_language([EPSILON, (Letter("a"),)])
         with pytest.raises(ValueError, match="evaluates elsewhere"):
             cross_section_to_demo(lang, z_demo().oracle, (Letter("a"),))
+
+
+# -- every construct output is again a demonstration ---------------------
+
+
+def free2_demo(prefix):
+    """``free_demo(2)`` over generators named ``prefix`` a and b."""
+    oracle = FreeGroupOracle(2, (prefix + "a", prefix + "b"))
+    base = free_demo(2).language
+    language = inverse_letter_hom(base, dict(zip(oracle.alphabet, base.alphabet)),
+                                  oracle.alphabet)
+    return Demonstration(oracle, identity_eval_map(oracle.alphabet), language)
+
+
+def z2_z3_demo(prefix):
+    """Z2 * Z3 as a graph product of two finite demonstrations."""
+    c3 = PermutationOracle(3, {Letter(prefix + "r"): (1, 2, 0), Letter(prefix + "r2"): (2, 0, 1)})
+    graph = VertexGraph.make((prefix + "u", prefix + "v"), [])
+    return graph_product(graph, {prefix + "u": c2_demo(prefix + "s"),
+                                 prefix + "v": finite_demo(c3)})
+
+
+# each group as a demonstration whose letters evaluate to themselves, with
+# its odd letters: words with an even number of them form a subgroup H of
+# index two
+CLOSURE_GROUPS = {
+    "Z": lambda p: (zk_demo(1, names=(p + "a",)), {p + "a", p + "a^-1"}),
+    "Z2": lambda p: (zk_demo(2, names=(p + "a", p + "b")), {p + "a", p + "a^-1"}),
+    "S3": lambda p: (finite_demo(s3_oracle(p)), {p + "(12)", p + "(13)", p + "(23)"}),
+    "free2": lambda p: (free2_demo(p), {p + "a", p + "a^-1"}),
+    "Z2*Z3": lambda p: (z2_z3_demo(p), {p + "s"}),
+}
+
+
+def with_empty_word(demo):
+    language = demo.language
+    return Demonstration(demo.oracle, demo.eval_map,
+                         union(language, finite_language([EPSILON], language.alphabet)))
+
+
+@dataclass
+class ClosureGroup:
+    demo: Demonstration
+    odd: frozenset
+    table: CosetTable  # the cosets of H
+    in_h: Callable  # membership of H, for keys within six letters
+    sub: Demonstration  # H, as fi_subgroup builds it
+
+
+@functools.cache
+def closure_group(name, prefix=""):
+    demo, odd = CLOSURE_GROUPS[name](prefix)
+    oracle = demo.oracle
+    even = {key for key, w in oracle.ball(6).items() if sum(x in odd for x in w) % 2 == 0}
+    t = next(x for x in oracle.alphabet if x in odd)
+    table = CosetTable(oracle, ("H", "K"), {"H": EPSILON, "K": (t,)},
+                       {(c, x): "HK"[(c == "K") != (x in odd)]
+                        for c in "HK" for x in oracle.alphabet})
+    return ClosureGroup(demo, frozenset(odd), table, even.__contains__, fi_subgroup(demo, table))
+
+
+def predicate(kind, group):
+    """A membership predicate for H: right, inverted, true of everything,
+    true of the identity alone, or None."""
+    identity = group.demo.oracle.identity_key
+    return {"right": group.in_h, "inverted": lambda key: not group.in_h(key),
+            "everything": lambda key: True, "identity": lambda key: key == identity,
+            "none": None}[kind]
+
+
+def draw_change_generators(draw, name):
+    group = closure_group(name)
+    demo = draw(st.sampled_from([group.demo, group.sub]), label="demo")
+    oracle = demo.oracle
+    renamed = {x: Letter("t" + x) for x in oracle.alphabet}
+    phi = {x: tuple(renamed[y] for y in demo.eval_map[x]) for x in demo.language.alphabet}
+    x, y = draw(st.sampled_from(sorted(phi))), draw(st.sampled_from(oracle.alphabet))
+    phi[x] = draw(st.sampled_from([
+        phi[x], phi[x] + (renamed[y], renamed[oracle.inverse_letter(y)]),
+        draw(st.lists(st.sampled_from(list(renamed.values())), max_size=2).map(tuple))]),
+        label=f"image of {x}")
+    return lambda: change_generators(demo, {renamed[x]: (x,) for x in oracle.alphabet}, phi)
+
+
+def draw_extension(draw, name):
+    group = closure_group(name)
+    demo_n = draw(st.sampled_from([group.sub, group.sub, with_empty_word(group.sub), group.demo]),
+                  label="normal subgroup demo")
+    oracle = group.demo.oracle
+    reps = (Letter("q1"), Letter("q2"))
+    q1, q2 = reps
+    images = {q1: (draw(st.sampled_from(sorted(group.odd))),),
+              q2: (draw(st.sampled_from(oracle.alphabet)),)}
+    words = draw(st.lists(st.sampled_from([(q1,), (q1,), (q2,), (q1, q2), EPSILON]),
+                          min_size=1, max_size=2), label="quotient words")
+    demo_q = Demonstration(oracle, images, finite_language(words, reps))
+    in_normal = predicate(draw(st.sampled_from(["right", "right", "inverted", "everything",
+                                                "identity"]), label="in_normal"), group)
+    return lambda: extension(demo_n, demo_q, oracle, in_normal, check_len=2)
+
+
+def draw_fi_overgroup(draw, name):
+    group = closure_group(name)
+    demo = draw(st.sampled_from([group.sub, group.sub, with_empty_word(group.sub)]),
+                label="subgroup demo")
+    oracle = group.demo.oracle
+    kind = draw(st.sampled_from(["right", "inverted", "everything", "identity", "none"]),
+                label="in_subgroup")
+    odd = sorted(group.odd)
+    x = draw(st.sampled_from(oracle.alphabet))
+    reps = [(draw(st.sampled_from(odd)),)] * 2 + [(x, oracle.inverse_letter(x))]
+    # a letter inside H but not the identity is trusted unless a predicate
+    # catches it: one that holds on H, or an inverted one, which is refused
+    if kind in ("right", "everything", "inverted"):
+        reps += [(x, draw(st.sampled_from(odd)))] if x in group.odd else [(x,)]
+    transversal = {Letter(f"t{i}"): draw(st.sampled_from(reps), label=f"t{i}")
+                   for i in range(draw(st.integers(min_value=1, max_value=2)))}
+    return lambda: fi_overgroup(demo, oracle, transversal, predicate(kind, group))
+
+
+def draw_fi_subgroup(draw, name):
+    group = closure_group(name)
+    demo = draw(st.sampled_from([group.demo, with_empty_word(group.demo)]), label="demo")
+    right = group.table
+    oracle = right.oracle
+    action, transversal, cosets = dict(right.action), dict(right.transversal), right.cosets
+    kind = draw(st.sampled_from(["right", "right", "partial", "inconsistent", "transversal",
+                                 "home"]), label="table")
+    key = draw(st.sampled_from(sorted(action)))
+    if kind == "partial":
+        del action[key]
+    elif kind == "inconsistent":
+        action[key] = "H" if action[key] == "K" else "K"
+    elif kind == "transversal":
+        transversal["K"] = draw(st.sampled_from([EPSILON, *((x,) for x in oracle.alphabet)]))
+    elif kind == "home":
+        cosets = cosets[::-1]
+    table = CosetTable(oracle, cosets, transversal, action)
+    kind = draw(st.sampled_from(["right", "inverted", "everything", "identity", "none"]),
+                label="in_subgroup")
+    return lambda: fi_subgroup(demo, table, predicate(kind, group))
+
+
+def draw_graph_product(draw, name):
+    names = [name]
+    # free(2) beside another group has too many words of six letters to check
+    if name != "free2" and draw(st.booleans()):
+        names.append(draw(st.sampled_from(sorted(set(CLOSURE_GROUPS) - {"free2"}))))
+    vertices = "uv"[:len(names)]
+    edges = [tuple(vertices)] if len(vertices) == 2 and draw(st.booleans()) else []
+    local = {}
+    for v, n in zip(vertices, names):
+        # two vertices with one prefix share their letters, which is refused
+        demo = closure_group(n, draw(st.sampled_from([v + "."] * 3 + [""]))).demo
+        local[v] = draw(st.sampled_from([demo, demo, with_empty_word(demo)]), label=f"{v} demo")
+    return lambda: graph_product(VertexGraph.make(vertices, edges), local)
+
+
+CLOSURE_VERBS = {"change_generators": draw_change_generators, "extension": draw_extension,
+                 "fi_overgroup": draw_fi_overgroup, "fi_subgroup": draw_fi_subgroup,
+                 "graph_product": draw_graph_product}
+
+
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(st.data())
+def test_no_construct_writes_an_identity_word(data):
+    """Each closure theorem says a construct's output is again a
+    demonstration: every call either refuses its inputs with ValueError
+    or returns a language with no identity word up to six letters.  The
+    inputs include demonstrations that accept the empty word, inverted
+    and wrong predicates, and wrong coset tables."""
+    verb = data.draw(st.sampled_from(sorted(CLOSURE_VERBS)), label="verb")
+    call = CLOSURE_VERBS[verb](data.draw, data.draw(st.sampled_from(sorted(CLOSURE_GROUPS)),
+                                                    label="group"))
+    try:
+        out = call()
+    except ValueError:
+        return
+    assert out.verify_no_identity(6) == []

@@ -118,6 +118,11 @@ class TestFreeGroup:
         assert o.fold(make_word("a", "a^-1")) == EPSILON
         assert o.fold(make_word("a", "b", "b^-1", "a")) == make_word("a", "a")
 
+    def test_names_given_as_a_list_are_kept_as_a_tuple(self):
+        # a workspace finds a group by equality, whatever spelled its names
+        o = FreeGroupOracle(2, ["a", "b"])
+        assert o.names == ("a", "b") and o == FreeGroupOracle(2)
+
     def test_alphabet_interleaves_inverses(self):
         o = FreeGroupOracle(2)
         assert [x.name for x in o.alphabet] == ["a", "a^-1", "b", "b^-1"]
