@@ -283,6 +283,8 @@ class Nfa:
     def accepts(self, word: Word) -> bool:
         """Membership test; letters outside the alphabet never match."""
         subset = self.start_subset()
+        if not word:  # a closed subset: no distance table to build
+            return not self.accepting.isdisjoint(subset)
         for x in word:
             subset = self.step(subset, x)
             if not subset:

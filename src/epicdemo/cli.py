@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 verification failure or undecided word, 2 usage
 or load error.  Reports are deterministic; ``--porcelain`` switches to
 one machine-readable record per line.  The environment variable
 ``EPIC_MAX_STATES`` caps constructed automaton sizes (default 10^6).
+A call whose files read as the last loading call's files did, under the
+same cap, reuses the workspace that call loaded.
 The scripts under ``scripts/`` reuse its exit codes, length and
 ``wp decide`` checks, demonstration lookup and bundle writer.
 """
@@ -523,21 +525,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ((path, text) pairs, state cap) of the last call that loaded files, and
+# the workspace they loaded to
+_kept: Optional[tuple[tuple, Workspace]] = None
+
+
+def _workspace(files: list, cap: int) -> Workspace:
+    """The workspace of the files, in maps of its own.  The objects are the
+    last loading call's when the files read as its files did and the state
+    cap, which a load checks every automaton against, is the same; any
+    other call loads them and keeps them for the next."""
+    global _kept
+    texts = []
+    for path in files:
+        with open(path, "r", encoding="utf-8") as fh:
+            texts.append((str(path), fh.read()))
+    key = (tuple(texts), cap)
+    if _kept is None or _kept[0] != key:
+        _kept = key, load(files)
+    return Workspace(**{name: dict(table) for name, table in vars(_kept[1]).items()})
+
+
 def _run(args) -> int:
     _check_lengths(args, "max_len", "search_len", "ball", "radius", "check_len")
     try:  # read on every automaton built, so a bad value would be blamed on a file or a name
-        state_cap()
+        cap = state_cap()
     except ValueError as e:
         raise UsageError(str(e)) from None
     files = args.files + args.verb_files
-    ws = load(files) if files else Workspace()
+    ws = _workspace(files, cap) if files else Workspace()
     return args.handler(ws, args)
 
 
 def main(argv: Optional[list] = None) -> int:
-    # A call frees everything it builds by reference counting alone (no
-    # reference cycles, see TestNoCyclicGarbage), so the cyclic collector
-    # would only rescan its large acyclic structures and find nothing.
+    # A call frees everything it builds but the workspace it keeps by
+    # reference counting alone (no reference cycles, see TestNoCyclicGarbage),
+    # so the cyclic collector would only rescan its large acyclic structures
+    # and find nothing.
     collecting = gc.isenabled()
     gc.disable()
     try:

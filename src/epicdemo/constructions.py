@@ -60,6 +60,8 @@ def change_generators(demo: Demonstration,
             raise ValueError(f"image of {x.name!r} is the empty word")
         if demo.oracle.evaluate(spell(target_eval_map, phi[x])) != demo.evaluate((x,)):
             raise ValueError(f"image of {x.name!r} evaluates to a different element")
+    if demo.language.accepts(EPSILON):
+        raise ValueError("the demonstration accepts the empty word")
     language = image_hom(demo.language, phi, allow_erasing=False,
                          target_alphabet=target_alphabet)
     return Demonstration(demo.oracle, dict(target_eval_map), language)

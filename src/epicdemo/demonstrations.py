@@ -12,11 +12,12 @@ infinite ones cannot).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .automata import Letter, Nfa, Word, explore, finite_language, walk
+from .automata import Letter, Nfa, Word, explore, finite_language, state_cap, walk
 from .groups import (ElementKey, FreeAbelianOracle, FreeGroupOracle, GroupOracle,
                      generator_names, paired_letters)
 
@@ -212,6 +213,15 @@ def builtin_demo(kind: str) -> Demonstration:
     if not m:
         raise UnknownBuiltinError(f"unknown builtin demonstration {kind!r}")
     if m.group(1):
+        return _built("z", 1, state_cap())
+    return _built(m.group(2), int(m.group(3) or m.group(4)), state_cap())
+
+
+@functools.lru_cache(maxsize=16)
+def _built(family: str, rank: int, cap: int) -> Demonstration:
+    """The builtin demonstration of the family and rank, built once per
+    state cap: the cap, which every automaton built reads, decides whether
+    building it fails, and a failure is not kept."""
+    if family == "z":
         return z_demo()
-    rank = int(m.group(3) or m.group(4))
-    return free_demo(rank) if m.group(2) == "free" else zk_demo(rank)
+    return free_demo(rank) if family == "free" else zk_demo(rank)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from epicdemo import cli
 from epicdemo.cli import build_parser, main, parse_key_predicate, UsageError
 from epicdemo.demonstrations import builtin_demo, z_demo, zk_demo
 from epicdemo.automata import format_word, make_word
@@ -14,7 +15,7 @@ from epicdemo.workspace import load, render_automaton
 
 from test_groups import s3_oracle
 from test_constructions import z_rewriting_fixture
-from test_workspace import chain_text
+from test_workspace import call, chain_text, cold_call
 
 DATA = str(pathlib.Path(__file__).resolve().parent.parent / "data" / "demo_workspace.epic")
 
@@ -959,6 +960,7 @@ class TestCollectorState:
             def load(files):
                 raise RuntimeError("escapes main")
             monkeypatch.setattr("epicdemo.cli.load", load)
+            monkeypatch.setattr("epicdemo.cli._kept", None)  # else DATA may not load again
         was = gc.isenabled()
         (gc.enable if collecting else gc.disable)()
         try:
@@ -973,6 +975,100 @@ class TestCollectorState:
             (gc.enable if was else gc.disable)()
         capsys.readouterr()
         assert (code, after) == (expected, collecting)
+
+
+class TestKeptWorkspace:
+    """A call that reuses the workspace of the call before it gives what it
+    gives with nothing kept: the same exit code, output and bundle bytes."""
+
+    ZK = "group g zk rank 1\n  gen a = [{}]\n  gen a^-1 = [-{}]\nend\n"
+    BALL = ["ball", "--group", "g", "--radius", "1"]
+
+    @pytest.mark.parametrize("verb", list(TestNoCyclicGarbage.VERBS))
+    def test_second_call_reuses_and_matches_a_cold_call(self, monkeypatch, tmp_path, verb):
+        fixture = tmp_path / "fixture.epic"
+        fixture.write_text(TestNoCyclicGarbage.S3
+                           + render_automaton("trip", z_rewriting_fixture().nfa))
+        files = [DATA, str(fixture)]
+        out = tmp_path / "out.epic"
+        argv = ["-f", DATA, "-f", str(fixture), *TestNoCyclicGarbage.VERBS[verb]]
+        if TestNoCyclicGarbage.VERBS[verb][0] == "construct":
+            argv += ["--out", str(out)]
+        first = call(argv, out)
+        assert first[0] == 0, first[2]
+        loaded = []
+        monkeypatch.setattr(cli, "load", lambda paths: loaded.append(paths) or load(paths))
+        second = call(argv, out)
+        assert files not in loaded  # reused, not loaded again
+        assert second == first == cold_call(argv, out)
+
+    def test_file_rewritten_to_the_same_length_loads_again(self, tmp_path):
+        path = tmp_path / "g.epic"
+        path.write_text(self.ZK.format(1, 1))
+        argv = ["-f", str(path), *self.BALL]
+        first = call(argv)
+        stat = path.stat()
+        path.write_text(self.ZK.format(2, 2))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        second = call(argv)
+        assert second != first
+        assert "zk1[2] a" in second[1]
+        assert second == cold_call(argv)
+
+    def test_file_made_malformed_then_restored(self, tmp_path):
+        path = tmp_path / "g.epic"
+        good = self.ZK.format(1, 1)
+        path.write_text(good)
+        argv = ["-f", str(path), *self.BALL]
+        first = call(argv)
+        assert first[0] == 0
+        path.write_text(good.replace("[1]", "[1"))
+        broken = call(argv)
+        assert broken[0] == 2 and broken[1] == ""
+        assert len(broken[2].splitlines()) == 1 and broken[2].startswith(f"error: {path}:2:")
+        path.write_text(good)
+        assert call(argv) == first
+        path.write_text(good.replace("[1]", "[1"))
+        assert cold_call(argv) == broken
+        path.write_text(good)
+        assert call(argv) == first
+
+    @pytest.mark.parametrize("argv", [
+        ["-f", DATA, "enumerate", "--automaton", "powers", "--max-len", "2"],
+        ["ball", "--demo", "ZK2", "--radius", "1"],
+        ["-f", DATA, "ball", "--demo", "zk(2)", "--radius", "1"],
+    ], ids=["workspace", "builtin", "builtin-with-workspace"])
+    def test_lowered_state_cap(self, monkeypatch, argv):
+        first = call(argv)
+        assert first[0] == 0
+        monkeypatch.setenv("EPIC_MAX_STATES", "2")
+        lowered = call(argv)
+        assert lowered[0] != 0 and lowered[1] == "" and "cap is 2" in lowered[2]
+        assert lowered == cold_call(argv)
+        monkeypatch.delenv("EPIC_MAX_STATES")
+        assert call(argv) == first
+
+    def test_builtin_is_keyed_on_family_and_rank(self):
+        assert builtin_demo("ZK2") is builtin_demo("zk(2)")
+        assert builtin_demo("ZK2") is not builtin_demo("FREE2")
+
+    def test_handler_cannot_add_a_name_for_the_next_call(self, tmp_path):
+        path = tmp_path / "g.epic"
+        path.write_text(self.ZK.format(1, 1))
+        args = build_parser().parse_args(["-f", str(path), *self.BALL])
+        handler = args.handler
+
+        def adding(ws, args):
+            ws.groups["extra"] = ws.groups["g"]
+            return handler(ws, args)
+
+        args.handler = adding
+        assert cli._run(args) == 0
+        argv = ["-f", str(path), "ball", "--group", "extra", "--radius", "1"]
+        second = call(argv)
+        assert second == (2, "", "error: unknown group 'extra'\n", None)
+        assert second == cold_call(argv)
 
 
 class TestDeepGraphProduct:

@@ -812,7 +812,8 @@ def predicate(kind, group):
 
 def draw_change_generators(draw, name):
     group = closure_group(name)
-    demo = draw(st.sampled_from([group.demo, group.sub]), label="demo")
+    demo = draw(st.sampled_from([group.demo, group.sub, with_empty_word(group.sub)]),
+                label="demo")
     oracle = demo.oracle
     renamed = {x: Letter("t" + x) for x in oracle.alphabet}
     phi = {x: tuple(renamed[y] for y in demo.eval_map[x]) for x in demo.language.alphabet}

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from epicdemo.automata import Letter, Nfa, make_word
 from epicdemo.constructions import CosetTable, fi_subgroup, graph_product
+from epicdemo import cli
 from epicdemo.cli import main as cli_main
-from epicdemo.demonstrations import Demonstration, z_demo, zk_demo
+from epicdemo.demonstrations import Demonstration, _built, z_demo, zk_demo
 from epicdemo.errors import LoadError
 from epicdemo.graphproduct import GraphProductOracle, VertexGraph
 from epicdemo.groups import FreeAbelianOracle, FreeGroupOracle, PermutationOracle
@@ -201,6 +202,31 @@ def bundle_texts(tmp_path_factory):
     return texts
 
 
+def call(argv, out=None):
+    """Exit code, stdout, stderr and the bundle written to out (None for
+    none) of one CLI call."""
+    if out is not None and out.exists():
+        out.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    bundle = out.read_bytes() if out is not None and out.exists() else None
+    return code, stdout.getvalue(), stderr.getvalue(), bundle
+
+
+def cold_call(argv, out=None):
+    """call(argv, out) with no workspace or builtin kept from an earlier call."""
+    cli._kept = None
+    _built.cache_clear()
+    return call(argv, out)
+
+
+def back_to_back(argv, out=None):
+    """call(argv, out) with whatever the calls before it kept, then as a
+    cold call."""
+    return call(argv, out), cold_call(argv, out)
+
+
 class TestMutatedSample:
     @settings(deadline=None, max_examples=300)
     @given(mutated_texts(SAMPLE_TEXT))
@@ -227,6 +253,49 @@ class TestMutatedSample:
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2) and len(lines) <= 1
         assert all(line.startswith("error: ") for line in lines)
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(text=edited_texts(SAMPLE_TEXT))
+    def test_edited_samples_back_to_back_run_as_cold_calls(self, tmp_path_factory, text):
+        """The edited samples, written one after another to one path:
+        change-gens and verify on each give what a call with nothing kept
+        gives, and a bundle change-gens writes verifies as the demonstration
+        it came from.  The last call loads the path, so the first call of the
+        next example finds the workspace of the text before it."""
+        base = tmp_path_factory.getbasetemp()
+        path, out = base / "edited-in-turn.epic", base / "renamed.epic"
+        path.write_text(text)
+        warm, cold = back_to_back(["-f", str(path), "construct", "change-gens", "--demo", "Zdemo",
+                                   "--letter", "b=a", "--letter", "b^-1=a^-1", "--image", "a=b",
+                                   "--image", "a^-1=b^-1", "--out", str(out)], out)
+        assert warm == cold
+        verify = ["verify", "--demo", "Zdemo", "--max-len", "3", "--ball", "2"]
+        if cold[0] == 0:
+            _, renamed, _, _ = call(["-f", str(out), *verify[:2], "derived", *verify[3:]])
+            _, verified, _, _ = call(["-f", str(path), *verify])
+            assert renamed.splitlines()[-1] == verified.splitlines()[-1]
+        warm, cold = back_to_back(["-f", str(path), *verify])
+        assert warm == cold
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.data())
+    def test_edited_bundles_back_to_back_run_as_cold_calls(self, bundle_texts, tmp_path_factory,
+                                                           data):
+        """The same edits on rendered construct bundles, written one after
+        another to one path: verify or enumerate on each gives what a call
+        with nothing kept gives."""
+        bundle = data.draw(st.sampled_from(bundle_texts))
+        path = tmp_path_factory.getbasetemp() / "edited-bundle.epic"
+        path.write_text(data.draw(edited_texts(bundle)))
+        first = bundle.split(None, 2)
+        if first[0] == "automaton":
+            argv = ["enumerate", "--automaton", first[1], "--max-len", "3"]
+        else:
+            demo = next(line.split()[1] for line in bundle.splitlines()
+                        if line.startswith("demonstration "))
+            argv = ["verify", "--demo", demo, "--max-len", "3", "--ball", "2"]
+        warm, cold = back_to_back(["-f", str(path), *argv])
+        assert warm == cold
 
     def test_bundles_cover_every_group_kind(self, bundle_texts):
         flavors = {line.split()[2] for text in bundle_texts for line in text.splitlines()
