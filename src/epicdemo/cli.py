@@ -5,7 +5,10 @@ or load error.  Reports are deterministic; ``--porcelain`` switches to
 one machine-readable record per line.  The environment variable
 ``EPIC_MAX_STATES`` caps constructed automaton sizes (default 10^6).
 A call whose files read as the last loading call's files did, under the
-same cap, reuses the workspace that call loaded.
+same cap, reuses the workspace that call loaded.  ``wp decide`` reads
+the closure stream its presentation keeps and the language stream its
+demonstration keeps, each built at the first decide on that object;
+the certificate replays on streams built for the replay alone.
 The scripts under ``scripts/`` reuse its exit codes, length and
 ``wp decide`` checks, demonstration lookup and bundle writer.
 """
@@ -37,6 +40,7 @@ from .graphproduct import VertexGraph
 from .groups import EPS_RESERVED, cycles_from_perm
 from .wordproblem import (
     BUDGET_EXCEEDED,
+    Enumerator,
     Frontier,
     decide_word,
     demonstration_enumerator,
@@ -267,11 +271,22 @@ def _wp_word(presentation, demo: Demonstration, text: str, budget: int) -> Word:
     return word
 
 
+def _stream(owner, build) -> Enumerator:
+    """The stream build(owner) made at the first call, kept on owner for
+    every later call while owner lives; a broken stream is built anew.
+    The stream does not refer to owner, so keeping it makes no cycle."""
+    kept = vars(owner).get("_stream")
+    if kept is None or kept.broken:
+        kept = vars(owner)["_stream"] = build(owner)
+    return kept
+
+
 def _decide(word: Word, demo: Demonstration, presentation, budget: int, frontier=None):
-    """The verdict on word, and whether its certificate replays on fresh
+    """The verdict on word from the streams the demonstration and the
+    presentation keep, and whether its certificate replays on fresh
     streams, or None for a verdict that ran out of budget."""
-    verdict = decide_word(word, demonstration_enumerator(demo),
-                          normal_closure_enumerator(presentation), budget, frontier)
+    verdict = decide_word(word, _stream(demo, demonstration_enumerator),
+                          _stream(presentation, normal_closure_enumerator), budget, frontier)
     if verdict.kind == BUDGET_EXCEEDED:
         return verdict, None
     return verdict, replay(word, demonstration_enumerator(demo),

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .automata import EPSILON, Letter, Nfa, Word, format_word, walk
+from .demonstrations import spell
 from .errors import InputContradictionError
 from .groups import _INVERSE, GroupOracle, formal_inverse, free_reduce, paired_letters
 
@@ -69,18 +70,30 @@ class Enumerator:
     copies agree index by index; certificates that cite indices stay
     replayable.  The stream's end is the only finiteness signal: ``get``
     reports ``None`` past the last word of a stream that ends.
+
+    A pull that raises breaks the stream.  A generator that has raised
+    ends at every later pull, an end the stream never reached, so past
+    the words pulled before, ``get`` on a broken stream raises instead,
+    and ``broken`` tells whoever keeps the stream to build a new one.
     """
 
     def __init__(self, words: Iterable[Word]):
         self._iter = iter(words)
         self._cache: list[Word] = []
+        self.broken = False
 
     def get(self, i: int) -> Optional[Word]:
         if i < 0:
             raise IndexError(i)
         cache = self._cache
         while len(cache) <= i:  # one pull per missing index
-            w = next(self._iter, None)
+            if self.broken:
+                raise RuntimeError(f"stream broke pulling word {len(cache)}")
+            try:
+                w = next(self._iter, None)
+            except BaseException:
+                self.broken = True
+                raise
             if w is None:
                 return None
             cache.append(w)
@@ -167,9 +180,11 @@ def demonstration_enumerator(demo) -> Enumerator:
 
     Emission order follows the language words length-lex; each is pushed
     through the demonstration's evaluation map before comparison in the
-    free group.  The stream ends when the language is finite.
+    free group.  The stream ends when the language is finite.  It holds
+    the evaluation map and the language, not the demonstration, so a
+    demonstration can keep its own stream without a reference cycle.
     """
-    return Enumerator(map(demo.oracle_word, demo.language.words()))
+    return Enumerator(map(partial(spell, demo.eval_map), demo.language.words()))
 
 
 def coword_demo_from_wp(oracle: GroupOracle) -> Enumerator:

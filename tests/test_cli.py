@@ -9,8 +9,9 @@ import pytest
 
 from epicdemo import cli
 from epicdemo.cli import build_parser, main, parse_key_predicate, UsageError
-from epicdemo.demonstrations import builtin_demo, z_demo, zk_demo
+from epicdemo.demonstrations import _built, builtin_demo, z_demo, zk_demo
 from epicdemo.automata import format_word, make_word
+from epicdemo.wordproblem import Enumerator
 from epicdemo.workspace import load, render_automaton
 
 from test_groups import s3_oracle
@@ -551,6 +552,51 @@ class TestWpDecide:
         assert code == 2
         assert "outside the presentation alphabet" in err
 
+    def test_replay_reads_streams_of_its_own(self, capsys):
+        """decide reads the closure stream the presentation keeps, replay
+        one built for it: a word overwritten in the kept stream is cited,
+        and the replay refuses it."""
+        argv = ["-f", DATA, "--porcelain", "wp", "decide", "--presentation", "plane",
+                "--demo", "ZK2", "--word", "a b a^-1 b^-1"]
+        try:
+            assert run(capsys, *argv) == (0, "verdict in_wp comparisons=6 replayed=yes "
+                                             "closure_word=a b a^-1 b^-1 index=1\n", "")
+            closure = cli._stream(cli._kept[1].presentations["plane"],
+                                  cli.normal_closure_enumerator)
+            closure._cache[1] = make_word("a", "b", "b^-1", "b", "a^-1", "b^-1")
+            assert run(capsys, *argv) == (1, "verdict in_wp comparisons=6 replayed=no "
+                                             "closure_word=a b b^-1 b a^-1 b^-1 index=1\n", "")
+        finally:
+            cli._kept = None  # the overwritten stream goes with its presentation
+
+    def test_raising_pull_leaves_no_broken_stream_kept(self, monkeypatch):
+        """A pull that raises out of a call, an interrupt say, breaks the
+        closure stream the presentation keeps: a generator that raised would
+        end at index 20, and the word, certified at closure index 971, would
+        run out of budget.  The next call builds the stream anew."""
+        argv = ["-f", DATA, "--porcelain", "wp", "decide", "--presentation", "plane",
+                "--demo", "ZK2", "--word", "a b a^-1 b^-1 a b a^-1 b^-1"]
+        built = cli.normal_closure_enumerator
+
+        def interrupted(presentation):
+            def words():
+                whole = built(presentation)
+                for i in range(20):
+                    yield whole.get(i)
+                raise KeyboardInterrupt
+
+            return Enumerator(words())
+
+        cli._kept = None  # a workspace whose presentation keeps no stream yet
+        monkeypatch.setattr(cli, "normal_closure_enumerator", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        monkeypatch.undo()
+        after = call(argv)
+        assert after == (0, "verdict in_wp comparisons=945756 replayed=yes "
+                            "closure_word=a b a^-1 b^-1 a b a^-1 b^-1 index=971\n", "", None)
+        assert after == cold_call(argv)
+
     def test_mismatched_demo_alphabet(self, capsys):
         code, _, err = run(capsys, "-f", DATA, "wp", "decide",
                            "--presentation", "plane", "--demo", "ZK3",
@@ -938,6 +984,34 @@ class TestNoCyclicGarbage:
             gc.garbage.clear()
         assert garbage == []
 
+    def test_dropped_streams_leave_no_cyclic_garbage(self, capsys, tmp_path):
+        """The streams decide leaves on a workspace's presentation and
+        demonstration, and on a builtin, are freed with them: when a call
+        on other files replaces the kept workspace, and when the builtin is
+        evicted."""
+        a, b = tmp_path / "a.epic", tmp_path / "b.epic"
+        a.write_text(pathlib.Path(DATA).read_text())
+        b.write_text(a.read_text() + "# another file\n")
+        decide = ["--porcelain", "wp", "decide", "--presentation", "plane",
+                  "--word", "a b a^-1 b^-1"]
+        for argv in (["-f", str(a), *decide, "--demo", "Zdemo"],
+                     ["-f", str(a), *decide, "--demo", "ZK2"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "") and "replayed=yes" in out
+        flags = gc.get_debug()
+        gc.collect()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            code, out, err = run(capsys, "-f", str(b), *decide, "--demo", "Zdemo")
+            assert (code, err) == (0, "") and "replayed=yes" in out
+            _built.cache_clear()
+            gc.collect()
+            garbage = [getattr(o, "__qualname__", type(o).__name__) for o in gc.garbage]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert garbage == []
+
 
 class TestCollectorState:
     """main turns the cyclic collector off for the call and leaves it as it
@@ -1001,6 +1075,45 @@ class TestKeptWorkspace:
         second = call(argv, out)
         assert files not in loaded  # reused, not loaded again
         assert second == first == cold_call(argv, out)
+
+    def test_wp_decides_back_to_back_match_cold_calls(self, tmp_path):
+        """A deep word fills the streams the presentation and ZK2 keep far
+        past what the shallow words, a budget cut, its resumption and the
+        uncut run after it read; each gives what it gives as a cold call,
+        down to the frontier file."""
+        state = tmp_path / "frontier.json"
+        base = ["-f", DATA, "--porcelain", "wp", "decide", "--presentation", "plane",
+                "--demo", "ZK2"]
+        resume = ["--resume", str(state)]
+        sequence = [
+            ["--word", "a a b a^-1 a^-1 b^-1", "--budget", "10000000"],
+            ["--word", "a b a^-1 b^-1"],
+            ["--word", "b a"],
+            ["--word", "eps"],
+            ["--word", "a a b", "--budget", "25", *resume],
+            ["--word", "a a b", "--budget", "1000000", *resume],
+            ["--word", "a a b", "--budget", "1000025"],
+        ]
+
+        def frontier():
+            return state.read_bytes() if state.exists() else None
+
+        cli._kept = None
+        warm, kept = [], set()
+        for args in sequence:
+            before = frontier()
+            warm.append((before, call(base + args), frontier()))
+            plane = cli._kept[1].presentations["plane"]
+            kept.add(id(cli._stream(plane, cli.normal_closure_enumerator)))
+        assert len(kept) == 1  # every call read the stream the first one built
+        assert [w[1][0] for w in warm] == [0, 0, 0, 0, 1, 0, 0]
+        assert warm[4][2] is not None and warm[5][1][1] == warm[6][1][1]
+        for args, (before, result, after) in zip(sequence, warm):
+            if before is None:
+                state.unlink(missing_ok=True)
+            else:
+                state.write_bytes(before)
+            assert (cold_call(base + args), frontier()) == (result, after)
 
     def test_file_rewritten_to_the_same_length_loads_again(self, tmp_path):
         path = tmp_path / "g.epic"

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import json
+import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +151,40 @@ class TestEnumerator:
         order = [0, 1, 2, 5, 3, 6, 7, 6, 9, 0, 4, 8, 6]
         assert [e.get(i) for i in order] == \
             [words[i] if i < len(words) else None for i in order]
+
+    def test_raising_pull_breaks_the_stream(self):
+        """A generator that raised would report an end at the next pull; a
+        broken stream raises there instead and keeps the words it had."""
+        def interrupted():
+            yield make_word("a")
+            raise KeyboardInterrupt
+
+        e = Enumerator(interrupted())
+        assert e.get(0) == make_word("a") and not e.broken
+        with pytest.raises(KeyboardInterrupt):
+            e.get(1)
+        assert e.broken
+        with pytest.raises(RuntimeError, match="broke pulling word 1"):
+            e.get(1)
+        assert e.get(0) == make_word("a")
+
+    def test_streams_kept_on_their_sources_make_no_cycle(self):
+        """A presentation and a demonstration may keep their own streams:
+        neither stream refers back, so dropping the source frees both."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for make, build in ((commutator_presentation, normal_closure_enumerator),
+                                (lambda: zk_demo(2), demonstration_enumerator)):
+                source = make()
+                vars(source)["stream"] = build(source)
+                assert vars(source)["stream"].get(20) is not None
+                gone = weakref.ref(source)
+                del source
+                assert gone() is None
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def commutator_presentation():
@@ -469,6 +506,78 @@ class TestIndexedScanMatchesPairwise:
                 return
             frontier, reference_frontier = Frontier.from_json(text), json.loads(text)
         pytest.fail("resumed runs made no progress")
+
+
+@st.composite
+def shared_call_sequences(draw):
+    """A presentation over a b, a language, a few words and a sequence of
+    decide calls on them in drawn order: each call has a small budget and
+    may resume from the frontier the last call on its word wrote.  The
+    words run from short ones to conjugates of relators, which sit deeper
+    in the closure stream."""
+    relators = draw(st.lists(words(1, 4), max_size=2))
+    source = draw(st.sampled_from(["ZK2", "FREE2", "list"]))
+    listed = None
+    if source == "list":
+        listed = draw(st.lists(words(0, 3), max_size=4))
+        if relators and draw(st.booleans()):
+            listed.insert(draw(st.integers(0, len(listed))), draw(st.sampled_from(relators)))
+    pool = words(0, 5)
+    if relators:
+        conjugates = st.tuples(words(0, 2), st.sampled_from(relators)).map(
+            lambda ur: ur[0] + ur[1] + formal_inverse(ur[0]))
+        pool = pool | st.sampled_from(relators) | conjugates
+    texts = draw(st.lists(pool, min_size=1, max_size=4))
+    calls = draw(st.lists(st.tuples(st.integers(0, len(texts) - 1),
+                                    st.integers(1, 30) | st.integers(100, 400),
+                                    st.booleans()), min_size=1, max_size=10))
+    return relators, source, listed, texts, calls
+
+
+class TestSharedStreams:
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(shared_call_sequences())
+    def test_calls_on_one_pair_of_streams_agree_with_fresh_ones(self, case):
+        """One pair of streams serves every call, as the CLI serves every
+        ``wp decide`` on one presentation and demonstration; each call gives
+        what it gives on fresh streams and what the pairwise scan gives."""
+        relators, source, listed, texts, calls = case
+        presentation = Presentation(("a", "b"), tuple(relators))
+
+        def streams():
+            if listed is None:
+                language = demonstration_enumerator(DEMOS[source])
+            else:
+                language = Enumerator(listed)
+            return language, normal_closure_enumerator(presentation)
+
+        def outcome(verdict):
+            frontier = verdict.frontier and verdict.frontier.to_json()
+            return (verdict.kind, verdict.certificate, verdict.comparisons, verdict.stalled,
+                    frontier)
+
+        shared = streams()
+        written = {}  # word index -> the frontier JSON the last call on it wrote
+        for at, budget, resume in calls:
+            word = texts[at]
+            text = written.get(at) if resume else None
+            frontier = text and Frontier.from_json(text)  # decide_word does not change it
+            try:
+                got = decide_word(word, *shared, budget, frontier)
+            except InputContradictionError as e:
+                with pytest.raises(InputContradictionError, match=re.escape(str(e))):
+                    decide_word(word, *streams(), budget, frontier)
+                with pytest.raises(PairwiseContradiction):
+                    pairwise_decide_word(word, *streams(), budget, text and json.loads(text))
+                continue
+            kind, certificate, reference, comparisons, stalled = pairwise_decide_word(
+                word, *streams(), budget, text and json.loads(text))
+            expected = (kind, certificate, comparisons, stalled,
+                        reference and json.dumps(reference, sort_keys=True))
+            assert outcome(got) == outcome(decide_word(word, *streams(), budget, frontier)) \
+                == expected
+            if got.frontier is not None:
+                written[at] = got.frontier.to_json()
 
 
 class TestDeepCertificate:

@@ -215,7 +215,8 @@ def call(argv, out=None):
 
 
 def cold_call(argv, out=None):
-    """call(argv, out) with no workspace or builtin kept from an earlier call."""
+    """call(argv, out) with no workspace or builtin kept from an earlier
+    call, and so none of the streams they keep for ``wp decide``."""
     cli._kept = None
     _built.cache_clear()
     return call(argv, out)
