@@ -211,8 +211,17 @@ class Nfa:
         return out
 
     def eps_closure(self, states: Iterable[State]) -> frozenset:
-        """All states reachable from ``states`` by epsilon edges alone."""
-        return frozenset(reachable(states, lambda p: self._edges[p].get(None, ())))
+        """All states reachable from ``states`` by epsilon edges alone.
+        Until the out-edge index is built, one pass over the transitions
+        collects the epsilon edges, and the index stays unbuilt."""
+        edges = vars(self).get("_edges")
+        if edges is not None:
+            return frozenset(reachable(states, lambda p: edges[p].get(None, ())))
+        eps: dict = {}
+        for (p, label, q) in self.transitions:
+            if label is None:
+                eps.setdefault(p, []).append(q)
+        return frozenset(reachable(states, lambda p: eps.get(p, ())))
 
     @cached_property
     def _letters_to_accept(self) -> dict:
@@ -377,26 +386,30 @@ def _product(alphabet: tuple[Letter, ...], lefts: Iterable[State], moves: Callab
              right: Nfa, left_accepting) -> Nfa:
     """The reachable pairs ``(p, q)`` of a left-hand search and ``right``.
 
-    ``moves(p)`` yields ``(label, letter, p2)``: an edge to ``p2`` labelled
-    ``label`` in the product, taken together with every edge of ``right``
-    on ``letter``, or alone when ``letter`` is None (an epsilon move of the
-    left).  An epsilon edge of ``right`` moves ``q`` alone, as an epsilon
-    edge of the product.  A pair accepts when ``p`` is in
-    ``left_accepting`` and ``q`` accepts.
+    ``moves(p)`` maps a letter to the ``(label, p2)`` edges of ``p`` taken
+    together with every edge of ``right`` on that letter, each an edge to
+    ``p2`` labelled ``label`` in the product; under None it lists the
+    epsilon moves of the left, taken alone.  An epsilon edge of ``right``
+    moves ``q`` alone, as an epsilon edge of the product.  The product
+    walks the edges of ``right`` at ``q`` and looks up the left's moves by
+    their letter.  A pair accepts when ``p`` is in ``left_accepting`` and
+    ``q`` accepts.
     """
     edges = right._edges
 
     def pair_moves(pair):
         p, q = pair
-        out = edges[q]
-        for label, x, p2 in moves(p):
+        by_letter = moves(p)
+        for x, targets in edges[q].items():
             if x is None:
-                yield label, (p2, q)
+                for q2 in targets:
+                    yield None, (p, q2)
             else:
-                for q2 in out.get(x, ()):
-                    yield label, (p2, q2)
-        for q2 in out.get(None, ()):
-            yield None, (p, q2)
+                for label, p2 in by_letter.get(x, ()):
+                    for q2 in targets:
+                        yield label, (p2, q2)
+        for label, p2 in by_letter.get(None, ()):
+            yield label, (p2, q)
 
     return explore(alphabet, [(p, q) for p in lefts for q in right.initials], pair_moves,
                    lambda s: s[0] in left_accepting and s[1] in right.accepting)
@@ -407,7 +420,7 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     pairs; an epsilon edge of either side moves that side alone."""
 
     def moves(p):
-        return ((x, x, p2) for x, targets in a._edges[p].items() for p2 in targets)
+        return {x: [(x, p2) for p2 in targets] for x, targets in a._edges[p].items()}
 
     return _product(merge_alphabets(a.alphabet, b.alphabet), a.initials, moves, b,
                     a.accepting)

@@ -249,16 +249,16 @@ def fi_subgroup(demo: Demonstration, table: CosetTable,
 
     # the product of the walks on the coset digraph from the subgroup coset
     # back to it with the language, each edge letter read through its
-    # generator; a separate accepting copy of home, with no way out,
-    # rejects the empty walk
+    # generator, by which the walk's edges are indexed; a separate
+    # accepting copy of home, with no way out, rejects the empty walk
     home, fin = table.subgroup_coset, ("fin",)
-    walk_edges: dict = {("c", c): [] for c in table.cosets}
-    walk_edges[fin] = []
+    walk_edges: dict = {("c", c): {} for c in table.cosets}
+    walk_edges[fin] = {}
     for (c, x, d), letter in zip(edges, edge_letters):
-        out = walk_edges["c", c]
-        out.append((letter, x, ("c", d)))
+        out = walk_edges["c", c].setdefault(x, [])
+        out.append((letter, ("c", d)))
         if d == home:
-            out.append((letter, x, fin))
+            out.append((letter, fin))
     language = _product(edge_letters, [("c", home)], walk_edges.__getitem__, demo.language,
                         {fin})
 
@@ -287,6 +287,11 @@ def admissible_automaton(graph: VertexGraph) -> Nfa:
     """
     verts = graph.vertices
     letters = tuple(Letter(v) for v in verts)
+    # per vertex i: the vertices that do not commute with it (itself
+    # included), and the lower-ranked vertices that do
+    blocking = [[j for j, v in enumerate(verts) if v == w or not graph.adjacent(v, w)]
+                for w in verts]
+    lower = [[j for j in range(i) if graph.adjacent(verts[j], w)] for i, w in enumerate(verts)]
 
     initial = (tuple(None for _ in verts), tuple(False for _ in verts))
 
@@ -297,12 +302,11 @@ def admissible_automaton(graph: VertexGraph) -> Nfa:
                 continue
             lb = list(lastblock)
             tg = list(tail_gt)
-            for j, v in enumerate(verts):
-                if v == w or not graph.adjacent(v, w):
-                    lb[j] = w
-                    tg[j] = False
-                elif i > j:  # w ranks above v
-                    tg[j] = True
+            for j in blocking[i]:
+                lb[j] = w
+                tg[j] = False
+            for j in lower[i]:  # w ranks above them
+                tg[j] = True
             yield letters[i], (tuple(lb), tuple(tg))
 
     return explore(letters, [initial], moves, lambda state: state != initial)

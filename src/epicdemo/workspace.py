@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .automata import (
     Letter,
@@ -59,9 +59,10 @@ class Workspace:
 class _Block:
     kind: str
     header: list
-    body: list  # (lineno, tokens)
+    body: Optional[list]  # (lineno, tokens); None once parsed into value
     path: Optional[str]
     line: int
+    value: object = None  # what the kind's parser made of the body
 
     def fail(self, message, line=None):
         raise LoadError(message, path=self.path, line=self.line if line is None else line)
@@ -430,31 +431,56 @@ def load(paths: Iterable[str]) -> Workspace:
 
 def load_text(sources: Iterable[tuple[Optional[str], str]]) -> Workspace:
     """Parse every block in file order, then link the references between
-    them, so blocks may come in any order.  A parse fault is reported
-    before any reference fault, the first faulty block's in file order."""
-    blocks = [b for path, text in sources for b in _split_blocks(path, text)]
+    them, so blocks may come in any order."""
+    return link(parse(sources))
+
+
+def parse(sources: Iterable[tuple[Optional[str], str]], kept: Mapping = {}) -> list:
+    """The blocks of each ``(path, text)`` source, in file order, each
+    parsed into its ``value`` with its body dropped.  A source that
+    ``kept`` maps to its blocks, parsed before, is neither split nor
+    parsed again.  Every file is split before any block is parsed, and a
+    block's name is checked unused for its kind before it is parsed, so a
+    parse fault is reported before any reference fault, the first faulty
+    block's in file order."""
+    files = [kept.get(source) or _split_blocks(*source) for source in sources]
     # looked up per call, so a parser replaced on the module takes effect
     parsers = {"automaton": _parse_automaton, "group": _parse_group,
                "demonstration": _parse_demonstration, "cosettable": _parse_cosettable,
                "presentation": _parse_presentation}
-    parsed = {kind: {} for kind in parsers}  # kind: {name: (block, parsed)}
-    for block in blocks:
-        name = block.header[0]
-        named = parsed[block.kind]
-        if name in named:
-            block.fail(f"duplicate {block.kind} name {name!r}")
-        named[name] = (block, parsers[block.kind](block))
+    named = {kind: set() for kind in parsers}
+    for blocks in files:
+        for block in blocks:
+            name = block.header[0]
+            if name in named[block.kind]:
+                block.fail(f"duplicate {block.kind} name {name!r}")
+            named[block.kind].add(name)
+            if block.body is not None:
+                block.value = parsers[block.kind](block)
+                block.body = None
+    return files
 
-    ws = Workspace(automata={n: a for n, (_, a) in parsed["automaton"].items()},
-                   presentations={n: p for n, (_, p) in parsed["presentation"].items()})
+
+def link(files: Iterable[list]) -> Workspace:
+    """The workspace of parsed files, ``parse``'s result: each block's
+    references resolved, each object new but for the automata,
+    presentations and plain groups the blocks hold."""
+    parsed = {kind: {} for kind in BLOCK_KINDS}  # kind: {name: block}
+    for blocks in files:
+        for block in blocks:
+            parsed[block.kind][block.header[0]] = block
+    ws = Workspace(automata={n: b.value for n, b in parsed["automaton"].items()},
+                   presentations={n: b.value for n, b in parsed["presentation"].items()})
     _link_groups(ws, parsed["group"])
-    for name, (block, (group_name, automaton_name, *parts)) in parsed["demonstration"].items():
+    for name, block in parsed["demonstration"].items():
+        group_name, automaton_name, *parts = block.value
         oracle = _resolve(block, ws.groups, "group", group_name)
         language = _resolve(block, ws.automata, "automaton", automaton_name)
         identity = {x: (x,) for x in language.alphabet}
         ws.demonstrations[name] = _build(
             block, lambda ls: Demonstration(oracle, {**identity, **ls}, language), *parts)
-    for name, (block, (group_name, parts, action_lines)) in parsed["cosettable"].items():
+    for name, block in parsed["cosettable"].items():
+        group_name, parts, action_lines = block.value
         oracle = _resolve(block, ws.groups, "group", group_name)
         for (_, letter), lineno in action_lines.items():
             if letter not in oracle.alphabet:
@@ -472,19 +498,21 @@ def _resolve(block: _Block, named: dict, what: str, ref: str):
 
 
 def _link_groups(ws: Workspace, parsed: dict):
-    """Fill ``ws.groups`` from ``{name: (block, oracle or _GraphSpec)}``:
-    first the plain oracles in file order, then each graph product after
-    the groups it uses, depth first on an explicit stack."""
-    for name, (_, group) in parsed.items():
-        if not isinstance(group, _GraphSpec):
-            ws.groups[name] = group
+    """Fill ``ws.groups`` from ``{name: block}``, each block's value an
+    oracle or a ``_GraphSpec``: first the plain oracles in file order,
+    then each graph product after the groups it uses, depth first on an
+    explicit stack."""
+    for name, block in parsed.items():
+        if not isinstance(block.value, _GraphSpec):
+            ws.groups[name] = block.value
     for root in parsed:
         if root in ws.groups:
             continue
         path = {root: None}  # products being linked, each using the next: an ordered set
         while path:
             name = next(reversed(path))
-            block, spec = parsed[name]
+            block = parsed[name]
+            spec = block.value
             for used in spec.uses.values():
                 if used in parsed and used not in ws.groups:
                     if used in path:

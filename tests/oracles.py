@@ -963,3 +963,87 @@ def blockwise_zk_demo(rank, names=None):
     language = subtract_word(language, EPSILON)
     oracle = FreeAbelianOracle(rank, gens)
     return Demonstration(oracle, identity_eval_map(oracle.alphabet), language)
+
+
+# -- letter-probing products ---------------------------------------------------
+
+
+def probing_product(alphabet, lefts, moves, right, left_accepting):
+    """The reachable pairs of a left-hand search and ``right``, found the
+    way the package's product once found them: ``moves(p)`` yields
+    ``(label, letter, p2)`` and every left move probes the right's edges
+    on its letter (letter None: the left moves alone)."""
+    from epicdemo.automata import explore
+
+    edges = right._edges
+
+    def pair_moves(pair):
+        p, q = pair
+        out = edges[q]
+        for label, x, p2 in moves(p):
+            if x is None:
+                yield label, (p2, q)
+            else:
+                for q2 in out.get(x, ()):
+                    yield label, (p2, q2)
+        for q2 in out.get(None, ()):
+            yield None, (p, q2)
+
+    return explore(alphabet, [(p, q) for p in lefts for q in right.initials], pair_moves,
+                   lambda s: s[0] in left_accepting and s[1] in right.accepting)
+
+
+def probing_intersect(a, b):
+    """``intersect(a, b)`` through ``probing_product``, each edge of ``a``
+    probing ``b``."""
+    from epicdemo.automata import merge_alphabets
+
+    def moves(p):
+        return ((x, x, p2) for x, targets in a._edges[p].items() for p2 in targets)
+
+    return probing_product(merge_alphabets(a.alphabet, b.alphabet), a.initials, moves, b,
+                           a.accepting)
+
+
+def probing_fi_language(demo, table):
+    """The language of ``fi_subgroup(demo, table)`` through
+    ``probing_product``: every edge of the coset walk, with the extra copy
+    ``("fin",)`` of the subgroup coset, probes the language on its
+    generator."""
+    from epicdemo.automata import Letter
+
+    edges = [(c, x, table.act(c, x)) for c in table.cosets for x in demo.oracle.alphabet]
+    edge_letters = tuple(Letter(f"({c}|{x}|{d})") for c, x, d in edges)
+    home, fin = table.subgroup_coset, ("fin",)
+    walk = {("c", c): [] for c in table.cosets}
+    walk[fin] = []
+    for (c, x, d), letter in zip(edges, edge_letters):
+        walk["c", c].append((letter, x, ("c", d)))
+        if d == home:
+            walk["c", c].append((letter, x, fin))
+    return probing_product(edge_letters, [("c", home)], walk.__getitem__, demo.language, {fin})
+
+
+def adjacency_admissible_automaton(graph):
+    """``admissible_automaton(graph)`` asking ``graph.adjacent`` for every
+    pair of vertices at every move."""
+    from epicdemo.automata import Letter, explore
+
+    verts = graph.vertices
+    letters = tuple(Letter(v) for v in verts)
+    initial = (tuple(None for _ in verts), tuple(False for _ in verts))
+
+    def moves(state):
+        lastblock, tail_gt = state
+        for i, w in enumerate(verts):
+            if lastblock[i] == w or tail_gt[i]:
+                continue
+            lb, tg = list(lastblock), list(tail_gt)
+            for j, v in enumerate(verts):
+                if v == w or not graph.adjacent(v, w):
+                    lb[j], tg[j] = w, False
+                elif i > j:
+                    tg[j] = True
+            yield letters[i], (tuple(lb), tuple(tg))
+
+    return explore(letters, [initial], moves, lambda state: state != initial)

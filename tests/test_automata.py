@@ -29,8 +29,10 @@ from oracles import (
     bf_language,
     chained_finite_language,
     closure_step_accepts,
+    closure_subsets,
     pairwise_intersect,
     pairwise_product,
+    probing_intersect,
     pumpable_cycle,
     searched_is_empty,
     tagged_concat,
@@ -215,6 +217,21 @@ class TestMembership:
         assert [w for w in words_upto((A, B), 5) if a.accepts(w)] == accepted
         assert list(a.words(5)) == accepted
 
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(st.one_of(epsilon_cycle_nfas(), island_nfas()))
+    def test_empty_word_test_leaves_the_edge_index_unbuilt(self, a):
+        """Before the out-edge index is built, the closure of the initial
+        states reads the epsilon edges alone; after, it reads the index,
+        and both give the closed subset of a full scan."""
+        fresh = Nfa(a.alphabet, a.states, a.transitions, a.initials, a.accepting)
+        (closed,) = closure_subsets(a, EPSILON)
+        assert fresh.start_subset() == closed
+        assert fresh.accepts(EPSILON) == closure_step_accepts(a, EPSILON)
+        assert "_edges" not in vars(fresh)
+        fresh.step(frozenset(fresh.initials), A)  # builds the index
+        assert "_edges" in vars(fresh)
+        assert fresh.start_subset() == closed
+
 
 class TestEnumerate:
     def test_a_plus_prefix(self):
@@ -398,6 +415,12 @@ class TestBooleanOps:
         assert (product.states, product.transitions, product.initials,
                 product.accepting) == pairwise_product(a, b)
         assert product.alphabet == merge_alphabets(a.alphabet, b.alphabet)
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(st.one_of(mixed_alphabet_nfas(), epsilon_cycle_nfas(), island_nfas()),
+           st.one_of(mixed_alphabet_nfas(), epsilon_cycle_nfas(), island_nfas()))
+    def test_intersect_equals_letter_probing_product(self, a, b):
+        assert intersect(a, b) == probing_intersect(a, b)
 
     @settings(deadline=None, max_examples=100)
     @given(mixed_alphabet_nfas(), mixed_alphabet_nfas())

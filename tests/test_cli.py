@@ -6,13 +6,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epicdemo import cli
+from epicdemo import cli, workspace
 from epicdemo.cli import build_parser, main, parse_key_predicate, UsageError
 from epicdemo.demonstrations import _built, builtin_demo, z_demo, zk_demo
 from epicdemo.automata import format_word, make_word
 from epicdemo.wordproblem import Enumerator
-from epicdemo.workspace import load, render_automaton
+from epicdemo.workspace import load, render, render_automaton
 
 from test_groups import s3_oracle
 from test_constructions import z_rewriting_fixture
@@ -984,6 +985,25 @@ class TestNoCyclicGarbage:
             gc.garbage.clear()
         assert garbage == []
 
+    def test_write_then_read_leaves_no_cyclic_garbage(self, tmp_path):
+        """A call that links the bundle the call before it wrote, from that
+        call's parse, frees what it builds by reference counting too."""
+        (product, prod), (subgroup, sub), _ = path_pipeline(tmp_path, 3)
+        for argv, out in ((product, prod), (subgroup, sub)):  # warm
+            assert call(argv, out)[0] == 0
+        flags = gc.get_debug()
+        gc.collect()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            results = [call(argv, out) for argv, out in ((product, prod), (subgroup, sub))]
+            gc.collect()
+            garbage = [getattr(o, "__qualname__", type(o).__name__) for o in gc.garbage]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert [r[0] for r in results] == [0, 0]
+        assert garbage == []
+
     def test_dropped_streams_leave_no_cyclic_garbage(self, capsys, tmp_path):
         """The streams decide leaves on a workspace's presentation and
         demonstration, and on a builtin, are freed with them: when a call
@@ -1031,7 +1051,7 @@ class TestCollectorState:
     def test_collector_state_is_restored(self, capsys, monkeypatch, case, collecting):
         argv, expected = self.CALLS[case]
         if expected is RuntimeError:
-            def load(files):
+            def load(files, texts=None):
                 raise RuntimeError("escapes main")
             monkeypatch.setattr("epicdemo.cli.load", load)
             monkeypatch.setattr("epicdemo.cli._kept", None)  # else DATA may not load again
@@ -1070,8 +1090,9 @@ class TestKeptWorkspace:
             argv += ["--out", str(out)]
         first = call(argv, out)
         assert first[0] == 0, first[2]
-        loaded = []
-        monkeypatch.setattr(cli, "load", lambda paths: loaded.append(paths) or load(paths))
+        loaded, real = [], cli.load
+        monkeypatch.setattr(cli, "load",
+                            lambda paths, texts=None: loaded.append(paths) or real(paths, texts))
         second = call(argv, out)
         assert files not in loaded  # reused, not loaded again
         assert second == first == cold_call(argv, out)
@@ -1182,6 +1203,216 @@ class TestKeptWorkspace:
         second = call(argv)
         assert second == (2, "", "error: unknown group 'extra'\n", None)
         assert second == cold_call(argv)
+
+
+def path_pipeline(tmp_path, n):
+    """The argv and bundle path of three calls, each but the first reading
+    the bundle the call before it wrote: a graph product of n copies of Z
+    on a path, its subgroup of even exponent sum, and a change of
+    generators on the product."""
+    names = [f"x{i}" for i in range(n)]
+    local = tmp_path / "locals.epic"
+    local.write_text("".join(
+        f"group Z{x} zk rank 1\n  gen {x} = [1]\n  gen {x}^-1 = [-1]\nend\n"
+        f"automaton L{x}\n  alphabet {x} {x}^-1\n  states s0 s1 s2\n  initial s0\n"
+        f"  accept s1 s2\n  trans s0 {x} s1\n  trans s1 {x} s1\n  trans s0 {x}^-1 s2\n"
+        f"  trans s2 {x}^-1 s2\nend\n"
+        f"demonstration D{x}\n  group Z{x}\n  automaton L{x}\nend\n" for x in names))
+    table = tmp_path / "table.epic"
+    table.write_text("cosettable T group prod_group subgroupof 2\n  coset H rep eps\n"
+                     f"  coset C rep {names[0]}\n" + "".join(
+                         f"  action {c} {y} {d}\n" for x in names for y in (x, f"{x}^-1")
+                         for c, d in (("H", "C"), ("C", "H"))) + "end\n")
+    prod, sub, cg = (tmp_path / f"{name}.epic" for name in ("prod", "sub", "cg"))
+    product = ["-f", str(local), "construct", "graph-product", "--vertices", " ".join(names),
+               *(f"--edge={u}-{v}" for u, v in zip(names, names[1:])),
+               *(f"--vertex={x}=D{x}" for x in names), "--name", "prod", "--out", str(prod)]
+    subgroup = ["-f", str(prod), "-f", str(table), "construct", "fi-subgroup", "--demo", "prod",
+                "--table", "T", "--name", "sub", "--out", str(sub)]
+    renamed = ["-f", str(prod), "construct", "change-gens", "--demo", "prod", "--name", "cg",
+               "--out", str(cg)]
+    for x in names:
+        renamed += [f"--letter=y{x}={x}", f"--letter=y{x}^-1={x}^-1", f"--image={x}=y{x}",
+                    f"--image={x}^-1=y{x}^-1"]
+    return [(product, prod), (subgroup, sub), (renamed, cg)]
+
+
+class TestKeptParses:
+    """A call links the parse of every file that the call before it read
+    or wrote, and gives what it gives with nothing kept."""
+
+    ZK = TestKeptWorkspace.ZK
+    BALL = TestKeptWorkspace.BALL
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """The path of every file split into blocks, in order."""
+        split, paths = workspace._split_blocks, []
+        monkeypatch.setattr(workspace, "_split_blocks",
+                            lambda path, text: paths.append(path) or split(path, text))
+        return paths
+
+    def test_pipeline_matches_fresh_processes(self, tmp_path, splits):
+        """Each call after the first links the bundle the call before it
+        wrote or read, and its stdout, its bundle and the render of its
+        workspace are a fresh process's."""
+        steps = path_pipeline(tmp_path, 4)
+        cli._kept = cli._parses = None
+        warm = []
+        for argv, out in steps:
+            del splits[:]
+            warm.append((call(argv, out), render(cli._kept[1]), list(splits)))
+        (_, prod), (_, sub), (_, cg) = steps
+        table = str(tmp_path / "table.epic")
+        assert [w[2] for w in warm] == [[str(tmp_path / "locals.epic"), str(prod)],
+                                        [table, str(sub)], [str(cg)]]
+        assert set(cli._parses[2]) == {(str(prod), prod.read_text()),
+                                       (str(cg), cg.read_text())}
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        show = "import sys; from epicdemo import load, render; print(render(load(sys.argv[1:])))"
+        for (argv, out), (result, rendered, _) in zip(steps, warm):
+            out.unlink()
+            done = subprocess.run([sys.executable, "-m", "epicdemo.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stdout, done.stderr, out.read_bytes()) == result
+            files = [a for flag, a in zip(argv, argv[1:]) if flag == "-f"]
+            shown = subprocess.run([sys.executable, "-c", show, *files], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert shown.stdout == rendered + "\n"
+
+    def test_file_rewritten_to_the_same_length_is_parsed_again(self, tmp_path, splits):
+        a, b = tmp_path / "a.epic", tmp_path / "b.epic"
+        a.write_text(self.ZK.format(1, 1))
+        b.write_text(self.ZK.format(1, 1).replace("group g", "group h"))
+        argv = ["-f", str(a), "-f", str(b), *self.BALL]
+        first = call(argv)
+        stat = a.stat()
+        a.write_text(self.ZK.format(2, 2))
+        os.utime(a, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert a.stat().st_size == stat.st_size
+        del splits[:]
+        second = call(argv)
+        assert splits == [str(a)]  # b is linked from the first call's parse
+        assert second != first and "zk1[2] a" in second[1]
+        assert second == cold_call(argv)
+
+    def test_changed_state_cap_parses_again(self, monkeypatch, tmp_path, splits):
+        (product, prod), (subgroup, sub), _ = path_pipeline(tmp_path, 3)
+        assert call(product, prod)[0] == 0
+        states = len(load([str(prod)]).automata["prod_lang"].states)
+        monkeypatch.setenv("EPIC_MAX_STATES", str(states - 1))
+        del splits[:]
+        lowered = call(subgroup, sub)
+        assert str(prod) in splits
+        assert lowered[:2] == (1, "") and f"cap is {states - 1}" in lowered[2]
+        assert lowered == cold_call(subgroup, sub)
+        monkeypatch.delenv("EPIC_MAX_STATES")
+        assert call(subgroup, sub) == cold_call(subgroup, sub)
+
+    @pytest.mark.parametrize("bad, line", [
+        # a duplicate of a kept file's name is met before a later parse fault
+        ("group g zk rank 1\n  gen a = [1]\nend\ngroup k zk rank 1\n  gen a = [1\nend\n", 1),
+        ("group k zk rank 1\n  gen a = [1\nend\n", 2),
+        ("group k zk rank 1\n  gen a = [1]\n", 1),
+        ("group k graphproduct\n  vertices u\n  vertex u uses nowhere\nend\n", 1),
+    ], ids=["duplicate-first", "parse", "unterminated", "reference"])
+    def test_faulty_file_is_reported_as_cold_and_not_kept(self, tmp_path, bad, line):
+        good, other = tmp_path / "good.epic", tmp_path / "other.epic"
+        good.write_text(self.ZK.format(1, 1))
+        argv = ["-f", str(good), "-f", str(other), *self.BALL]
+        other.write_text("")
+        assert call(argv)[0] == 0
+        kept = cli._parses
+        other.write_text(bad)
+        broken = call(argv)
+        assert broken[0] == 2 and broken[2].startswith(f"error: {other}:{line}:")
+        assert cli._parses is kept  # a failed load keeps nothing new
+        assert broken == cold_call(argv)
+        other.write_text("")
+        cli._kept = None  # else the workspace from before the fault is reused whole
+        assert call(argv) == cold_call(argv)
+
+    def test_kept_file_clashes_with_a_name_before_it(self, tmp_path):
+        """A kept file's names are checked against the files before it."""
+        first, kept = tmp_path / "first.epic", tmp_path / "kept.epic"
+        first.write_text("")
+        kept.write_text(self.ZK.format(1, 1))
+        argv = ["-f", str(first), "-f", str(kept), *self.BALL]
+        assert call(argv)[0] == 0
+        first.write_text(self.ZK.format(2, 2))
+        clash = call(argv)
+        assert clash[2] == f"error: {kept}:1: duplicate group name 'g'\n"
+        assert clash == cold_call(argv)
+
+    def test_load_outside_a_call_keeps_nothing(self, tmp_path):
+        (product, prod), _, _ = path_pipeline(tmp_path, 2)
+        assert call(product, prod)[0] == 0
+        kept = cli._parses
+        assert render(cli.load([str(prod)])) == render(load([str(prod)]))
+        assert cli._parses is kept
+
+    def test_split_fault_of_a_later_file_comes_first(self, tmp_path):
+        """Every file is split before any block is parsed, kept or not."""
+        first, second = tmp_path / "first.epic", tmp_path / "second.epic"
+        first.write_text("group k zk rank 1\n  gen a = [1\nend\n")
+        second.write_text("end\n")
+        argv = ["-f", str(first), "-f", str(second), *self.BALL]
+        assert call(argv)[2] == f"error: {second}:1: expected a block keyword, got 'end'\n"
+        assert call(argv) == cold_call(argv)
+
+
+class TestMutatedConstructCalls:
+    """Each construct verb's call on the sample workspace, one flag value
+    changed: the call fails with one error line, or writes a bundle that
+    reloads and, for a demonstration, passes verify with no identity
+    word accepted."""
+
+    CALLS = {verb: [*argv, "--name", "built"] for verb, argv in TestNoCyclicGarbage.VERBS.items()
+             if argv[0] == "construct"}
+    CALLS["extension"] += ["--check-len", "4"]
+    VALUES = [
+        # names, the workspace's and the builtins'
+        "Z", "Zdemo", "N", "Q", "G", "S3", "ZxS3", "F2", "H3", "evens", "powers", "trip",
+        "sect", "nl", "ZK2", "FREE2", "zk(2)", "nosuch",
+        # words and NAME=WORD pairs
+        "a", "a^-1", "eps", "a a", "b", "r", "t", "a a^-1", "b=a", "a=b", "t=t", "t=r",
+        "r=r2", "a=eps", "b^-1=a", "eps=a", "=a", "a=",
+        # predicates, lengths, vertices and edges
+        "perm-even", "zk-divisible:0,2", "zk-divisible:0,0", "matrix-zero:0,1",
+        "matrix-entry:0,0=1", "bogus", "-1", "0", "1", "7", "u v", "u", "u u", "u-v",
+        "u-w", "u-u", "u=Z", "v=Zdemo", "w=N", "u=nosuch",
+        # bundle names
+        "#", "two words", "",
+    ]
+
+    @settings(deadline=None, max_examples=250, derandomize=True)
+    @given(verb=st.sampled_from(sorted(CALLS)), pick=st.integers(0, 15),
+           value=st.sampled_from(VALUES))
+    def test_fails_cleanly_or_writes_a_sound_bundle(self, tmp_path_factory, verb, pick, value):
+        fixture = tmp_path_factory.getbasetemp() / "mutated-fixture.epic"
+        if not fixture.exists():
+            fixture.write_text(TestNoCyclicGarbage.S3
+                               + render_automaton("trip", z_rewriting_fixture().nfa))
+        out = tmp_path_factory.getbasetemp() / "mutated-out.epic"
+        argv = ["-f", DATA, "-f", str(fixture), *self.CALLS[verb], "--out", str(out)]
+        flags = [k for k in range(4, len(argv) - 2) if argv[k].startswith("--")]
+        at = flags[pick % len(flags)] + 1
+        argv[at] = value
+        try:
+            code, stdout, stderr, bundle = call(argv, out)
+        except SystemExit as e:  # argparse's own usage error, for a value that is no int
+            assert e.code == 2 and argv[at - 1] == "--check-len"
+            return
+        if code:
+            assert code in (1, 2) and bundle is None and stdout == ""
+            assert len(stderr.splitlines()) == 1 and stderr.startswith("error: "), stderr
+            return
+        assert (stdout, stderr) == (f"wrote {out}\n", "") and bundle is not None
+        for name in load([str(out)]).demonstrations:
+            checked = call(["-f", str(out), "--porcelain", "verify", "--demo", name,
+                            "--max-len", "4", "--ball", "2"])
+            assert checked[0] == 0 and "violation" not in checked[1], checked
 
 
 class TestDeepGraphProduct:

@@ -32,9 +32,10 @@ from epicdemo.groups import (
     PermutationOracle,
 )
 
-from oracles import ascii_evaluate, bf_language, bf_pruned_types, epsilon_free_nfa, \
-    fi_walks_and_language, intersected_fi_language, looped_graph_product_language, make_triple, \
-    pad_triple_word, tagged_concat, tagged_union
+from oracles import adjacency_admissible_automaton, ascii_evaluate, bf_language, \
+    bf_pruned_types, epsilon_free_nfa, fi_walks_and_language, intersected_fi_language, \
+    looped_graph_product_language, make_triple, pad_triple_word, probing_fi_language, \
+    tagged_concat, tagged_union
 from test_demonstrations import demos
 from test_groups import heisenberg_oracle, s3_oracle, c2_oracle
 
@@ -429,10 +430,11 @@ class TestFiSubgroup:
 
 
 @st.composite
-def fi_cases(draw):
+def fi_cases(draw, least=1):
     """A demonstration over free(2) whose language has one to five states,
     epsilon edges and up to three initial states, with a transitive action
-    of free(2) on one to three cosets, transversal words breadth first."""
+    of free(2) on ``least`` to three cosets, transversal words breadth
+    first."""
     oracle = FreeGroupOracle(2)
     letters = list(oracle.alphabet)
     states = list(range(draw(st.integers(1, 5))))
@@ -443,7 +445,7 @@ def fi_cases(draw):
     accepting = draw(st.lists(st.sampled_from(states), max_size=3))
     language = Nfa(oracle.alphabet, frozenset(states), frozenset(transitions),
                    frozenset(initials), frozenset(accepting))
-    cosets = ("H", "C", "D")[:draw(st.integers(1, 3))]
+    cosets = ("H", "C", "D")[:draw(st.integers(least, 3))]
     action = {}
     for x, x_inv in zip(letters[::2], letters[1::2]):
         image = draw(st.permutations(cosets))
@@ -481,6 +483,20 @@ class TestFiSubgroupProduct:
         assert nfa_parts(fi_subgroup(demo, table).language) == \
             nfa_parts(intersected_fi_language(demo, table))
 
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(fi_cases(least=2))
+    def test_equals_letter_probing_product(self, case):
+        """Index 2 and 3: each walk edge read by its generator gives the
+        automaton that probing the language with every walk edge gave."""
+        demo, table = case
+        assert fi_subgroup(demo, table).language == probing_fi_language(demo, table)
+
+    @pytest.mark.parametrize("demo, table", [
+        (z_demo(), even_table()), (finite_demo(s3_oracle()), a3_table())],
+        ids=["even-integers", "alternating"])
+    def test_fixed_tables_equal_letter_probing_product(self, demo, table):
+        assert fi_subgroup(demo, table).language == probing_fi_language(demo, table)
+
     def test_epsilon_edges_kept_on_path_product(self):
         # Z on a path of six vertices and its index-2 subgroup of even
         # exponent sum: the graph-product language is full of epsilon bridges,
@@ -496,6 +512,7 @@ class TestFiSubgroupProduct:
         walks, spelled = fi_walks_and_language(demo, table)
         eps_free = intersect(walks, epsilon_free_nfa(spelled))
         assert (len(out.states), len(out.transitions)) == (513, 2008)
+        assert out == probing_fi_language(demo, table)
         assert (len(eps_free.states), len(eps_free.transitions)) == (349, 3012)
         words = out.enumerate_words(6)
         assert words == intersected_fi_language(demo, table).enumerate_words(6)
@@ -544,6 +561,26 @@ class TestAdmissibleAutomaton:
         got = {tuple(x.name for x in w) for w in adm.enumerate_words(6)}
         expected = bf_pruned_types(vertices, g.adjacent, 6)
         assert got == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_adjacency_reference_on_every_graph(self, n):
+        """Every graph on n ordered vertices, so every vertex order too."""
+        vertices = "uvwxy"[:n]
+        pairs = list(itertools.combinations(vertices, 2))
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            g = VertexGraph.make(vertices, itertools.compress(pairs, chosen))
+            assert admissible_automaton(g) == adjacency_admissible_automaton(g)
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.integers(6, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2))))
+    def test_equals_adjacency_reference_on_random_graphs(self, case):
+        n, chosen = case
+        vertices = [f"v{i}" for i in range(n)]
+        g = VertexGraph.make(vertices, itertools.compress(
+            itertools.combinations(vertices, 2), chosen))
+        assert admissible_automaton(g) == adjacency_admissible_automaton(g)
 
 
 # -- graph products ------------------------------------------------------

@@ -215,9 +215,10 @@ def call(argv, out=None):
 
 
 def cold_call(argv, out=None):
-    """call(argv, out) with no workspace or builtin kept from an earlier
-    call, and so none of the streams they keep for ``wp decide``."""
+    """call(argv, out) with no workspace, file parse or builtin kept from
+    an earlier call, and so none of the streams they keep for ``wp decide``."""
     cli._kept = None
+    cli._parses = None
     _built.cache_clear()
     return call(argv, out)
 
@@ -276,6 +277,26 @@ class TestMutatedSample:
             _, verified, _, _ = call(["-f", str(path), *verify])
             assert renamed.splitlines()[-1] == verified.splitlines()[-1]
         warm, cold = back_to_back(["-f", str(path), *verify])
+        assert warm == cold
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(st.data())
+    def test_one_of_two_files_edited_back_to_back_runs_as_cold_calls(self, tmp_path_factory,
+                                                                     data):
+        """The sample split in two files, their blocks referring across the
+        split, one of them edited: the parse of the other, kept from the
+        call before, links as a fresh parse does, and every fault reads
+        as a cold call's."""
+        head, tail = SAMPLE_TEXT.split("group S3", 1)
+        texts = [head, "group S3" + tail]
+        edited = data.draw(st.integers(0, 1))
+        texts[edited] = data.draw(edited_texts(texts[edited]))
+        argv = []
+        for name, text in zip(("split-head", "split-tail"), texts):
+            path = tmp_path_factory.getbasetemp() / f"{name}.epic"
+            path.write_text(text)
+            argv += ["-f", str(path)]
+        warm, cold = back_to_back([*argv, "ball", "--group", "ZxS3", "--radius", "1"])
         assert warm == cold
 
     @settings(deadline=None, max_examples=100, derandomize=True)
