@@ -19,9 +19,7 @@ from .automata import (
     intersect,
     inverse_letter_hom,
     make_word,
-    normalize_no_accepting_initial,
     parse_word,
-    single_word,
     subtract_word,
     union,
 )

@@ -514,19 +514,6 @@ def subtract_word(a: Nfa, word: Word) -> Nfa:
     return intersect(a, _all_words_except(word, alphabet))
 
 
-def normalize_no_accepting_initial(a: Nfa) -> Nfa:
-    """Check that the empty word is rejected and drop redundant epsilon loops.
-
-    When epsilon is not accepted, no initial state is accepting and no
-    accepting state is epsilon-reachable from an initial state.  Raises
-    ValueError if the language contains the empty word.
-    """
-    if a.accepts(EPSILON):
-        raise ValueError("language contains the empty word; cannot normalize")
-    transitions = frozenset(t for t in a.transitions if not (t[1] is None and t[0] == t[2]))
-    return Nfa(a.alphabet, a.states, transitions, a.initials, a.accepting)
-
-
 def finite_language(words: Iterable[Word], alphabet: Optional[Iterable[Letter]] = None) -> Nfa:
     """Automaton accepting exactly the given finite set of words: their
     prefix tree, each state the prefix read so far."""
@@ -538,6 +525,3 @@ def finite_language(words: Iterable[Word], alphabet: Optional[Iterable[Letter]] 
             children.setdefault(w[:k], set()).add((x, w[:k + 1]))
     return explore(alphabet, [EPSILON], lambda p: children.get(p, ()), words.__contains__)
 
-
-def single_word(word: Word, alphabet: Optional[Iterable[Letter]] = None) -> Nfa:
-    return finite_language([word], alphabet)

@@ -4,11 +4,9 @@ Exit codes: 0 success, 1 verification failure or undecided word, 2 usage
 or load error.  Reports are deterministic; ``--porcelain`` switches to
 one machine-readable record per line.  The environment variable
 ``EPIC_MAX_STATES`` caps constructed automaton sizes (default 10^6).
-A call reads each file once.  A call whose files read as the last
-loading call's files did, under the same cap, reuses the workspace that
-call loaded; any other call links the parse of each file that reads as
-one the last loading call read or wrote did, the bundle it wrote
-included, and parses only the rest.  ``wp decide`` reads
+A call reads each file once.  The parses of the files the last call
+that loaded files read or wrote are kept, and so are the objects linked
+from them while their references are the same.  ``wp decide`` reads
 the closure stream its presentation keeps and the language stream its
 demonstration keeps, each built at the first decide on that object;
 the certificate replays on streams built for the replay alone.
@@ -51,7 +49,8 @@ from .wordproblem import (
     normal_closure_enumerator,
     replay,
 )
-from .workspace import Workspace, demo_bundle, link, load_text, parse, render, render_automaton
+from .workspace import (Workspace, demo_bundle, link, load_text, parse, read_sources, render,
+                        render_automaton)
 
 
 class UsageError(Exception):
@@ -551,26 +550,15 @@ _call: Optional[object] = None
 _parses: Optional[tuple[object, int, dict]] = None
 
 
-def _read(paths: list) -> list:
-    """The text of each file."""
-    texts = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            texts.append(fh.read())
-    return texts
-
-
-def load(paths: list, texts: Optional[list] = None) -> Workspace:
-    """The workspace of the files, read unless their texts are given.
-    Within a CLI call, a file that reads as one the last loading call read
-    or wrote did, under the same state cap, is linked from that call's
-    parse, not parsed again, and once the workspace links the call keeps
-    the parse of every file it read; a load that fails keeps nothing new.
-    A load outside a call parses every file and keeps nothing."""
+def load(paths: list) -> Workspace:
+    """The workspace of the files.  Within a CLI call, a file that reads
+    as one the last loading call read or wrote did, under the same state
+    cap, is linked from that call's parse, not parsed again, and once the
+    workspace links the call keeps the parse of every file it read; a load
+    that fails keeps nothing new.  A load outside a call parses every file
+    and keeps nothing."""
     global _parses
-    if texts is None:
-        texts = _read(paths)
-    sources = [(str(path), text) for path, text in zip(paths, texts)]
+    sources = read_sources(paths)
     if _call is None:
         return load_text(sources)
     cap = state_cap()
@@ -584,42 +572,23 @@ def load(paths: list, texts: Optional[list] = None) -> Workspace:
     return ws
 
 
-# ((path, text) pairs, state cap) of the last call that loaded files, and
-# the workspace they loaded to
-_kept: Optional[tuple[tuple, Workspace]] = None
-
-
-def _workspace(files: list, cap: int) -> Workspace:
-    """The workspace of the files, in maps of its own.  The objects are the
-    last loading call's when the files read as its files did and the state
-    cap, which a load checks every automaton against, is the same; any
-    other call loads them and keeps them for the next."""
-    global _kept
-    texts = _read(files)
-    key = (tuple(zip(map(str, files), texts)), cap)
-    if _kept is None or _kept[0] != key:
-        _kept = key, load(files, texts)
-    return Workspace(**{name: dict(table) for name, table in vars(_kept[1]).items()})
-
-
 def _run(args) -> int:
     global _call
     _check_lengths(args, "max_len", "search_len", "ball", "radius", "check_len")
     try:  # read on every automaton built, so a bad value would be blamed on a file or a name
-        cap = state_cap()
+        state_cap()
     except ValueError as e:
         raise UsageError(str(e)) from None
     files = args.files + args.verb_files
     _call = object()
     try:
-        ws = _workspace(files, cap) if files else Workspace()
-        return args.handler(ws, args)
+        return args.handler(load(files) if files else Workspace(), args)
     finally:
         _call = None
 
 
 def main(argv: Optional[list] = None) -> int:
-    # A call frees everything it builds but the workspace it keeps by
+    # A call frees everything it builds but the parses it keeps by
     # reference counting alone (no reference cycles, see TestNoCyclicGarbage),
     # so the cyclic collector would only rescan its large acyclic structures
     # and find nothing.

@@ -10,6 +10,7 @@ s0, s1, ... in search order so structurally equal inputs print the same.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
@@ -63,6 +64,7 @@ class _Block:
     path: Optional[str]
     line: int
     value: object = None  # what the kind's parser made of the body
+    linked: Optional[tuple] = None  # (references, object) of the block's last link
 
     def fail(self, message, line=None):
         raise LoadError(message, path=self.path, line=self.line if line is None else line)
@@ -150,7 +152,7 @@ def _automaton_fault(block: _Block, error: Optional[Exception] = None):
     order: faults of a line on its own (an alphabet line's letters so far
     included), then transitions naming an undeclared state or letter,
     then initial or accepting lines naming an undeclared state; with no
-    bad line, ``error`` itself."""
+    bad line, ``error``'s message at the header."""
     states, alphabet = set(), []
     marked = []  # (lineno, state) of each initial and accepting state
     for lineno, (key, *rest) in block.body:
@@ -180,8 +182,6 @@ def _automaton_fault(block: _Block, error: Optional[Exception] = None):
     for lineno, s in marked:
         if s not in states:
             block.fail(f"undeclared state {s!r}", lineno)
-    if isinstance(error, AutomatonSizeError):
-        raise error
     block.fail(str(error))
 
 
@@ -420,13 +420,18 @@ def _parse_presentation(block: _Block) -> Presentation:
 # -- loading and linking -------------------------------------------------
 
 
-def load(paths: Iterable[str]) -> Workspace:
-    """Parse and link one workspace from the concatenation of the files."""
+def read_sources(paths: Iterable[str]) -> list:
+    """The ``(path, text)`` source of each file, in order."""
     sources = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             sources.append((str(path), fh.read()))
-    return load_text(sources)
+    return sources
+
+
+def load(paths: Iterable[str]) -> Workspace:
+    """Parse and link one workspace from the concatenation of the files."""
+    return load_text(read_sources(paths))
 
 
 def load_text(sources: Iterable[tuple[Optional[str], str]]) -> Workspace:
@@ -463,8 +468,9 @@ def parse(sources: Iterable[tuple[Optional[str], str]], kept: Mapping = {}) -> l
 
 def link(files: Iterable[list]) -> Workspace:
     """The workspace of parsed files, ``parse``'s result: each block's
-    references resolved, each object new but for the automata,
-    presentations and plain groups the blocks hold."""
+    references resolved, each object the one the block holds or, for a
+    graph product, demonstration or coset table, the one it linked last
+    if its references resolve to the same objects as then, else new."""
     parsed = {kind: {} for kind in BLOCK_KINDS}  # kind: {name: block}
     for blocks in files:
         for block in blocks:
@@ -473,21 +479,45 @@ def link(files: Iterable[list]) -> Workspace:
                    presentations={n: b.value for n, b in parsed["presentation"].items()})
     _link_groups(ws, parsed["group"])
     for name, block in parsed["demonstration"].items():
-        group_name, automaton_name, *parts = block.value
-        oracle = _resolve(block, ws.groups, "group", group_name)
-        language = _resolve(block, ws.automata, "automaton", automaton_name)
-        identity = {x: (x,) for x in language.alphabet}
-        ws.demonstrations[name] = _build(
-            block, lambda ls: Demonstration(oracle, {**identity, **ls}, language), *parts)
+        group_name, automaton_name, _, _ = block.value
+        ws.demonstrations[name] = _linked(
+            block, _demonstration, _resolve(block, ws.groups, "group", group_name),
+            _resolve(block, ws.automata, "automaton", automaton_name))
     for name, block in parsed["cosettable"].items():
-        group_name, parts, action_lines = block.value
-        oracle = _resolve(block, ws.groups, "group", group_name)
-        for (_, letter), lineno in action_lines.items():
-            if letter not in oracle.alphabet:
-                block.fail(f"action letter {letter.name!r} is not a generator of {group_name!r}",
-                           lineno)
-        ws.cosettables[name] = CosetTable(oracle, *parts)
+        ws.cosettables[name] = _linked(
+            block, _cosettable, _resolve(block, ws.groups, "group", block.value[0]))
     return ws
+
+
+def _linked(block: _Block, make, *refs):
+    """``make(block, *refs)``, ``refs`` the objects the block's references
+    resolve to, or the object it made at the block's last link if they
+    are the same objects as then."""
+    kept = block.linked
+    if kept is None or not all(map(operator.is_, kept[0], refs)):
+        kept = block.linked = refs, make(block, *refs)
+    return kept[1]
+
+
+def _demonstration(block: _Block, oracle, language: Nfa) -> Demonstration:
+    _, _, letters, letter_lines = block.value
+    identity = {x: (x,) for x in language.alphabet}
+    return _build(block, lambda ls: Demonstration(oracle, {**identity, **ls}, language),
+                  letters, letter_lines)
+
+
+def _cosettable(block: _Block, oracle) -> CosetTable:
+    group_name, parts, action_lines = block.value
+    for (_, letter), lineno in action_lines.items():
+        if letter not in oracle.alphabet:
+            block.fail(f"action letter {letter.name!r} is not a generator of {group_name!r}",
+                       lineno)
+    return CosetTable(oracle, *parts)
+
+
+def _graph_product(block: _Block, *oracles) -> GraphProductOracle:
+    spec = block.value
+    return block.at(None, GraphProductOracle, spec.graph, dict(zip(spec.uses, oracles)))
 
 
 def _resolve(block: _Block, named: dict, what: str, ref: str):
@@ -525,11 +555,8 @@ def _link_groups(ws: Workspace, parsed: dict):
                 missing = sorted({g for g in spec.uses.values() if g not in ws.groups})
                 if missing:
                     block.fail(f"graphproduct {name!r} references undefined groups {missing}")
-                try:
-                    ws.groups[name] = GraphProductOracle(
-                        spec.graph, {v: ws.groups[g] for v, g in spec.uses.items()})
-                except ValueError as e:
-                    block.fail(str(e))
+                ws.groups[name] = _linked(block, _graph_product,
+                                          *(ws.groups[g] for g in spec.uses.values()))
                 path.popitem()
 
 

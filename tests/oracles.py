@@ -495,13 +495,28 @@ def tagged_concat(a, b):
     return sa | sb, ta | tb | {(p, None, q) for p in fa for q in ib}, ia, fb
 
 
+def normalize_no_accepting_initial(a):
+    """Check that the empty word is rejected and drop redundant epsilon loops.
+
+    When epsilon is not accepted, no initial state is accepting and no
+    accepting state is epsilon-reachable from an initial state.  Raises
+    ValueError if the language contains the empty word.
+    """
+    from epicdemo.automata import EPSILON, Nfa
+
+    if a.accepts(EPSILON):
+        raise ValueError("language contains the empty word; cannot normalize")
+    transitions = frozenset(t for t in a.transitions if not (t[1] is None and t[0] == t[2]))
+    return Nfa(a.alphabet, a.states, transitions, a.initials, a.accepting)
+
+
 def looped_graph_product_language(graph, local):
     """The language of ``graph_product(graph, local)`` glued state by state:
     a copy ``(s, q)`` of each state ``q`` of the normalized local language
     of the vertex entering admissible state ``s``, epsilon edges along the
     admissible transitions, and one fresh initial state ``("glue-init",)``
     in place of the admissible initial state."""
-    from epicdemo.automata import Nfa, merge_alphabets, normalize_no_accepting_initial
+    from epicdemo.automata import Nfa, merge_alphabets
     from epicdemo.constructions import admissible_automaton
 
     normalized = {v: normalize_no_accepting_initial(local[v].language) for v in graph.vertices}

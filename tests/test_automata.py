@@ -16,8 +16,6 @@ from epicdemo.automata import (
     inverse_letter_hom,
     make_word,
     merge_alphabets,
-    normalize_no_accepting_initial,
-    single_word,
     subtract_word,
     union,
     walk,
@@ -27,6 +25,7 @@ from epicdemo.errors import AutomatonSizeError
 from oracles import (
     bf_accepts,
     bf_language,
+    normalize_no_accepting_initial,
     chained_finite_language,
     closure_step_accepts,
     closure_subsets,
@@ -241,7 +240,7 @@ class TestEnumerate:
 
     def test_order_is_length_lex_by_declaration(self):
         # a(b|c)* with order a < b < c
-        lang = concat(single_word(make_word("a"), (A, B, C)),
+        lang = concat(finite_language([make_word("a")], (A, B, C)),
                       Nfa((A, B, C), frozenset({0}),
                           frozenset({(0, B, 0), (0, C, 0)}),
                           frozenset({0}), frozenset({0})))

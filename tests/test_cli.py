@@ -17,7 +17,7 @@ from epicdemo.workspace import load, render, render_automaton
 
 from test_groups import s3_oracle
 from test_constructions import z_rewriting_fixture
-from test_workspace import call, chain_text, cold_call
+from test_workspace import call, chain_text, cold_call, kept_workspace
 
 DATA = str(pathlib.Path(__file__).resolve().parent.parent / "data" / "demo_workspace.epic")
 
@@ -562,13 +562,13 @@ class TestWpDecide:
         try:
             assert run(capsys, *argv) == (0, "verdict in_wp comparisons=6 replayed=yes "
                                              "closure_word=a b a^-1 b^-1 index=1\n", "")
-            closure = cli._stream(cli._kept[1].presentations["plane"],
+            closure = cli._stream(kept_workspace([DATA]).presentations["plane"],
                                   cli.normal_closure_enumerator)
             closure._cache[1] = make_word("a", "b", "b^-1", "b", "a^-1", "b^-1")
             assert run(capsys, *argv) == (1, "verdict in_wp comparisons=6 replayed=no "
                                              "closure_word=a b b^-1 b a^-1 b^-1 index=1\n", "")
         finally:
-            cli._kept = None  # the overwritten stream goes with its presentation
+            cli._parses = None  # the overwritten stream goes with its presentation
 
     def test_raising_pull_leaves_no_broken_stream_kept(self, monkeypatch):
         """A pull that raises out of a call, an interrupt say, breaks the
@@ -588,7 +588,7 @@ class TestWpDecide:
 
             return Enumerator(words())
 
-        cli._kept = None  # a workspace whose presentation keeps no stream yet
+        cli._parses = None  # a presentation that keeps no stream yet
         monkeypatch.setattr(cli, "normal_closure_enumerator", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(argv)
@@ -1007,7 +1007,7 @@ class TestNoCyclicGarbage:
     def test_dropped_streams_leave_no_cyclic_garbage(self, capsys, tmp_path):
         """The streams decide leaves on a workspace's presentation and
         demonstration, and on a builtin, are freed with them: when a call
-        on other files replaces the kept workspace, and when the builtin is
+        on other files replaces the kept parses, and when the builtin is
         evicted."""
         a, b = tmp_path / "a.epic", tmp_path / "b.epic"
         a.write_text(pathlib.Path(DATA).read_text())
@@ -1051,10 +1051,9 @@ class TestCollectorState:
     def test_collector_state_is_restored(self, capsys, monkeypatch, case, collecting):
         argv, expected = self.CALLS[case]
         if expected is RuntimeError:
-            def load(files, texts=None):
+            def load(files):
                 raise RuntimeError("escapes main")
             monkeypatch.setattr("epicdemo.cli.load", load)
-            monkeypatch.setattr("epicdemo.cli._kept", None)  # else DATA may not load again
         was = gc.isenabled()
         (gc.enable if collecting else gc.disable)()
         try:
@@ -1071,30 +1070,56 @@ class TestCollectorState:
         assert (code, after) == (expected, collecting)
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """The path of every file split into blocks, in order."""
+    split, paths = workspace._split_blocks, []
+    monkeypatch.setattr(workspace, "_split_blocks",
+                        lambda path, text: paths.append(path) or split(path, text))
+    return paths
+
+
+def spy_loads(monkeypatch):
+    """The workspace of each ``cli.load`` from now on, in order."""
+    loaded, real = [], cli.load
+    monkeypatch.setattr(cli, "load", lambda paths: loaded.append(real(paths)) or loaded[-1])
+    return loaded
+
+
+def object_ids(ws):
+    """The identity of each object the workspace names, by kind and name."""
+    return {kind: {name: id(obj) for name, obj in table.items()}
+            for kind, table in vars(ws).items()}
+
+
 class TestKeptWorkspace:
-    """A call that reuses the workspace of the call before it gives what it
-    gives with nothing kept: the same exit code, output and bundle bytes."""
+    """A call that links the objects the call before it linked gives what
+    it gives with nothing kept: the same exit code, output and bundle bytes."""
 
     ZK = "group g zk rank 1\n  gen a = [{}]\n  gen a^-1 = [-{}]\nend\n"
     BALL = ["ball", "--group", "g", "--radius", "1"]
 
     @pytest.mark.parametrize("verb", list(TestNoCyclicGarbage.VERBS))
-    def test_second_call_reuses_and_matches_a_cold_call(self, monkeypatch, tmp_path, verb):
+    def test_second_call_reuses_and_matches_a_cold_call(self, monkeypatch, tmp_path, splits,
+                                                        verb):
+        """The second call splits none of its files again and its workspace
+        names the first call's objects; a construct verb's bundle is parsed
+        anew, as the call's own loads replaced the parses kept before it."""
         fixture = tmp_path / "fixture.epic"
         fixture.write_text(TestNoCyclicGarbage.S3
                            + render_automaton("trip", z_rewriting_fixture().nfa))
-        files = [DATA, str(fixture)]
         out = tmp_path / "out.epic"
         argv = ["-f", DATA, "-f", str(fixture), *TestNoCyclicGarbage.VERBS[verb]]
-        if TestNoCyclicGarbage.VERBS[verb][0] == "construct":
+        construct = TestNoCyclicGarbage.VERBS[verb][0] == "construct"
+        if construct:
             argv += ["--out", str(out)]
+        loaded = spy_loads(monkeypatch)
         first = call(argv, out)
         assert first[0] == 0, first[2]
-        loaded, real = [], cli.load
-        monkeypatch.setattr(cli, "load",
-                            lambda paths, texts=None: loaded.append(paths) or real(paths, texts))
+        del splits[:]
         second = call(argv, out)
-        assert files not in loaded  # reused, not loaded again
+        assert splits == ([str(out)] if construct else [])
+        assert object_ids(loaded[len(loaded) // 2]) == object_ids(loaded[0])
         assert second == first == cold_call(argv, out)
 
     def test_wp_decides_back_to_back_match_cold_calls(self, tmp_path):
@@ -1119,12 +1144,12 @@ class TestKeptWorkspace:
         def frontier():
             return state.read_bytes() if state.exists() else None
 
-        cli._kept = None
+        cli._parses = None
         warm, kept = [], set()
         for args in sequence:
             before = frontier()
             warm.append((before, call(base + args), frontier()))
-            plane = cli._kept[1].presentations["plane"]
+            plane = kept_workspace([DATA]).presentations["plane"]
             kept.add(id(cli._stream(plane, cli.normal_closure_enumerator)))
         assert len(kept) == 1  # every call read the stream the first one built
         assert [w[1][0] for w in warm] == [0, 0, 0, 0, 1, 0, 0]
@@ -1168,17 +1193,21 @@ class TestKeptWorkspace:
         path.write_text(good)
         assert call(argv) == first
 
-    @pytest.mark.parametrize("argv", [
-        ["-f", DATA, "enumerate", "--automaton", "powers", "--max-len", "2"],
-        ["ball", "--demo", "ZK2", "--radius", "1"],
-        ["-f", DATA, "ball", "--demo", "zk(2)", "--radius", "1"],
+    @pytest.mark.parametrize("argv, fault", [
+        # the sample's automaton block at line 12 has 3 states: a load error
+        (["-f", DATA, "enumerate", "--automaton", "powers", "--max-len", "2"],
+         (2, f"error: {DATA}:12: ")),
+        (["ball", "--demo", "ZK2", "--radius", "1"], (1, "error: ")),
+        (["-f", DATA, "ball", "--demo", "zk(2)", "--radius", "1"], (2, f"error: {DATA}:12: ")),
     ], ids=["workspace", "builtin", "builtin-with-workspace"])
-    def test_lowered_state_cap(self, monkeypatch, argv):
+    def test_lowered_state_cap(self, monkeypatch, argv, fault):
         first = call(argv)
         assert first[0] == 0
         monkeypatch.setenv("EPIC_MAX_STATES", "2")
         lowered = call(argv)
-        assert lowered[0] != 0 and lowered[1] == "" and "cap is 2" in lowered[2]
+        code, prefix = fault
+        assert lowered[:2] == (code, "") and lowered[2].startswith(prefix)
+        assert "cap is 2" in lowered[2] and len(lowered[2].splitlines()) == 1
         assert lowered == cold_call(argv)
         monkeypatch.delenv("EPIC_MAX_STATES")
         assert call(argv) == first
@@ -1244,24 +1273,18 @@ class TestKeptParses:
     ZK = TestKeptWorkspace.ZK
     BALL = TestKeptWorkspace.BALL
 
-    @pytest.fixture
-    def splits(self, monkeypatch):
-        """The path of every file split into blocks, in order."""
-        split, paths = workspace._split_blocks, []
-        monkeypatch.setattr(workspace, "_split_blocks",
-                            lambda path, text: paths.append(path) or split(path, text))
-        return paths
-
     def test_pipeline_matches_fresh_processes(self, tmp_path, splits):
         """Each call after the first links the bundle the call before it
         wrote or read, and its stdout, its bundle and the render of its
         workspace are a fresh process's."""
         steps = path_pipeline(tmp_path, 4)
-        cli._kept = cli._parses = None
+        cli._parses = None
         warm = []
         for argv, out in steps:
             del splits[:]
-            warm.append((call(argv, out), render(cli._kept[1]), list(splits)))
+            result = call(argv, out)
+            files = [a for flag, a in zip(argv, argv[1:]) if flag == "-f"]
+            warm.append((result, render(kept_workspace(files)), list(splits)))
         (_, prod), (_, sub), (_, cg) = steps
         table = str(tmp_path / "table.epic")
         assert [w[2] for w in warm] == [[str(tmp_path / "locals.epic"), str(prod)],
@@ -1280,6 +1303,46 @@ class TestKeptParses:
             shown = subprocess.run([sys.executable, "-c", show, *files], env=env,
                                    capture_output=True, text=True, timeout=120)
             assert shown.stdout == rendered + "\n"
+
+    def test_next_call_links_what_the_reload_linked(self, monkeypatch, tmp_path):
+        """fi-subgroup reads the graph-product bundle the call before it
+        wrote, and links the demonstration and the oracle that that call's
+        reload of the bundle linked."""
+        (product, prod), (subgroup, sub), _ = path_pipeline(tmp_path, 3)
+        loaded = spy_loads(monkeypatch)
+        assert call(product, prod)[0] == 0
+        _, reloaded = loaded
+        warm = call(subgroup, sub)
+        linked = loaded[2]
+        assert linked.demonstrations["prod"] is reloaded.demonstrations["prod"]
+        assert linked.groups["prod_group"] is reloaded.groups["prod_group"]
+        assert warm == cold_call(subgroup, sub)
+
+    def test_rewritten_group_relinks_what_refers_to_it(self, monkeypatch, tmp_path):
+        """A group file rewritten between two calls: the demonstration,
+        graph product and coset table of another, unchanged file link to
+        the new oracle, while its automaton is still the one kept."""
+        groups, uses = tmp_path / "groups.epic", tmp_path / "uses.epic"
+        groups.write_text(self.ZK.format(1, 1))
+        uses.write_text("automaton L\n  alphabet a a^-1\n  states s0 s1\n  initial s0\n"
+                        "  accept s1\n  trans s0 a s1\n  trans s1 a s1\nend\n"
+                        "demonstration D\n  group g\n  automaton L\nend\n"
+                        "group P graphproduct\n  vertices u\n  vertex u uses g\nend\n"
+                        "cosettable T group g subgroupof 1\n  coset H rep eps\n"
+                        "  action H a H\n  action H a^-1 H\nend\n")
+        argv = ["-f", str(groups), "-f", str(uses), "ball", "--demo", "D", "--radius", "1"]
+        loaded = spy_loads(monkeypatch)
+        first = call(argv)
+        groups.write_text(self.ZK.format(2, 2))
+        second = call(argv)
+        before, after = loaded
+        oracle = after.groups["g"]
+        assert oracle is not before.groups["g"]
+        assert after.demonstrations["D"].oracle is oracle
+        assert after.groups["P"].vertex_oracles["u"] is oracle
+        assert after.cosettables["T"].oracle is oracle
+        assert after.automata["L"] is before.automata["L"]
+        assert second != first and second == cold_call(argv)
 
     def test_file_rewritten_to_the_same_length_is_parsed_again(self, tmp_path, splits):
         a, b = tmp_path / "a.epic", tmp_path / "b.epic"
@@ -1305,7 +1368,9 @@ class TestKeptParses:
         del splits[:]
         lowered = call(subgroup, sub)
         assert str(prod) in splits
-        assert lowered[:2] == (1, "") and f"cap is {states - 1}" in lowered[2]
+        line = prod.read_text().splitlines().index("automaton prod_lang") + 1
+        assert lowered[:2] == (2, "") and lowered[2].startswith(f"error: {prod}:{line}: ")
+        assert f"cap is {states - 1}" in lowered[2]
         assert lowered == cold_call(subgroup, sub)
         monkeypatch.delenv("EPIC_MAX_STATES")
         assert call(subgroup, sub) == cold_call(subgroup, sub)
@@ -1330,7 +1395,6 @@ class TestKeptParses:
         assert cli._parses is kept  # a failed load keeps nothing new
         assert broken == cold_call(argv)
         other.write_text("")
-        cli._kept = None  # else the workspace from before the fault is reused whole
         assert call(argv) == cold_call(argv)
 
     def test_kept_file_clashes_with_a_name_before_it(self, tmp_path):

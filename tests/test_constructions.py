@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, intersect, \
-    inverse_letter_hom, make_word, single_word, subtract_word, union
+    inverse_letter_hom, make_word, subtract_word, union
 from epicdemo.constructions import (
     CosetTable,
     _cover,
@@ -137,7 +137,7 @@ class TestExtension:
         commutator = make_word("x", "y", "x^-1", "y^-1")
         bad_q = Demonstration(
             oracle, {x: (x,) for x in set(commutator)},
-            single_word(commutator, tuple(dict.fromkeys(commutator))))
+            finite_language([commutator], tuple(dict.fromkeys(commutator))))
         with pytest.raises(ValueError, match="into the subgroup"):
             extension(central_demo(oracle), bad_q, oracle, in_center, check_len=4)
 
@@ -150,7 +150,7 @@ class TestExtension:
         demo_q = Demonstration(o, demo.eval_map, subtract_word(demo.language, EPSILON))
         words = st.lists(st.sampled_from(o.alphabet), max_size=3).map(tuple)
         normal = {ascii_evaluate(o, w) for w in data.draw(st.lists(words, max_size=3)) + [()]}
-        demo_n = Demonstration(o, {Letter("n"): EPSILON}, single_word(make_word("n")))
+        demo_n = Demonstration(o, {Letter("n"): EPSILON}, finite_language([make_word("n")]))
         bad = [w for w in bf_language(demo_q.language, check_len)
                if ascii_evaluate(o, sum((demo_q.eval_map[x] for x in w), ())) in normal]
 
@@ -666,7 +666,7 @@ class TestGraphProduct:
     def test_language_letter_clash_over_distinct_generators_rejected(self):
         g = VertexGraph.make(("u", "v"), [])
         p = Letter("p")
-        local = {v: Demonstration(c2_oracle(gen), {p: make_word(gen)}, single_word((p,)))
+        local = {v: Demonstration(c2_oracle(gen), {p: make_word(gen)}, finite_language([(p,)]))
                  for v, gen in (("u", "a"), ("v", "b"))}
         with pytest.raises(ValueError, match="^language letter 'p' used by 'u' and 'v'$"):
             graph_product(g, local)
@@ -700,14 +700,14 @@ class TestPaddedTriples:
     def test_projection_single_word(self):
         a, b = Letter("a"), Letter("b")
         padded = pad_triple_word((a,), EPSILON, (b, b))
-        t = SyncTripleAutomaton(single_word(padded), (a, b))
+        t = SyncTripleAutomaton(finite_language([padded]), (a, b))
         out = autostackable_projection(t)
         assert out.enumerate_words(3) == [(a,)]
 
     def test_projection_rejects_resumed_padding(self):
         a = Letter("a")
         bad_word = (make_triple("a", "#pad", "a"), make_triple("a", "a", "a"))
-        t = SyncTripleAutomaton(single_word(bad_word), (a,))
+        t = SyncTripleAutomaton(finite_language([bad_word]), (a,))
         with pytest.raises(ValueError, match="padding"):
             autostackable_projection(t)
 
@@ -715,7 +715,7 @@ class TestPaddedTriples:
         a = Letter("a")
         word = (make_triple("a", "z", "a"),)
         with pytest.raises(ValueError, match="base letter"):
-            SyncTripleAutomaton(single_word(word), (a,))
+            SyncTripleAutomaton(finite_language([word]), (a,))
 
 
 def z_rewriting_fixture():

@@ -17,8 +17,10 @@ from epicdemo.groups import FreeAbelianOracle, FreeGroupOracle, PermutationOracl
 from epicdemo.workspace import (
     Workspace,
     demo_bundle,
+    link,
     load,
     load_text,
+    read_sources,
     render,
     render_automaton,
 )
@@ -215,12 +217,18 @@ def call(argv, out=None):
 
 
 def cold_call(argv, out=None):
-    """call(argv, out) with no workspace, file parse or builtin kept from
-    an earlier call, and so none of the streams they keep for ``wp decide``."""
-    cli._kept = None
+    """call(argv, out) with no file parse or builtin kept from an earlier
+    call, and so none of the objects linked from them or the streams they
+    keep for ``wp decide``."""
     cli._parses = None
     _built.cache_clear()
     return call(argv, out)
+
+
+def kept_workspace(paths):
+    """The workspace that the kept parses of the files, as they read now,
+    link to: the objects the last call that loaded them linked."""
+    return link(cli._parses[2][source] for source in read_sources(paths))
 
 
 def back_to_back(argv, out=None):
