@@ -8,8 +8,9 @@ A call reads each file once.  The parses of the files the last call
 that loaded files read or wrote are kept, and so are the objects linked
 from them while their references are the same.  ``wp decide`` reads
 the closure stream its presentation keeps and the language stream its
-demonstration keeps, each built at the first decide on that object;
-the certificate replays on streams built for the replay alone.
+demonstration keeps, each built at the first decide on that object and
+reducing and filing each word once for all later decides; the
+certificate replays on streams built for the replay alone.
 The scripts under ``scripts/`` reuse its exit codes, length and
 ``wp decide`` checks, demonstration lookup and bundle writer.
 """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -71,6 +71,10 @@ class Enumerator:
     replayable.  The stream's end is the only finiteness signal: ``get``
     reports ``None`` past the last word of a stream that ends.
 
+    ``reduced`` reduces each word once for the stream's lifetime and
+    files it in ``at``, a map from reduced word to its ascending indices,
+    in index order; a word already reduced is kept, not copied.
+
     A pull that raises breaks the stream.  A generator that has raised
     ends at every later pull, an end the stream never reached, so past
     the words pulled before, ``get`` on a broken stream raises instead,
@@ -80,6 +84,8 @@ class Enumerator:
     def __init__(self, words: Iterable[Word]):
         self._iter = iter(words)
         self._cache: list[Word] = []
+        self._reduced: list[Word] = []
+        self.at: dict[Word, list[int]] = {}
         self.broken = False
 
     def get(self, i: int) -> Optional[Word]:
@@ -98,6 +104,22 @@ class Enumerator:
                 return None
             cache.append(w)
         return cache[i]
+
+    def reduced(self, i: int) -> Optional[Word]:
+        """Word i freely reduced, words 0..i all filed; None past the end."""
+        done = self._reduced
+        while len(done) <= i:
+            w = self.get(len(done))
+            if w is None:
+                return None
+            r = free_reduce(w)
+            done.append(w if len(r) == len(w) else r)
+            self.at.setdefault(done[-1], []).append(len(done) - 1)
+        return done[i]
+
+    def existing(self, n: int) -> int:
+        """How many of the words 0..n-1 exist, each reduced and filed."""
+        return n if n == 0 or self.reduced(n - 1) is not None else len(self._reduced)
 
 
 def normal_closure_enumerator(p: Presentation) -> Enumerator:
@@ -217,7 +239,7 @@ class Frontier:
     comparisons: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Frontier":
@@ -298,14 +320,14 @@ def decide_word(
     directions hit within one iteration the inputs contradict each other
     and the run raises InputContradictionError instead of picking a side.
 
-    Each stream word is freely reduced once per call and filed in a map
-    from reduced word to its ascending indices: closure_k under itself,
-    language_j under language_j . word^-1.  Within a segment one side is
-    fixed, so its hits are the indices filed under the fixed side's key,
-    and, because finite streams end after a prefix, the number of
-    comparisons is arithmetic.  A segment with no hit that fits the
-    budget only adds its count; any other segment takes a bisect, plus
-    one certificate per hit.  An iteration thus costs O(1) lookups
+    Each stream reduces and files its own words once (``Enumerator.at``).
+    Within a segment one side is fixed, so its hits are the other side's
+    indices filed under a key joined at the seam: segment 2 looks
+    closure_i . word up among the language words, segment 3 language_i .
+    word^-1 among the closure words.  Finite streams end after a prefix,
+    so the number of comparisons is arithmetic.  A segment with no hit
+    that fits the budget only adds its count; any other takes a bisect,
+    plus one certificate per hit.  An iteration thus costs O(1) lookups
     however many comparisons it counts.
 
     The budget counts comparisons.  When it runs out the verdict carries
@@ -334,28 +356,8 @@ def decide_word(
         return Frontier(word=target_text, iteration=i, cursor=cursor,
                         pending=[dict(c) for c in pending], comparisons=total)
 
-    # reduced word -> ascending stream indices; a stream's words sit at
-    # 0..n-1, so the two counts also say which indices exist
-    closure_at: dict[Word, list[int]] = {}
-    language_at: dict[Word, list[int]] = {}
-
-    def filed(stream: Enumerator, at: dict, n: int, tail: Word) -> tuple:
-        """Stream word n and its key, reduced and indexed; (None, None)
-        past the end."""
-        w = stream.get(n)
-        if w is None:
-            return None, None
-        key = free_reduce(w + tail)
-        at.setdefault(key, []).append(n)
-        return w, key
-
-    closure_count = language_count = 0
-    while closure_count < i and filed(
-            closure, closure_at, closure_count, EPSILON)[0] is not None:
-        closure_count += 1
-    while language_count < i and filed(
-            language, language_at, language_count, inverse_target)[0] is not None:
-        language_count += 1
+    # a stream's words sit at 0..n-1, so the counts say which indices exist
+    closure_count, language_count = closure.existing(i), language.existing(i)
 
     def scan(first: int, existing: int, hits: list, certify) -> bool:
         """Compare positions first .. first+existing-1 from the cursor on,
@@ -375,32 +377,33 @@ def decide_word(
         return False
 
     while True:
-        gw, key = filed(closure, closure_at, i, EPSILON)
+        gw = closure.reduced(i)
         if gw is not None:
             closure_count = i + 1
-            hits = language_at.get(key)
-            if cursor or key == target or hits or limit - total <= language_count:
-                cut = scan(0, 1, [0] if key == target else [],
+            hits = language.at.get(_join(gw, target), ())
+            if cursor or gw == target or (hits and hits[0] < language_count) \
+                    or limit - total <= language_count:
+                cut = scan(0, 1, [0] if gw == target else [],
                            lambda _: {"kind": IN_WP, "index": i,
-                                      "closure_word": format_word(gw)})
-                cut = cut or scan(1, language_count, hits or [],
+                                      "closure_word": format_word(closure.get(i))})
+                cut = cut or scan(1, language_count, hits,
                                   lambda j: {"kind": NOT_IN_WP,
                                              "language_index": j, "closure_index": i,
                                              "language_word": format_word(language.get(j)),
-                                             "closure_word": format_word(gw)})
+                                             "closure_word": format_word(closure.get(i))})
                 if cut:
                     return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total)
             else:  # segments 1 and 2 whole, without a hit
                 total += 1 + language_count
-        fw, key = filed(language, language_at, i, inverse_target)
+        fw = language.reduced(i)
         if fw is not None:
             language_count = i + 1
-            hits = closure_at.get(key)
-            if cursor or hits or limit - total < closure_count:
-                if scan(i + 1, closure_count, hits or [],
+            hits = closure.at.get(_join(fw, inverse_target), ())
+            if cursor or (hits and hits[0] < closure_count) or limit - total < closure_count:
+                if scan(i + 1, closure_count, hits,
                         lambda k: {"kind": NOT_IN_WP,
                                    "language_index": i, "closure_index": k,
-                                   "language_word": format_word(fw),
+                                   "language_word": format_word(language.get(i)),
                                    "closure_word": format_word(closure.get(k))}):
                     return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total)
             else:  # segment 3 whole, without a hit
@@ -421,6 +424,14 @@ def decide_word(
         cursor = 0
         if stalled:
             return WpVerdict(BUDGET_EXCEEDED, None, checkpoint(), total, stalled=True)
+
+
+def _join(r: Word, t: Word) -> Word:
+    """free_reduce(r + t) for reduced r and t: they cancel only at the seam."""
+    k, n = 0, min(len(r), len(t))
+    while k < n and r[-1 - k] == _INVERSE[t[k]]:
+        k += 1
+    return r[:len(r) - k] + t[k:]
 
 
 def replay(word: Word, language: Enumerator, closure: Enumerator,

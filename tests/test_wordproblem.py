@@ -7,7 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epicdemo import groups
+from epicdemo import groups, wordproblem
 from epicdemo.automata import EPSILON, Letter, Nfa, finite_language, make_word
 from epicdemo.demonstrations import builtin_demo, z_demo, zk_demo
 from epicdemo.errors import InputContradictionError
@@ -19,6 +19,7 @@ from epicdemo.wordproblem import (
     Enumerator,
     Frontier,
     Presentation,
+    _join,
     coword_demo_from_wp,
     decide_word,
     demonstration_enumerator,
@@ -93,6 +94,12 @@ class TestFreeReduce:
             assert inverse == tuple(map(_inverse_name, reversed(names)))
             assert all(type(x) is Letter for x in inverse)
         assert all(x in groups._INVERSE for x in word)
+
+    @given(st.lists(PAIRED, max_size=8), st.lists(PAIRED, max_size=8))
+    def test_seam_join_of_reduced_words(self, left, right):
+        r, t = free_reduce(tuple(left)), free_reduce(tuple(right))
+        assert _join(r, t) == free_reduce(r + t)
+        assert _join(r, formal_inverse(r)) == EPSILON
 
     def test_bare_marker_has_no_inverse(self):
         # the letter "^-1" would pair with the empty name, which is no letter
@@ -185,6 +192,62 @@ class TestEnumerator:
         finally:
             if collecting:
                 gc.enable()
+
+
+class TestStreamsReduceOnce:
+    """Each stream reduces a word once for its lifetime, so a decide_word
+    call reduces its own target and only the stream words no earlier call
+    on the same streams reached."""
+
+    @staticmethod
+    def streams():
+        # the closure words are listed up front, so only the streams reduce them
+        return (demonstration_enumerator(zk_demo(2)),
+                Enumerator(closure_prefix(commutator_presentation(), 1200)))
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        reduced = []
+        real = wordproblem.free_reduce
+
+        def counting(word):
+            reduced.append(word)
+            return real(word)
+
+        monkeypatch.setattr(wordproblem, "free_reduce", counting)
+        return reduced
+
+    @staticmethod
+    def pulled(language, closure) -> int:
+        return len(language._cache) + len(closure._cache)
+
+    def test_fresh_streams_reduce_each_word_once(self, monkeypatch):
+        language, closure = self.streams()
+        reduced = self.counted(monkeypatch)
+        verdict = decide_word(make_word(*"a b a^-1 b^-1 a b a^-1 b^-1".split()),
+                              language, closure, 10**6)
+        assert (verdict.kind, verdict.certificate["index"]) == (IN_WP, 971)
+        assert len(reduced) == 1 + self.pulled(language, closure)
+
+    def test_later_calls_reduce_their_target_and_new_words(self, monkeypatch):
+        language, closure = self.streams()
+        word = make_word("a", "b")
+        first = decide_word(word, language, closure, 10**6)
+        reduced = self.counted(monkeypatch)
+        assert decide_word(word, language, closure, 10**6) == first
+        assert reduced == [word]
+        # a deeper word, in budget cuts resumed on the same streams
+        deep = make_word(*"a b a^-1 b^-1 a b a^-1 b^-1".split())
+        before, calls, frontier = self.pulled(language, closure), 0, None
+        reduced.clear()
+        while True:
+            verdict = decide_word(deep, language, closure, 50_000, frontier)
+            calls += 1
+            if verdict.kind != BUDGET_EXCEEDED:
+                break
+            frontier = verdict.frontier
+        assert verdict.kind == IN_WP and calls > 1
+        assert len(reduced) == calls + self.pulled(language, closure) - before
 
 
 def commutator_presentation():
@@ -531,7 +594,10 @@ def shared_call_sequences(draw):
     calls = draw(st.lists(st.tuples(st.integers(0, len(texts) - 1),
                                     st.integers(1, 30) | st.integers(100, 400),
                                     st.booleans()), min_size=1, max_size=10))
-    return relators, source, listed, texts, calls
+    # a finite closure stream of unreduced words, or the presentation's own;
+    # an empty one would leave an endless language nothing to compare with
+    closure = draw(st.none() | st.lists(words(0, 4), min_size=1, max_size=6))
+    return relators, source, listed, closure, texts, calls
 
 
 class TestSharedStreams:
@@ -541,7 +607,7 @@ class TestSharedStreams:
         """One pair of streams serves every call, as the CLI serves every
         ``wp decide`` on one presentation and demonstration; each call gives
         what it gives on fresh streams and what the pairwise scan gives."""
-        relators, source, listed, texts, calls = case
+        relators, source, listed, closure, texts, calls = case
         presentation = Presentation(("a", "b"), tuple(relators))
 
         def streams():
@@ -549,7 +615,9 @@ class TestSharedStreams:
                 language = demonstration_enumerator(DEMOS[source])
             else:
                 language = Enumerator(listed)
-            return language, normal_closure_enumerator(presentation)
+            if closure is None:
+                return language, normal_closure_enumerator(presentation)
+            return language, Enumerator(closure)
 
         def outcome(verdict):
             frontier = verdict.frontier and verdict.frontier.to_json()
