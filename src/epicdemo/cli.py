@@ -4,13 +4,19 @@ Exit codes: 0 success, 1 verification failure or undecided word, 2 usage
 or load error.  Reports are deterministic; ``--porcelain`` switches to
 one machine-readable record per line.  The environment variable
 ``EPIC_MAX_STATES`` caps constructed automaton sizes (default 10^6).
+``build_parser`` declares every verb and flag.  A reader built once from
+its declared actions reads the exact forms of an argv (``--flag value``,
+a bare ``--flag``, the verb words) into the namespace ``parse_args``
+gives; every other argv goes to ``parse_args``, which prints all help
+and usage messages.
 A call reads each file once.  The parses of the files the last call
-that loaded files read or wrote are kept, and so are the objects linked
-from them while their references are the same.  ``wp decide`` reads
-the closure stream its presentation keeps and the language stream its
-demonstration keeps, each built at the first decide on that object and
-reducing and filing each word once for all later decides; the
-certificate replays on streams built for the replay alone.
+that loaded files read or wrote are kept for every load of the next
+call, and so are the objects linked from them while their references
+are the same.  ``wp decide`` reads the closure stream its presentation
+keeps and the language stream its demonstration keeps, each built at
+the first decide on that object and reducing and filing each word once
+for all later decides; the certificate replays on streams built for the
+replay alone.
 The scripts under ``scripts/`` reuse its exit codes, length and
 ``wp decide`` checks, demonstration lookup and bundle writer.
 """
@@ -23,6 +29,7 @@ import gc
 import operator
 import os
 import sys
+from collections import ChainMap
 from typing import Optional
 
 from .automata import Letter, Nfa, Word, format_word, parse_word, state_cap
@@ -543,33 +550,118 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Reader:
+    """Reads an argv the way one parser's ``parse_args`` does, from the
+    actions the parser declares, for the exact forms alone: an option
+    string of a store or append action followed by a value that does not
+    start with '-', one of a store_true action, and a subcommand name,
+    which hands the rest of the argv to that subcommand's reader.
+
+    ``read`` returns the namespace's values, or None for any other argv:
+    help, an abbreviation, ``--flag=value``, a value starting with '-',
+    ``--``, an unknown word, a missing required flag or a value its type
+    refuses.  Those go to argparse, which prints every help and usage
+    message; the reader rejects nothing itself.  It knows the kinds of
+    action ``build_parser`` declares, no others."""
+
+    def __init__(self, parser: argparse.ArgumentParser):
+        self.options = {}      # option string -> its action
+        self.verbs = {}        # subcommand name -> its reader
+        self.verb = None       # the subparsers action
+        self.defaults = {}     # dest -> the value argparse starts from
+        self.required = set()  # actions the argv must give
+        for action in parser._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                self.defaults.setdefault(action.dest, action.default)
+            if isinstance(action, argparse._SubParsersAction):
+                self.verb = action
+                self.verbs = {name: _Reader(p) for name, p in action.choices.items()}
+            elif type(action) in (argparse._StoreAction, argparse._StoreTrueAction,
+                                  argparse._AppendAction):
+                self.options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                self.required.add(action)
+        for dest, value in parser._defaults.items():
+            self.defaults.setdefault(dest, value)
+
+    def read(self, argv, at: int = 0) -> Optional[dict]:
+        values = dict(self.defaults)
+        missing = set(self.required)
+        while at < len(argv):
+            action = self.options.get(argv[at])
+            if action is None:
+                verb = self.verbs.get(argv[at])
+                rest = verb and verb.read(argv, at + 1)
+                if rest is None:
+                    return None
+                values[self.verb.dest] = argv[at]
+                values.update(rest)
+                missing.discard(self.verb)
+                break
+            missing.discard(action)
+            if action.nargs == 0:  # store_true
+                values[action.dest] = True
+                at += 1
+                continue
+            if at + 1 == len(argv) or argv[at + 1][:1] == "-":
+                return None
+            value = argv[at + 1]
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError:
+                    return None
+            if type(action) is argparse._AppendAction:
+                value = [*(values[action.dest] or ()), value]
+            values[action.dest] = value
+            at += 2
+        return None if missing else values
+
+
+@functools.cache
+def _reader() -> _Reader:
+    return _Reader(build_parser())
+
+
+def _parse_args(argv: Optional[list]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: the reader's values when it
+    reads argv, argparse's own parse otherwise."""
+    if argv is None:
+        argv = sys.argv[1:]
+    values = _reader().read(argv)
+    return build_parser().parse_args(argv) if values is None else argparse.Namespace(**values)
+
+
 # a token of the CLI call running, None between calls
 _call: Optional[object] = None
 
-# (call token, state cap, {(path, text): parsed blocks}) of the files the
-# last call that loaded read or wrote, under the cap it loaded them with
-_parses: Optional[tuple[object, int, dict]] = None
+# (call token, state cap, {(path, text): parsed blocks} of the files the
+# call read or wrote, the same map of the last loading call before it),
+# all under the cap the call loaded with
+_parses: Optional[tuple[object, int, dict, dict]] = None
 
 
 def load(paths: list) -> Workspace:
     """The workspace of the files.  Within a CLI call, a file that reads
-    as one the last loading call read or wrote did, under the same state
-    cap, is linked from that call's parse, not parsed again, and once the
-    workspace links the call keeps the parse of every file it read; a load
-    that fails keeps nothing new.  A load outside a call parses every file
-    and keeps nothing."""
+    as one the call read or wrote before, or the last loading call before
+    it did, under the same state cap, is linked from that parse, not
+    parsed again, and once the workspace links the call keeps the parse
+    of every file it read; a load that fails keeps nothing new.  A load
+    outside a call parses every file and keeps nothing."""
     global _parses
     sources = read_sources(paths)
     if _call is None:
         return load_text(sources)
     cap = state_cap()
-    call, kept_cap, kept = _parses or (None, None, {})
-    files = parse(sources, kept if kept_cap == cap else {})
+    call, kept_cap, mine, before = _parses or (None, None, {}, {})
+    if kept_cap != cap:
+        mine, before = {}, {}
+    elif call is not _call:  # the call's first load
+        mine, before = {}, mine
+    files = parse(sources, ChainMap(mine, before))
     ws = link(files)
-    if (call, kept_cap) != (_call, cap):
-        kept = {}
-        _parses = _call, cap, kept
-    kept.update(zip(sources, files))
+    _parses = _call, cap, mine, before
+    mine.update(zip(sources, files))
     return ws
 
 
@@ -596,7 +688,7 @@ def main(argv: Optional[list] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _exit_code(_run, build_parser().parse_args(argv))
+        return _exit_code(_run, _parse_args(argv))
     finally:
         if collecting:
             gc.enable()

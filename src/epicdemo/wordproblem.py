@@ -287,8 +287,9 @@ def _is_certificate(c, iteration: int) -> bool:
 class WpVerdict:
     """Outcome of a decision run.
 
-    ``stalled`` marks budget verdicts where both streams ended, so no
-    amount of extra budget can settle the word.
+    ``stalled`` marks budget verdicts where no comparison is left to
+    make, since both streams ended or the closure stream ended with no
+    word, so no amount of extra budget can settle the word.
     """
 
     kind: str
@@ -419,7 +420,9 @@ def decide_word(
                     "inputs do not describe the same group")
             winner = pending[0]
             return WpVerdict(winner["kind"], winner, None, total)
-        stalled = gw is None and fw is None
+        # no comparison is left to make once both streams have ended, or the
+        # closure stream has ended with no word
+        stalled = gw is None and (fw is None or closure_count == 0)
         i += 1
         cursor = 0
         if stalled:

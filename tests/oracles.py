@@ -891,7 +891,8 @@ def pairwise_decide_word(word, language, closure, budget, frontier=None):
             if hits_in and hits_out:
                 raise PairwiseContradiction(hits_in[0], hits_out[0])
             return (pending[0]["kind"], pending[0], None, total, False)
-        stalled = not performed and closure.get(i) is None and language.get(i) is None
+        stalled = not performed and closure.get(i) is None and (
+            language.get(i) is None or closure.get(0) is None)
         i += 1
         cursor = 0
         if stalled:

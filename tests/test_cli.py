@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import pathlib
@@ -410,6 +413,106 @@ class TestUsageErrors:
         assert err == (f"error: {flag} takes a word, got 'a eps': 'eps' is reserved "
                        "for the empty word and cannot mix with letters\n")
         assert not out_path.exists()
+
+
+def verb_paths(parser, path=()):
+    """(verb words, parser) of every leaf of the parser's subcommand tree."""
+    verbs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not verbs:
+        return [(path, parser)]
+    return [leaf for name, sub in verbs[0].choices.items()
+            for leaf in verb_paths(sub, path + (name,))]
+
+
+LEAVES = verb_paths(build_parser())
+TOP_FLAGS = [a for a in build_parser()._actions
+             if a.option_strings and not isinstance(a, argparse._HelpAction)]
+WORDS = st.sampled_from(["Z", "ZK2", "a b^-1", "x=y", "eps", "", "verify", "out.epic"])
+INTS = st.sampled_from(["0", "3", "12", " 7", "+2", "1_0"])
+NOT_INTS = st.sampled_from(["x", "3.5", "", "0x10"])
+
+
+@st.composite
+def argvs(draw):
+    """(argv, exact): an argv from the parser's own flags, the top-level
+    ones before the verb words, a leaf's in any order, repeated or
+    missing, then mutated; exact says it has every required flag, every
+    int value reads as one and no mutation was drawn."""
+    exact = True
+
+    def flags(actions):
+        nonlocal exact
+        chosen = [a for a in actions if a.required and draw(st.integers(0, 9))]
+        exact = exact and all(a in chosen for a in actions if a.required)
+        out = []
+        for action in draw(st.permutations(chosen + draw(st.lists(st.sampled_from(actions),
+                                                                   max_size=4)))):
+            out.append(draw(st.sampled_from(action.option_strings)))
+            if action.nargs == 0:
+                continue
+            if action.type is int:
+                bad = draw(st.integers(0, 9)) == 0
+                exact = exact and not bad
+                out.append(draw(NOT_INTS if bad else INTS))
+            else:
+                out.append(draw(WORDS))
+        return out
+
+    path, leaf = draw(st.sampled_from(LEAVES))
+    mutations = draw(st.just([]) | st.lists(st.sampled_from(
+        ["abbreviate", "equals", "help", "negative", "--", "unknown verb", "cut"]), max_size=2))
+    path = list(path)
+    if "unknown verb" in mutations:
+        path[draw(st.integers(0, len(path) - 1))] = draw(
+            st.sampled_from(["bogus", path[0][:-1], path[-1].upper()]))
+    argv = flags(TOP_FLAGS) + path + flags(
+        [a for a in leaf._actions if a.option_strings and not isinstance(a, argparse._HelpAction)])
+    for mutation in mutations:
+        options = [i for i, t in enumerate(argv) if t.startswith("--") and len(t) > 3]
+        valued = [i for i in range(1, len(argv))
+                  if argv[i - 1].startswith("-") and not argv[i].startswith("-")]
+        if mutation == "abbreviate" and options:
+            i = draw(st.sampled_from(options))
+            argv[i] = argv[i][:draw(st.integers(3, len(argv[i]) - 1))]
+        elif mutation == "equals" and valued:
+            i = draw(st.sampled_from(valued))
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        elif mutation == "negative" and valued:
+            argv[draw(st.sampled_from(valued))] = draw(st.sampled_from(["-5", "-1", "-x"]))
+        elif mutation == "cut" and argv:
+            del argv[draw(st.integers(0, len(argv) - 1)):]
+        elif mutation in ("help", "--"):
+            token = draw(st.sampled_from(["-h", "--help"])) if mutation == "help" else "--"
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv, exact and not mutations
+
+
+def parse_or_exit(parse, argv):
+    """(namespace values or None, exit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as e:
+            return None, e.code, out.getvalue(), err.getvalue()
+
+
+class TestArgvReader:
+    """``main`` reads the exact forms of an argv itself and hands every
+    other argv to argparse, which prints help and every usage message."""
+
+    @settings(deadline=None, max_examples=400, derandomize=True)
+    @given(argvs())
+    def test_reader_agrees_with_argparse(self, case):
+        argv, exact = case
+        read = cli._reader().read(argv)
+        expected, code, out, err = parse_or_exit(build_parser().parse_args, argv)
+        if expected is None:
+            assert read is None
+            assert parse_or_exit(main, argv)[1:] == (code, out, err)
+        else:
+            assert read is None or read == expected
+            assert read is not None or not exact
 
 
 class TestWpDecide:
@@ -1102,9 +1205,10 @@ class TestKeptWorkspace:
     @pytest.mark.parametrize("verb", list(TestNoCyclicGarbage.VERBS))
     def test_second_call_reuses_and_matches_a_cold_call(self, monkeypatch, tmp_path, splits,
                                                         verb):
-        """The second call splits none of its files again and its workspace
-        names the first call's objects; a construct verb's bundle is parsed
-        anew, as the call's own loads replaced the parses kept before it."""
+        """The second call splits none of its files again, a construct
+        verb's bundle included, as the parses the first call kept stay
+        visible to every load of the second; its workspace names the first
+        call's objects."""
         fixture = tmp_path / "fixture.epic"
         fixture.write_text(TestNoCyclicGarbage.S3
                            + render_automaton("trip", z_rewriting_fixture().nfa))
@@ -1118,7 +1222,7 @@ class TestKeptWorkspace:
         assert first[0] == 0, first[2]
         del splits[:]
         second = call(argv, out)
-        assert splits == ([str(out)] if construct else [])
+        assert splits == []
         assert object_ids(loaded[len(loaded) // 2]) == object_ids(loaded[0])
         assert second == first == cold_call(argv, out)
 

@@ -489,6 +489,15 @@ class TestDecideWord:
         assert verdict.stalled
         assert verdict.comparisons == 1  # reduce(eps) against "a" was the only test
 
+    def test_empty_closure_stream_stalls(self):
+        # an endless language stream has no closure word to be compared with
+        for frontier in (None, Frontier(word="a", iteration=3)):
+            verdict = decide_word(make_word("a"), demonstration_enumerator(zk_demo(2)),
+                                  Enumerator([]), 1_000_000, frontier)
+            assert (verdict.kind, verdict.stalled, verdict.comparisons) == (
+                BUDGET_EXCEEDED, True, 0)
+            assert verdict.frontier.iteration == (frontier.iteration if frontier else 0) + 1
+
     def test_free_group_membership_without_language(self):
         # no relators: closure is just eps, so reduced-trivial words resolve
         language = language_enumerator(finite_language([], alphabet=(Letter("a"),)))
@@ -594,9 +603,9 @@ def shared_call_sequences(draw):
     calls = draw(st.lists(st.tuples(st.integers(0, len(texts) - 1),
                                     st.integers(1, 30) | st.integers(100, 400),
                                     st.booleans()), min_size=1, max_size=10))
-    # a finite closure stream of unreduced words, or the presentation's own;
-    # an empty one would leave an endless language nothing to compare with
-    closure = draw(st.none() | st.lists(words(0, 4), min_size=1, max_size=6))
+    # a finite closure stream of unreduced words, empty or not, or the
+    # presentation's own
+    closure = draw(st.none() | st.lists(words(0, 4), max_size=6))
     return relators, source, listed, closure, texts, calls
 
 
