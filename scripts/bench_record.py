@@ -12,10 +12,13 @@ The file is ``BENCH_<n>.json`` at the root of this repository, ``<n>``
 one more than the highest present, unless ``--out`` names another.  With
 ``--root`` the benchmark runs in another checkout, on its own ``src/`` and
 ``perfbench/``: a clone of an older commit, say.  ``--root`` may be given
-more than once, for a before/after pair: each run (workload, seed, trace)
+more than once, for a before/after pair: each run (workload, trace, seed)
 then goes through the checkouts in turn, so drift of the machine reaches
-all of them alike, and each checkout gets its own file, numbered in
-``--root`` order (or one ``--out`` per ``--root``):
+all of them alike.  Run k starts at checkout k mod n of the n given and
+goes on in ``--root`` order from there, so each checkout runs first, and
+each runs right after each other one, equally often.  Each checkout gets
+its own file, numbered in ``--root`` order (or one ``--out`` per
+``--root``):
 
     python3 scripts/bench_record.py --root ../parent --root . --seconds 10
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import itertools
 import json
 import os
 import platform
@@ -98,12 +102,14 @@ def main(argv=None) -> int:
         "correct": True,
         "workloads": {},
     } for root in roots]
+    turn = itertools.count()
     for workload in WORKLOADS:
         runs = [{0: [], 1: []} for _ in roots]
         for trace in (0, 1):
             for seed in seeds:
-                for root, got in zip(roots, runs):
-                    got[trace].append(bench(root, workload, seed, args.seconds, trace))
+                start = next(turn) % len(roots)
+                for i in [*range(start, len(roots)), *range(start)]:
+                    runs[i][trace].append(bench(roots[i], workload, seed, args.seconds, trace))
         for root, record, got in zip(roots, records, runs):
             results = got[0] + got[1]
             record["correct"] &= all(r["correct"] for r in results)

@@ -16,7 +16,9 @@ are the same.  ``wp decide`` reads the closure stream its presentation
 keeps and the language stream its demonstration keeps, each built at
 the first decide on that object and reducing and filing each word once
 for all later decides; the certificate replays on streams built for the
-replay alone.
+replay alone.  Each group oracle keeps the shortlex spanning tree of the
+largest ball asked of it, so a later ``ball`` or ``verify`` within that
+radius replays the tree, one ``act`` per element.
 The scripts under ``scripts/`` reuse its exit codes, length and
 ``wp decide`` checks, demonstration lookup and bundle writer.
 """

@@ -15,7 +15,10 @@ from __future__ import annotations
 import functools
 import operator
 from abc import ABC, abstractmethod
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterable, NamedTuple, Optional
 
 from .automata import EPSILON, Letter, Word, check_alphabet, walk
@@ -69,6 +72,41 @@ class ElementKey(NamedTuple):
 new_key = functools.partial(tuple.__new__, ElementKey)
 
 
+class _BallTree:
+    """The shortlex spanning tree of a ball, one entry per element in the
+    order ``ball`` lists them: the index of the element's parent and the
+    letter that leads from the parent to it (-1 and None at the identity).
+    ``ends[n]`` counts the elements within ``n`` letters.  The tree holds
+    no reference to its oracle."""
+
+    __slots__ = ("radius", "parents", "letters", "ends")
+
+    def __init__(self, radius: int, parents: array, letters: list, witnesses: Iterable[Word]):
+        self.radius, self.parents, self.letters = radius, parents, letters
+        words = list(witnesses)  # in length order
+        self.ends = [bisect_right(words, n, key=len) for n in range(len(words[-1]) + 1)]
+
+    def covers(self, radius: int) -> bool:
+        """The ball of ``radius`` is in the tree: no larger than the one
+        searched, or that search ran out of elements before its radius
+        (a finite group)."""
+        return radius <= self.radius or len(self.ends) <= self.radius
+
+    def replay(self, oracle: "GroupOracle", radius: int) -> dict[ElementKey, Word]:
+        """The ball of ``radius``, each state one ``act`` from its parent's."""
+        n = self.ends[min(radius, len(self.ends) - 1)]
+        act, key = oracle.act, oracle.key
+        states, words = [oracle.start()], [EPSILON]
+        ball = {oracle.identity_key: EPSILON}
+        for parent, letter in zip(islice(self.parents, 1, n), islice(self.letters, 1, n)):
+            state = act(states[parent], letter)
+            word = words[parent] + (letter,)
+            states.append(state)
+            words.append(word)
+            ball[key(state)] = word
+        return ball
+
+
 class GroupOracle(ABC):
     """Evaluates words over a fixed generating alphabet to element keys."""
 
@@ -112,21 +150,36 @@ class GroupOracle(ABC):
         """Shortest witness per element within ``radius`` letters.
 
         Breadth-first over elements; among witnesses of minimal length the
-        length-lex least (alphabet declaration order) is kept.  Each edge
-        costs one ``act``: the walk carries the state of every word, and
-        prunes words whose key was seen before.
+        length-lex least (alphabet declaration order) is kept.  The oracle
+        keeps the shortlex spanning tree of the largest ball asked so far.
+        A radius that tree covers replays it: one ``act`` per element.  A
+        larger radius searches the Cayley graph, one ``act`` per edge: the
+        walk carries the state of every word and prunes words whose key was
+        seen before; the tree it finds is kept once the search returns.
         """
-        seen = {self.identity_key}
+        if radius < 0:
+            return {}
+        tree = vars(self).get("_ball_tree")
+        if tree is not None and tree.covers(radius):
+            return tree.replay(self, radius)
+        act, key = self.act, self.key
+        # walk steps each child just before it yields the pair, so the ball
+        # filled from earlier pairs is also the set of keys seen
+        ball: dict[ElementKey, Word] = {}
+        parents, letters = array("i", [-1]), [None]
 
         def step(node, letter, n):
-            state = self.act(node[0], letter)
-            key = self.key(state)
-            if key not in seen:
-                seen.add(key)
-                return state, key
+            state = act(node[0], letter)
+            k = key(state)
+            if k not in ball:
+                parents.append(node[2])
+                letters.append(letter)
+                return state, k, len(letters) - 1
 
-        root = (self.start(), self.identity_key)
-        return {key: w for w, (_, key) in walk(self.alphabet, root, step, radius)}
+        for w, node in walk(self.alphabet, (self.start(), self.identity_key, 0), step, radius):
+            ball[node[1]] = w
+        vars(self)["_ball_tree"] = _BallTree(radius, parents, letters, ball.values())
+        return ball
 
     @functools.cached_property
     def _inverse_letters(self) -> dict:

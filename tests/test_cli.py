@@ -1279,6 +1279,28 @@ class TestKeptWorkspace:
         assert "zk1[2] a" in second[1]
         assert second == cold_call(argv)
 
+    def test_ball_then_verify_on_a_rewritten_group(self, tmp_path):
+        """The oracle linked from the rewritten file starts with no ball
+        tree: verify searches its ball anew, where a replay of the first
+        oracle's tree would miss the negative powers, and every call prints
+        what a cold call prints."""
+        path = tmp_path / "g.epic"
+        demo = ("automaton pos\n  alphabet a a^-1\n  states s0 s1\n  initial s0\n"
+                "  accept s1\n  trans s0 a s1\n  trans s1 a s1\nend\n"
+                "demonstration D\n  group g\n  automaton pos\nend\n")
+        ball = ["-f", str(path), "ball", "--group", "g", "--radius", "3"]
+        verify = ["-f", str(path), "verify", "--demo", "D", "--max-len", "3", "--ball", "3",
+                  "--strict"]
+        path.write_text(self.ZK.format(1, 1).replace("[-1]", "[1]") + demo)
+        first = call(ball)
+        assert first[0] == 0
+        assert "_ball_tree" in vars(kept_workspace([str(path)]).groups["g"])
+        path.write_text(self.ZK.format(1, 1) + demo)
+        warm = [call(verify), call(ball)]
+        assert [c[0] for c in warm] == [1, 0]
+        assert warm[1] != first
+        assert warm == [cold_call(verify), cold_call(ball)]
+
     def test_file_made_malformed_then_restored(self, tmp_path):
         path = tmp_path / "g.epic"
         good = self.ZK.format(1, 1)

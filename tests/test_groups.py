@@ -1,7 +1,8 @@
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epicdemo.automata import EPSILON, Letter, make_word
 from epicdemo.graphproduct import GraphProductOracle, VertexGraph
@@ -500,6 +501,28 @@ class TestOracleProtocol:
     def test_ball_matches_wordwise_reference(self, o, radius):
         got = [(k.render(), w) for k, w in o.ball(radius).items()]
         assert got == list(wordwise_ball(o, radius).items())
+
+    @settings(deadline=None, max_examples=150)
+    @given(oracles(), st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=6))
+    @example(s3_oracle(), [1, 4, 2, 4, 0, 3])  # S3 has diameter 1 over these letters
+    @example(FreeGroupOracle(2), [3, 2, 3, 4, 1])
+    def test_balls_asked_in_turn_match_wordwise_reference(self, o, radii):
+        """Radii that grow, shrink, repeat or pass a finite group's
+        diameter, on one oracle: each ball is searched or replayed from the
+        tree the oracle keeps, and is the reference's, in its order."""
+        for radius in radii:
+            got = [(k.render(), w) for k, w in o.ball(radius).items()]
+            assert got == list(wordwise_ball(o, radius).items())
+        assert o.ball(-1) == {}
+
+    @settings(deadline=None, max_examples=100)
+    @given(oracles(), st.integers(min_value=0, max_value=3), st.data())
+    def test_ball_within_the_kept_tree_acts_once_per_element(self, o, first, data):
+        o.ball(first)
+        radius = data.draw(st.integers(min_value=0, max_value=first))
+        with mock.patch.object(o, "act", wraps=o.act) as act:
+            ball = o.ball(radius)
+        assert act.call_count == len(ball) - 1
 
     def test_backends_implement_only_the_protocol(self):
         for cls in (PermutationOracle, FreeAbelianOracle, FreeGroupOracle,

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
@@ -70,8 +71,9 @@ class TestBenchRecord:
 
     def test_roots_take_turns_run_by_run(self, tmp_path, capsys):
         """Two checkouts, stubbed runs: each (workload, trace, seed) visits
-        both roots before the next, and each root's medians go to its own
-        file, numbered in --root order."""
+        both roots before the next, starting at the other root than the run
+        before it, and each root's medians go to its own file, numbered in
+        --root order."""
         script = load_script("bench_record")
         calls = []
 
@@ -86,9 +88,10 @@ class TestBenchRecord:
         old, new = tmp_path / "old", tmp_path / "new"
         assert script.main(["--root", str(old), "--root", str(new),
                             "--seconds", "1", "--seeds", "2"]) == 0
+        turns = itertools.cycle([("old", "new"), ("new", "old")])
         assert calls == [(workload, trace, seed, root)
                          for workload in script.WORKLOADS for trace in (0, 1)
-                         for seed in (1, 2) for root in ("old", "new")]
+                         for seed in (1, 2) for root in next(turns)]
         out = capsys.readouterr().out
         assert out.split() == [str(tmp_path / "BENCH_4.json"), str(tmp_path / "BENCH_5.json")]
         for name, wall in (("BENCH_4.json", 1.5), ("BENCH_5.json", 11.5)):
