@@ -15,8 +15,9 @@ one more than the highest present, unless ``--out`` names another.  With
 more than once, for a before/after pair: each run (workload, trace, seed)
 then goes through the checkouts in turn, so drift of the machine reaches
 all of them alike.  Run k starts at checkout k mod n of the n given and
-goes on in ``--root`` order from there, so each checkout runs first, and
-each runs right after each other one, equally often.  Each checkout gets
+goes on in ``--root`` order from there, so that over every n runs each
+checkout runs first once, and an effect of running first or right after
+another checkout does not land on one of them alone.  Each checkout gets
 its own file, numbered in ``--root`` order (or one ``--out`` per
 ``--root``):
 
