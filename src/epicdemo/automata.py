@@ -100,6 +100,13 @@ def check_alphabet(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return out
 
 
+def _check_labels(labels: Iterable, alphabet: tuple[Letter, ...]) -> None:
+    """``Nfa(...)``'s error for the first label that is not a Letter of ``alphabet``."""
+    for x in labels:
+        if not isinstance(x, Letter) or x not in alphabet:
+            raise ValueError(f"transition label {x!r} not in the alphabet")
+
+
 def merge_alphabets(*alphabets: Iterable[Letter]) -> tuple[Letter, ...]:
     """Order-preserving union: left operand first, then unseen letters."""
     return tuple(dict.fromkeys(x for alphabet in alphabets for x in alphabet))
@@ -132,8 +139,8 @@ def explore(alphabet: Iterable[Letter], initials: Iterable[State], moves: Callab
 
     initials = frozenset(initials)
     states = reachable(initials, successors)
-    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions), initials,
-               frozenset(filter(accepts, states)))
+    return Nfa._built(tuple(alphabet), frozenset(states), frozenset(transitions), initials,
+                      frozenset(filter(accepts, states)))
 
 
 def walk(alphabet: tuple[Letter, ...], root, step: Callable,
@@ -173,6 +180,10 @@ class Nfa:
     label is a Letter or ``None`` for epsilon.  ``initials`` must be
     non-empty.  State identifiers are opaque hashables; constructions in
     this module tag states with tuples to keep them distinct.
+
+    ``Nfa(...)`` checks every part, down to each transition.  The builders
+    here call ``Nfa._built``, which checks the state cap and the alphabet:
+    a builder checks its caller's letters once each, and places every edge.
     """
 
     alphabet: tuple[Letter, ...]
@@ -182,14 +193,7 @@ class Nfa:
     accepting: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
-        cap = state_cap()
-        if len(self.states) > cap:
-            raise AutomatonSizeError(
-                f"automaton has {len(self.states)} states, cap is {cap} "
-                f"(set {MAX_STATES_ENV} to raise it)")
-        if not self.initials:
-            raise ValueError("automaton needs at least one initial state")
+        self._check_size()
         if not self.initials <= self.states or not self.accepting <= self.states:
             raise ValueError("initial and accepting states must be drawn from the state set")
         letters = set(self.alphabet)
@@ -198,6 +202,23 @@ class Nfa:
                 raise ValueError(f"transition endpoint not a state: {(p, label, q)!r}")
             if label is not None and (not isinstance(label, Letter) or label not in letters):
                 raise ValueError(f"transition label {label!r} not in the alphabet")
+
+    @classmethod
+    def _built(cls, *parts) -> Nfa:
+        nfa = object.__new__(cls)
+        vars(nfa).update(zip(cls.__dataclass_fields__, parts))
+        nfa._check_size()
+        return nfa
+
+    def _check_size(self):
+        object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
+        cap = state_cap()
+        if len(self.states) > cap:
+            raise AutomatonSizeError(
+                f"automaton has {len(self.states)} states, cap is {cap} "
+                f"(set {MAX_STATES_ENV} to raise it)")
+        if not self.initials:
+            raise ValueError("automaton needs at least one initial state")
 
     # -- cached structure ------------------------------------------------
 
@@ -354,6 +375,8 @@ def glue(alphabet: Iterable[Letter], parts: Mapping[str, Nfa], bridges: Iterable
     of the copies named in ``initials`` are initial, and the accepting
     states of the copies named in ``accepting`` accept.
     """
+    alphabet = tuple(alphabet)
+    _check_labels(merge_alphabets(*(a.alphabet for a in parts.values())), alphabet)
     states, transitions = set(), set()
     for t, a in parts.items():
         for s in a.states:
@@ -365,9 +388,9 @@ def glue(alphabet: Iterable[Letter], parts: Mapping[str, Nfa], bridges: Iterable
         for f in parts[t].accepting:
             for i in entry:
                 transitions.add(((t, f), None, (u, i)))
-    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions),
-               frozenset((t, s) for t in initials for s in parts[t].initials),
-               frozenset((t, s) for t in accepting for s in parts[t].accepting))
+    return Nfa._built(alphabet, frozenset(states), frozenset(transitions),
+                      frozenset((t, s) for t in initials for s in parts[t].initials),
+                      frozenset((t, s) for t in accepting for s in parts[t].accepting))
 
 
 def union(a: Nfa, b: Nfa) -> Nfa:
@@ -443,8 +466,8 @@ def image_hom(a: Nfa, phi: Mapping[Letter, Word], allow_erasing: bool = False,
         alphabet = check_alphabet(target_alphabet)
         for x in a.alphabet:
             for y in phi[x]:
-                if y not in alphabet:
-                    raise ValueError(f"image of {x.name!r} uses {y.name!r} outside the target alphabet")
+                if not isinstance(y, Letter) or y not in alphabet:
+                    raise ValueError(f"image of {x.name!r} uses {str(y)!r} outside the target alphabet")
     else:
         alphabet = merge_alphabets(*(phi[x] for x in a.alphabet))
     states = set(("h", s) for s in a.states)
@@ -460,13 +483,9 @@ def image_hom(a: Nfa, phi: Mapping[Letter, Word], allow_erasing: bool = False,
             transitions.add((prev, image[k], mid))
             prev = mid
         transitions.add((prev, image[-1] if image else None, ("h", q)))
-    return Nfa(
-        alphabet=alphabet,
-        states=frozenset(states),
-        transitions=frozenset(transitions),
-        initials=frozenset(("h", s) for s in a.initials),
-        accepting=frozenset(("h", s) for s in a.accepting),
-    )
+    return Nfa._built(alphabet, frozenset(states), frozenset(transitions),
+                      frozenset(("h", s) for s in a.initials),
+                      frozenset(("h", s) for s in a.accepting))
 
 
 def inverse_letter_hom(a: Nfa, hom: Mapping[Letter, Letter],
@@ -493,7 +512,7 @@ def inverse_letter_hom(a: Nfa, hom: Mapping[Letter, Letter],
         else:
             for d in preimages.get(label, ()):
                 transitions.add((p, d, q))
-    return Nfa(alphabet, a.states, frozenset(transitions), a.initials, a.accepting)
+    return Nfa._built(alphabet, a.states, frozenset(transitions), a.initials, a.accepting)
 
 
 def _all_words_except(word: Word, alphabet: tuple[Letter, ...]) -> Nfa:
@@ -518,7 +537,8 @@ def finite_language(words: Iterable[Word], alphabet: Optional[Iterable[Letter]] 
     """Automaton accepting exactly the given finite set of words: their
     prefix tree, each state the prefix read so far."""
     words = dict.fromkeys(tuple(w) for w in words)
-    alphabet = merge_alphabets(*words) if alphabet is None else check_alphabet(alphabet)
+    alphabet = check_alphabet(merge_alphabets(*words) if alphabet is None else alphabet)
+    _check_labels(merge_alphabets(*words), alphabet)
     children: dict = {}
     for w in words:
         for k, x in enumerate(w):

@@ -1,8 +1,11 @@
+import inspect
+import textwrap
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epicdemo import automata
 from epicdemo.automata import (
     EPSILON,
     Letter,
@@ -11,6 +14,7 @@ from epicdemo.automata import (
     concat,
     explore,
     finite_language,
+    glue,
     image_hom,
     intersect,
     inverse_letter_hom,
@@ -365,6 +369,62 @@ class TestFiniteLanguage:
             assert got.accepts(w) == want.accepts(w)
 
 
+class TestCallerLetters:
+    """A builder checks the letters its caller gives once each, with the
+    exception and message ``Nfa(...)`` gives for a transition on them."""
+
+    def test_word_letter_outside_the_given_alphabet(self):
+        with pytest.raises(ValueError, match=r"^transition label Letter\('b'\) not in the alphabet$"):
+            finite_language([make_word("b")], (A,))
+
+    def test_glued_part_letter_outside_the_alphabet(self):
+        parts = {"x": finite_language([(A,)]), "y": finite_language([(B,)])}
+        with pytest.raises(ValueError, match=r"^transition label Letter\('b'\) not in the alphabet$"):
+            glue((A,), parts, [], ["x"], ["y"])
+
+    def test_plain_string_word_letter(self):
+        with pytest.raises(TypeError, match="^alphabet entries must be Letter, got 'a'$"):
+            finite_language([("a",)])
+        with pytest.raises(ValueError, match="^transition label 'a' not in the alphabet$"):
+            finite_language([("a",)], (A,))
+
+    def test_plain_string_image_letter(self):
+        x = Letter("x")
+        with pytest.raises(TypeError, match="^alphabet entries must be Letter, got 'b'$"):
+            image_hom(plus_language(x), {x: ("b",)})
+        for target in [(B,), (C,)]:
+            with pytest.raises(ValueError, match="^image of 'x' uses 'b' outside the target"):
+                image_hom(plus_language(x), {x: ("b",)}, target_alphabet=target)
+
+
+def mutant(function, old, new):
+    """``function`` compiled again in its module with the one ``old`` in
+    its source read as ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace: dict = {}
+    exec(source.replace(old, new), vars(inspect.getmodule(function)), namespace)
+    return namespace[function.__name__]
+
+
+class TestBuilderFaults:
+    """``Nfa._built`` does not check edges, and the conftest fixture
+    ``builder_faults`` flags a builder that misplaces one."""
+
+    def test_glue_edge_to_an_undeclared_state(self, builder_faults, monkeypatch):
+        monkeypatch.setattr(automata, "glue", mutant(glue, "(u, i)))", "(u, -1)))"))
+        with pytest.raises(AssertionError, match="transition endpoint not a state"):
+            concat(plus_language(A), plus_language(B))
+        assert len(builder_faults) == 1 and "('c1', -1)" in builder_faults[0]
+        builder_faults.clear()
+
+    def test_explore_label_outside_the_alphabet(self, builder_faults):
+        with pytest.raises(AssertionError, match=r"transition label Letter\('b'\) not in"):
+            explore((A,), [0], lambda p: [(A, 1), (B, 1)] if p == 0 else [], lambda p: p == 1)
+        assert builder_faults == ["transition label Letter('b') not in the alphabet"]
+        builder_faults.clear()
+
+
 class TestBooleanOps:
     @settings(deadline=None)
     @given(nfas(), nfas())
@@ -567,6 +627,19 @@ class TestStateCap:
         monkeypatch.setenv("EPIC_MAX_STATES", "3")
         with pytest.raises(AutomatonSizeError):
             finite_language([make_word("a", "a", "a", "a")])
+
+    @pytest.mark.parametrize("build, states", [
+        (concat, 4),
+        (lambda a, b: image_hom(a, {A: make_word("a", "b", "a")}), 6),
+        (lambda a, b: intersect(a, a), 2),
+    ], ids=["glue", "image_hom", "intersect"])
+    def test_built_automata_respect_the_cap(self, monkeypatch, build, states):
+        a, b = plus_language(A), plus_language(B)
+        assert len(build(a, b).states) == states
+        monkeypatch.setenv("EPIC_MAX_STATES", str(states - 1))
+        with pytest.raises(AutomatonSizeError,
+                           match=f"^automaton has {states} states, cap is {states - 1} "):
+            build(a, b)
 
     def test_bad_cap_value(self, monkeypatch):
         monkeypatch.setenv("EPIC_MAX_STATES", "zero")

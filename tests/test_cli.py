@@ -1392,6 +1392,32 @@ def path_pipeline(tmp_path, n):
     return [(product, prod), (subgroup, sub), (renamed, cg)]
 
 
+class TestOverCapConstruct:
+    """A construct whose automaton has more states than EPIC_MAX_STATES
+    exits 1 with the one line of the cap error and writes no bundle, as at
+    a builder's state cap."""
+
+    CAP_ERROR = "error: automaton has {} states, cap is {} (set EPIC_MAX_STATES to raise it)\n"
+
+    def test_graph_product(self, monkeypatch, tmp_path):
+        (product, prod), _, _ = path_pipeline(tmp_path, 4)
+        monkeypatch.setenv("EPIC_MAX_STATES", "40")
+        assert call(product, prod) == (1, "", self.CAP_ERROR.format(55, 40), None)
+
+    def test_change_gens(self, monkeypatch, tmp_path):
+        # each x is spelled in two new letters, so each edge on x gains a state
+        (product, prod), _, _ = path_pipeline(tmp_path, 4)
+        assert call(product, prod)[0] == 0
+        out = tmp_path / "cg.epic"
+        argv = ["-f", str(prod), "construct", "change-gens", "--demo", "prod", "--out", str(out)]
+        for x in [f"x{i}" for i in range(4)]:
+            argv += ["--letter", f"y{x}={x} {x}", "--letter", f"z{x}={x}^-1",
+                     "--image", f"{x}=y{x} z{x}", "--image", f"{x}^-1=z{x}"]
+        assert call(argv, out)[0] == 0
+        monkeypatch.setenv("EPIC_MAX_STATES", "55")
+        assert call(argv, out) == (1, "", self.CAP_ERROR.format(91, 55), None)
+
+
 class TestKeptParses:
     """A call links the parse of every file that the call before it read
     or wrote, and gives what it gives with nothing kept."""
