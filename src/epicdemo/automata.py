@@ -129,7 +129,8 @@ def explore(alphabet: Iterable[Letter], initials: Iterable[State], moves: Callab
             accepts: Callable) -> Nfa:
     """The automaton of the states reachable from ``initials`` (included),
     with every edge ``(label, q)`` that ``moves(p)`` yields from its states
-    (label None for epsilon), and the states that ``accepts`` picks."""
+    (a letter of ``alphabet``, which is not checked, or None for epsilon),
+    and the states that ``accepts`` picks."""
     transitions = set()
 
     def successors(p):
@@ -181,9 +182,8 @@ class Nfa:
     non-empty.  State identifiers are opaque hashables; constructions in
     this module tag states with tuples to keep them distinct.
 
-    ``Nfa(...)`` checks every part, down to each transition.  The builders
-    here call ``Nfa._built``, which checks the state cap and the alphabet:
-    a builder checks its caller's letters once each, and places every edge.
+    ``Nfa(...)`` checks every part, each transition too.  The builders here
+    use ``Nfa._built`` (cap and alphabet) and check their callers' letters.
     """
 
     alphabet: tuple[Letter, ...]

@@ -4,6 +4,7 @@ constructor's full check."""
 import pytest
 
 from epicdemo.automata import Nfa
+from epicdemo.errors import AutomatonSizeError
 
 
 @pytest.fixture(autouse=True)
@@ -12,11 +13,11 @@ def builder_faults(monkeypatch):
     alphabet, so that each automaton it returns is checked again by
     ``Nfa(...)``, down to each transition.
 
-    A refusal raises AssertionError, which no ``pytest.raises(ValueError)``
-    takes for a builder's own error, and is listed in the value of this
-    fixture, which must be empty at teardown: a test fails even when the
-    code under test catches the error.  A test that makes faults on
-    purpose clears the list.
+    A refusal, whatever ``Nfa(...)`` raised, raises AssertionError, which
+    no ``pytest.raises(ValueError)`` takes for a builder's own error, and
+    is listed in the value of this fixture, which must be empty at
+    teardown: a test fails even when the code under test catches the
+    error.  A test that makes faults on purpose clears the list.
     """
     faults = []
     built = Nfa._built
@@ -25,7 +26,7 @@ def builder_faults(monkeypatch):
         nfa = built(*parts)
         try:
             Nfa(nfa.alphabet, nfa.states, nfa.transitions, nfa.initials, nfa.accepting)
-        except Exception as exc:  # whatever it refuses that _built took
+        except (ValueError, TypeError, AutomatonSizeError) as exc:
             faults.append(str(exc))
             raise AssertionError(f"Nfa(...) refuses a built automaton: {exc}") from exc
         return nfa
