@@ -193,7 +193,7 @@ class Nfa:
     accepting: frozenset
 
     def __post_init__(self):
-        self._check_size()
+        self._check_shape()
         if not self.initials <= self.states or not self.accepting <= self.states:
             raise ValueError("initial and accepting states must be drawn from the state set")
         letters = set(self.alphabet)
@@ -207,10 +207,10 @@ class Nfa:
     def _built(cls, *parts) -> Nfa:
         nfa = object.__new__(cls)
         vars(nfa).update(zip(cls.__dataclass_fields__, parts))
-        nfa._check_size()
+        nfa._check_shape()
         return nfa
 
-    def _check_size(self):
+    def _check_shape(self):
         object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
         cap = state_cap()
         if len(self.states) > cap:

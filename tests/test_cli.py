@@ -1393,9 +1393,9 @@ def path_pipeline(tmp_path, n):
 
 
 class TestOverCapConstruct:
-    """A construct whose automaton has more states than EPIC_MAX_STATES
-    exits 1 with the one line of the cap error and writes no bundle, as at
-    a builder's state cap."""
+    """A construct whose output has more states than EPIC_MAX_STATES exits
+    1 with the one line of the cap error and writes no bundle: the cap
+    holds for the automata a builder makes."""
 
     CAP_ERROR = "error: automaton has {} states, cap is {} (set EPIC_MAX_STATES to raise it)\n"
 
