@@ -14,6 +14,14 @@ gives the same lines, and one ``diff`` compares them:
     python3 scripts/output_digest.py --root ../parent --seeds 1 2 3 > parent.txt
     python3 scripts/output_digest.py --seeds 1 2 3 > change.txt
     diff parent.txt change.txt
+
+``scripts/construct-s1.digest`` holds the lines of ``--workloads construct
+--seeds 1``, so the bytes of every bundle a construct job writes are
+pinned from one commit to the next; a change that alters them on purpose
+writes the file again:
+
+    python3 scripts/output_digest.py --workloads construct --seeds 1 \
+        > scripts/construct-s1.digest
 """
 
 from __future__ import annotations
@@ -91,6 +99,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=ROOT,
                         help="checkout whose src/epicdemo runs the jobs (default: this one)")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
+                        help="workloads to run (default: all three)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3],
                         help="workload seeds (default: 1 2 3)")
     parser.add_argument("--work", help="directory for the inputs and bundles "
@@ -108,7 +118,7 @@ def main(argv=None) -> int:
             work = stack.enter_context(tempfile.TemporaryDirectory())
         else:
             work = os.path.abspath(args.work)
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             for seed in args.seeds:
                 for text in job_lines(cli.main, workload, seed, work):
                     print(text)

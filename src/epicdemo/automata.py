@@ -20,7 +20,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import AutomatonSizeError
 
@@ -130,18 +130,31 @@ def explore(alphabet: Iterable[Letter], initials: Iterable[State], moves: Callab
     """The automaton of the states reachable from ``initials`` (included),
     with every edge ``(label, q)`` that ``moves(p)`` yields from its states
     (a letter of ``alphabet``, which is not checked, or None for epsilon),
-    and the states that ``accepts`` picks."""
-    transitions = set()
-
-    def successors(p):
+    and the states that ``accepts`` picks.  States are numbered in the
+    order they are found, breadth first from the initial states."""
+    states: list = []
+    number: dict = {}
+    for s in initials:
+        if s not in number:
+            number[s] = len(states)
+            states.append(s)
+    starts = len(states)
+    edges = []
+    for p in states:  # grows while it is read
+        out: dict = {}
         for label, q in moves(p):
-            transitions.add((p, label, q))
-            yield q
-
-    initials = frozenset(initials)
-    states = reachable(initials, successors)
-    return Nfa._built(tuple(alphabet), frozenset(states), frozenset(transitions), initials,
-                      frozenset(filter(accepts, states)))
+            i = number.get(q)
+            if i is None:
+                i = number[q] = len(states)
+                states.append(q)
+            targets = out.get(label)
+            if targets is None:
+                out[label] = [i]
+            elif i not in targets:
+                targets.append(i)
+        edges.append(out)
+    return Nfa._built(tuple(alphabet), states, edges, range(starts),
+                      [i for i, s in enumerate(states) if accepts(s)])
 
 
 def walk(alphabet: tuple[Letter, ...], root, step: Callable,
@@ -173,6 +186,31 @@ def walk(alphabet: tuple[Letter, ...], root, step: Callable,
         frontier = nxt
 
 
+class _Index(NamedTuple):
+    """An automaton on integers: state ``i`` is ``states[i]``, ``edges[i]``
+    maps each label of its out-edges (None for epsilon) to their target
+    ids, each once, and ``initials`` and ``accepting`` hold ids.  An index
+    is not changed once made, so builders may share its lists."""
+
+    states: tuple
+    edges: list
+    initials: frozenset
+    accepting: frozenset
+
+    def written(self, field: str) -> frozenset:
+        """The ``Nfa`` field of this name, written out on state objects."""
+        states = self.states
+        if field == "states":
+            return frozenset(states)
+        if field == "transitions":
+            return frozenset([(states[p], label, states[q]) for p, out in enumerate(self.edges)
+                              for label, targets in out.items() for q in targets])
+        return frozenset([states[i] for i in getattr(self, field)])
+
+
+_INDEXED_FIELDS = ("states", "transitions", "initials", "accepting")
+
+
 @dataclass(frozen=True)
 class Nfa:
     """A finite automaton with epsilon transitions.
@@ -183,7 +221,12 @@ class Nfa:
     this module tag states with tuples to keep them distinct.
 
     ``Nfa(...)`` checks every part, each transition too.  The builders here
-    use ``Nfa._built`` (cap and alphabet) and check their callers' letters.
+    hand ``Nfa._built`` an integer edge index (``_Index``) instead of the
+    fields, and it checks the cap and the alphabet; each field is written
+    out from the index when it is first read.  An automaton made with
+    ``Nfa(...)`` derives the same index from its fields when it is first
+    needed, so the index is what products, homomorphisms, the decision
+    procedures and rendering read.
     """
 
     alphabet: tuple[Letter, ...]
@@ -193,7 +236,7 @@ class Nfa:
     accepting: frozenset
 
     def __post_init__(self):
-        self._check_shape()
+        self._check_shape(len(self.states), self.initials)
         if not self.initials <= self.states or not self.accepting <= self.states:
             raise ValueError("initial and accepting states must be drawn from the state set")
         letters = set(self.alphabet)
@@ -204,70 +247,100 @@ class Nfa:
                 raise ValueError(f"transition label {label!r} not in the alphabet")
 
     @classmethod
-    def _built(cls, *parts) -> Nfa:
+    def _built(cls, alphabet: tuple, states: Iterable[State], edges: list,
+               initials: Iterable[int], accepting: Iterable[int]) -> Nfa:
+        """The automaton of a builder's index, the ``_Index`` fields."""
         nfa = object.__new__(cls)
-        vars(nfa).update(zip(cls.__dataclass_fields__, parts))
-        nfa._check_shape()
+        index = _Index(tuple(states), edges, frozenset(initials), frozenset(accepting))
+        vars(nfa).update(alphabet=alphabet, _index=index)
+        nfa._check_shape(len(index.states), index.initials)
         return nfa
 
-    def _check_shape(self):
+    def _check_shape(self, size: int, initials):
         object.__setattr__(self, "alphabet", check_alphabet(self.alphabet))
         cap = state_cap()
-        if len(self.states) > cap:
+        if size > cap:
             raise AutomatonSizeError(
-                f"automaton has {len(self.states)} states, cap is {cap} "
+                f"automaton has {size} states, cap is {cap} "
                 f"(set {MAX_STATES_ENV} to raise it)")
-        if not self.initials:
+        if not initials:
             raise ValueError("automaton needs at least one initial state")
+
+    def __getattr__(self, name):
+        # only reached when the field is not in vars: a built automaton's
+        # field, written out from its index on first read
+        index = vars(self).get("_index")
+        if index is None or name not in _INDEXED_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = vars(self)[name] = index.written(name)
+        return value
 
     # -- cached structure ------------------------------------------------
 
     @cached_property
-    def _edges(self) -> dict:
-        """The out-edge index ``{state: {label: [targets]}}`` with an entry
-        for every state; epsilon edges are under the label ``None``."""
-        out: dict = {s: {} for s in self.states}
+    def _index(self) -> _Index:
+        """The integer edge index of an automaton made with ``Nfa(...)``,
+        states numbered in the order the state set iterates."""
+        states = tuple(self.states)
+        number = {s: i for i, s in enumerate(states)}
+        edges: list = [{} for _ in states]
         for (p, label, q) in self.transitions:
-            out[p].setdefault(label, []).append(q)
-        return out
+            out = edges[number[p]]
+            targets = out.get(label)
+            if targets is None:
+                out[label] = [number[q]]
+            else:
+                targets.append(number[q])
+        return _Index(states, edges, frozenset(map(number.__getitem__, self.initials)),
+                      frozenset(map(number.__getitem__, self.accepting)))
+
+    @cached_property
+    def _edges(self) -> dict:
+        """The out-edge map ``{state: {label: [targets]}}`` on state
+        objects, read off the index; epsilon edges are under the label
+        ``None``."""
+        states, edges = self._index.states, self._index.edges
+        return {p: {label: [states[q] for q in targets] for label, targets in out.items()}
+                for p, out in zip(states, edges)}
 
     def eps_closure(self, states: Iterable[State]) -> frozenset:
         """All states reachable from ``states`` by epsilon edges alone.
-        Until the out-edge index is built, one pass over the transitions
-        collects the epsilon edges, and the index stays unbuilt."""
+        Until the out-edge map is built, the epsilon edges are read off the
+        index, and the map stays unbuilt."""
         edges = vars(self).get("_edges")
         if edges is not None:
             return frozenset(reachable(states, lambda p: edges[p].get(None, ())))
-        eps: dict = {}
-        for (p, label, q) in self.transitions:
-            if label is None:
-                eps.setdefault(p, []).append(q)
+        names, eps = self._index.states, {}
+        for p, out in enumerate(self._index.edges):
+            if None in out:
+                eps[names[p]] = [names[q] for q in out[None]]
         return frozenset(reachable(states, lambda p: eps.get(p, ())))
 
     @cached_property
     def _letters_to_accept(self) -> dict:
         """Minimum number of letters needed to reach acceptance, per state."""
-        back_eps: dict = {}
-        back_letter: dict = {}
-        for (p, label, q) in self.transitions:
-            if label is None:
-                back_eps.setdefault(q, []).append(p)
-            else:
-                back_letter.setdefault(q, []).append(p)
-        dist = {s: 0 for s in self.accepting}
-        dq = deque(self.accepting)
+        index = self._index
+        back_eps: list = [[] for _ in index.states]
+        back_letter: list = [[] for _ in index.states]
+        for p, out in enumerate(index.edges):
+            for label, targets in out.items():
+                back = back_eps if label is None else back_letter
+                for q in targets:
+                    back[q].append(p)
+        dist = dict.fromkeys(index.accepting, 0)
+        dq = deque(index.accepting)
         while dq:
             q = dq.popleft()
             d = dist[q]
-            for p in back_eps.get(q, ()):
+            for p in back_eps[q]:
                 if p not in dist or dist[p] > d:
                     dist[p] = d
                     dq.appendleft(p)
-            for p in back_letter.get(q, ()):
+            for p in back_letter[q]:
                 if p not in dist or dist[p] > d + 1:
                     dist[p] = d + 1
                     dq.append(p)
-        return dist
+        return {index.states[i]: d for i, d in dist.items()}
 
     # -- decision procedures --------------------------------------------
 
@@ -337,6 +410,7 @@ class Nfa:
         walk visits is stepped once per automaton: the memo keeps the next
         subset and the fewest letters it needs to accept."""
         memo, dist = self._step_memo, self._letters_to_accept
+        size = len(self._index.states)
 
         def step(subset: frozenset, letter: Letter, n: int) -> Optional[frozenset]:
             hit = memo.get((subset, letter))
@@ -344,7 +418,7 @@ class Nfa:
                 moved = self.step(subset, letter)
                 hit = memo[subset, letter] = moved, min((dist.get(s, _INF) for s in moved),
                                                          default=_INF)
-            if hit[1] <= (len(self.states) if max_len is None else max_len - n):
+            if hit[1] <= (size if max_len is None else max_len - n):
                 return hit[0]
 
         return step
@@ -365,6 +439,16 @@ class Nfa:
 # -- constructions ------------------------------------------------------
 
 
+def _add_targets(out: dict, label, targets: Iterable[int]) -> None:
+    """Add edges on ``label`` to ``targets`` to one state's out-edges in an
+    index, each edge once."""
+    have = out.get(label)
+    if have is None:
+        out[label] = list(targets)
+    else:
+        have += [q for q in targets if q not in have]
+
+
 def glue(alphabet: Iterable[Letter], parts: Mapping[str, Nfa], bridges: Iterable,
          initials: Iterable[str], accepting: Iterable[str]) -> Nfa:
     """Disjoint copies of automata joined by epsilon edges.
@@ -377,20 +461,22 @@ def glue(alphabet: Iterable[Letter], parts: Mapping[str, Nfa], bridges: Iterable
     """
     alphabet = tuple(alphabet)
     _check_labels(merge_alphabets(*(a.alphabet for a in parts.values())), alphabet)
-    states, transitions = set(), set()
+    states: list = []
+    edges: list = []
+    ends = {}  # each copy's initial and accepting ids
     for t, a in parts.items():
-        for s in a.states:
-            states.add((t, s))
-        for (p, label, q) in a.transitions:
-            transitions.add(((t, p), label, (t, q)))
+        index = a._index
+        k = len(states)
+        states += [(t, s) for s in index.states]
+        edges += [{label: [k + q for q in targets] for label, targets in out.items()}
+                  for out in index.edges]
+        ends[t] = [k + i for i in index.initials], [k + f for f in index.accepting]
     for t, u in bridges:
-        entry = parts[u].initials
-        for f in parts[t].accepting:
-            for i in entry:
-                transitions.add(((t, f), None, (u, i)))
-    return Nfa._built(alphabet, frozenset(states), frozenset(transitions),
-                      frozenset((t, s) for t in initials for s in parts[t].initials),
-                      frozenset((t, s) for t in accepting for s in parts[t].accepting))
+        entry = ends[u][0]
+        for f in ends[t][1]:
+            _add_targets(edges[f], None, entry)
+    return Nfa._built(alphabet, states, edges, [i for t in initials for i in ends[t][0]],
+                      [f for t in accepting for f in ends[t][1]])
 
 
 def union(a: Nfa, b: Nfa) -> Nfa:
@@ -470,22 +556,28 @@ def image_hom(a: Nfa, phi: Mapping[Letter, Word], allow_erasing: bool = False,
                     raise ValueError(f"image of {x.name!r} uses {str(y)!r} outside the target alphabet")
     else:
         alphabet = merge_alphabets(*(phi[x] for x in a.alphabet))
-    states = set(("h", s) for s in a.states)
-    transitions = set()
-    for (p, label, q) in a.transitions:
-        # a chain of fresh states spelling the image: an epsilon edge or an
-        # erased image is a chain of length 0, one epsilon edge
-        image = EPSILON if label is None else phi[label]
-        prev = ("h", p)
-        for k in range(len(image) - 1):
-            mid = ("hp", p, label.name, q, k)
-            states.add(mid)
-            transitions.add((prev, image[k], mid))
-            prev = mid
-        transitions.add((prev, image[-1] if image else None, ("h", q)))
-    return Nfa._built(alphabet, frozenset(states), frozenset(transitions),
-                      frozenset(("h", s) for s in a.initials),
-                      frozenset(("h", s) for s in a.accepting))
+    index = a._index
+    names = index.states
+    states = [("h", s) for s in names]
+    edges: list = [{} for _ in names]
+    for p, out in enumerate(index.edges):
+        for label, targets in out.items():
+            # a chain of fresh states spelling the image: an epsilon edge or
+            # an erased image is a chain of length 0, one epsilon edge
+            image = EPSILON if label is None else phi[label]
+            last = image[-1] if image else None
+            if len(image) < 2:
+                _add_targets(edges[p], last, targets)
+                continue
+            for q in targets:
+                prev = edges[p]
+                for k in range(len(image) - 1):
+                    prev.setdefault(image[k], []).append(len(states))
+                    states.append(("hp", names[p], label.name, names[q], k))
+                    prev = {}
+                    edges.append(prev)
+                prev[last] = [q]
+    return Nfa._built(alphabet, states, edges, index.initials, index.accepting)
 
 
 def inverse_letter_hom(a: Nfa, hom: Mapping[Letter, Letter],
@@ -505,14 +597,15 @@ def inverse_letter_hom(a: Nfa, hom: Mapping[Letter, Letter],
         if x not in a.alphabet:
             raise ValueError(f"letter map sends {d.name!r} to {x.name!r} outside the automaton alphabet")
         preimages.setdefault(x, []).append(d)
-    transitions = set()
-    for (p, label, q) in a.transitions:
-        if label is None:
-            transitions.add((p, None, q))
-        else:
-            for d in preimages.get(label, ()):
-                transitions.add((p, d, q))
-    return Nfa._built(alphabet, a.states, frozenset(transitions), a.initials, a.accepting)
+    index = a._index
+    edges = []
+    for out in index.edges:
+        pulled = {}
+        for label, targets in out.items():
+            for d in (None,) if label is None else preimages.get(label, ()):
+                pulled[d] = targets
+        edges.append(pulled)
+    return Nfa._built(alphabet, index.states, edges, index.initials, index.accepting)
 
 
 def _all_words_except(word: Word, alphabet: tuple[Letter, ...]) -> Nfa:

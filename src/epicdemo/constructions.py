@@ -336,18 +336,23 @@ def graph_product(graph: VertexGraph,
         if local[v].language.accepts(EPSILON):
             raise ValueError(f"local demonstration at {v!r} accepts the empty word")
 
-    adm = admissible_automaton(graph)
+    adm = admissible_automaton(graph)._index
     (adm_initial,) = adm.initials
     label: dict = {}
-    for (p, letter, q) in adm.transitions:
-        if label.setdefault(q, letter) != letter:
-            raise AssertionError("admissible state entered by two different vertices")
+    for out in adm.edges:
+        for letter, targets in out.items():
+            for q in targets:
+                if label.setdefault(q, letter) != letter:
+                    raise AssertionError("admissible state entered by two different vertices")
 
-    parts = {s: local[label[s]].language for s in adm.accepting}  # the non-initial states
+    names = [*adm.states]  # each admissible state's part, the start part for the initial one
+    names[adm_initial] = "start"
+    parts = {names[q]: local[label[q]].language for q in adm.accepting}  # the non-initial states
     parts["start"] = finite_language([EPSILON], ())
-    bridges = [("start" if p == adm_initial else p, q) for (p, _letter, q) in adm.transitions]
+    bridges = [(names[p], names[q]) for p, out in enumerate(adm.edges)
+               for targets in out.values() for q in targets]
     return _glued(oracle, {v: local[v] for v in graph.vertices}, parts, bridges, ("start",),
-                  adm.accepting)
+                  [names[q] for q in adm.accepting])
 
 
 # -- padded triples and cross-sections ----------------------------------

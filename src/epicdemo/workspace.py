@@ -581,12 +581,13 @@ def _state_key(state):
     return (1, _natural_key(text), text)
 
 
-def _canonical(nfa: Nfa) -> tuple[list, list, list, list]:
-    """The stable renaming of states to ``s0``, ``s1``, ... on integers:
-    ``(states, order, position, outgoing)`` where ``order[k]`` indexes the
-    state named ``s<k>`` in ``states``, ``position`` inverts ``order``,
-    and ``outgoing[i]`` maps each label rank of state ``i``'s transitions
-    to their targets, as indices into ``states`` in transition order.
+def _canonical(nfa: Nfa) -> tuple[tuple, list, list, list]:
+    """The stable renaming of states to ``s0``, ``s1``, ... on the
+    automaton's integer index: ``(states, order, position, outgoing)``
+    where ``states`` holds the state objects by id, ``order[k]`` is the id
+    of the state named ``s<k>``, ``position`` inverts ``order``, and
+    ``outgoing[i]`` lists the ``(label rank, target ids)`` of state ``i``'s
+    edges in rank order.
 
     Initial states come first (sorted), then discovery order with edges
     scanned letters-first in alphabet order; unreachable states trail,
@@ -596,35 +597,26 @@ def _canonical(nfa: Nfa) -> tuple[list, list, list, list]:
     ``_state_key`` is computed only where it decides the order: between
     targets of one source and label first reached together, between
     initial states and between unreached states.  States with distinct
-    texts have distinct keys, so the order depends on the sets alone, not
-    on the order they iterate in.
+    texts have distinct keys, so the order depends on the automaton
+    alone, not on how its index numbers the states.
     """
-    states = list(nfa.states)
-    number = {s: i for i, s in enumerate(states)}
+    index = nfa._index
+    states = index.states
     letter_rank = {x: i for i, x in enumerate((*nfa.alphabet, None))}
-    outgoing: list = [{} for _ in states]
-    for p, label, q in nfa.transitions:
-        by_label = outgoing[number[p]]
-        rank = letter_rank[label]
-        targets = by_label.get(rank)
-        if targets is None:
-            by_label[rank] = [number[q]]
-        else:
-            targets.append(number[q])
+    outgoing = [sorted([(letter_rank[label], targets) for label, targets in out.items()])
+                for out in index.edges]
 
     def key(i):
         return _state_key(states[i])
 
-    order = [number[s] for s in nfa.initials]
+    order = [*index.initials]
     if len(order) > 1:
         order.sort(key=key)
     position = [-1] * len(states)
     for k, i in enumerate(order):
         position[i] = k
     for p in order:  # grows while it is read: breadth first
-        by_label = outgoing[p]
-        for rank in sorted(by_label):
-            targets = by_label[rank]
+        for _, targets in outgoing[p]:
             if len(targets) > 1:  # the key orders the targets not yet placed
                 targets = [q for q in targets if position[q] < 0]
                 if len(targets) > 1:
@@ -634,8 +626,7 @@ def _canonical(nfa: Nfa) -> tuple[list, list, list, list]:
                     position[q] = len(order)
                     order.append(q)
     if len(order) < len(states):
-        unreached = [number[s] for s in nfa.states - {states[i] for i in order}]
-        for i in sorted(unreached, key=key):
+        for i in sorted([i for i, k in enumerate(position) if k < 0], key=key):
             position[i] = len(order)
             order.append(i)
     return states, order, position, outgoing
@@ -648,20 +639,19 @@ def _block(header: str, lines: Iterable[str]) -> str:
 
 def render_automaton(name: str, nfa: Nfa) -> str:
     states, order, position, outgoing = _canonical(nfa)
+    index = nfa._index
     labels = [*nfa.alphabet, "eps"]
     names = [f"s{k}" for k in range(len(states))]
     renamed = [names[k] for k in position]  # the new name of each state
     lines = ["alphabet " + " ".join(nfa.alphabet),
              "states " + " ".join(names),
-             "initial " + " ".join(names[:len(nfa.initials)]),
-             "accept " + " ".join(names[k] for k, i in enumerate(order)
-                                  if states[i] in nfa.accepting)]
+             "initial " + " ".join(names[:len(index.initials)]),
+             "accept " + " ".join([names[k] for k in sorted(map(position.__getitem__,
+                                                                index.accepting))])]
     # ordered by source, label and target: sources in order, then labels by rank
     for source, p in zip(names, order):
-        by_label = outgoing[p]
-        for rank in sorted(by_label):
+        for rank, targets in outgoing[p]:
             head = f"trans {source} {labels[rank]} "
-            targets = by_label[rank]
             if len(targets) > 1:
                 targets = sorted(targets, key=position.__getitem__)
             for q in targets:

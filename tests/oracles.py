@@ -1063,3 +1063,75 @@ def adjacency_admissible_automaton(graph):
             yield letters[i], (tuple(lb), tuple(tg))
 
     return explore(letters, [initial], moves, lambda state: state != initial)
+
+
+# -- set-based builders ----------------------------------------------------
+# The builders as they were before they handed over an integer edge index:
+# each collects its states and its (source, label, target) triples in sets
+# and goes through the full check of Nfa(...).
+
+
+def set_explore(alphabet, initials, moves, accepts):
+    """``explore``: the reachable states and every edge ``moves`` yields."""
+    from epicdemo.automata import Nfa, reachable
+
+    transitions = set()
+
+    def successors(p):
+        for label, q in moves(p):
+            transitions.add((p, label, q))
+            yield q
+
+    initials = frozenset(initials)
+    states = reachable(initials, successors)
+    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions), initials,
+               frozenset(filter(accepts, states)))
+
+
+def set_glue(alphabet, parts, bridges, initials, accepting):
+    """``glue``: copy ``t`` of every part tags its states ``(t, s)``, and a
+    bridge ``(t, u)`` is an epsilon edge from each accepting state of copy
+    ``t`` to each initial state of copy ``u``."""
+    from epicdemo.automata import Nfa
+
+    states, transitions = set(), set()
+    for t, a in parts.items():
+        states.update((t, s) for s in a.states)
+        transitions.update(((t, p), label, (t, q)) for (p, label, q) in a.transitions)
+    for t, u in bridges:
+        transitions.update(((t, f), None, (u, i))
+                           for f in parts[t].accepting for i in parts[u].initials)
+    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions),
+               frozenset((t, s) for t in initials for s in parts[t].initials),
+               frozenset((t, s) for t in accepting for s in parts[t].accepting))
+
+
+def set_image_hom(a, phi, alphabet):
+    """``image_hom`` into ``alphabet``: each transition a chain of fresh
+    states ``("hp", p, letter name, q, k)`` spelling its image, an epsilon
+    edge or an erased image one epsilon edge."""
+    from epicdemo.automata import EPSILON, Nfa
+
+    states = {("h", s) for s in a.states}
+    transitions = set()
+    for (p, label, q) in a.transitions:
+        image = EPSILON if label is None else phi[label]
+        prev = ("h", p)
+        for k in range(len(image) - 1):
+            mid = ("hp", p, label.name, q, k)
+            states.add(mid)
+            transitions.add((prev, image[k], mid))
+            prev = mid
+        transitions.add((prev, image[-1] if image else None, ("h", q)))
+    return Nfa(tuple(alphabet), frozenset(states), frozenset(transitions),
+               frozenset(("h", s) for s in a.initials), frozenset(("h", s) for s in a.accepting))
+
+
+def set_inverse_letter_hom(a, hom, domain):
+    """``inverse_letter_hom``: each letter edge relabelled by every letter
+    of ``domain`` that ``hom`` sends to its label; epsilon edges kept."""
+    from epicdemo.automata import Nfa
+
+    transitions = {(p, d, q) for (p, label, q) in a.transitions
+                   for d in ((None,) if label is None else [d for d in domain if hom[d] == label])}
+    return Nfa(tuple(domain), a.states, frozenset(transitions), a.initials, a.accepting)

@@ -25,6 +25,7 @@ from epicdemo.automata import (
     walk,
 )
 from epicdemo.errors import AutomatonSizeError
+from epicdemo.workspace import render_automaton
 
 from oracles import (
     bf_accepts,
@@ -38,8 +39,13 @@ from oracles import (
     probing_intersect,
     pumpable_cycle,
     searched_is_empty,
+    set_explore,
+    set_glue,
+    set_image_hom,
+    set_inverse_letter_hom,
     tagged_concat,
     tagged_union,
+    keyed_render_automaton,
     triplewise_nfa_check,
     words_upto,
 )
@@ -409,13 +415,14 @@ def mutant(function, old, new):
 
 class TestBuilderFaults:
     """``Nfa._built`` does not check edges, and the conftest fixture
-    ``builder_faults`` flags a builder that misplaces one."""
+    ``builder_faults`` flags a builder whose index misplaces one."""
 
     def test_glue_edge_to_an_undeclared_state(self, builder_faults, monkeypatch):
-        monkeypatch.setattr(automata, "glue", mutant(glue, "(u, i)))", "(u, -1)))"))
-        with pytest.raises(AssertionError, match="transition endpoint not a state"):
+        monkeypatch.setattr(automata, "glue", mutant(glue, "entry = ends[u][0]",
+                                                     "entry = [len(states)]"))
+        with pytest.raises(AssertionError, match=r"target id 4 of .* out of range"):
             concat(plus_language(A), plus_language(B))
-        assert len(builder_faults) == 1 and "('c1', -1)" in builder_faults[0]
+        assert len(builder_faults) == 1 and "(('c0', 1), None)" in builder_faults[0]
         builder_faults.clear()
 
     def test_explore_label_outside_the_alphabet(self, builder_faults):
@@ -423,6 +430,62 @@ class TestBuilderFaults:
             explore((A,), [0], lambda p: [(A, 1), (B, 1)] if p == 0 else [], lambda p: p == 1)
         assert builder_faults == ["transition label Letter('b') not in the alphabet"]
         builder_faults.clear()
+
+
+class TestIndexedBuilders:
+    """Each builder hands over an integer edge index; the automaton it
+    makes has the fields of the set-based builder it replaced, equals and
+    hashes like ``Nfa(...)`` of them, and renders, without writing its
+    transitions out, as the keyed reference renders it."""
+
+    @staticmethod
+    def agree(got, want):
+        text = render_automaton("x", got)
+        assert "transitions" not in vars(got)
+        fields = (got.alphabet, got.states, got.transitions, got.initials, got.accepting)
+        assert fields == (want.alphabet, want.states, want.transitions, want.initials,
+                          want.accepting)
+        remade = Nfa(*fields)
+        assert got == remade and hash(got) == hash(remade)
+        assert text == keyed_render_automaton("x", remade)
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(nfas())
+    def test_explore(self, a):
+        def moves(p):  # every edge twice: explore keeps one
+            return [(label, q) for (s, label, q) in sorted(a.transitions, key=repr) * 2
+                    if s == p]
+
+        starts = sorted(a.initials) * 2
+        self.agree(explore(a.alphabet, starts, moves, a.accepting.__contains__),
+                   set_explore(a.alphabet, starts, moves, a.accepting.__contains__))
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(mixed_alphabet_nfas(), mixed_alphabet_nfas(), st.data())
+    def test_glue(self, a, b, data):
+        parts = {"p0": a, "p1": b, "p2": concat(a, b)}  # a built part too
+        names = st.sampled_from(sorted(parts))
+        bridges = data.draw(st.lists(st.tuples(names, names), max_size=4))
+        initials = data.draw(st.lists(names, min_size=1, max_size=3))
+        accepting = data.draw(st.lists(names, max_size=3))
+        alphabet = merge_alphabets(a.alphabet, b.alphabet)
+        self.agree(glue(alphabet, parts, bridges, initials, accepting),
+                   set_glue(alphabet, parts, bridges, initials, accepting))
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(nfas(), st.data())
+    def test_image_hom(self, a, data):
+        words = st.lists(st.sampled_from([A, B, C]), max_size=3).map(tuple)
+        phi = {A: data.draw(words), B: data.draw(words)}
+        self.agree(image_hom(a, phi, allow_erasing=True, target_alphabet=(A, B, C)),
+                   set_image_hom(a, phi, (A, B, C)))
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(nfas(), st.lists(st.sampled_from([A, B]), min_size=3, max_size=3))
+    def test_inverse_letter_hom(self, a, images):
+        hom = dict(zip((A, B, C), images))
+        self.agree(inverse_letter_hom(a, hom, (A, B, C)),
+                   set_inverse_letter_hom(a, hom, (A, B, C)))
 
 
 class TestBooleanOps:

@@ -1392,6 +1392,25 @@ def path_pipeline(tmp_path, n):
     return [(product, prod), (subgroup, sub), (renamed, cg)]
 
 
+class TestConstructRendersFromTheIndex:
+    """A construct verb renders the automaton it built from the integer
+    edge index its builder handed over: nothing on the way writes the
+    automaton's transitions out."""
+
+    def test_pipeline_writes_no_transitions_out(self, monkeypatch, tmp_path, capsys):
+        seen = []
+        render_automaton = workspace.render_automaton
+
+        def rendered(name, nfa):
+            seen.append((name, "transitions" in vars(nfa)))
+            return render_automaton(name, nfa)
+
+        monkeypatch.setattr(workspace, "render_automaton", rendered)
+        for argv, _ in path_pipeline(tmp_path, 3):  # graph-product, fi-subgroup, change-gens
+            assert main(argv) == 0
+        assert seen == [("prod_lang", False), ("sub_lang", False), ("cg_lang", False)]
+
+
 class TestOverCapConstruct:
     """A construct whose output has more states than EPIC_MAX_STATES exits
     1 with the one line of the cap error and writes no bundle: the cap

@@ -124,6 +124,17 @@ class TestOutputDigest:
         assert all(len(f) == 7 and all(len(h) == 32 for h in f[4:]) for f in fields)
 
 
+    def test_construct_seed_1_matches_the_committed_digest(self, capsys):
+        """``--workloads construct --seeds 1`` runs that workload alone and
+        prints the lines of ``scripts/construct-s1.digest``, which pins
+        the bytes of every bundle a construct job writes."""
+        assert load_script("output_digest").main(["--workloads", "construct",
+                                                  "--seeds", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (SCRIPTS / "construct-s1.digest").read_text()
+
+
 class TestWpRace:
     @pytest.mark.parametrize("argv, message", [
         (["--budget", "0"], "error: --budget must be positive, got 0\n"),
