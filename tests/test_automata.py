@@ -34,6 +34,7 @@ from oracles import (
     chained_finite_language,
     closure_step_accepts,
     closure_subsets,
+    keyed_render_automaton,
     pairwise_intersect,
     pairwise_product,
     probing_intersect,
@@ -45,7 +46,6 @@ from oracles import (
     set_inverse_letter_hom,
     tagged_concat,
     tagged_union,
-    keyed_render_automaton,
     triplewise_nfa_check,
     words_upto,
 )

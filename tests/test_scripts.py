@@ -123,7 +123,6 @@ class TestOutputDigest:
         assert [f[:4] for f in fields] == [["construct", "1", job.jid, "0"] for job in jobs]
         assert all(len(f) == 7 and all(len(h) == 32 for h in f[4:]) for f in fields)
 
-
     def test_construct_seed_1_matches_the_committed_digest(self, capsys):
         """``--workloads construct --seeds 1`` runs that workload alone and
         prints the lines of ``scripts/construct-s1.digest``, which pins
