@@ -132,6 +132,12 @@ def explore(alphabet: Iterable[Letter], initials: Iterable[State], moves: Callab
     (a letter of ``alphabet``, which is not checked, or None for epsilon),
     and the states that ``accepts`` picks.  States are numbered in the
     order they are found, breadth first from the initial states."""
+    return Nfa._built(tuple(alphabet), *_explored(initials, moves, accepts))
+
+
+def _explored(initials: Iterable[State], moves: Callable, accepts: Callable) -> tuple:
+    """``explore``'s index: the states found, their out-edge maps, and the
+    initial and accepting ids."""
     states: list = []
     number: dict = {}
     for s in initials:
@@ -153,8 +159,7 @@ def explore(alphabet: Iterable[Letter], initials: Iterable[State], moves: Callab
             elif i not in targets:
                 targets.append(i)
         edges.append(out)
-    return Nfa._built(tuple(alphabet), states, edges, range(starts),
-                      [i for i, s in enumerate(states) if accepts(s)])
+    return states, edges, range(starts), [i for i, s in enumerate(states) if accepts(s)]
 
 
 def walk(alphabet: tuple[Letter, ...], root, step: Callable,
@@ -492,7 +497,7 @@ def concat(a: Nfa, b: Nfa) -> Nfa:
 
 
 def _product(alphabet: tuple[Letter, ...], lefts: Iterable[State], moves: Callable,
-             right: Nfa, left_accepting) -> Nfa:
+             right: Nfa, left_accepting, left_states: Optional[tuple] = None) -> Nfa:
     """The reachable pairs ``(p, q)`` of a left-hand search and ``right``.
 
     ``moves(p)`` maps a letter to the ``(label, p2)`` edges of ``p`` taken
@@ -503,8 +508,13 @@ def _product(alphabet: tuple[Letter, ...], lefts: Iterable[State], moves: Callab
     walks the edges of ``right`` at ``q`` and looks up the left's moves by
     their letter.  A pair accepts when ``p`` is in ``left_accepting`` and
     ``q`` accepts.
+
+    The search runs on ``q``'s id in the index of ``right``, and each pair
+    is handed over named ``(p, q)`` by the state object of ``q``; with
+    ``left_states``, ``p`` is an id into it, and is named by it too.
     """
-    edges = right._edges
+    index = right._index
+    edges = index.edges
 
     def pair_moves(pair):
         p, q = pair
@@ -520,19 +530,27 @@ def _product(alphabet: tuple[Letter, ...], lefts: Iterable[State], moves: Callab
         for label, p2 in by_letter.get(None, ()):
             yield label, (p2, q)
 
-    return explore(alphabet, [(p, q) for p in lefts for q in right.initials], pair_moves,
-                   lambda s: s[0] in left_accepting and s[1] in right.accepting)
+    pairs, out, initials, accepting = _explored(
+        [(p, q) for p in lefts for q in index.initials], pair_moves,
+        lambda s: s[0] in left_accepting and s[1] in index.accepting)
+    names = index.states
+    if left_states is None:
+        states = [(p, names[q]) for p, q in pairs]
+    else:
+        states = [(left_states[p], names[q]) for p, q in pairs]
+    return Nfa._built(tuple(alphabet), states, out, initials, accepting)
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product automaton for the intersection, restricted to reachable
     pairs; an epsilon edge of either side moves that side alone."""
+    index = a._index
 
     def moves(p):
-        return {x: [(x, p2) for p2 in targets] for x, targets in a._edges[p].items()}
+        return {x: [(x, p2) for p2 in targets] for x, targets in index.edges[p].items()}
 
-    return _product(merge_alphabets(a.alphabet, b.alphabet), a.initials, moves, b,
-                    a.accepting)
+    return _product(merge_alphabets(a.alphabet, b.alphabet), index.initials, moves, b,
+                    index.accepting, index.states)
 
 
 def image_hom(a: Nfa, phi: Mapping[Letter, Word], allow_erasing: bool = False,
