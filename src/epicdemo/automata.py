@@ -300,26 +300,14 @@ class Nfa:
                       frozenset(map(number.__getitem__, self.accepting)))
 
     @cached_property
-    def _edges(self) -> dict:
-        """The out-edge map ``{state: {label: [targets]}}`` on state
-        objects, read off the index; epsilon edges are under the label
-        ``None``."""
-        states, edges = self._index.states, self._index.edges
-        return {p: {label: [states[q] for q in targets] for label, targets in out.items()}
-                for p, out in zip(states, edges)}
+    def _number(self) -> dict:
+        """Each state's id in the index."""
+        return {s: i for i, s in enumerate(self._index.states)}
 
-    def eps_closure(self, states: Iterable[State]) -> frozenset:
-        """All states reachable from ``states`` by epsilon edges alone.
-        Until the out-edge map is built, the epsilon edges are read off the
-        index, and the map stays unbuilt."""
-        edges = vars(self).get("_edges")
-        if edges is not None:
-            return frozenset(reachable(states, lambda p: edges[p].get(None, ())))
-        names, eps = self._index.states, {}
-        for p, out in enumerate(self._index.edges):
-            if None in out:
-                eps[names[p]] = [names[q] for q in out[None]]
-        return frozenset(reachable(states, lambda p: eps.get(p, ())))
+    def _eps_closure(self, ids: Iterable[int]) -> set:
+        """The ids reachable from ``ids`` by epsilon edges alone."""
+        edges = self._index.edges
+        return reachable(ids, lambda p: edges[p].get(None, ()))
 
     @cached_property
     def _letters_to_accept(self) -> dict:
@@ -350,7 +338,8 @@ class Nfa:
     # -- decision procedures --------------------------------------------
 
     def start_subset(self) -> frozenset:
-        return self.eps_closure(self.initials)
+        names = self._index.states
+        return frozenset([names[i] for i in self._eps_closure(self._index.initials)])
 
     @cached_property
     def _closed_memo(self) -> dict:
@@ -359,16 +348,19 @@ class Nfa:
     def _closed(self, state: State) -> dict:
         """``{letter: targets}`` of the letter edges leaving the state's
         epsilon closure, memoized per state."""
-        out = self._edges[state]
+        names, edges = self._index.states, self._index.edges
+        i = self._number[state]
+        out = edges[i]
         if None in out:
             merged: dict = {}
-            for c in self.eps_closure((state,)):
-                for label, targets in self._edges[c].items():
+            for c in self._eps_closure((i,)):
+                for label, targets in edges[c].items():
                     if label is not None:
                         merged.setdefault(label, set()).update(targets)
             out = merged
-        self._closed_memo[state] = out
-        return out
+        closed = self._closed_memo[state] = {label: [names[q] for q in targets]
+                                             for label, targets in out.items()}
+        return closed
 
     @cached_property
     def closure_accepting(self) -> frozenset:

@@ -984,6 +984,14 @@ def blockwise_zk_demo(rank, names=None):
 # -- letter-probing products ---------------------------------------------------
 
 
+def out_edges(nfa):
+    """``{state: {label: [targets]}}`` of every state, from the transitions."""
+    edges = {s: {} for s in nfa.states}
+    for (p, label, q) in nfa.transitions:
+        edges[p].setdefault(label, []).append(q)
+    return edges
+
+
 def probing_product(alphabet, lefts, moves, right, left_accepting):
     """The reachable pairs of a left-hand search and ``right``, found the
     way the package's product once found them: ``moves(p)`` yields
@@ -991,7 +999,7 @@ def probing_product(alphabet, lefts, moves, right, left_accepting):
     on its letter (letter None: the left moves alone)."""
     from epicdemo.automata import explore
 
-    edges = right._edges
+    edges = out_edges(right)
 
     def pair_moves(pair):
         p, q = pair
@@ -1014,8 +1022,10 @@ def probing_intersect(a, b):
     probing ``b``."""
     from epicdemo.automata import merge_alphabets
 
+    edges = out_edges(a)
+
     def moves(p):
-        return ((x, x, p2) for x, targets in a._edges[p].items() for p2 in targets)
+        return ((x, x, p2) for x, targets in edges[p].items() for p2 in targets)
 
     return probing_product(merge_alphabets(a.alphabet, b.alphabet), a.initials, moves, b,
                            a.accepting)

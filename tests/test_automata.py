@@ -228,17 +228,18 @@ class TestMembership:
 
     @settings(deadline=None, max_examples=200, derandomize=True)
     @given(st.one_of(epsilon_cycle_nfas(), island_nfas()))
-    def test_empty_word_test_leaves_the_edge_index_unbuilt(self, a):
-        """Before the out-edge index is built, the closure of the initial
-        states reads the epsilon edges alone; after, it reads the index,
-        and both give the closed subset of a full scan."""
+    def test_empty_word_test_leaves_the_state_numbering_unbuilt(self, a):
+        """The empty-word test closes the initial states by their ids in
+        the index, and leaves the map from state objects to ids unbuilt;
+        the first step builds it, and the closure before and after is the
+        closed subset of a full scan."""
         fresh = Nfa(a.alphabet, a.states, a.transitions, a.initials, a.accepting)
         (closed,) = closure_subsets(a, EPSILON)
         assert fresh.start_subset() == closed
         assert fresh.accepts(EPSILON) == closure_step_accepts(a, EPSILON)
-        assert "_edges" not in vars(fresh)
-        fresh.step(frozenset(fresh.initials), A)  # builds the index
-        assert "_edges" in vars(fresh)
+        assert "_number" not in vars(fresh)
+        fresh.step(frozenset(fresh.initials), A)  # numbers the states
+        assert "_number" in vars(fresh)
         assert fresh.start_subset() == closed
 
 
