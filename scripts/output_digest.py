@@ -15,13 +15,15 @@ gives the same lines, and one ``diff`` compares them:
     python3 scripts/output_digest.py --seeds 1 2 3 > change.txt
     diff parent.txt change.txt
 
-``scripts/construct-s1.digest`` holds the lines of ``--workloads construct
---seeds 1``, so the bytes of every bundle a construct job writes are
-pinned from one commit to the next; a change that alters them on purpose
-writes the file again:
+``scripts/<workload>-s1.digest`` holds the lines of ``--workloads
+<workload> --seeds 1`` for each of verify, wp-decide and construct, so the
+output of every job, and the bytes of every bundle a construct job
+writes, are pinned from one commit to the next; a change that alters them
+on purpose writes the file again:
 
-    python3 scripts/output_digest.py --workloads construct --seeds 1 \
-        > scripts/construct-s1.digest
+    for w in verify wp-decide construct; do
+        python3 scripts/output_digest.py --workloads $w --seeds 1 > scripts/$w-s1.digest
+    done
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ string, so two automata agree on a letter exactly when they spell it the
 same way, and sets and maps of letters work on the names directly.  Words
 are tuples of letters and the empty tuple is the empty word.  Epsilon
 transitions are stored explicitly (label ``None``) and never eliminated:
-products keep them, and decision procedures step state subsets through
-each state's epsilon closure instead.
+products keep them, and decision procedures step subsets of state ids
+through each state's epsilon closure instead.
 
 Alphabets are ordered: declaration order fixes the lexicographic order
 of :func:`walk`, the one length-lex word walk (``Nfa.words``, group
@@ -231,7 +231,9 @@ class Nfa:
     out from the index when it is first read.  An automaton made with
     ``Nfa(...)`` derives the same index from its fields when it is first
     needed, so the index is what products, homomorphisms, the decision
-    procedures and rendering read.
+    procedures and rendering read.  The decision procedures step subsets
+    of state ids: ``start_subset``, ``step`` and ``closure_accepting``
+    hold ids, which ``_index.states`` names.
     """
 
     alphabet: tuple[Letter, ...]
@@ -299,11 +301,6 @@ class Nfa:
         return _Index(states, edges, frozenset(map(number.__getitem__, self.initials)),
                       frozenset(map(number.__getitem__, self.accepting)))
 
-    @cached_property
-    def _number(self) -> dict:
-        """Each state's id in the index."""
-        return {s: i for i, s in enumerate(self._index.states)}
-
     def _eps_closure(self, ids: Iterable[int]) -> set:
         """The ids reachable from ``ids`` by epsilon edges alone."""
         edges = self._index.edges
@@ -311,7 +308,7 @@ class Nfa:
 
     @cached_property
     def _letters_to_accept(self) -> dict:
-        """Minimum number of letters needed to reach acceptance, per state."""
+        """Minimum number of letters needed to reach acceptance, per state id."""
         index = self._index
         back_eps: list = [[] for _ in index.states]
         back_letter: list = [[] for _ in index.states]
@@ -333,23 +330,23 @@ class Nfa:
                 if p not in dist or dist[p] > d + 1:
                     dist[p] = d + 1
                     dq.append(p)
-        return {index.states[i]: d for i, d in dist.items()}
+        return dist
 
     # -- decision procedures --------------------------------------------
 
     def start_subset(self) -> frozenset:
-        names = self._index.states
-        return frozenset([names[i] for i in self._eps_closure(self._index.initials)])
+        """The ids of the epsilon closure of the initial states."""
+        return frozenset(self._eps_closure(self._index.initials))
 
     @cached_property
-    def _closed_memo(self) -> dict:
-        return {}
+    def _closed_memo(self) -> list:
+        return [None] * len(self._index.states)
 
-    def _closed(self, state: State) -> dict:
-        """``{letter: targets}`` of the letter edges leaving the state's
-        epsilon closure, memoized per state."""
-        names, edges = self._index.states, self._index.edges
-        i = self._number[state]
+    def _closed(self, i: int) -> dict:
+        """``{letter: target ids}`` of the letter edges leaving the epsilon
+        closure of state ``i``, memoized per id; a state without epsilon
+        edges memoizes its own out-edge map in the index."""
+        edges = self._index.edges
         out = edges[i]
         if None in out:
             merged: dict = {}
@@ -358,23 +355,22 @@ class Nfa:
                     if label is not None:
                         merged.setdefault(label, set()).update(targets)
             out = merged
-        closed = self._closed_memo[state] = {label: [names[q] for q in targets]
-                                             for label, targets in out.items()}
-        return closed
+        self._closed_memo[i] = out
+        return out
 
     @cached_property
     def closure_accepting(self) -> frozenset:
-        """The states whose epsilon closure holds an accepting state."""
-        return frozenset(s for s, d in self._letters_to_accept.items() if not d)
+        """The ids of the states whose epsilon closure holds an accepting state."""
+        return frozenset(i for i, d in self._letters_to_accept.items() if not d)
 
     def step(self, subset: frozenset, letter: Letter) -> frozenset:
-        """The states the letter reaches from the epsilon closures of
-        ``subset``; the result is not itself closed, so acceptance is
+        """The state ids the letter reaches from the epsilon closures of the
+        ids in ``subset``; the result is not itself closed, so acceptance is
         tested against ``closure_accepting``."""
         moved: set = set()
         memo = self._closed_memo
         for p in subset:
-            out = memo.get(p)
+            out = memo[p]
             if out is None:
                 out = self._closed(p)
             moved.update(out.get(letter, ()))
@@ -384,7 +380,7 @@ class Nfa:
         """Membership test; letters outside the alphabet never match."""
         subset = self.start_subset()
         if not word:  # a closed subset: no distance table to build
-            return not self.accepting.isdisjoint(subset)
+            return not self._index.accepting.isdisjoint(subset)
         for x in word:
             subset = self.step(subset, x)
             if not subset:
@@ -394,7 +390,7 @@ class Nfa:
     def is_empty(self) -> bool:
         """True when no word at all is accepted: no initial state is
         within any number of letters of acceptance."""
-        return self.initials.isdisjoint(self._letters_to_accept)
+        return self._index.initials.isdisjoint(self._letters_to_accept)
 
     @cached_property
     def _step_memo(self) -> dict:

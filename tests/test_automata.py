@@ -228,19 +228,44 @@ class TestMembership:
 
     @settings(deadline=None, max_examples=200, derandomize=True)
     @given(st.one_of(epsilon_cycle_nfas(), island_nfas()))
-    def test_empty_word_test_leaves_the_state_numbering_unbuilt(self, a):
-        """The empty-word test closes the initial states by their ids in
-        the index, and leaves the map from state objects to ids unbuilt;
-        the first step builds it, and the closure before and after is the
-        closed subset of a full scan."""
+    def test_stepping_reads_the_index_alone(self, a):
+        """The start subset holds the ids of the closed subset of a full
+        scan, before and after a step; on a built automaton the empty-word
+        test, the emptiness test and the word walk read its index alone,
+        and leave its fields unwritten."""
         fresh = Nfa(a.alphabet, a.states, a.transitions, a.initials, a.accepting)
+        names = fresh._index.states
         (closed,) = closure_subsets(a, EPSILON)
-        assert fresh.start_subset() == closed
-        assert fresh.accepts(EPSILON) == closure_step_accepts(a, EPSILON)
-        assert "_number" not in vars(fresh)
-        fresh.step(frozenset(fresh.initials), A)  # numbers the states
-        assert "_number" in vars(fresh)
-        assert fresh.start_subset() == closed
+        assert {names[i] for i in fresh.start_subset()} == closed
+        fresh.step(fresh.start_subset(), A)
+        assert {names[i] for i in fresh.start_subset()} == closed
+        built = glue(a.alphabet, {"t": a}, (), ("t",), ("t",))
+        assert built.accepts(EPSILON) == closure_step_accepts(a, EPSILON)
+        assert built.is_empty() == searched_is_empty(a)
+        assert list(built.words(3)) == [w for w in words_upto((A, B), 3)
+                                        if closure_step_accepts(a, w)]
+        assert not {"states", "transitions", "initials", "accepting"} & vars(built).keys()
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(range(4)), st.sampled_from([A, B]),
+                              st.sampled_from(range(4))), max_size=10),
+           st.lists(st.sampled_from(range(4)), min_size=1, max_size=4),
+           st.lists(st.sampled_from(range(4)), max_size=4))
+    def test_epsilon_free_steps_memoize_the_index_maps(self, edges, initials, accepting):
+        """Without epsilon edges a stepped state's memo entry is its own
+        out-edge map in the index, not a copy, and no map from state
+        objects to ids is kept."""
+        name = "s{}".format
+        a = Nfa((A, B), frozenset(map(name, range(4))),
+                frozenset((name(p), x, name(q)) for p, x, q in edges),
+                frozenset(map(name, initials)), frozenset(map(name, accepting)))
+        list(a.words(4))
+        index = a._index
+        stepped = [i for i, out in enumerate(a._closed_memo) if out is not None]
+        assert set(stepped) >= a.start_subset()
+        assert all(a._closed_memo[i] is index.edges[i] for i in stepped)
+        assert not any(isinstance(v, dict) and not v.keys().isdisjoint(index.states)
+                       for v in vars(a).values())
 
 
 class TestEnumerate:
@@ -682,7 +707,7 @@ class TestNormalize:
             return
         out = normalize_no_accepting_initial(a)
         assert out.enumerate_words(5) == a.enumerate_words(5)
-        assert not out.start_subset() & out.accepting
+        assert not out.start_subset() & out._index.accepting
         assert not out.initials & out.accepting
 
 

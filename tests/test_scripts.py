@@ -123,15 +123,16 @@ class TestOutputDigest:
         assert [f[:4] for f in fields] == [["construct", "1", job.jid, "0"] for job in jobs]
         assert all(len(f) == 7 and all(len(h) == 32 for h in f[4:]) for f in fields)
 
-    def test_construct_seed_1_matches_the_committed_digest(self, capsys):
-        """``--workloads construct --seeds 1`` runs that workload alone and
-        prints the lines of ``scripts/construct-s1.digest``, which pins
-        the bytes of every bundle a construct job writes."""
-        assert load_script("output_digest").main(["--workloads", "construct",
+    @pytest.mark.parametrize("workload", ["verify", "wp-decide", "construct"])
+    def test_seed_1_matches_the_committed_digest(self, capsys, workload):
+        """``--workloads <w> --seeds 1`` runs that workload alone and prints
+        the lines of ``scripts/<w>-s1.digest``, which pins the output of
+        every job, and the bytes of every bundle a construct job writes."""
+        assert load_script("output_digest").main(["--workloads", workload,
                                                   "--seeds", "1"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        assert out == (SCRIPTS / "construct-s1.digest").read_text()
+        assert out == (SCRIPTS / f"{workload}-s1.digest").read_text()
 
 
 class TestWpRace:
