@@ -226,14 +226,16 @@ class Nfa:
     this module tag states with tuples to keep them distinct.
 
     ``Nfa(...)`` checks every part, each transition too.  The builders here
-    hand ``Nfa._built`` an integer edge index (``_Index``) instead of the
-    fields, and it checks the cap and the alphabet; each field is written
-    out from the index when it is first read.  An automaton made with
-    ``Nfa(...)`` derives the same index from its fields when it is first
-    needed, so the index is what products, homomorphisms, the decision
-    procedures and rendering read.  The decision procedures step subsets
-    of state ids: ``start_subset``, ``step`` and ``closure_accepting``
-    hold ids, which ``_index.states`` names.
+    and the workspace reader hand ``Nfa._built`` an integer edge index
+    (``_Index``) instead of the fields, and it checks the cap and the
+    alphabet; each field is written out from the index when it is first
+    read.  The reader resolves every name of its index as it reads, so an
+    undeclared state or letter never reaches ``_built``.  An automaton made
+    with ``Nfa(...)`` derives the same index from its fields when it is
+    first needed, so the index is what products, homomorphisms, the
+    decision procedures and rendering read.  The decision procedures step
+    subsets of state ids: ``start_subset``, ``step`` and
+    ``closure_accepting`` hold ids, which ``_index.states`` names.
     """
 
     alphabet: tuple[Letter, ...]

@@ -119,6 +119,13 @@ def _split_blocks(path: Optional[str], text: str) -> list[_Block]:
 
 
 def _parse_automaton(block: _Block) -> Nfa:
+    """An automaton block read straight into the integer edge index that
+    ``Nfa._built`` takes.  States are numbered in the order the ``states``
+    lines declare them, each name once; each ``trans`` line files its
+    target id under its source and label, each edge once however often the
+    line repeats.  The reader builds the index as it checks each line: a
+    failed lookup or check goes to ``_automaton_fault``, which names the
+    first bad line."""
     alphabet: list[Letter] = []
     states: list[str] = []
     initials: list[str] = []
@@ -139,10 +146,19 @@ def _parse_automaton(block: _Block) -> Nfa:
         else:
             _automaton_fault(block)
     letters = dict(zip(alphabet, alphabet), eps=None)
+    number = {s: i for i, s in enumerate(dict.fromkeys(states))}
+    edges: list = [{} for _ in number]
     try:
-        return Nfa(tuple(alphabet), frozenset(states),
-                   frozenset([(src, letters[label], tgt) for _, src, label, tgt in transitions]),
-                   frozenset(initials), frozenset(accepting))
+        for _, src, label, tgt in transitions:
+            out = edges[number[src]]
+            x, q = letters[label], number[tgt]
+            targets = out.get(x)
+            if targets is None:
+                out[x] = [q]
+            elif q not in targets:
+                targets.append(q)
+        return Nfa._built(tuple(alphabet), tuple(number), edges,
+                          [number[s] for s in initials], [number[s] for s in accepting])
     except (KeyError, ValueError, AutomatonSizeError) as e:
         _automaton_fault(block, e)
 

@@ -1,5 +1,5 @@
-"""Every automaton a package builder makes in a test passes the public
-constructor's full check."""
+"""Every automaton a package builder makes in a test, and every one the
+workspace reader reads, passes the public constructor's full check."""
 
 import pytest
 
@@ -38,7 +38,11 @@ def builder_faults(monkeypatch):
     alphabet, so that the index of each automaton it returns is checked by
     ``check_index``, and the fields written out from that index by
     ``Nfa(...)``, down to each transition.  The fields are written out
-    apart from the automaton, which keeps only its index.
+    apart from the automaton, which keeps only its index.  The workspace
+    reader hands ``Nfa._built`` the index it reads from a block, so every
+    automaton a test reads from a file or text is checked here too; the
+    ``Nfa(...)``-based reader in ``tests/oracles.py`` stays the reference
+    the reader differential tests compare against.
 
     A refusal, whatever was raised, raises AssertionError, which no
     ``pytest.raises(ValueError)`` takes for a builder's own error, and is

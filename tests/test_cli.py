@@ -1410,6 +1410,24 @@ class TestConstructRendersFromTheIndex:
             assert main(argv) == 0
         assert seen == [("prod_lang", False), ("sub_lang", False), ("cg_lang", False)]
 
+    def test_linked_bundle_keeps_the_index_it_was_read_into(self, monkeypatch, tmp_path):
+        """The graph-product bundle's reload reads its automaton straight
+        into the index, states in the order its states line declares them,
+        and fi-subgroup and change-gens link that parse without writing
+        its states or transitions out."""
+        steps = path_pipeline(tmp_path, 3)  # graph-product, fi-subgroup, change-gens
+        loaded = spy_loads(monkeypatch)
+        for argv, _ in steps:
+            assert main(argv) == 0
+        reloaded = loaded[1].automata["prod_lang"]
+        assert all(ws.automata["prod_lang"] is reloaded for ws in loaded[2::2])
+        assert not {"states", "transitions"} & set(vars(reloaded))
+        text = steps[0][1].read_text()
+        block = text[text.index("automaton prod_lang"):]
+        declared = next(line.split()[1:] for line in block.splitlines()
+                        if line.split()[:1] == ["states"])
+        assert reloaded._index.states == tuple(declared)
+
 
 class TestOverCapConstruct:
     """A construct whose output has more states than EPIC_MAX_STATES exits

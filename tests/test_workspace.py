@@ -341,7 +341,8 @@ class TestMutatedSample:
 
 LINE_SHAPES = [
     "", "   ", "# a comment", "  # an indented comment", "#pad", "end # note", "end #",
-    "  alphabet x #pad", "  states s0 s1 trans end", "  initial s0", "  accept s1 end",
+    "  alphabet x #pad", "  states s0 s1 trans end", "  states s0 s0", "  initial s0",
+    "  initial s0 s0", "  accept s1 end", "  accept s1 s1",
     "  trans s0 x s1", "  trans s0 #pad s1", "  trans s0 x s1 # note", "  trans trans x end",
     "  trans end eps s0", "  trans s0 x", "  trans s0 x s1 s0", "  trans",
 ]
@@ -390,6 +391,24 @@ class TestReaderDifferential:
             "bad-label-before-short-trans", "repeated-letter-after-undeclared-states",
             "undeclared-accept-before-initial"])
     def test_line_shape_loads_like_reference(self, text):
+        assert_loads_like_reference(text)
+
+
+class TestRepeatedNames:
+    def test_repeated_state_and_transition_load_once(self):
+        """A state declared twice and a repeated trans line load as
+        ``Nfa(...)`` of the same fields, each edge filed once."""
+        text = ("automaton a\n  alphabet x\n  states s0 s1\n  states s1\n  initial s0 s0\n"
+                "  accept s1\n  trans s0 x s1\n  trans s1 x s1\n  trans s0 x s1\n"
+                "  trans s1 eps s0\n  trans s1 eps s0\nend\n")
+        nfa = load_str(text).automata["a"]
+        x = Letter("x")
+        fields = Nfa((x,), frozenset({"s0", "s1"}),
+                     frozenset({("s0", x, "s1"), ("s1", x, "s1"), ("s1", None, "s0")}),
+                     frozenset({"s0"}), frozenset({"s1"}))
+        assert nfa == fields and hash(nfa) == hash(fields)
+        assert nfa._index.states == ("s0", "s1")
+        assert nfa._index.edges == [{x: [1]}, {x: [1], None: [0]}]
         assert_loads_like_reference(text)
 
 
