@@ -393,8 +393,6 @@ class TestReaderDifferential:
     def test_line_shape_loads_like_reference(self, text):
         assert_loads_like_reference(text)
 
-
-class TestRepeatedNames:
     def test_repeated_state_and_transition_load_once(self):
         """A state declared twice and a repeated trans line load as
         ``Nfa(...)`` of the same fields, each edge filed once."""
